@@ -179,12 +179,8 @@ def validate_potential(G: GPotential, support: Sequence[float], tol: float = 0.0
 def recover_potential(menu: Menu, model: TestModel) -> GPotential:
     """Potential induced by an existing menu: values are truthful utilities,
     subgradients the utility slopes R_p [beta0 - beta1]."""
-    values = []
-    subgrads = []
-    for p, contract in zip(menu.support, menu.contracts):
-        values.append(utility(p, contract, model))
-        subgrads.append(contract.reward * (contract.tau - power(model, contract.tau)))
-    return tabulated_potential(menu.support, values, subgrads)
+    slopes, intercepts = menu.lines(model)
+    return tabulated_potential(menu.support, slopes * np.array(menu.support) + intercepts, slopes)
 
 
 def _checked_thresholds(thresholds, model) -> Tuple[List[float], List[float], List[float]]:

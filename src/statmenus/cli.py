@@ -55,7 +55,7 @@ from .objectives import (
     threshold_map,
     uniform_population,
 )
-from .sensitivity import MisspecScenario, sensitivity_sweep
+from .sensitivity import SWEEP_EDGE_BAND, MisspecScenario, sensitivity_sweep
 from .testmodel import TestModel, gaussian_model, tabulated_from_csv, tabulated_model
 
 COMMANDS = (
@@ -296,7 +296,7 @@ def _load_menu(config: RunConfig) -> Menu:
         return Menu.load(path)
     except OSError as exc:
         raise ConfigError([("/menu/path", f"cannot read menu file: {exc}")]) from None
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON and contracts
         raise ConfigError([("/menu/path", f"malformed menu document {path}: {exc}")]) from None
 
 
@@ -500,8 +500,8 @@ def run(
                 objective=config.objective,
             )
             n_points = grid or config.sensitivity.get("points", 256)
-            lo = menu.support[0] + 1e-3
-            hi = menu.support[-1] - 1e-3
+            lo = menu.support[0] + SWEEP_EDGE_BAND
+            hi = menu.support[-1] - SWEEP_EDGE_BAND
             for row in sensitivity_sweep(scenario, np.linspace(lo, hi, n_points)):
                 rows.append((theta, row.report, row.gap))
         _write_csv(out_dir / "sensitivity.csv", stamp, ("theta_actual", "p", "gap"), rows)

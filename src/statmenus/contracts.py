@@ -6,6 +6,8 @@ takes the contract indexed by report p has expected utility
     psi(q; p) = q * R_p * [beta0(tau_p) - beta1(tau_p)] + [R_p * beta1(tau_p) - c_p],
 
 affine in q with negative slope whenever the test has nontrivial power. A
+menu is a set of lines in q whose upper envelope is the truthful utility;
+only this module computes their slopes and intercepts (``Menu.lines``). A
 menu is separating when truthful selection is strictly optimal for every
 supported type and participation utilities are nonnegative.
 """
@@ -14,8 +16,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .testmodel import TestModel, power
 
@@ -27,6 +31,7 @@ __all__ = [
     "Violation",
     "utility",
     "zero_utility_cost",
+    "best_response",
     "select",
     "verify_separating",
     "scoring_rule",
@@ -37,6 +42,9 @@ DEFAULT_IC_MARGIN = 1e-9
 # Absorbs float rounding of contracts calibrated to exactly zero utility.
 PARTICIPATION_SLACK = 1e-12
 TIE_BREAK_RULE = "smallest-report"
+# Rows of the (types x contracts) utility block held at once; bounds the
+# memory of selection and verification independently of the menu size.
+_BLOCK_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -50,8 +58,16 @@ class Contract:
     def __post_init__(self):
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"threshold must lie in [0, 1], got {self.tau!r}")
-        if self.reward < 0.0:
-            raise ValueError(f"reward must be nonnegative, got {self.reward!r}")
+        if not math.isfinite(self.reward) or self.reward < 0.0:
+            raise ValueError(f"reward must be finite and nonnegative, got {self.reward!r}")
+        if not math.isfinite(self.cost):
+            raise ValueError(f"cost must be finite, got {self.cost!r}")
+
+
+def _line(contract: Contract, model: TestModel) -> Tuple[float, float]:
+    """Slope R (tau - beta1(tau)) and intercept R beta1(tau) - c of the utility in q."""
+    beta1 = power(model, contract.tau)
+    return contract.reward * (contract.tau - beta1), contract.reward * beta1 - contract.cost
 
 
 @dataclass(frozen=True)
@@ -60,6 +76,9 @@ class Menu:
 
     support: Tuple[float, ...]
     contracts: Tuple[Contract, ...]
+    _lines: Dict[TestModel, Tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not self.support:
@@ -70,6 +89,16 @@ class Menu:
             raise ValueError("support must lie in [0, 1]")
         if any(b <= a for a, b in zip(self.support, self.support[1:])):
             raise ValueError("support must be strictly increasing")
+
+    def lines(self, model: TestModel) -> Tuple[np.ndarray, np.ndarray]:
+        """Read-only slope and intercept arrays of the contracts' utility
+        lines under ``model``, computed once per model."""
+        cached = self._lines.get(model)
+        if cached is None:
+            table = np.array([_line(c, model) for c in self.contracts]).T.copy()
+            table.flags.writeable = False
+            cached = self._lines[model] = (table[0], table[1])
+        return cached
 
     def contract_for(self, p: float) -> Contract:
         try:
@@ -117,12 +146,16 @@ class SelectionOutcome:
         return self.report is None
 
 
-def utility(q: float, contract: Contract, model: TestModel) -> float:
-    """Expected utility of a type-q agent under ``contract``."""
+def _check_type(q: float) -> None:
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"type must lie in [0, 1], got {q!r}")
-    beta1 = power(model, contract.tau)
-    return q * contract.reward * (contract.tau - beta1) + (contract.reward * beta1 - contract.cost)
+
+
+def utility(q: float, contract: Contract, model: TestModel) -> float:
+    """Expected utility of a type-q agent under ``contract``."""
+    _check_type(q)
+    slope, intercept = _line(contract, model)
+    return q * slope + intercept
 
 
 def zero_utility_cost(q: float, tau: float, reward: float, model: TestModel) -> float:
@@ -138,22 +171,53 @@ def zero_utility_cost(q: float, tau: float, reward: float, model: TestModel) -> 
     return cost
 
 
+def _utility_blocks(q: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray):
+    """Yield ``(start, u)`` with u[i, j] = q[start + i] * slopes[j] + intercepts[j]
+    over consecutive row blocks; ``u`` is one reused buffer."""
+    buf = np.empty((min(len(q), _BLOCK_ROWS), len(slopes)))
+    for start in range(0, len(q), _BLOCK_ROWS):
+        rows = q[start : start + _BLOCK_ROWS]
+        u = buf[: len(rows)]
+        np.multiply(rows[:, None], slopes, out=u)
+        u += intercepts
+        yield start, u
+
+
+def best_response(
+    q: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Index and utility of the best line for each type in ``q``.
+
+    Ties break toward the first maximum, which is the smallest report
+    because menu supports are increasing. Opting out is left to the caller
+    (a negative best utility).
+    """
+    q = np.asarray(q, dtype=float)
+    index = np.empty(len(q), dtype=np.intp)
+    value = np.empty(len(q))
+    for start, u in _utility_blocks(q, slopes, intercepts):
+        stop = start + len(u)
+        chosen = np.argmax(u, axis=1, out=index[start:stop])
+        # Re-evaluating the chosen line repeats u's arithmetic bit for bit and,
+        # unlike a max over a short row, stays fast for small menus.
+        best = np.take(slopes, chosen, out=value[start:stop])
+        best *= q[start:stop]
+        best += np.take(intercepts, chosen)
+    return index, value
+
+
 def select(q: float, menu: Menu, model: TestModel) -> SelectionOutcome:
     """Utility-maximizing report for a type-q agent, or opt-out.
 
     Ties break toward the smallest reported type; utility exactly 0 still
     participates.
     """
-    best_p = None
-    best_u = -float("inf")
-    for p, contract in zip(menu.support, menu.contracts):
-        u = utility(q, contract, model)
-        if u > best_u:
-            best_u = u
-            best_p = p
+    _check_type(q)
+    index, value = best_response(np.array([q], dtype=float), *menu.lines(model))
+    best_u = float(value[0])
     if best_u < 0.0:
         return SelectionOutcome(report=None, utility=best_u)
-    return SelectionOutcome(report=best_p, utility=best_u)
+    return SelectionOutcome(report=menu.support[index[0]], utility=best_u)
 
 
 @dataclass(frozen=True)
@@ -207,38 +271,43 @@ def verify_separating(
     if support is None:
         support = menu.support
     support = tuple(float(q) for q in support)
-    menu_index = {p: c for p, c in zip(menu.support, menu.contracts)}
-    missing = [q for q in support if q not in menu_index]
+    position = {p: j for j, p in enumerate(menu.support)}
+    missing = [q for q in support if q not in position]
     if missing:
         raise ValueError(f"verified support must be within the menu support; missing {missing[:3]}")
 
-    truthful = {q: utility(q, menu_index[q], model) for q in support}
-    pairs = 0
-    for q in support:
-        if truthful[q] < -PARTICIPATION_SLACK:
-            return SeparationReport(
-                passed=False,
-                support=support,
-                margin=margin,
-                pairs_checked=pairs,
-                first_violation=Violation(kind="participation", q=q, p=None, gap=truthful[q]),
-            )
-        for p, contract in zip(menu.support, menu.contracts):
-            if p == q:
-                continue
-            pairs += 1
-            cross = utility(q, contract, model)
-            if not truthful[q] > cross + margin:
-                return SeparationReport(
-                    passed=False,
-                    support=support,
-                    margin=margin,
-                    pairs_checked=pairs,
-                    first_violation=Violation(kind="ic", q=q, p=p, gap=truthful[q] - cross),
-                )
-    return SeparationReport(
-        passed=True, support=support, margin=margin, pairs_checked=pairs, first_violation=None
-    )
+    def report(pairs: int, violation: Optional[Violation] = None) -> SeparationReport:
+        return SeparationReport(
+            passed=violation is None,
+            support=support,
+            margin=margin,
+            pairs_checked=pairs,
+            first_violation=violation,
+        )
+
+    # The first violation in row-major (q, then p) order: within a row the
+    # participation check precedes the IC pairs, and p == q is not a pair.
+    others = len(menu.support) - 1
+    own = np.array([position[q] for q in support], dtype=np.intp)
+    for start, u in _utility_blocks(np.array(support), *menu.lines(model)):
+        rows, cols = np.arange(len(u)), own[start : start + len(u)]
+        truthful = u[rows, cols]
+        bad = ~(truthful[:, None] > u + margin)
+        bad[rows, cols] = False
+        outside = truthful < -PARTICIPATION_SLACK
+        flagged = np.flatnonzero(outside | bad.any(axis=1))
+        if not len(flagged):
+            continue
+        i = int(flagged[0])
+        q = support[start + i]
+        pairs = (start + i) * others
+        if outside[i]:
+            return report(pairs, Violation(kind="participation", q=q, p=None, gap=float(truthful[i])))
+        j = int(np.argmax(bad[i]))
+        pairs += j + int(j < cols[i])
+        gap = float(truthful[i] - u[i, j])
+        return report(pairs, Violation(kind="ic", q=q, p=menu.support[j], gap=gap))
+    return report(len(support) * others)
 
 
 def scoring_rule(menu: Menu, p: float, y: int, model: TestModel) -> float:

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .contracts import Contract, Menu, select, utility
+from .contracts import Contract, Menu, best_response, select, utility
 from .objectives import TypePopulation, fdr_objective, fdr_threshold
 from .rates import bayes_risk, fdr, tdr
 from .testmodel import TestModel, power, sample_pvalues
@@ -133,14 +133,15 @@ def screening_cost(
     contract's utility over the population, which should lie inside the
     range the menu was designed for.
     """
-    return population.expectation(
-        lambda q: select(q, menu, model).utility - utility(q, base, model)
-    )
+    points = population.points()
+    _, best = best_response(points, *menu.lines(model))
+    return population.average(best - [utility(float(q), base, model) for q in points])
 
 
 def information_rent(menu: Menu, population: TypePopulation, model: TestModel) -> float:
     """Expected truthful-reporting utility left to agents under the menu."""
-    return population.expectation(lambda q: select(q, menu, model).utility)
+    _, best = best_response(population.points(), *menu.lines(model))
+    return population.average(best)
 
 
 def principal_return(menu: Menu, base: Contract, q: float, model: TestModel) -> float:
@@ -205,10 +206,6 @@ def _stratified_counts(weights: np.ndarray, size: int) -> np.ndarray:
 
 def _simulate_chunk(menu, population, model, size, seed_child, stratified):
     rng = np.random.default_rng(seed_child)
-    slopes = np.array(
-        [c.reward * (c.tau - power(model, c.tau)) for c in menu.contracts]
-    )
-    intercepts = np.array([c.reward * power(model, c.tau) - c.cost for c in menu.contracts])
     taus = np.array([c.tau for c in menu.contracts])
     rewards = np.array([c.reward for c in menu.contracts])
     costs = np.array([c.cost for c in menu.contracts])
@@ -225,11 +222,7 @@ def _simulate_chunk(menu, population, model, size, seed_child, stratified):
         type_idx = None
         q = rng.uniform(population.lo, population.hi, size=size)
 
-    # argmax over contracts; first maximum wins, matching the smallest-report
-    # tie-break because the support is sorted ascending.
-    utilities = q[:, None] * slopes[None, :] + intercepts[None, :]
-    choice = np.argmax(utilities, axis=1)
-    best = utilities[np.arange(size), choice]
+    choice, best = best_response(q, *menu.lines(model))
     participate = best >= 0.0
 
     is_null = rng.random(size) < q
@@ -284,6 +277,7 @@ def simulate_population(
     if n % _CHUNK:
         sizes.append(n % _CHUNK)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
+    menu.lines(model)  # computed once here; the chunks read the cached arrays
 
     def work(args):
         size, child = args

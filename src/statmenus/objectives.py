@@ -116,13 +116,17 @@ class TypePopulation:
             return np.array(self.types)
         return np.linspace(self.lo, self.hi, self.n)
 
-    def expectation(self, f: Callable[[float], float]) -> float:
-        """E[f(q)] under the population (weighted sum or trapezoid rule)."""
-        pts = self.points()
-        vals = np.array([f(float(q)) for q in pts])
+    def average(self, values: Sequence[float]) -> float:
+        """Population mean of ``values`` given at ``points()`` (weighted sum
+        or trapezoid rule)."""
+        values = np.asarray(values, dtype=float)
         if self.kind == "discrete":
-            return float(np.dot(np.array(self.weights), vals))
-        return float(np.trapezoid(vals, pts) / (self.hi - self.lo))
+            return float(np.dot(np.array(self.weights), values))
+        return float(np.trapezoid(values, self.points()) / (self.hi - self.lo))
+
+    def expectation(self, f: Callable[[float], float]) -> float:
+        """E[f(q)] under the population."""
+        return self.average([f(float(q)) for q in self.points()])
 
 
 def discrete_population(

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .contracts import Menu
+from .contracts import Menu, utility
 from .errors import StatMenusError
 from .objectives import PrincipalObjective, optimal_threshold
 from .testmodel import TestModel, power, power_derivative
@@ -99,14 +99,6 @@ class MisreportResult:
     interior: bool
 
 
-def _misspecified_utility(q: float, p: float, scenario: MisspecScenario) -> float:
-    contract = scenario.menu.contract_for(p)
-    beta_actual = power(scenario.actual, contract.tau)
-    return (
-        contract.reward * (q * contract.tau + (1.0 - q) * beta_actual) - contract.cost
-    )
-
-
 def misspecified_report(
     q: float, scenario: MisspecScenario, tol: float = 1e-8, scan: int = 129
 ) -> MisreportResult:
@@ -157,16 +149,18 @@ def misspecified_report(
 
     support = np.array(scenario.menu.support)
 
-    def nearest_utility(r: float) -> float:
-        nearest = float(support[np.argmin(np.abs(support - r))])
-        return _misspecified_utility(q, nearest, scenario)
+    def misspecified_utility(p: float) -> float:
+        return utility(q, scenario.menu.contract_for(p), scenario.actual)
 
-    boundary = max((lo, hi), key=lambda p: _misspecified_utility(q, p, scenario))
+    def nearest_utility(r: float) -> float:
+        return misspecified_utility(float(support[np.argmin(np.abs(support - r))]))
+
+    boundary = max((lo, hi), key=misspecified_utility)
     if not roots:
-        best = max(scenario.menu.support, key=lambda p: _misspecified_utility(q, p, scenario))
+        best = max(scenario.menu.support, key=misspecified_utility)
         return MisreportResult(report=float(best), interior=False)
     best_root = max(roots, key=nearest_utility)
-    if _misspecified_utility(q, boundary, scenario) > nearest_utility(best_root):
+    if misspecified_utility(boundary) > nearest_utility(best_root):
         return MisreportResult(report=float(boundary), interior=False)
     return MisreportResult(report=best_root, interior=True)
 

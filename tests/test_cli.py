@@ -297,6 +297,17 @@ def test_missing_menu_file_is_config_error(tmp_path, capsys):
     assert "/menu/path" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["menu-verify", "simulate"])
+def test_non_finite_menu_is_config_error(tmp_path, capsys, command):
+    path = write_config(tmp_path)
+    assert main(["menu-build", "--config", str(path), "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "menu.json").read_text())
+    doc["contracts"][2]["cost"] = float("nan")
+    (tmp_path / "menu.json").write_text(json.dumps(doc))  # a NaN literal, as json writes it
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "/menu/path" in capsys.readouterr().err
+
+
 def test_missing_builder_key_is_config_error(tmp_path, capsys):
     path = write_config(tmp_path, {"/menu": {"method": "fixed_reward", "reward": 100}})
     assert main(["menu-build", "--config", str(path), "--out", str(tmp_path)]) == 2

@@ -67,6 +67,11 @@ def test_contract_validation():
         Contract(tau=1.2, reward=1.0, cost=0.0)
     with pytest.raises(ValueError):
         Contract(tau=0.5, reward=-1.0, cost=0.0)
+    for tau, reward, cost in ((0.1, 1.0, float("nan")), (0.1, 1.0, float("inf")),
+                              (0.1, float("nan"), 0.0), (0.1, float("inf"), 0.0),
+                              (float("nan"), 1.0, 0.0)):
+        with pytest.raises(ValueError):
+            Contract(tau, reward, cost)
 
 
 # ---------------------------------------------------------------------------
