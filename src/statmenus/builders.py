@@ -5,13 +5,13 @@ types: G(p) is the truthful-reporting utility of type p and its subgradient
 g_p < 0 pins down the reward through
 
     R_p = g_p / (beta0(tau_p) - beta1(tau_p)),
-    c_p = g_p * [beta1(tau_p) / (beta0(tau_p) - beta1(tau_p)) + p] - G(p).
+    c_p = R_p * [p * tau_p + (1 - p) * beta1(tau_p)] - G(p).
 
 ``build_from_potential`` applies that recipe to any valid potential. The
-other builders are closed-form specializations: a varying-reward family
-whose screening cost shrinks with a slack schedule epsilon, the unique
-constant-reward menu (whose potential is pinned down by the power
-function), and a backward recursion for finitely many types. The converse
+varying-reward family (whose screening cost shrinks with a slack schedule
+epsilon) and the unique constant-reward menu (whose potential is pinned
+down by the power function) are integral potentials fed through the same
+recipe; a backward recursion covers finitely many types. The converse
 direction (recovering and validating the potential of an existing menu)
 serves as an independent verification oracle.
 """
@@ -27,7 +27,7 @@ import numpy as np
 from ._quad import adaptive_simpson
 from .contracts import Contract, Menu, utility
 from .errors import InfeasibleMenuError, InvalidPotentialError
-from .objectives import PrincipalObjective, optimal_threshold
+from .objectives import PrincipalObjective, optimal_threshold, type_for_threshold
 from .testmodel import TestModel, normal_cdf, power, power_derivative
 
 __all__ = [
@@ -54,11 +54,14 @@ PARTICIPATION_TOL = 1e-8
 
 @dataclass(frozen=True)
 class GPotential:
-    """Convex potential: truthful utility values and negative subgradients."""
+    """Convex potential: truthful utility values on an increasing support
+    (``values``) and negative subgradients."""
 
-    value: Callable[[float], float]
+    values: Callable[[Sequence[float]], List[float]]
     subgradient: Callable[[float], float]
-    representation: str
+
+    def value(self, q: float) -> float:
+        return self.values([q])[0]
 
 
 def tabulated_potential(
@@ -77,19 +80,31 @@ def tabulated_potential(
     val = dict(zip(points, map(float, values)))
     sub = dict(zip(points, map(float, subgradients)))
 
-    def value(q: float) -> float:
+    def lookup(table, q: float) -> float:
         try:
-            return val[q]
+            return table[q]
         except KeyError:
             raise KeyError(f"potential tabulated only on its support; no value at {q!r}") from None
 
-    def subgradient(q: float) -> float:
-        try:
-            return sub[q]
-        except KeyError:
-            raise KeyError(f"potential tabulated only on its support; no value at {q!r}") from None
+    return GPotential(
+        values=lambda ps: [lookup(val, p) for p in ps], subgradient=lambda q: lookup(sub, q)
+    )
 
-    return GPotential(value=value, subgradient=subgradient, representation="tabulated")
+
+def _integral_potential(scale: float, density: Callable[[float], float], q_bar: float) -> GPotential:
+    """G(q) = scale * integral of ``density`` from q to the worst type q_bar,
+    accumulated over the segments between support points from the top down."""
+
+    def values(ps: Sequence[float]) -> List[float]:
+        knots = [float(p) for p in ps] + [q_bar]
+        integrals = [0.0] * len(knots)
+        for i in range(len(knots) - 2, -1, -1):
+            integrals[i] = integrals[i + 1] + adaptive_simpson(
+                density, knots[i], knots[i + 1], tol=INTEGRAL_TOL
+            )
+        return [scale * integral for integral in integrals[:-1]]
+
+    return GPotential(values=values, subgradient=lambda q: -scale * density(q))
 
 
 @dataclass(frozen=True)
@@ -139,24 +154,38 @@ def _validate_schedule(eps: EpsilonSchedule, q_bar: float) -> None:
 
 
 def _potential_issue(ps, values, subgrads, tol: float) -> Optional[str]:
-    """First violated potential condition on the given support, or None."""
-    n = len(ps)
-    for i in range(n):
-        if not subgrads[i] < tol:
-            return f"subgradient at {ps[i]:.6g} is {subgrads[i]:.6g}, expected < 0"
-    for j in range(n):  # supporting line at ps[j]
-        for i in range(n):
-            if i == j:
-                continue
-            line = values[j] + subgrads[j] * (ps[i] - ps[j])
-            if not values[i] > line - tol:
+    """First violated potential condition on the given support, or None;
+    each supporting line, in support order, meets all other points at once."""
+    ps, values, subgrads = (np.asarray(x, dtype=float) for x in (ps, values, subgrads))
+    ok = subgrads < tol
+    if not ok.all():
+        i = np.argmin(ok)  # first failing point
+        return f"subgradient at {ps[i]:.6g} is {subgrads[i]:.6g}, expected < 0"
+    with np.errstate(all="ignore"):  # inf/nan compare as the scalar floats would
+        for j in range(len(ps)):  # supporting line at ps[j]
+            lines = values[j] + subgrads[j] * (ps - ps[j])
+            ok = values > lines - tol
+            ok[j] = True
+            if not ok.all():
+                i = np.argmin(ok)
                 return (
                     f"supporting line at {ps[j]:.6g} not strictly below the potential "
-                    f"at {ps[i]:.6g} (gap {values[i] - line:.3g})"
+                    f"at {ps[i]:.6g} (gap {values[i] - lines[i]:.3g})"
                 )
     if not values[-1] >= -tol:
         return f"potential at the worst type {ps[-1]:.6g} is {values[-1]:.6g}, expected >= 0"
     return None
+
+
+def _checked_potential(G: GPotential, ps: Sequence[float], tol: float):
+    """Values and subgradients of G on ``ps``; raises on the first violated
+    separating-menu condition."""
+    values = G.values(ps)
+    subgrads = [G.subgradient(p) for p in ps]
+    issue = _potential_issue(ps, values, subgrads, tol)
+    if issue is not None:
+        raise InvalidPotentialError(issue)
+    return values, subgrads
 
 
 def validate_potential(G: GPotential, support: Sequence[float], tol: float = 0.0) -> None:
@@ -169,11 +198,7 @@ def validate_potential(G: GPotential, support: Sequence[float], tol: float = 0.0
     ps = [float(p) for p in support]
     if any(b <= a for a, b in zip(ps, ps[1:])):
         raise ValueError("support must be strictly increasing")
-    values = [G.value(p) for p in ps]
-    subgrads = [G.subgradient(p) for p in ps]
-    issue = _potential_issue(ps, values, subgrads, tol)
-    if issue is not None:
-        raise InvalidPotentialError(issue)
+    _checked_potential(G, ps, tol)
 
 
 def recover_potential(menu: Menu, model: TestModel) -> GPotential:
@@ -199,24 +224,26 @@ def _checked_thresholds(thresholds, model) -> Tuple[List[float], List[float], Li
     return ps, taus, deltas
 
 
+def _menu(ps, taus, rewards, values, model: TestModel) -> Menu:
+    """Contracts whose truthful utilities are the potential values: type p
+    rejects with probability p tau + (1 - p) beta1(tau), so
+    c_p = R_p [p tau + (1 - p) beta1(tau)] - G(p)."""
+    contracts = tuple(
+        Contract(tau=tau, reward=r, cost=r * (p * tau + (1.0 - p) * power(model, tau)) - v)
+        for p, tau, r, v in zip(ps, taus, rewards, values)
+    )
+    return Menu(support=tuple(float(p) for p in ps), contracts=contracts)
+
+
 def build_from_potential(
     G: GPotential, thresholds: Sequence[Tuple[float, float]], model: TestModel
 ) -> Menu:
     """General construction: contracts from a valid potential and a threshold
     assignment on the same support."""
     ps, taus, deltas = _checked_thresholds(thresholds, model)
-    values = [G.value(p) for p in ps]
-    subgrads = [G.subgradient(p) for p in ps]
-    issue = _potential_issue(ps, values, subgrads, 0.0)
-    if issue is not None:
-        raise InvalidPotentialError(issue)
-    contracts = []
-    for p, tau, delta, v, g in zip(ps, taus, deltas, values, subgrads):
-        beta1 = delta + tau
-        reward = -g / delta
-        cost = g * (p - beta1 / delta) - v
-        contracts.append(Contract(tau=tau, reward=reward, cost=cost))
-    return Menu(support=tuple(ps), contracts=tuple(contracts))
+    values, subgrads = _checked_potential(G, ps, 0.0)
+    rewards = [-g / delta for g, delta in zip(subgrads, deltas)]
+    return _menu(ps, taus, rewards, values, model)
 
 
 def build_varying_reward(
@@ -229,9 +256,12 @@ def build_varying_reward(
 
     ``base`` is the contract intended for the worst type (the largest type
     in ``thresholds``) and must satisfy the worst-case participation
-    condition: the worst type is exactly indifferent to opting out.
+    condition: the worst type is exactly indifferent to opting out. The
+    menu comes from ``varying_reward_potential`` through
+    ``build_from_potential``, which raises ``InvalidPotentialError`` if
+    that potential fails the separating-menu conditions on the support.
     """
-    ps, taus, deltas = _checked_thresholds(thresholds, model)
+    ps, taus, _ = _checked_thresholds(thresholds, model)
     q_bar = ps[-1]
     if abs(base.tau - taus[-1]) > 1e-12:
         raise ValueError(
@@ -243,25 +273,7 @@ def build_varying_reward(
             f"base contract must give the worst type zero utility, got {slack:.3g}"
         )
     _validate_schedule(eps, q_bar)
-
-    scale = base.reward * (power(model, base.tau) - base.tau)
-    one_plus = lambda z: 1.0 + eps.value(z)
-
-    # Integral of 1 + eps from each support point to the worst type,
-    # accumulated over segments from the top down.
-    integrals = [0.0] * len(ps)
-    for i in range(len(ps) - 2, -1, -1):
-        integrals[i] = integrals[i + 1] + adaptive_simpson(
-            one_plus, ps[i], ps[i + 1], tol=INTEGRAL_TOL
-        )
-
-    contracts = []
-    for p, tau, delta, integral in zip(ps, taus, deltas, integrals):
-        beta1 = delta + tau
-        reward = scale * one_plus(p) / delta
-        cost = reward * (p * tau + (1.0 - p) * beta1) - scale * integral
-        contracts.append(Contract(tau=tau, reward=reward, cost=cost))
-    return Menu(support=tuple(ps), contracts=tuple(contracts))
+    return build_from_potential(varying_reward_potential(base, q_bar, eps, model), thresholds, model)
 
 
 def elicitable_range(objective: PrincipalObjective, model: TestModel) -> Tuple[float, float]:
@@ -287,14 +299,7 @@ def elicitable_range(objective: PrincipalObjective, model: TestModel) -> Tuple[f
                 else:
                     hi = mid
             tau_bar = 0.5 * (lo + hi)
-    lo_q, hi_q = 0.0, 1.0
-    for _ in range(100):
-        mid = 0.5 * (lo_q + hi_q)
-        if optimal_threshold(mid, objective, model) > tau_bar:
-            lo_q = mid
-        else:
-            hi_q = mid
-    return 0.5 * (lo_q + hi_q), tau_bar
+    return type_for_threshold(tau_bar, objective, model), tau_bar
 
 
 def fixed_reward_potential(
@@ -309,13 +314,7 @@ def fixed_reward_potential(
         tau = optimal_threshold(z, objective, model)
         return power(model, tau) - tau
 
-    def value(q: float) -> float:
-        return reward * adaptive_simpson(margin, q, q_bar, tol=INTEGRAL_TOL)
-
-    def subgradient(q: float) -> float:
-        return -reward * margin(q)
-
-    return GPotential(value=value, subgradient=subgradient, representation="closed_form_cor3")
+    return _integral_potential(reward, margin, q_bar)
 
 
 def varying_reward_potential(
@@ -326,14 +325,7 @@ def varying_reward_potential(
     scale = base.reward * (power(model, base.tau) - base.tau)
     if scale <= 0.0:
         raise ValueError("base contract must have a positive power margin")
-
-    def value(q: float) -> float:
-        return scale * adaptive_simpson(lambda z: 1.0 + eps.value(z), q, q_bar, tol=INTEGRAL_TOL)
-
-    def subgradient(q: float) -> float:
-        return -scale * (1.0 + eps.value(q))
-
-    return GPotential(value=value, subgradient=subgradient, representation="closed_form_cor2")
+    return _integral_potential(scale, lambda z: 1.0 + eps.value(z), q_bar)
 
 
 def build_fixed_reward(
@@ -366,8 +358,8 @@ def build_fixed_reward(
             bound=bound,
         )
 
-    support = np.linspace(q_lo, q_bar, n)
-    taus = [optimal_threshold(float(q), objective, model) for q in support]
+    support = [float(q) for q in np.linspace(q_lo, q_bar, n)]
+    taus = [optimal_threshold(q, objective, model) for q in support]
     for (q_a, t_a), (q_b, t_b) in zip(zip(support, taus), list(zip(support, taus))[1:]):
         if not t_b < t_a:
             raise InfeasibleMenuError(
@@ -378,23 +370,9 @@ def build_fixed_reward(
             raise InfeasibleMenuError(
                 f"power slope at tau={tau:.6g} (type {q:.6g}) must exceed 1", bound=bound
             )
-
-    def margin(z: float) -> float:
-        tau = optimal_threshold(float(z), objective, model)
-        return power(model, tau) - tau
-
-    integrals = [0.0] * len(support)
-    for i in range(len(support) - 2, -1, -1):
-        integrals[i] = integrals[i + 1] + adaptive_simpson(
-            margin, float(support[i]), float(support[i + 1]), tol=INTEGRAL_TOL
-        )
-
-    contracts = []
-    for q, tau, integral in zip(support, taus, integrals):
-        beta1 = power(model, tau)
-        cost = reward * (q * tau + (1.0 - q) * beta1) - reward * integral
-        contracts.append(Contract(tau=tau, reward=reward, cost=cost))
-    return Menu(support=tuple(float(q) for q in support), contracts=tuple(contracts))
+    # The reward is passed as given: -g / delta can differ from it in the last bit.
+    values = fixed_reward_potential(reward, q_bar, objective, model).values(support)
+    return _menu(support, taus, [reward] * n, values, model)
 
 
 def build_finite_menu(

@@ -112,6 +112,10 @@ def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_config(path) -> RunConfig:
     """Load and validate a JSON run configuration.
 
@@ -208,9 +212,9 @@ def parse_config(path) -> RunConfig:
         chk.fail("/simulation", "must be an object")
         simulation = {}
     else:
-        if "n" in simulation and not (isinstance(simulation["n"], int) and simulation["n"] >= 1):
+        if "n" in simulation and not (_is_int(simulation["n"]) and simulation["n"] >= 1):
             chk.fail("/simulation/n", "must be a positive integer")
-        if "seed" in simulation and not isinstance(simulation["seed"], int):
+        if "seed" in simulation and not _is_int(simulation["seed"]):
             chk.fail("/simulation/seed", "must be an integer")
 
     sens = raw.get("sensitivity", {})
@@ -491,6 +495,9 @@ def run(
     if command == "sensitivity":
         _require_sections(config, command, ["menu.path", "sensitivity.actual_theta1"])
         menu = _load_menu(config)
+        if len({c.reward for c in menu.contracts}) > 1:
+            msg = "sensitivity needs a constant-reward menu; the closed-form gap assumes one reward"
+            raise ConfigError([("/menu/path", msg)])
         rows = []
         for theta in config.sensitivity["actual_theta1"]:
             scenario = MisspecScenario(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -70,6 +70,9 @@ class TestModel:
     kind: str
     theta1: Optional[float] = None
     table: Optional[Tuple[Tuple[float, float], ...]] = None
+    _knots: Optional[Tuple[np.ndarray, np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     __test__ = False  # keep pytest from collecting this as a test class
 
@@ -85,16 +88,22 @@ class TestModel:
             if self.theta1 is not None:
                 raise InvalidModelError("tabulated does not take an effect size")
             _validate_table(self.table)
+            knots = tuple(np.array(column, dtype=float) for column in zip(*self.table))
+            for column in knots:
+                column.flags.writeable = False
+            object.__setattr__(self, "_knots", knots)
         else:
             raise InvalidModelError(f"unknown model kind {self.kind!r}")
 
     @property
     def taus(self) -> np.ndarray:
-        return np.array([t for t, _ in self.table])
+        """Read-only tau knots of a tabulated model."""
+        return self._knots[0]
 
     @property
     def betas(self) -> np.ndarray:
-        return np.array([b for _, b in self.table])
+        """Read-only beta1 knots of a tabulated model."""
+        return self._knots[1]
 
 
 def _validate_table(table) -> None:

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import statmenus as sm
+from statmenus import builders
+from statmenus._quad import adaptive_simpson
 from statmenus.contracts import Contract
 from statmenus.errors import InfeasibleMenuError, InvalidPotentialError
 
@@ -350,3 +354,134 @@ def test_fixed_cost_equal_thresholds_rejected(gm1):
         sm.fixed_cost_feasible(0.3, 0.3, gm1)
     with pytest.raises(ValueError):
         sm.fixed_cost_feasible(0.1, 0.5, gm1)
+
+
+# ---------------------------------------------------------------------------
+# the scalar code the potential route replaced, kept as exact oracles
+# ---------------------------------------------------------------------------
+
+
+def scalar_potential_issue(ps, values, subgrads, tol):
+    """Potential check as one comparison per ordered pair, supporting line
+    first (j-major)."""
+    n = len(ps)
+    for i in range(n):
+        if not subgrads[i] < tol:
+            return f"subgradient at {ps[i]:.6g} is {subgrads[i]:.6g}, expected < 0"
+    for j in range(n):  # supporting line at ps[j]
+        for i in range(n):
+            if i == j:
+                continue
+            line = values[j] + subgrads[j] * (ps[i] - ps[j])
+            if not values[i] > line - tol:
+                return (
+                    f"supporting line at {ps[j]:.6g} not strictly below the potential "
+                    f"at {ps[i]:.6g} (gap {values[i] - line:.3g})"
+                )
+    if not values[-1] >= -tol:
+        return f"potential at the worst type {ps[-1]:.6g} is {values[-1]:.6g}, expected >= 0"
+    return None
+
+
+def scalar_fixed_reward_costs(reward, q_lo, q_bar, objective, model, n):
+    """Constant-reward costs from segment integrals of the power margin,
+    accumulated from the top down, and one contract formula per type."""
+    support = np.linspace(q_lo, q_bar, n)
+    taus = [sm.optimal_threshold(float(q), objective, model) for q in support]
+
+    def margin(z):
+        tau = sm.optimal_threshold(float(z), objective, model)
+        return sm.power(model, tau) - tau
+
+    integrals = [0.0] * n
+    for i in range(n - 2, -1, -1):
+        integrals[i] = integrals[i + 1] + adaptive_simpson(
+            margin, float(support[i]), float(support[i + 1]), tol=builders.INTEGRAL_TOL
+        )
+    return [
+        reward * (q * tau + (1.0 - q) * sm.power(model, tau)) - reward * integral
+        for q, tau, integral in zip(support, taus, integrals)
+    ]
+
+
+def bisection_q_lo(tau_bar, objective, model):
+    """Type assigned ``tau_bar``, by 100 bisection steps over the threshold map."""
+    lo_q, hi_q = 0.0, 1.0
+    for _ in range(100):
+        mid = 0.5 * (lo_q + hi_q)
+        if sm.optimal_threshold(mid, objective, model) > tau_bar:
+            lo_q = mid
+        else:
+            hi_q = mid
+    return 0.5 * (lo_q + hi_q)
+
+
+def tabulated_gaussian(theta1, knots=257):
+    """Tabulated model through the Gaussian power curve on a uniform tau grid."""
+    taus = np.linspace(0.0, 1.0, knots)
+    gm = sm.gaussian_model(theta1)
+    return sm.tabulated_model(taus, [sm.power(gm, float(t)) for t in taus])
+
+
+@st.composite
+def potential_cases(draw):
+    """Support, values and subgradients: a convex potential built from
+    increasing subgradients, optionally with one value or subgradient moved
+    or some subgradients made nonnegative."""
+    n = draw(st.integers(2, 12))
+    ps = sorted(draw(st.lists(st.floats(0.01, 0.99), min_size=n, max_size=n, unique=True)))
+    subgrads = sorted(draw(st.lists(st.floats(-50.0, -0.01), min_size=n, max_size=n)))
+    values = [0.0] * n
+    values[-1] = draw(st.sampled_from([0.0, 1e-9, 1.0, -1e-9, -1.0]))
+    for i in range(n - 2, -1, -1):
+        chord = 0.5 * (subgrads[i] + subgrads[i + 1])
+        values[i] = values[i + 1] - chord * (ps[i + 1] - ps[i])
+    kind = draw(st.sampled_from(["valid", "value", "subgradient", "nonnegative"]))
+    i = draw(st.integers(0, n - 1))
+    step = draw(st.sampled_from([-1.0, -1e-2, -1e-8, -1e-9, 1e-9, 1e-8, 1e-2, 1.0]))
+    if kind == "value":
+        values[i] += step
+    elif kind == "subgradient":
+        subgrads[i] += step
+    elif kind == "nonnegative":
+        for k in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)):
+            subgrads[k] = draw(st.sampled_from([0.0, 1e-9, 1.0, 50.0]))
+    return ps, values, subgrads
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=potential_cases())
+def test_potential_check_matches_scalar_oracle(case):
+    ps, values, subgrads = case
+    for tol in (0.0, 1e-8):
+        assert builders._potential_issue(ps, values, subgrads, tol) == scalar_potential_issue(
+            ps, values, subgrads, tol
+        )
+
+
+@pytest.mark.parametrize("n", [2, 33, 129])
+@pytest.mark.parametrize("curve", ["gaussian", "tabulated"])
+def test_fixed_reward_costs_match_scalar_oracle(fdr25, n, curve):
+    model = sm.gaussian_model(1.0) if curve == "gaussian" else tabulated_gaussian(1.5)
+    q_lo = sm.elicitable_range(fdr25, model)[0] + 0.02
+    menu = sm.build_fixed_reward(100.0, q_lo, 0.86, fdr25, model, n=n)
+    expected = scalar_fixed_reward_costs(100.0, q_lo, 0.86, fdr25, model, n)
+    assert [c.cost for c in menu.contracts] == expected
+    assert all(c.reward == 100.0 for c in menu.contracts)
+
+
+QLO_CASES = (
+    [(sm.fdr_objective(a), sm.gaussian_model(t)) for a in (0.05, 0.25, 0.4) for t in (0.3, 1, 3, 8)]
+    + [
+        (sm.bayes_objective(*w), sm.gaussian_model(t))
+        for w in ((1, 1), (1, 3), (0, 1), (1, 0))
+        for t in (0.3, 1, 3, 8)
+    ]
+    + [(sm.fdr_objective(a), tabulated_gaussian(1.5)) for a in (0.05, 0.25, 0.4)]
+)
+
+
+@pytest.mark.parametrize("objective, model", QLO_CASES)
+def test_elicitable_range_q_lo_matches_bisection(objective, model):
+    q_lo, tau_bar = sm.elicitable_range(objective, model)
+    assert abs(q_lo - bisection_q_lo(tau_bar, objective, model)) <= 1e-15

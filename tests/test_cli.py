@@ -100,6 +100,17 @@ def test_parse_tabulated_inline(tmp_path):
     assert config.model.kind == "tabulated"
 
 
+@pytest.mark.parametrize("key", ["n", "seed"])
+def test_simulation_integers_reject_booleans(tmp_path, capsys, key):
+    path = write_config(tmp_path, {f"/simulation/{key}": True})
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert [ptr for ptr, _ in err.value.errors] == [f"/simulation/{key}"]
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert f"/simulation/{key}" in capsys.readouterr().err
+    assert not (tmp_path / "simulation.json").exists()
+
+
 def test_cli_bad_config_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, {"/objective/alpha": 1.5})
     assert main(["thresholds", "--config", str(path)]) == 2
@@ -283,6 +294,17 @@ def test_sensitivity_command(tmp_path):
     assert header == ["theta_actual", "p", "gap"]
     thetas = {row[0] for row in rows}
     assert len(thetas) == 2
+
+
+def test_sensitivity_refuses_varying_rewards(tmp_path, capsys):
+    """The closed-form gap holds for constant-reward menus only; the finite
+    menu has one reward per type."""
+    path = write_config(tmp_path)
+    assert main(["menu-build", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert len({c.reward for c in sm.Menu.load(tmp_path / "menu.json").contracts}) == 5
+    assert main(["sensitivity", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "/menu/path" in capsys.readouterr().err
+    assert not (tmp_path / "sensitivity.csv").exists()
 
 
 def test_missing_required_section(tmp_path, capsys):

@@ -231,6 +231,19 @@ def test_tabulated_interpolation():
     assert sm.power_derivative(model, 0.3) == pytest.approx(1.0, abs=1e-5)
 
 
+def test_tabulated_knots_stored_once_read_only():
+    a = sm.tabulated_model([0.0, 0.2, 0.6, 1.0], [0.0, 0.5, 0.9, 1.0])
+    b = sm.tabulated_model([0.0, 0.2, 0.6, 1.0], [0.0, 0.5, 0.9, 1.0])
+    assert a == b and hash(a) == hash(b)
+    assert a != sm.tabulated_model([0.0, 0.2, 0.6, 1.0], [0.0, 0.5, 0.8, 1.0])
+    assert a.taus is a.taus and a.betas is a.betas
+    assert a.taus.tolist() == [0.0, 0.2, 0.6, 1.0] and a.betas.tolist() == [0.0, 0.5, 0.9, 1.0]
+    for knots in (a.taus, a.betas):
+        with pytest.raises(ValueError):
+            knots[1] = 0.3
+    assert sm.power(a, 0.2) == 0.5
+
+
 def test_tabulated_csv_round_trip(tmp_path):
     path = tmp_path / "curve.csv"
     path.write_text("tau,beta1\n0.0,0.0\n0.25,0.6\n1.0,1.0\n")
