@@ -2,51 +2,62 @@
 
 The cost formulas integrate smooth one-dimensional integrands whose error
 must sit well below the incentive-compatibility margin, so the default
-absolute tolerance is 1e-10.
+absolute tolerance is 1e-10. All segments are refined together, one
+recursion level (one integrand call) at a time.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
 _MAX_DEPTH = 48
 
 
-def _simpson(f_a: float, f_m: float, f_b: float, h: float) -> float:
+def _simpson(f_a, f_m, f_b, h):
     return h / 6.0 * (f_a + 4.0 * f_m + f_b)
 
 
-def _recurse(f, a, b, f_a, f_m, f_b, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    f_lm = f(lm)
-    f_rm = f(rm)
-    left = _simpson(f_a, f_lm, f_m, m - a)
-    right = _simpson(f_m, f_rm, f_b, b - m)
-    err = left + right - whole
-    if depth >= _MAX_DEPTH or abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    half = 0.5 * tol
-    return _recurse(f, a, m, f_a, f_lm, f_m, left, half, depth + 1) + _recurse(
-        f, m, b, f_m, f_rm, f_b, right, half, depth + 1
-    )
+def _halves(first, second, split):
+    """For each split interval k, its left half at 2k and its right half at 2k + 1."""
+    return np.stack([first[split], second[split]], axis=1).ravel()
 
 
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10) -> float:
-    """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``tol``.
-
-    Signed: ``a > b`` returns the negated integral over ``[b, a]``.
+def adaptive_simpson(
+    f: Callable[[np.ndarray], np.ndarray], knots, tol: float = 1e-10
+) -> np.ndarray:
+    """Integral of the elementwise ``f`` over each segment ``[knots[i], knots[i + 1]]``
+    to absolute tolerance ``tol``; signed, so a decreasing segment gives the negated
+    integral. Each segment follows the recursive rule bit for bit: an interval is
+    accepted once its error estimate is within 15 tol (or at depth 48), otherwise
+    both halves are refined at tol / 2 and their results summed left + right.
     """
-    if a == b:
-        return 0.0
-    sign = 1.0
-    if a > b:
-        a, b = b, a
-        sign = -1.0
-    f_a = f(a)
-    f_b = f(b)
+    knots = np.asarray(knots, dtype=float)
+    live = np.flatnonzero(knots[:-1] != knots[1:])  # empty segments give 0 without calling f
+    a, b = np.minimum(knots[:-1], knots[1:])[live], np.maximum(knots[:-1], knots[1:])[live]
     m = 0.5 * (a + b)
-    f_m = f(m)
+    nodes, inverse = np.unique(np.concatenate([a, m, b]), return_inverse=True)
+    f_a, f_m, f_b = np.split(f(nodes)[inverse], 3)  # adjacent segments share endpoints
     whole = _simpson(f_a, f_m, f_b, b - a)
-    return sign * _recurse(f, a, b, f_a, f_m, f_b, whole, tol, 0)
+
+    levels = []  # per depth: each interval's value and the indices of those split
+    for depth in range(_MAX_DEPTH + 1):
+        m = 0.5 * (a + b)
+        f_lm, f_rm = np.split(f(np.concatenate([0.5 * (a + m), 0.5 * (m + b)])), 2)
+        left, right = _simpson(f_a, f_lm, f_m, m - a), _simpson(f_m, f_rm, f_b, b - m)
+        err = left + right - whole
+        split = np.flatnonzero(~(np.abs(err) <= 15.0 * tol)) if depth < _MAX_DEPTH else []
+        levels.append((left + right + err / 15.0, split))
+        if not len(split):
+            break
+        a, b, whole = _halves(a, m, split), _halves(m, b, split), _halves(left, right, split)
+        f_a, f_b = _halves(f_a, f_m, split), _halves(f_m, f_b, split)
+        f_m = _halves(f_lm, f_rm, split)
+        tol = 0.5 * tol
+
+    for (values, split), (children, _) in zip(levels[-2::-1], levels[:0:-1]):
+        values[split] = children[0::2] + children[1::2]
+    integrals = np.zeros(len(knots) - 1)
+    integrals[live] = levels[0][0]
+    return np.where(knots[:-1] > knots[1:], -integrals, integrals)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from ._quad import adaptive_simpson
 from .contracts import Contract, Menu, utility
 from .errors import InfeasibleMenuError, InvalidPotentialError
 from .objectives import PrincipalObjective, optimal_threshold, type_for_threshold
-from .testmodel import TestModel, normal_cdf, power, power_derivative
+from .testmodel import TestModel, _float_or_array, normal_cdf, power, power_derivative
 
 __all__ = [
     "GPotential",
@@ -55,13 +55,13 @@ PARTICIPATION_TOL = 1e-8
 @dataclass(frozen=True)
 class GPotential:
     """Convex potential: truthful utility values on an increasing support
-    (``values``) and negative subgradients."""
+    (``values``) and negative subgradients (``subgradient``, elementwise)."""
 
-    values: Callable[[Sequence[float]], List[float]]
-    subgradient: Callable[[float], float]
+    values: Callable[[Sequence[float]], np.ndarray]
+    subgradient: Callable[[np.ndarray], np.ndarray]
 
     def value(self, q: float) -> float:
-        return self.values([q])[0]
+        return float(self.values([q])[0])
 
 
 def tabulated_potential(
@@ -80,29 +80,28 @@ def tabulated_potential(
     val = dict(zip(points, map(float, values)))
     sub = dict(zip(points, map(float, subgradients)))
 
-    def lookup(table, q: float) -> float:
+    def lookup(table, qs):
         try:
-            return table[q]
-        except KeyError:
-            raise KeyError(f"potential tabulated only on its support; no value at {q!r}") from None
+            found = [table[q] for q in np.ravel(qs).tolist()]
+        except KeyError as missing:
+            raise KeyError(
+                f"potential tabulated only on its support; no value at {missing.args[0]!r}"
+            ) from None
+        return _float_or_array(np.reshape(found, np.shape(qs)))
 
-    return GPotential(
-        values=lambda ps: [lookup(val, p) for p in ps], subgradient=lambda q: lookup(sub, q)
-    )
+    return GPotential(values=lambda ps: lookup(val, ps), subgradient=lambda qs: lookup(sub, qs))
 
 
-def _integral_potential(scale: float, density: Callable[[float], float], q_bar: float) -> GPotential:
-    """G(q) = scale * integral of ``density`` from q to the worst type q_bar,
-    accumulated over the segments between support points from the top down."""
+def _integral_potential(
+    scale: float, density: Callable[[np.ndarray], np.ndarray], q_bar: float
+) -> GPotential:
+    """G(q) = scale * integral of the elementwise ``density`` from q to the
+    worst type q_bar, accumulated over the segments between support points
+    from the top down."""
 
-    def values(ps: Sequence[float]) -> List[float]:
-        knots = [float(p) for p in ps] + [q_bar]
-        integrals = [0.0] * len(knots)
-        for i in range(len(knots) - 2, -1, -1):
-            integrals[i] = integrals[i + 1] + adaptive_simpson(
-                density, knots[i], knots[i + 1], tol=INTEGRAL_TOL
-            )
-        return [scale * integral for integral in integrals[:-1]]
+    def values(ps: Sequence[float]) -> np.ndarray:
+        segments = adaptive_simpson(density, np.append(ps, q_bar), INTEGRAL_TOL)
+        return scale * np.cumsum(segments[::-1])[::-1]
 
     return GPotential(values=values, subgradient=lambda q: -scale * density(q))
 
@@ -120,10 +119,11 @@ class EpsilonSchedule:
     zs: Optional[Tuple[float, ...]] = None
     values: Optional[Tuple[float, ...]] = None
 
-    def value(self, z: float) -> float:
+    def value(self, z):
+        """eps(z), elementwise."""
         if self.kind == "quadratic":
-            return self.eta * (1.0 - z) ** 2
-        return float(np.interp(z, self.zs, self.values))
+            return _float_or_array(self.eta * (1.0 - np.asarray(z, dtype=float)) ** 2)
+        return _float_or_array(np.interp(z, self.zs, self.values))
 
 
 def quadratic_schedule(eta: float) -> EpsilonSchedule:
@@ -144,7 +144,7 @@ def tabulated_schedule(zs: Sequence[float], values: Sequence[float]) -> EpsilonS
 
 def _validate_schedule(eps: EpsilonSchedule, q_bar: float) -> None:
     grid = np.linspace(0.0, q_bar, 129)
-    vals = np.array([eps.value(float(z)) for z in grid])
+    vals = eps.value(grid)
     if np.any(vals[:-1] <= 0.0):
         raise ValueError("slack schedule must be strictly positive below the worst type")
     if np.any(np.diff(vals) >= 0.0):
@@ -180,8 +180,7 @@ def _potential_issue(ps, values, subgrads, tol: float) -> Optional[str]:
 def _checked_potential(G: GPotential, ps: Sequence[float], tol: float):
     """Values and subgradients of G on ``ps``; raises on the first violated
     separating-menu condition."""
-    values = G.values(ps)
-    subgrads = [G.subgradient(p) for p in ps]
+    values, subgrads = G.values(ps), G.subgradient(ps)
     issue = _potential_issue(ps, values, subgrads, tol)
     if issue is not None:
         raise InvalidPotentialError(issue)
@@ -195,8 +194,8 @@ def validate_potential(G: GPotential, support: Sequence[float], tol: float = 0.0
     pair, and nonnegativity at the largest supported type, all with slack
     ``tol``.
     """
-    ps = [float(p) for p in support]
-    if any(b <= a for a, b in zip(ps, ps[1:])):
+    ps = np.asarray(support, dtype=float)
+    if np.any(ps[1:] <= ps[:-1]):
         raise ValueError("support must be strictly increasing")
     _checked_potential(G, ps, tol)
 
@@ -208,19 +207,17 @@ def recover_potential(menu: Menu, model: TestModel) -> GPotential:
     return tabulated_potential(menu.support, slopes * np.array(menu.support) + intercepts, slopes)
 
 
-def _checked_thresholds(thresholds, model) -> Tuple[List[float], List[float], List[float]]:
-    ps = [float(p) for p, _ in thresholds]
-    taus = [float(t) for _, t in thresholds]
-    if any(b <= a for a, b in zip(ps, ps[1:])):
+def _checked_thresholds(thresholds, model) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ps, taus = np.array(thresholds, dtype=float).reshape(-1, 2).T
+    if np.any(ps[1:] <= ps[:-1]):
         raise ValueError("threshold support must be strictly increasing in the type")
-    deltas = []
-    for p, tau in zip(ps, taus):
-        delta = power(model, tau) - tau
-        if delta <= 0.0:
-            raise ValueError(
-                f"no power margin at tau={tau:.6g} (type {p:.6g}); interior thresholds required"
-            )
-        deltas.append(delta)
+    deltas = power(model, taus) - taus
+    flat = np.flatnonzero(deltas <= 0.0)
+    if len(flat):
+        i = flat[0]
+        raise ValueError(
+            f"no power margin at tau={taus[i]:.6g} (type {ps[i]:.6g}); interior thresholds required"
+        )
     return ps, taus, deltas
 
 
@@ -228,11 +225,12 @@ def _menu(ps, taus, rewards, values, model: TestModel) -> Menu:
     """Contracts whose truthful utilities are the potential values: type p
     rejects with probability p tau + (1 - p) beta1(tau), so
     c_p = R_p [p tau + (1 - p) beta1(tau)] - G(p)."""
+    costs = rewards * (ps * taus + (1.0 - ps) * power(model, taus)) - values
     contracts = tuple(
-        Contract(tau=tau, reward=r, cost=r * (p * tau + (1.0 - p) * power(model, tau)) - v)
-        for p, tau, r, v in zip(ps, taus, rewards, values)
+        Contract(tau=tau, reward=r, cost=c)
+        for tau, r, c in zip(taus.tolist(), rewards.tolist(), costs.tolist())
     )
-    return Menu(support=tuple(float(p) for p in ps), contracts=contracts)
+    return Menu(support=tuple(ps.tolist()), contracts=contracts)
 
 
 def build_from_potential(
@@ -242,8 +240,7 @@ def build_from_potential(
     assignment on the same support."""
     ps, taus, deltas = _checked_thresholds(thresholds, model)
     values, subgrads = _checked_potential(G, ps, 0.0)
-    rewards = [-g / delta for g, delta in zip(subgrads, deltas)]
-    return _menu(ps, taus, rewards, values, model)
+    return _menu(ps, taus, -subgrads / deltas, values, model)
 
 
 def build_varying_reward(
@@ -262,10 +259,10 @@ def build_varying_reward(
     that potential fails the separating-menu conditions on the support.
     """
     ps, taus, _ = _checked_thresholds(thresholds, model)
-    q_bar = ps[-1]
-    if abs(base.tau - taus[-1]) > 1e-12:
+    q_bar, tau_bar = float(ps[-1]), float(taus[-1])
+    if abs(base.tau - tau_bar) > 1e-12:
         raise ValueError(
-            f"base threshold {base.tau!r} must match the worst type's threshold {taus[-1]!r}"
+            f"base threshold {base.tau!r} must match the worst type's threshold {tau_bar!r}"
         )
     slack = utility(q_bar, base, model)
     if abs(slack) > PARTICIPATION_TOL:
@@ -310,7 +307,7 @@ def fixed_reward_potential(
     if reward <= 0.0:
         raise ValueError(f"reward must be positive, got {reward!r}")
 
-    def margin(z: float) -> float:
+    def margin(z):
         tau = optimal_threshold(z, objective, model)
         return power(model, tau) - tau
 
@@ -358,21 +355,24 @@ def build_fixed_reward(
             bound=bound,
         )
 
-    support = [float(q) for q in np.linspace(q_lo, q_bar, n)]
-    taus = [optimal_threshold(q, objective, model) for q in support]
-    for (q_a, t_a), (q_b, t_b) in zip(zip(support, taus), list(zip(support, taus))[1:]):
-        if not t_b < t_a:
-            raise InfeasibleMenuError(
-                f"threshold map not strictly decreasing between {q_a:.6g} and {q_b:.6g}"
-            )
-    for q, tau in zip(support, taus):
-        if power_derivative(model, tau) <= 1.0 - 1e-9:
-            raise InfeasibleMenuError(
-                f"power slope at tau={tau:.6g} (type {q:.6g}) must exceed 1", bound=bound
-            )
+    support = np.linspace(q_lo, q_bar, n)
+    taus = optimal_threshold(support, objective, model)
+    flat = np.flatnonzero(~(taus[1:] < taus[:-1]))
+    if len(flat):
+        i = flat[0]
+        raise InfeasibleMenuError(
+            f"threshold map not strictly decreasing between {support[i]:.6g} "
+            f"and {support[i + 1]:.6g}"
+        )
+    shallow = np.flatnonzero(power_derivative(model, taus) <= 1.0 - 1e-9)
+    if len(shallow):
+        i = shallow[0]
+        raise InfeasibleMenuError(
+            f"power slope at tau={taus[i]:.6g} (type {support[i]:.6g}) must exceed 1", bound=bound
+        )
     # The reward is passed as given: -g / delta can differ from it in the last bit.
     values = fixed_reward_potential(reward, q_bar, objective, model).values(support)
-    return _menu(support, taus, [reward] * n, values, model)
+    return _menu(support, taus, np.full(n, float(reward)), values, model)
 
 
 def build_finite_menu(

@@ -320,10 +320,10 @@ def _build_menu(config: RunConfig, grid: Optional[int]) -> Menu:
         _require_sections(config, "menu-build[finite]", ["population"])
         if config.population.kind != "discrete":
             raise ConfigError([("/population/kind", "finite construction needs discrete types")])
-        pairs = threshold_map(config.population, objective, model)
+        types, taus = zip(*threshold_map(config.population, objective, model))
         return build_finite_menu(
-            [q for q, _ in pairs],
-            [t for _, t in pairs],
+            types,
+            taus,
             (spec.get("terminal_reward", 100.0), spec.get("terminal_cost", 0.0)),
             spec.get("epsilon", 50.0),
             lam=spec.get("lambda", 0.5),
@@ -339,7 +339,8 @@ def _build_menu(config: RunConfig, grid: Optional[int]) -> Menu:
         n = grid or spec.get("n", 65)
         q_lo, q_bar = _need(spec, "q_lo"), _need(spec, "q_bar")
         support = np.linspace(q_lo, q_bar, n)
-        thresholds = [(float(q), optimal_threshold(float(q), objective, model)) for q in support]
+        taus = optimal_threshold(support, objective, model)
+        thresholds = list(zip(support.tolist(), taus.tolist()))
         reward = spec.get("base_reward", 100.0)
         tau_bar = thresholds[-1][1]
         base = Contract(
@@ -350,9 +351,9 @@ def _build_menu(config: RunConfig, grid: Optional[int]) -> Menu:
         potential = tabulated_potential(
             _need(spec, "points"), _need(spec, "values"), _need(spec, "subgradients")
         )
-        thresholds = [
-            (float(p), optimal_threshold(float(p), objective, model)) for p in spec["points"]
-        ]
+        points = np.asarray(spec["points"], dtype=float)
+        taus = optimal_threshold(points, objective, model)
+        thresholds = list(zip(points.tolist(), taus.tolist()))
         return build_from_potential(potential, thresholds, model)
     raise ConfigError([("/menu/method", f"unknown builder method {method!r}")])
 
@@ -426,40 +427,31 @@ def run(
             )
         else:
             doc["oracle_tdr"] = oracle_tdr(config.population, config.objective, config.model)
+        points = config.population.points()
         if config.menu.get("method") == "varying_reward" and config.menu.get("etas"):
             # one return-curve column per slack level of the family
             etas = config.menu["etas"]
-            family = {}
+            columns = [points]
             doc["family"] = {}
             for eta in etas:
                 spec = dict(config.menu)
                 spec["eta"] = eta
                 menu = _build_menu(dataclasses.replace(config, menu=spec), grid)
                 base = menu.contracts[-1]
-                family[eta] = (menu, base)
                 doc["family"][_fmt(float(eta))] = {
                     "screening_cost": screening_cost(menu, base, config.population, config.model),
                     "information_rent": information_rent(menu, config.population, config.model),
                 }
+                columns.append(principal_return(menu, base, points, config.model))
             header = ["q"] + [f"return_eta_{eta:g}" for eta in etas]
-            rows = [
-                [float(q)]
-                + [
-                    principal_return(family[eta][0], family[eta][1], float(q), config.model)
-                    for eta in etas
-                ]
-                for q in config.population.points()
-            ]
-            _write_csv(out_dir / "return_curve.csv", stamp, header, rows)
+            _write_csv(out_dir / "return_curve.csv", stamp, header, np.transpose(columns).tolist())
         elif config.menu.get("path"):
             menu = _load_menu(config)
             base = menu.contracts[-1]
             doc["screening_cost"] = screening_cost(menu, base, config.population, config.model)
             doc["information_rent"] = information_rent(menu, config.population, config.model)
-            rows = [
-                (float(q), principal_return(menu, base, float(q), config.model))
-                for q in config.population.points()
-            ]
+            returns = principal_return(menu, base, points, config.model)
+            rows = zip(points.tolist(), returns.tolist())
             _write_csv(out_dir / "return_curve.csv", stamp, ("q", "return"), rows)
         _write_json(out_dir / "evaluate.json", stamp, doc)
         metrics = ", ".join(
@@ -498,19 +490,13 @@ def run(
         if len({c.reward for c in menu.contracts}) > 1:
             msg = "sensitivity needs a constant-reward menu; the closed-form gap assumes one reward"
             raise ConfigError([("/menu/path", msg)])
+        n_points = grid or config.sensitivity.get("points", 256)
+        lo, hi = menu.support[0] + SWEEP_EDGE_BAND, menu.support[-1] - SWEEP_EDGE_BAND
         rows = []
         for theta in config.sensitivity["actual_theta1"]:
-            scenario = MisspecScenario(
-                designed=config.model,
-                actual=gaussian_model(theta),
-                menu=menu,
-                objective=config.objective,
-            )
-            n_points = grid or config.sensitivity.get("points", 256)
-            lo = menu.support[0] + SWEEP_EDGE_BAND
-            hi = menu.support[-1] - SWEEP_EDGE_BAND
-            for row in sensitivity_sweep(scenario, np.linspace(lo, hi, n_points)):
-                rows.append((theta, row.report, row.gap))
+            scenario = MisspecScenario(config.model, gaussian_model(theta), menu, config.objective)
+            sweep = sensitivity_sweep(scenario, np.linspace(lo, hi, n_points))
+            rows += [(theta, row.report, row.gap) for row in sweep]
         _write_csv(out_dir / "sensitivity.csv", stamp, ("theta_actual", "p", "gap"), rows)
         print(f"sensitivity: wrote {len(rows)} rows to {out_dir / 'sensitivity.csv'}")
         return EXIT_OK

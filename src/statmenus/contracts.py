@@ -21,7 +21,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .testmodel import TestModel, power
+from .testmodel import TestModel, _float_or_array, _types, power
 
 __all__ = [
     "Contract",
@@ -64,10 +64,11 @@ class Contract:
             raise ValueError(f"cost must be finite, got {self.cost!r}")
 
 
-def _line(contract: Contract, model: TestModel) -> Tuple[float, float]:
-    """Slope R (tau - beta1(tau)) and intercept R beta1(tau) - c of the utility in q."""
-    beta1 = power(model, contract.tau)
-    return contract.reward * (contract.tau - beta1), contract.reward * beta1 - contract.cost
+def _line(tau, reward, cost, model: TestModel):
+    """Slope R (tau - beta1(tau)) and intercept R beta1(tau) - c of the utility
+    in q, elementwise."""
+    beta1 = power(model, tau)
+    return reward * (tau - beta1), reward * beta1 - cost
 
 
 @dataclass(frozen=True)
@@ -95,9 +96,10 @@ class Menu:
         lines under ``model``, computed once per model."""
         cached = self._lines.get(model)
         if cached is None:
-            table = np.array([_line(c, model) for c in self.contracts]).T.copy()
-            table.flags.writeable = False
-            cached = self._lines[model] = (table[0], table[1])
+            terms = np.array([(c.tau, c.reward, c.cost) for c in self.contracts]).T
+            cached = self._lines[model] = _line(*terms, model)
+            for column in cached:
+                column.flags.writeable = False
         return cached
 
     def contract_for(self, p: float) -> Contract:
@@ -146,16 +148,11 @@ class SelectionOutcome:
         return self.report is None
 
 
-def _check_type(q: float) -> None:
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"type must lie in [0, 1], got {q!r}")
-
-
-def utility(q: float, contract: Contract, model: TestModel) -> float:
-    """Expected utility of a type-q agent under ``contract``."""
-    _check_type(q)
-    slope, intercept = _line(contract, model)
-    return q * slope + intercept
+def utility(q, contract: Contract, model: TestModel):
+    """Expected utility of type-q agents under ``contract``, elementwise in q."""
+    q = _types(q)
+    slope, intercept = _line(contract.tau, contract.reward, contract.cost, model)
+    return _float_or_array(q * slope + intercept)
 
 
 def zero_utility_cost(q: float, tau: float, reward: float, model: TestModel) -> float:
@@ -212,8 +209,7 @@ def select(q: float, menu: Menu, model: TestModel) -> SelectionOutcome:
     Ties break toward the smallest reported type; utility exactly 0 still
     participates.
     """
-    _check_type(q)
-    index, value = best_response(np.array([q], dtype=float), *menu.lines(model))
+    index, value = best_response(_types([q]), *menu.lines(model))
     best_u = float(value[0])
     if best_u < 0.0:
         return SelectionOutcome(report=None, utility=best_u)

@@ -17,10 +17,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .contracts import Contract, Menu, best_response, select, utility
-from .objectives import TypePopulation, fdr_objective, fdr_threshold
+from .contracts import Contract, Menu, best_response, utility
+from .objectives import TypePopulation, _fdr_bisection
 from .rates import bayes_risk, fdr, tdr
-from .testmodel import TestModel, power, sample_pvalues
+from .testmodel import TestModel, _float_or_array, _require, _types, power, sample_pvalues
 
 __all__ = [
     "fdr",
@@ -62,6 +62,16 @@ def _sweep_grid(resolution: int, lo: float = 1e-6) -> np.ndarray:
     return grid
 
 
+def _mix_fdr(null_mass: np.ndarray, approve_mass: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(approve_mass > 0, null_mass / approve_mass, 0.0)
+
+
+def _labelled(label: str, parameters, fdrs, tdrs) -> List[FrontierPoint]:
+    rows = zip(parameters.tolist(), fdrs.tolist(), tdrs.tolist())
+    return [FrontierPoint(label, *row) for row in rows]
+
+
 def frontier(
     population: TypePopulation, model: TestModel, resolution: int = 512
 ) -> List[FrontierPoint]:
@@ -77,37 +87,26 @@ def frontier(
         raise ValueError("frontier requires a discrete population with exactly two types")
     (q_good, q_bad) = population.types
     (w_good, w_bad) = population.weights
-    points: List[FrontierPoint] = []
 
-    for tau in _sweep_grid(resolution):
-        tau = float(tau)
-        beta1 = power(model, tau)
-        null_mass = (w_good * q_good + w_bad * q_bad) * tau
-        approve_mass = null_mass + (w_good * (1 - q_good) + w_bad * (1 - q_bad)) * beta1
-        mix_fdr = null_mass / approve_mass if approve_mass > 0 else 0.0
-        mix_tdr = w_good * tdr(q_good, tau, model) + w_bad * tdr(q_bad, tau, model)
-        points.append(FrontierPoint("uniform", tau, mix_fdr, mix_tdr))
-        points.append(
-            FrontierPoint("good_only", tau, fdr(q_good, tau, model), w_good * tdr(q_good, tau, model))
-        )
-        points.append(
-            FrontierPoint("bad_only", tau, fdr(q_bad, tau, model), w_bad * tdr(q_bad, tau, model))
-        )
+    taus = _sweep_grid(resolution)
+    null_mass = (w_good * q_good + w_bad * q_bad) * taus
+    approve_mass = null_mass + (w_good * (1 - q_good) + w_bad * (1 - q_bad)) * power(model, taus)
+    tdr_good, tdr_bad = w_good * tdr(q_good, taus, model), w_bad * tdr(q_bad, taus, model)
+    sweeps = zip(
+        _labelled("uniform", taus, _mix_fdr(null_mass, approve_mass), tdr_good + tdr_bad),
+        _labelled("good_only", taus, fdr(q_good, taus, model), tdr_good),
+        _labelled("bad_only", taus, fdr(q_bad, taus, model), tdr_bad),
+    )
+    points = [point for same_tau in sweeps for point in same_tau]
 
-    for alpha in _sweep_grid(resolution, lo=1e-4):
-        alpha = float(alpha)
-        if alpha >= 1.0:
-            continue
-        objective = fdr_objective(alpha)
-        taus = [fdr_threshold(q, objective, model) for q in (q_good, q_bad)]
-        null_mass = w_good * q_good * taus[0] + w_bad * q_bad * taus[1]
-        approve_mass = null_mass + w_good * (1 - q_good) * power(model, taus[0]) + w_bad * (
-            1 - q_bad
-        ) * power(model, taus[1])
-        mix_fdr = null_mass / approve_mass if approve_mass > 0 else 0.0
-        mix_tdr = w_good * tdr(q_good, taus[0], model) + w_bad * tdr(q_bad, taus[1], model)
-        points.append(FrontierPoint("oracle", alpha, mix_fdr, mix_tdr))
-    return points
+    alphas = _sweep_grid(resolution, lo=1e-4)
+    alphas = alphas[alphas < 1.0]
+    good, bad = _fdr_bisection(np.array([[q_good], [q_bad]]), alphas, model)
+    null_mass = w_good * q_good * good + w_bad * q_bad * bad
+    approve_mass = null_mass + w_good * (1 - q_good) * power(model, good)
+    approve_mass = approve_mass + w_bad * (1 - q_bad) * power(model, bad)
+    mix_tdr = w_good * tdr(q_good, good, model) + w_bad * tdr(q_bad, bad, model)
+    return points + _labelled("oracle", alphas, _mix_fdr(null_mass, approve_mass), mix_tdr)
 
 
 def matched_tdr(points: Sequence[FrontierPoint], fdr_values: np.ndarray) -> np.ndarray:
@@ -135,7 +134,7 @@ def screening_cost(
     """
     points = population.points()
     _, best = best_response(points, *menu.lines(model))
-    return population.average(best - [utility(float(q), base, model) for q in points])
+    return population.average(best - utility(points, base, model))
 
 
 def information_rent(menu: Menu, population: TypePopulation, model: TestModel) -> float:
@@ -144,29 +143,26 @@ def information_rent(menu: Menu, population: TypePopulation, model: TestModel) -
     return population.average(best)
 
 
-def principal_return(menu: Menu, base: Contract, q: float, model: TestModel) -> float:
-    """Expected financial return from tailoring type q's contract vs the base.
+def principal_return(menu: Menu, base: Contract, q, model: TestModel):
+    """Expected financial return from tailoring type q's contract vs the base (elementwise).
 
     Computed both as the difference of (cost - reward * approval) brackets
     and as the negated utility gap; the two must agree to 1e-10.
     """
-    outcome = select(q, menu, model)
-    if outcome.opted_out:
-        raise ValueError(f"type {q!r} opts out of the menu; return undefined")
-    chosen = menu.contract_for(outcome.report)
+    qs = np.atleast_1d(_types(q))
+    index, best = best_response(qs, *menu.lines(model))
+    _require(qs, best >= 0.0, "type opts out of the menu (return undefined)")
+    taus, rewards, costs = np.array([(c.tau, c.reward, c.cost) for c in menu.contracts])[index].T
 
-    def approve_prob(contract: Contract) -> float:
-        return q * contract.tau + (1.0 - q) * power(model, contract.tau)
+    def approve_prob(tau):
+        return qs * tau + (1.0 - qs) * power(model, tau)
 
-    tailored = chosen.cost - chosen.reward * approve_prob(chosen)
-    baseline = base.cost - base.reward * approve_prob(base)
-    two_bracket = tailored - baseline
-    simplified = -(outcome.utility - utility(q, base, model))
-    if abs(two_bracket - simplified) > _FORM_AGREEMENT_TOL:
-        raise RuntimeError(
-            f"return forms disagree by {two_bracket - simplified:.3g}; numerical fault"
-        )
-    return simplified
+    tailored = costs - rewards * approve_prob(taus)
+    baseline = base.cost - base.reward * approve_prob(base.tau)
+    simplified = -(best - utility(qs, base, model))
+    gap = tailored - baseline - simplified
+    _require(gap, ~(np.abs(gap) > _FORM_AGREEMENT_TOL), "return forms disagree", RuntimeError)
+    return _float_or_array(simplified.reshape(np.shape(q)))
 
 
 @dataclass(frozen=True)
@@ -206,9 +202,7 @@ def _stratified_counts(weights: np.ndarray, size: int) -> np.ndarray:
 
 def _simulate_chunk(menu, population, model, size, seed_child, stratified):
     rng = np.random.default_rng(seed_child)
-    taus = np.array([c.tau for c in menu.contracts])
-    rewards = np.array([c.reward for c in menu.contracts])
-    costs = np.array([c.cost for c in menu.contracts])
+    taus, rewards, costs = np.array([(c.tau, c.reward, c.cost) for c in menu.contracts]).T
 
     if population.kind == "discrete":
         types = np.array(population.types)

@@ -10,14 +10,14 @@ the oracle value the menus are designed to match.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import StatMenusError
-from .rates import bayes_risk, fdr, tdr
-from .testmodel import TestModel, inverse_likelihood_ratio, power
+from .rates import _fdr, bayes_risk, fdr, tdr
+from .testmodel import TestModel, _float_or_array, _power, _types, inverse_likelihood_ratio
+from .testmodel import likelihood_ratio, power
 
 __all__ = [
     "PrincipalObjective",
@@ -143,8 +143,9 @@ def uniform_population(lo: float, hi: float, n: int = 1024) -> TypePopulation:
     return TypePopulation(kind="uniform_grid", lo=float(lo), hi=float(hi), n=int(n))
 
 
-def bayes_threshold(q: float, objective: PrincipalObjective, model: TestModel) -> float:
-    """Threshold minimizing the weighted error risk for a known type ``q``.
+def bayes_threshold(q, objective: PrincipalObjective, model: TestModel):
+    """Threshold minimizing the weighted error risk for known types ``q``,
+    elementwise.
 
     Thresholds the likelihood ratio at q*omega0 / ((1-q)*omega1), mapped to
     the p-value scale. Boundary types resolve by taking limits: q=0 -> 1,
@@ -152,51 +153,52 @@ def bayes_threshold(q: float, objective: PrincipalObjective, model: TestModel) -
     """
     if objective.kind != "bayes":
         raise ValueError("bayes_threshold requires a bayes objective")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"type must lie in [0, 1], got {q!r}")
-    if objective.omega1 == 0.0 or q == 1.0:
-        return 0.0
-    if q == 0.0 or objective.omega0 == 0.0:
-        return 1.0
-    ratio = q * objective.omega0 / ((1.0 - q) * objective.omega1)
-    return inverse_likelihood_ratio(model, ratio)
+    q = _types(q)
+    tau = np.where((q == 1.0) | (objective.omega1 == 0.0), 0.0, 1.0)  # the limits
+    inner = (0.0 < q) & (q < 1.0) & (objective.omega0 > 0.0) & (objective.omega1 > 0.0)
+    if inner.any():
+        q = np.where(inner, q, 0.5)  # boundary types keep their limits
+        ratio = q * objective.omega0 / ((1.0 - q) * objective.omega1)
+        tau = np.where(inner, inverse_likelihood_ratio(model, ratio), tau)
+    return _float_or_array(tau)
 
 
-@lru_cache(maxsize=1 << 20)
-def _fdr_threshold_cached(q: float, alpha: float, model: TestModel) -> float:
-    if q == 0.0:
-        return 1.0
-    if q == 1.0:
-        return 0.0
-    if fdr(q, 1.0, model) <= alpha:
-        return 1.0
-    # FDR is strictly increasing in tau for concave nontrivial power, so
-    # bisection on [1e-12, 1] is globally safe.
-    lo, hi = _BISECT_LO, 1.0
-    if fdr(q, lo, model) > alpha:
-        return lo
+def _fdr_bisection(q, alpha, model: TestModel) -> np.ndarray:
+    """Largest tau in [1e-12, 1] with FDR(q, tau) <= alpha, for types ``q``
+    broadcast against budgets ``alpha``. FDR is strictly increasing in tau for
+    concave nontrivial power, so bisection is globally safe; each element stops
+    once its midpoint is not strictly inside its bracket, or after 200 steps."""
+    q, alpha = np.broadcast_arrays(_types(q), np.asarray(alpha, dtype=float))
+    shape, q, alpha = q.shape, q.ravel(), alpha.ravel()
+    tau = np.where(q == 1.0, 0.0, 1.0)  # q = 0 and FDR(q, 1) <= alpha also give 1
+    idx = np.flatnonzero((0.0 < q) & (q < 1.0))
+    idx = idx[fdr(q[idx], 1.0, model) > alpha[idx]]
+    tau[idx] = _BISECT_LO
+    idx = idx[fdr(q[idx], _BISECT_LO, model) <= alpha[idx]]
+    q, alpha, lo, hi = q[idx], alpha[idx], tau[idx], np.ones(len(idx))
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+        inside = (lo < mid) & (mid < hi)
+        if not inside.all():  # these elements stop; the rest keep bisecting
+            tau[idx[~inside]] = lo[~inside]
+            idx, q, alpha, lo, hi, mid = (a[inside] for a in (idx, q, alpha, lo, hi, mid))
+        if not len(idx):
             break
-        if fdr(q, mid, model) <= alpha:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        below = _fdr(q, mid, _power(model, mid)) <= alpha
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    tau[idx] = lo
+    return tau.reshape(shape)
 
 
-def fdr_threshold(q: float, objective: PrincipalObjective, model: TestModel) -> float:
-    """Largest threshold keeping FDR(q, tau) within the budget alpha."""
+def fdr_threshold(q, objective: PrincipalObjective, model: TestModel):
+    """Largest threshold keeping FDR(q, tau) within the budget alpha, elementwise."""
     if objective.kind != "fdr":
         raise ValueError("fdr_threshold requires an fdr objective")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"type must lie in [0, 1], got {q!r}")
-    return _fdr_threshold_cached(q, objective.alpha, model)
+    return _float_or_array(_fdr_bisection(q, objective.alpha, model))
 
 
-def optimal_threshold(q: float, objective: PrincipalObjective, model: TestModel) -> float:
-    """Type-optimal threshold under either objective."""
+def optimal_threshold(q, objective: PrincipalObjective, model: TestModel):
+    """Type-optimal threshold under either objective, elementwise."""
     if objective.kind == "bayes":
         return bayes_threshold(q, objective, model)
     return fdr_threshold(q, objective, model)
@@ -213,8 +215,6 @@ def type_for_threshold(tau: float, objective: PrincipalObjective, model: TestMod
         alpha = objective.alpha
         r = alpha * power(model, tau) / ((1.0 - alpha) * tau)
         return r / (1.0 + r)
-    from .testmodel import likelihood_ratio
-
     lr = likelihood_ratio(model, tau)
     return objective.omega1 * lr / (objective.omega0 + objective.omega1 * lr)
 
@@ -226,13 +226,16 @@ def threshold_map(
 
     The returned assignment is checked to be non-increasing in q.
     """
-    pairs = [(float(q), optimal_threshold(float(q), objective, model)) for q in population.points()]
-    for (q_a, t_a), (q_b, t_b) in zip(pairs, pairs[1:]):
-        if t_b > t_a + 1e-12:
-            raise StatMenusError(
-                f"threshold map not non-increasing: tau({q_a})={t_a} < tau({q_b})={t_b}"
-            )
-    return pairs
+    qs = population.points()
+    taus = optimal_threshold(qs, objective, model)
+    rising = np.flatnonzero(taus[1:] > taus[:-1] + 1e-12)
+    if len(rising):
+        i = rising[0]
+        raise StatMenusError(
+            f"threshold map not non-increasing: "
+            f"tau({qs[i]})={taus[i]} < tau({qs[i + 1]})={taus[i + 1]}"
+        )
+    return list(zip(qs.tolist(), taus.tolist()))
 
 
 def oracle_bayes_risk(
@@ -241,12 +244,9 @@ def oracle_bayes_risk(
     """Population-average Bayes risk when every type gets its optimal threshold."""
     if objective.kind != "bayes":
         raise ValueError("oracle_bayes_risk requires a bayes objective")
-
-    def integrand(q: float) -> float:
-        tau = bayes_threshold(q, objective, model)
-        return bayes_risk(q, tau, objective.omega0, objective.omega1, model)
-
-    return population.expectation(integrand)
+    qs = population.points()
+    taus = bayes_threshold(qs, objective, model)
+    return population.average(bayes_risk(qs, taus, objective.omega0, objective.omega1, model))
 
 
 def oracle_tdr(
@@ -255,8 +255,5 @@ def oracle_tdr(
     """Population-average TDR when every type gets its FDR-budget threshold."""
     if objective.kind != "fdr":
         raise ValueError("oracle_tdr requires an fdr objective")
-
-    def integrand(q: float) -> float:
-        return tdr(q, fdr_threshold(q, objective, model), model)
-
-    return population.expectation(integrand)
+    qs = population.points()
+    return population.average(tdr(qs, fdr_threshold(qs, objective, model), model))

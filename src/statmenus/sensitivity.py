@@ -21,10 +21,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .contracts import Menu, utility
+from .contracts import Menu
 from .errors import StatMenusError
 from .objectives import PrincipalObjective, optimal_threshold
-from .testmodel import TestModel, power, power_derivative
+from .testmodel import TestModel, _float_or_array, _require, _unit_interval, power, power_derivative
 
 __all__ = [
     "MisspecScenario",
@@ -55,11 +55,15 @@ class MisspecScenario:
     menu: Menu
     objective: PrincipalObjective
 
-    def threshold_at(self, p: float) -> float:
-        try:
-            return self.menu.contract_for(p).tau
-        except KeyError:
-            return optimal_threshold(p, self.objective, self.designed)
+    def threshold_at(self, p):
+        """The menu's threshold at supported reports, else the designed map's; elementwise."""
+        p, support = np.asarray(p, dtype=float), np.array(self.menu.support)
+        i = np.minimum(np.searchsorted(support, p), len(support) - 1)
+        off = support[i] != p
+        tau = np.where(off, 0.0, np.array([c.tau for c in self.menu.contracts])[i])
+        if off.any():
+            tau[off] = optimal_threshold(p[off], self.objective, self.designed)
+        return _float_or_array(tau)
 
 
 def fdr_gap(q: float, p: float, scenario: MisspecScenario) -> float:
@@ -72,22 +76,21 @@ def fdr_gap(q: float, p: float, scenario: MisspecScenario) -> float:
     return designed_term - actual_term
 
 
-def implied_true_type(p: float, scenario: MisspecScenario) -> float:
-    """True type whose first-order misreport lands on ``p``.
+def implied_true_type(p, scenario: MisspecScenario):
+    """True type whose first-order misreport lands on ``p``, elementwise.
 
     Solves the stationarity condition of the misspecified selection problem
     for q in terms of the report; values outside (0, 1) mean no agent makes
     that report.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError("implied type defined for interior reports only")
+    p = _unit_interval(p, "implied type defined for interior reports only", interior=True)
     tau = scenario.threshold_at(p)
     slope = power_derivative(scenario.designed, tau)
     slope_actual = power_derivative(scenario.actual, tau)
     denom = 1.0 - slope_actual
-    if abs(denom) < _SLOPE_SINGULARITY_TOL:
-        raise StatMenusError(f"implied type undefined at report {p!r}: actual slope is 1")
-    return (p + (1.0 - p) * slope - slope_actual) / denom
+    singular = np.abs(denom) < _SLOPE_SINGULARITY_TOL
+    _require(p, ~singular, "implied type undefined: actual slope is 1 at report", StatMenusError)
+    return _float_or_array((p + (1.0 - p) * slope - slope_actual) / denom)
 
 
 @dataclass(frozen=True)
@@ -125,15 +128,10 @@ def misspecified_report(
         )
 
     grid = np.linspace(lo, hi, scan)
-    vals = np.array([residual(float(p)) for p in grid])
-    brackets = [
-        (float(grid[i]), float(grid[i + 1]))
-        for i in range(len(grid) - 1)
-        if vals[i] == 0.0 or (vals[i] < 0.0) != (vals[i + 1] < 0.0)
-    ]
+    vals = residual(grid)
     roots = []
-    for a, b in brackets:
-        fa = residual(a)
+    for i in np.flatnonzero((vals[:-1] == 0.0) | ((vals[:-1] < 0.0) != (vals[1:] < 0.0))):
+        a, b, fa = float(grid[i]), float(grid[i + 1]), vals[i]
         if fa == 0.0:
             roots.append(a)
             continue
@@ -141,48 +139,44 @@ def misspecified_report(
             mid = 0.5 * (a + b)
             if b - a <= tol or mid in (a, b):
                 break
-            if (residual(mid) < 0.0) == (fa < 0.0):
-                a, fa = mid, residual(mid)
+            f_mid = residual(mid)
+            if (f_mid < 0.0) == (fa < 0.0):
+                a, fa = mid, f_mid
             else:
                 b = mid
         roots.append(0.5 * (a + b))
 
     support = np.array(scenario.menu.support)
-
-    def misspecified_utility(p: float) -> float:
-        return utility(q, scenario.menu.contract_for(p), scenario.actual)
+    slopes, intercepts = scenario.menu.lines(scenario.actual)
+    utilities = q * slopes + intercepts  # misspecified utility of each supported report
 
     def nearest_utility(r: float) -> float:
-        return misspecified_utility(float(support[np.argmin(np.abs(support - r))]))
+        return utilities[np.argmin(np.abs(support - r))]
 
-    boundary = max((lo, hi), key=misspecified_utility)
     if not roots:
-        best = max(scenario.menu.support, key=misspecified_utility)
-        return MisreportResult(report=float(best), interior=False)
+        return MisreportResult(report=float(support[np.argmax(utilities)]), interior=False)
     best_root = max(roots, key=nearest_utility)
-    if misspecified_utility(boundary) > nearest_utility(best_root):
+    if max(utilities[0], utilities[-1]) > nearest_utility(best_root):
+        boundary = lo if utilities[0] >= utilities[-1] else hi
         return MisreportResult(report=float(boundary), interior=False)
     return MisreportResult(report=best_root, interior=True)
 
 
-def fdr_gap_fixed_reward(p: float, scenario: MisspecScenario) -> float:
-    """Closed-form FDR gap of a constant-reward menu at report ``p``.
+def fdr_gap_fixed_reward(p, scenario: MisspecScenario):
+    """Closed-form FDR gap of a constant-reward menu at reports ``p``, elementwise.
 
     Valid when the designed power slope at the assigned threshold exceeds 1
     (inside the elicitable range); the slope-1 boundary is rejected.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError("gap defined for interior reports only")
+    p = _unit_interval(p, "gap defined for interior reports only", interior=True)
     tau = scenario.threshold_at(p)
     slope = power_derivative(scenario.designed, tau)
-    if abs(slope - 1.0) < _SLOPE_SINGULARITY_TOL:
-        raise StatMenusError(
-            f"designed power slope is 1 at report {p!r}; outside the elicitable range"
-        )
+    singular = np.abs(slope - 1.0) < _SLOPE_SINGULARITY_TOL
+    _require(p, ~singular, "report outside the elicitable range (designed slope 1)", StatMenusError)
     correction = 1.0 + (power_derivative(scenario.actual, tau) - slope) / (p * (slope - 1.0))
     designed_term = (1.0 - p) / p * power(scenario.designed, tau)
     actual_term = (1.0 - p) / (p * correction) * power(scenario.actual, tau)
-    return designed_term - actual_term
+    return _float_or_array(designed_term - actual_term)
 
 
 @dataclass(frozen=True)
@@ -206,11 +200,12 @@ def sensitivity_sweep(
         lo = scenario.menu.support[0] + SWEEP_EDGE_BAND
         hi = scenario.menu.support[-1] - SWEEP_EDGE_BAND
         p_grid = np.linspace(lo, hi, DEFAULT_SWEEP_POINTS)
-    rows = []
-    for p in p_grid:
-        p = float(p)
-        implied = implied_true_type(p, scenario)
-        if not 0.0 < implied < 1.0:
-            continue
-        rows.append(SweepRow(report=p, gap=fdr_gap_fixed_reward(p, scenario), implied_q=implied))
-    return rows
+    p = np.asarray(p_grid, dtype=float)
+    implied = implied_true_type(p, scenario)
+    made = (0.0 < implied) & (implied < 1.0)
+    p, implied = p[made], implied[made]
+    gaps = fdr_gap_fixed_reward(p, scenario)
+    return [
+        SweepRow(report=r, gap=g, implied_q=q)
+        for r, g, q in zip(p.tolist(), gaps.tolist(), implied.tolist())
+    ]

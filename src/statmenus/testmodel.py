@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import erfc, ndtr, ndtri
 
 from .errors import InvalidModelError, UnsupportedModelError
 
@@ -39,6 +39,29 @@ _SQRT2 = math.sqrt(2.0)
 MAX_EFFECT_SIZE = 10.0  # larger effects saturate the power curve
 
 
+def _require(x, ok, message: str, error: type = ValueError) -> None:
+    """Raise ``error`` naming the first element of ``x`` where ``ok`` fails."""
+    if not (ok.all() if ok.ndim else ok):
+        raise error(f"{message}, got {float(np.ravel(x)[np.argmin(ok)])!r}")
+
+
+def _unit_interval(x, message: str, interior: bool = False):
+    """``x`` as float64 (scalars stay fast numpy scalars), checked to lie in [0, 1] or (0, 1)."""
+    a = np.asarray(x, dtype=float)[()]
+    _require(x, (0.0 < a) & (a < 1.0) if interior else (0.0 <= a) & (a <= 1.0), message)
+    return a
+
+
+def _types(q):
+    """Agent types ``q`` as float64, checked to lie in [0, 1]."""
+    return _unit_interval(q, "type must lie in [0, 1]")
+
+
+def _float_or_array(values):
+    """A Python float for a 0-d result, the array otherwise: a float in gives a float out."""
+    return values if isinstance(values, np.ndarray) and values.ndim else float(values)
+
+
 def normal_cdf(z: float) -> float:
     """Standard normal CDF, accurate to ~1e-16 relative via erfc."""
     return 0.5 * math.erfc(-z / _SQRT2)
@@ -49,13 +72,6 @@ def normal_quantile(u: float) -> float:
     if not 0.0 < u < 1.0:
         raise ValueError(f"normal_quantile requires u in (0, 1), got {u!r}")
     return float(ndtri(u))
-
-
-def _upper_quantile(tau: float) -> float:
-    """Phi^-1(1 - tau), computed in whichever tail keeps full precision."""
-    if tau <= 0.5:
-        return -normal_quantile(tau) if tau > 0.0 else math.inf
-    return normal_quantile(1.0 - tau)
 
 
 @dataclass(frozen=True)
@@ -73,6 +89,7 @@ class TestModel:
     _knots: Optional[Tuple[np.ndarray, np.ndarray]] = field(
         default=None, init=False, repr=False, compare=False
     )
+    _hash: int = field(default=0, init=False, repr=False, compare=False)
 
     __test__ = False  # keep pytest from collecting this as a test class
 
@@ -94,6 +111,11 @@ class TestModel:
             object.__setattr__(self, "_knots", knots)
         else:
             raise InvalidModelError(f"unknown model kind {self.kind!r}")
+        # Models key per-model caches; hashing a long table on every lookup is slow.
+        object.__setattr__(self, "_hash", hash((self.kind, self.theta1, self.table)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def taus(self) -> np.ndarray:
@@ -157,50 +179,44 @@ def tabulated_from_csv(path) -> TestModel:
     return tabulated_model(taus, betas)
 
 
-def power(model: TestModel, tau: float) -> float:
-    """Power beta1(tau) of the test at threshold ``tau`` in [0, 1]."""
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"threshold must lie in [0, 1], got {tau!r}")
+def _power(model: TestModel, tau):
+    """beta1(tau) for thresholds already known to lie in [0, 1]."""
     if model.kind == "gaussian_mean":
-        if tau == 0.0:
-            return 0.0
-        if tau == 1.0:
-            return 1.0
-        return normal_cdf(model.theta1 - _upper_quantile(tau))
-    return float(np.interp(tau, model.taus, model.betas))
+        # -ndtri(tau) is Phi^-1(1 - tau) to full precision: ndtri uses 1 - tau near 1
+        return ndtr(model.theta1 + ndtri(tau))
+    return np.interp(tau, model.taus, model.betas)
 
 
-def power_derivative(model: TestModel, tau: float) -> float:
-    """Slope beta1'(tau) at an interior threshold."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"derivative defined for tau in (0, 1), got {tau!r}")
+def power(model: TestModel, tau):
+    """Power beta1(tau) at thresholds ``tau`` in [0, 1], elementwise."""
+    return _float_or_array(_power(model, _unit_interval(tau, "threshold must lie in [0, 1]")))
+
+
+def power_derivative(model: TestModel, tau):
+    """Slope beta1'(tau) at interior thresholds, elementwise."""
+    tau = _unit_interval(tau, "derivative defined for tau in (0, 1)", interior=True)
     if model.kind == "gaussian_mean":
-        z = _upper_quantile(tau)
-        return math.exp(model.theta1 * z - 0.5 * model.theta1**2)
-    h = min(1e-7, 0.5 * (1.0 - tau))
-    return (power(model, tau + h) - power(model, tau)) / h
+        return likelihood_ratio(model, tau)
+    h = np.minimum(1e-7, 0.5 * (1.0 - tau))
+    return _float_or_array((power(model, tau + h) - power(model, tau)) / h)
 
 
-def likelihood_ratio(model: TestModel, x: float) -> float:
-    """Density ratio of the p-value at ``x`` under alternative vs null."""
+def likelihood_ratio(model: TestModel, x):
+    """Density ratio of the p-value at ``x`` under alternative vs null, elementwise."""
     if model.kind != "gaussian_mean":
         raise UnsupportedModelError("likelihood ratio is defined for gaussian_mean models only")
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"likelihood ratio defined for x in (0, 1), got {x!r}")
-    z = _upper_quantile(x)
-    return math.exp(model.theta1 * z - 0.5 * model.theta1**2)
+    x = _unit_interval(x, "likelihood ratio defined for x in (0, 1)", interior=True)
+    return _float_or_array(np.exp(-model.theta1 * ndtri(x) - 0.5 * model.theta1**2))
 
 
-def inverse_likelihood_ratio(model: TestModel, y: float) -> float:
-    """Threshold at which the likelihood ratio equals ``y > 0``, clamped to [0, 1]."""
+def inverse_likelihood_ratio(model: TestModel, y):
+    """Threshold in [0, 1] at which the likelihood ratio equals ``y > 0``, elementwise."""
     if model.kind != "gaussian_mean":
         raise UnsupportedModelError("likelihood ratio is defined for gaussian_mean models only")
-    if not y > 0.0:
-        raise ValueError(f"likelihood-ratio level must be positive, got {y!r}")
-    theta = model.theta1
-    z = math.log(y) / theta + 0.5 * theta
-    tau = 0.5 * math.erfc(z / _SQRT2)  # 1 - Phi(z), no cancellation
-    return min(1.0, max(0.0, tau))
+    levels = np.asarray(y, dtype=float)[()]
+    _require(y, levels > 0.0, "likelihood-ratio level must be positive")
+    z = np.log(levels) / model.theta1 + 0.5 * model.theta1
+    return _float_or_array(0.5 * erfc(z / _SQRT2))  # 1 - Phi(z), no cancellation
 
 
 def sample_pvalues(model: TestModel, is_null: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -11,7 +11,6 @@ import pytest
 
 import statmenus as sm
 from statmenus.contracts import Contract
-from statmenus.objectives import _fdr_threshold_cached
 
 
 def criterion(number, description):
@@ -120,7 +119,6 @@ def sample_configs(n_random, seed):
 def test_criterion_1_type_optimal_thresholds():
     model = sm.gaussian_model(1.0)
     objective = sm.fdr_objective(0.25)
-    _fdr_threshold_cached.cache_clear()
     started = time.perf_counter()
     taus = [sm.fdr_threshold(q, objective, model) for q in (0.3, 0.4, 0.5, 0.6, 0.7)]
     elapsed = time.perf_counter() - started

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 import statmenus as sm
 from statmenus import builders
-from statmenus._quad import adaptive_simpson
 from statmenus.contracts import Contract
 from statmenus.errors import InfeasibleMenuError, InvalidPotentialError
+
+from oracles import recursive_simpson, scalar_optimal_threshold
 
 ALPHA = 0.25
 
@@ -387,15 +388,18 @@ def scalar_fixed_reward_costs(reward, q_lo, q_bar, objective, model, n):
     """Constant-reward costs from segment integrals of the power margin,
     accumulated from the top down, and one contract formula per type."""
     support = np.linspace(q_lo, q_bar, n)
-    taus = [sm.optimal_threshold(float(q), objective, model) for q in support]
+    taus = [scalar_optimal_threshold(float(q), objective, model) for q in support]
+    thresholds = {}  # each type's threshold, computed once per quadrature node
 
     def margin(z):
-        tau = sm.optimal_threshold(float(z), objective, model)
+        if z not in thresholds:
+            thresholds[z] = scalar_optimal_threshold(float(z), objective, model)
+        tau = thresholds[z]
         return sm.power(model, tau) - tau
 
     integrals = [0.0] * n
     for i in range(n - 2, -1, -1):
-        integrals[i] = integrals[i + 1] + adaptive_simpson(
+        integrals[i] = integrals[i + 1] + recursive_simpson(
             margin, float(support[i]), float(support[i + 1]), tol=builders.INTEGRAL_TOL
         )
     return [
