@@ -25,9 +25,9 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from ._quad import adaptive_simpson
-from .contracts import Contract, Menu, utility
+from .contracts import PARTICIPATION_SLACK, Contract, Menu, utility
 from .errors import InfeasibleMenuError, InvalidPotentialError
-from .objectives import PrincipalObjective, optimal_threshold, type_for_threshold
+from .objectives import PrincipalObjective, _bisect, optimal_threshold, type_for_threshold
 from .testmodel import TestModel, _float_or_array, normal_cdf, power, power_derivative
 
 __all__ = [
@@ -289,13 +289,8 @@ def elicitable_range(objective: PrincipalObjective, model: TestModel) -> Tuple[f
         elif power_derivative(model, hi) > 1.0:
             tau_bar = hi
         else:
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                if power_derivative(model, mid) > 1.0:
-                    lo = mid
-                else:
-                    hi = mid
-            tau_bar = 0.5 * (lo + hi)
+            lo, hi = _bisect(lambda mid: power_derivative(model, mid) > 1.0, [lo], [hi])
+            tau_bar = float(0.5 * (lo[0] + hi[0]))
     return type_for_threshold(tau_bar, objective, model), tau_bar
 
 
@@ -425,7 +420,7 @@ def build_finite_menu(
 
     reward_n, cost_n = float(terminal[0]), float(terminal[1])
     terminal_utility = utility(types[-1], Contract(taus[-1], reward_n, cost_n), model)
-    if terminal_utility < -1e-12:
+    if terminal_utility < -PARTICIPATION_SLACK:
         raise InfeasibleMenuError(
             f"terminal contract violates participation for the worst type "
             f"{types[-1]:.6g} (utility {terminal_utility:.6g})"

@@ -34,7 +34,7 @@ from .builders import (
     quadratic_schedule,
     tabulated_potential,
 )
-from .contracts import Contract, Menu, verify_separating, zero_utility_cost
+from .contracts import DEFAULT_IC_MARGIN, Contract, Menu, verify_separating, zero_utility_cost
 from .errors import ConfigError, StatMenusError
 from .evaluation import (
     frontier,
@@ -55,7 +55,7 @@ from .objectives import (
     threshold_map,
     uniform_population,
 )
-from .sensitivity import SWEEP_EDGE_BAND, MisspecScenario, sensitivity_sweep
+from .sensitivity import DEFAULT_SWEEP_POINTS, SWEEP_EDGE_BAND, MisspecScenario, sensitivity_sweep
 from .testmodel import TestModel, gaussian_model, tabulated_from_csv, tabulated_model
 
 COMMANDS = (
@@ -114,6 +114,45 @@ def _is_num(x) -> bool:
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_nums(x) -> bool:
+    return isinstance(x, list) and all(_is_num(v) for v in x)
+
+
+_NUMBER = (_is_num, "must be a number")
+_NUMBERS = (_is_nums, "must be a list of numbers")
+_COUNT = (lambda x: _is_int(x) and x >= 1, "must be a positive integer")
+# The type of every section key ``run`` reads; the builders check value ranges.
+_SECTION_KEYS = {
+    "menu": {
+        "path": (lambda x: isinstance(x, str), "must be a string"),
+        "n": _COUNT,
+        "epsilon": (lambda x: _is_num(x) or _is_nums(x), "must be a number or a list of numbers"),
+        "etas": (
+            lambda x: _is_nums(x) and x and all(e > 0 for e in x),
+            "must be a nonempty list of positive numbers",
+        ),
+        **dict.fromkeys(("points", "values", "subgradients"), _NUMBERS),
+        **dict.fromkeys(
+            ("reward", "q_lo", "q_bar", "base_reward", "eta", "terminal_reward",
+             "terminal_cost", "lambda", "margin"),
+            _NUMBER,
+        ),
+    },
+    "simulation": {
+        "n": _COUNT,
+        "seed": (_is_int, "must be an integer"),
+        "stratified": (lambda x: isinstance(x, bool), "must be true or false"),
+    },
+    "sensitivity": {
+        "points": _COUNT,
+        "actual_theta1": (
+            lambda x: _is_nums(x) and x and all(0 < t <= 10 for t in x),
+            "must be a nonempty list of numbers in (0, 10]",
+        ),
+    },
+}
 
 
 def parse_config(path) -> RunConfig:
@@ -195,36 +234,19 @@ def parse_config(path) -> RunConfig:
             except (KeyError, TypeError, ValueError) as exc:
                 chk.fail("/population", str(exc))
 
-    menu = raw.get("menu", {})
-    if not isinstance(menu, dict):
-        chk.fail("/menu", "must be an object")
-        menu = {}
-    elif "method" in menu and menu["method"] not in BUILDER_METHODS:
+    sections = {}
+    for name, keys in _SECTION_KEYS.items():
+        section = raw.get(name, {})
+        if not isinstance(section, dict):
+            chk.fail(f"/{name}", "must be an object")
+            section = {}
+        for key, (valid, message) in keys.items():
+            if key in section and not valid(section[key]):
+                chk.fail(f"/{name}/{key}", message)
+        sections[name] = section
+    menu = sections["menu"]
+    if "method" in menu and menu["method"] not in BUILDER_METHODS:
         chk.fail("/menu/method", f"unknown builder method {menu['method']!r}; allowed: {', '.join(BUILDER_METHODS)}")
-
-    if isinstance(menu, dict) and "etas" in menu:
-        etas = menu["etas"]
-        if not (isinstance(etas, list) and etas and all(_is_num(e) and e > 0 for e in etas)):
-            chk.fail("/menu/etas", "must be a nonempty list of positive numbers")
-
-    simulation = raw.get("simulation", {})
-    if not isinstance(simulation, dict):
-        chk.fail("/simulation", "must be an object")
-        simulation = {}
-    else:
-        if "n" in simulation and not (_is_int(simulation["n"]) and simulation["n"] >= 1):
-            chk.fail("/simulation/n", "must be a positive integer")
-        if "seed" in simulation and not _is_int(simulation["seed"]):
-            chk.fail("/simulation/seed", "must be an integer")
-
-    sens = raw.get("sensitivity", {})
-    if not isinstance(sens, dict):
-        chk.fail("/sensitivity", "must be an object")
-        sens = {}
-    elif "actual_theta1" in sens:
-        thetas = sens["actual_theta1"]
-        if not (isinstance(thetas, list) and thetas and all(_is_num(t) and 0 < t <= 10 for t in thetas)):
-            chk.fail("/sensitivity/actual_theta1", "must be a nonempty list of numbers in (0, 10]")
 
     output_dir = None
     out = raw.get("output", {})
@@ -244,8 +266,8 @@ def parse_config(path) -> RunConfig:
         objective=objective,
         population=population,
         menu=menu,
-        simulation=simulation,
-        sensitivity=sens,
+        simulation=sections["simulation"],
+        sensitivity=sections["sensitivity"],
         output_dir=output_dir,
     )
 
@@ -390,7 +412,7 @@ def run(
     if command == "menu-verify":
         _require_sections(config, command, ["menu.path"])
         menu = _load_menu(config)
-        margin = config.menu.get("margin", 1e-9)
+        margin = config.menu.get("margin", DEFAULT_IC_MARGIN)
         report = verify_separating(menu, model=config.model, margin=margin)
         doc = {
             "passed": report.passed,
@@ -490,7 +512,7 @@ def run(
         if len({c.reward for c in menu.contracts}) > 1:
             msg = "sensitivity needs a constant-reward menu; the closed-form gap assumes one reward"
             raise ConfigError([("/menu/path", msg)])
-        n_points = grid or config.sensitivity.get("points", 256)
+        n_points = grid or config.sensitivity.get("points", DEFAULT_SWEEP_POINTS)
         lo, hi = menu.support[0] + SWEEP_EDGE_BAND, menu.support[-1] - SWEEP_EDGE_BAND
         rows = []
         for theta in config.sensitivity["actual_theta1"]:
@@ -514,7 +536,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--out", default=None, help="output directory (default: config or '.')")
     parser.add_argument("--seed", type=int, default=None, help="override the simulation seed")
     parser.add_argument(
-        "--jobs", type=int, default=1, help="worker count for sweeps; never affects output values"
+        "--jobs", type=int, default=1, help="worker count for simulate; never affects output values"
     )
     parser.add_argument("--grid", type=int, default=None, help="override grid/sweep resolution")
     args = parser.parse_args(argv)
@@ -525,13 +547,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         config = parse_config(args.config)
-    except ConfigError as exc:
-        for pointer, message in exc.errors:
-            print(f"config error at {pointer}: {message}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    out_dir = Path(args.out) if args.out else Path(config.output_dir or ".")
-    try:
+        out_dir = Path(args.out) if args.out else Path(config.output_dir or ".")
         return run(
             args.command, config, out_dir, seed=args.seed, jobs=args.jobs, grid=args.grid
         )

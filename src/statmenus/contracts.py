@@ -39,7 +39,8 @@ __all__ = [
 ]
 
 DEFAULT_IC_MARGIN = 1e-9
-# Absorbs float rounding of contracts calibrated to exactly zero utility.
+# Absorbs float rounding of contracts calibrated to zero utility: an agent
+# opts out only below -PARTICIPATION_SLACK.
 PARTICIPATION_SLACK = 1e-12
 TIE_BREAK_RULE = "smallest-report"
 # Rows of the (types x contracts) utility block held at once; bounds the
@@ -156,16 +157,10 @@ def utility(q, contract: Contract, model: TestModel):
 
 
 def zero_utility_cost(q: float, tau: float, reward: float, model: TestModel) -> float:
-    """Cost calibrated so a type-q agent gets exactly zero utility.
-
-    Equals reward times the agent's approval probability under ``tau``,
-    nudged by at most a few ulps so the calibrated agent lands on the
-    participation side of the opt-out boundary.
-    """
-    cost = reward * (q * tau + (1.0 - q) * power(model, tau))
-    while utility(q, Contract(tau=tau, reward=reward, cost=cost), model) < 0.0:
-        cost = math.nextafter(cost, -math.inf)
-    return cost
+    """Cost calibrated so a type-q agent gets zero utility: reward times the
+    agent's approval probability under ``tau`` (zero up to rounding, which
+    ``PARTICIPATION_SLACK`` absorbs)."""
+    return reward * (q * tau + (1.0 - q) * power(model, tau))
 
 
 def _utility_blocks(q: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray):
@@ -187,7 +182,7 @@ def best_response(
 
     Ties break toward the first maximum, which is the smallest report
     because menu supports are increasing. Opting out is left to the caller
-    (a negative best utility).
+    (a best utility below ``-PARTICIPATION_SLACK``).
     """
     q = np.asarray(q, dtype=float)
     index = np.empty(len(q), dtype=np.intp)
@@ -206,12 +201,12 @@ def best_response(
 def select(q: float, menu: Menu, model: TestModel) -> SelectionOutcome:
     """Utility-maximizing report for a type-q agent, or opt-out.
 
-    Ties break toward the smallest reported type; utility exactly 0 still
-    participates.
+    Ties break toward the smallest reported type; an agent opts out only
+    when its best utility is below ``-PARTICIPATION_SLACK``.
     """
     index, value = best_response(_types([q]), *menu.lines(model))
     best_u = float(value[0])
-    if best_u < 0.0:
+    if best_u < -PARTICIPATION_SLACK:
         return SelectionOutcome(report=None, utility=best_u)
     return SelectionOutcome(report=menu.support[index[0]], utility=best_u)
 
@@ -261,7 +256,7 @@ def verify_separating(
 
     For each q in ``support`` (default: the full menu support) requires
     psi(q; q) > psi(q; p) + margin for p != q and psi(q; q) >= 0, the latter
-    with a 1e-12 slack for boundary contracts calibrated to zero utility.
+    up to ``PARTICIPATION_SLACK``.
     Returns a report carrying the first violating pair rather than raising.
     """
     if support is None:

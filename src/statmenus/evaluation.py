@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .contracts import Contract, Menu, best_response, utility
+from .contracts import PARTICIPATION_SLACK, Contract, Menu, best_response, utility
 from .objectives import TypePopulation, _fdr_bisection
 from .rates import bayes_risk, fdr, tdr
 from .testmodel import TestModel, _float_or_array, _require, _types, power, sample_pvalues
@@ -151,7 +151,7 @@ def principal_return(menu: Menu, base: Contract, q, model: TestModel):
     """
     qs = np.atleast_1d(_types(q))
     index, best = best_response(qs, *menu.lines(model))
-    _require(qs, best >= 0.0, "type opts out of the menu (return undefined)")
+    _require(qs, best >= -PARTICIPATION_SLACK, "type opts out of the menu (return undefined)")
     taus, rewards, costs = np.array([(c.tau, c.reward, c.cost) for c in menu.contracts])[index].T
 
     def approve_prob(tau):
@@ -217,7 +217,7 @@ def _simulate_chunk(menu, population, model, size, seed_child, stratified):
         q = rng.uniform(population.lo, population.hi, size=size)
 
     choice, best = best_response(q, *menu.lines(model))
-    participate = best >= 0.0
+    participate = best >= -PARTICIPATION_SLACK
 
     is_null = rng.random(size) < q
     pvals = sample_pvalues(model, is_null, rng)

@@ -38,6 +38,7 @@ __all__ = [
 WEIGHT_SUM_TOL = 1e-12
 _BISECT_LO = 1e-12
 _BISECT_MAX_ITER = 200
+_SMALLEST_LEVEL = np.nextafter(0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,8 @@ def bayes_threshold(q, objective: PrincipalObjective, model: TestModel):
 
     Thresholds the likelihood ratio at q*omega0 / ((1-q)*omega1), mapped to
     the p-value scale. Boundary types resolve by taking limits: q=0 -> 1,
-    q=1 -> 0; omega1=0 makes false negatives costless, so tau=0.
+    q=1 -> 0; omega1=0 makes false negatives costless, so tau=0. An underflowed
+    level is clamped to the smallest subnormal, whose threshold is the limit 1.
     """
     if objective.kind != "bayes":
         raise ValueError("bayes_threshold requires a bayes objective")
@@ -158,16 +160,39 @@ def bayes_threshold(q, objective: PrincipalObjective, model: TestModel):
     inner = (0.0 < q) & (q < 1.0) & (objective.omega0 > 0.0) & (objective.omega1 > 0.0)
     if inner.any():
         q = np.where(inner, q, 0.5)  # boundary types keep their limits
-        ratio = q * objective.omega0 / ((1.0 - q) * objective.omega1)
+        ratio = np.maximum(q * objective.omega0 / ((1.0 - q) * objective.omega1), _SMALLEST_LEVEL)
         tau = np.where(inner, inverse_likelihood_ratio(model, ratio), tau)
     return _float_or_array(tau)
+
+
+def _bisect(below, lo, hi, *data, tol: float = 0.0):
+    """Final ``(lo, hi)`` of brackets with ``below(lo)`` true and ``below(hi)``
+    false. ``below(mid, *data)`` sees the live brackets' midpoints and ``data``
+    only. A bracket stops once its midpoint is not strictly inside it, it is no
+    wider than a positive ``tol``, or after 200 steps."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    out_lo, out_hi, idx = lo.copy(), hi.copy(), np.arange(len(lo))
+    for _ in range(_BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        live = (lo < mid) & (mid < hi)
+        if tol > 0.0:
+            live &= hi - lo > tol
+        if not live.all():
+            out_lo[idx[~live]], out_hi[idx[~live]] = lo[~live], hi[~live]
+            idx, lo, hi, mid = idx[live], lo[live], hi[live], mid[live]
+            data = tuple(d[live] for d in data)
+        if not len(idx):
+            break
+        go = below(mid, *data)
+        lo, hi = np.where(go, mid, lo), np.where(go, hi, mid)
+    out_lo[idx], out_hi[idx] = lo, hi
+    return out_lo, out_hi
 
 
 def _fdr_bisection(q, alpha, model: TestModel) -> np.ndarray:
     """Largest tau in [1e-12, 1] with FDR(q, tau) <= alpha, for types ``q``
     broadcast against budgets ``alpha``. FDR is strictly increasing in tau for
-    concave nontrivial power, so bisection is globally safe; each element stops
-    once its midpoint is not strictly inside its bracket, or after 200 steps."""
+    concave nontrivial power, so bisection is globally safe."""
     q, alpha = np.broadcast_arrays(_types(q), np.asarray(alpha, dtype=float))
     shape, q, alpha = q.shape, q.ravel(), alpha.ravel()
     tau = np.where(q == 1.0, 0.0, 1.0)  # q = 0 and FDR(q, 1) <= alpha also give 1
@@ -175,18 +200,10 @@ def _fdr_bisection(q, alpha, model: TestModel) -> np.ndarray:
     idx = idx[fdr(q[idx], 1.0, model) > alpha[idx]]
     tau[idx] = _BISECT_LO
     idx = idx[fdr(q[idx], _BISECT_LO, model) <= alpha[idx]]
-    q, alpha, lo, hi = q[idx], alpha[idx], tau[idx], np.ones(len(idx))
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        inside = (lo < mid) & (mid < hi)
-        if not inside.all():  # these elements stop; the rest keep bisecting
-            tau[idx[~inside]] = lo[~inside]
-            idx, q, alpha, lo, hi, mid = (a[inside] for a in (idx, q, alpha, lo, hi, mid))
-        if not len(idx):
-            break
-        below = _fdr(q, mid, _power(model, mid)) <= alpha
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    tau[idx] = lo
+    tau[idx], _ = _bisect(
+        lambda mid, q, alpha: _fdr(q, mid, _power(model, mid)) <= alpha,
+        tau[idx], np.ones(len(idx)), q[idx], alpha[idx],
+    )
     return tau.reshape(shape)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .contracts import Menu
 from .errors import StatMenusError
-from .objectives import PrincipalObjective, optimal_threshold
+from .objectives import PrincipalObjective, _bisect, optimal_threshold
 from .testmodel import TestModel, _float_or_array, _require, _unit_interval, power, power_derivative
 
 __all__ = [
@@ -107,18 +107,19 @@ def misspecified_report(
 ) -> MisreportResult:
     """Report an agent of true type ``q`` makes when its power curve differs.
 
-    Solves the stationarity condition by bisection over the menu's type
-    range. Stationary points are only candidates (the condition is not
-    sufficient), so each is arbitrated against the boundary reports by the
-    misspecified utility of the nearest supported contract; when no
-    interior stationary point exists or a boundary wins, the result is the
-    best supported report, flagged as non-interior.
+    Solves the stationarity condition by one bisection over the sign changes
+    of a ``scan``-point grid on the menu's type range. Stationary points are
+    only candidates (the condition is not sufficient), so each is arbitrated
+    against the boundary reports by the misspecified utility of the nearest
+    supported contract; when no interior stationary point exists or a
+    boundary wins, the result is the best supported report, flagged as
+    non-interior.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("misreport defined for interior types only")
     lo, hi = scenario.menu.support[0], scenario.menu.support[-1]
 
-    def residual(p: float) -> float:
+    def residual(p):
         tau = scenario.threshold_at(p)
         return (
             q
@@ -129,37 +130,27 @@ def misspecified_report(
 
     grid = np.linspace(lo, hi, scan)
     vals = residual(grid)
-    roots = []
-    for i in np.flatnonzero((vals[:-1] == 0.0) | ((vals[:-1] < 0.0) != (vals[1:] < 0.0))):
-        a, b, fa = float(grid[i]), float(grid[i + 1]), vals[i]
-        if fa == 0.0:
-            roots.append(a)
-            continue
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            if b - a <= tol or mid in (a, b):
-                break
-            f_mid = residual(mid)
-            if (f_mid < 0.0) == (fa < 0.0):
-                a, fa = mid, f_mid
-            else:
-                b = mid
-        roots.append(0.5 * (a + b))
+    neg = vals < 0.0
+    i = np.flatnonzero((vals[:-1] == 0.0) | (neg[:-1] != neg[1:]))
+    roots, crossing = grid[i], vals[i] != 0.0  # a zero scan value is itself a root
+    j = i[crossing]  # all sign-change brackets are bisected together
+    a, b = _bisect(
+        lambda mid, neg: (residual(mid) < 0.0) == neg, grid[j], grid[j + 1], neg[j], tol=tol
+    )
+    roots[crossing] = 0.5 * (a + b)
 
     support = np.array(scenario.menu.support)
     slopes, intercepts = scenario.menu.lines(scenario.actual)
     utilities = q * slopes + intercepts  # misspecified utility of each supported report
-
-    def nearest_utility(r: float) -> float:
-        return utilities[np.argmin(np.abs(support - r))]
-
-    if not roots:
+    if not len(roots):
         return MisreportResult(report=float(support[np.argmax(utilities)]), interior=False)
-    best_root = max(roots, key=nearest_utility)
-    if max(utilities[0], utilities[-1]) > nearest_utility(best_root):
+    # each root is judged by its nearest supported report; ties keep the first
+    near = utilities[np.argmin(np.abs(support - roots[:, None]), axis=1)]
+    best = int(np.argmax(near))
+    if max(utilities[0], utilities[-1]) > near[best]:
         boundary = lo if utilities[0] >= utilities[-1] else hi
         return MisreportResult(report=float(boundary), interior=False)
-    return MisreportResult(report=best_root, interior=True)
+    return MisreportResult(report=float(roots[best]), interior=True)
 
 
 def fdr_gap_fixed_reward(p, scenario: MisspecScenario):

@@ -7,6 +7,8 @@ threshold or one interval at a time. The array paths must reproduce them
 
 import math
 
+import numpy as np
+
 import statmenus as sm
 from statmenus import objectives
 
@@ -101,3 +103,71 @@ def scalar_gaussian_power(theta1, tau):
     else:
         z = sm.normal_quantile(1.0 - tau)
     return 0.5 * math.erfc(-(theta1 - z) / math.sqrt(2.0))
+
+
+def scalar_misspecified_report(q, scenario, tol=1e-8, scan=129):
+    """Misreport of a type-q agent: a scan for sign changes, then one scalar
+    bisection per bracket, then arbitration against the boundary reports."""
+    if not 0.0 < q < 1.0:
+        raise ValueError("misreport defined for interior types only")
+    lo, hi = scenario.menu.support[0], scenario.menu.support[-1]
+
+    def residual(p):
+        tau = scenario.threshold_at(p)
+        return (
+            q
+            + (1.0 - q) * sm.power_derivative(scenario.actual, tau)
+            - p
+            - (1.0 - p) * sm.power_derivative(scenario.designed, tau)
+        )
+
+    grid = np.linspace(lo, hi, scan)
+    vals = residual(grid)
+    roots = []
+    for i in np.flatnonzero((vals[:-1] == 0.0) | ((vals[:-1] < 0.0) != (vals[1:] < 0.0))):
+        a, b, fa = float(grid[i]), float(grid[i + 1]), vals[i]
+        if fa == 0.0:
+            roots.append(a)
+            continue
+        for _ in range(200):
+            mid = 0.5 * (a + b)
+            if b - a <= tol or mid in (a, b):
+                break
+            f_mid = residual(mid)
+            if (f_mid < 0.0) == (fa < 0.0):
+                a, fa = mid, f_mid
+            else:
+                b = mid
+        roots.append(0.5 * (a + b))
+
+    support = np.array(scenario.menu.support)
+    slopes, intercepts = scenario.menu.lines(scenario.actual)
+    utilities = q * slopes + intercepts
+
+    def nearest_utility(r):
+        return utilities[np.argmin(np.abs(support - r))]
+
+    if not roots:
+        return sm.MisreportResult(report=float(support[np.argmax(utilities)]), interior=False)
+    best_root = max(roots, key=nearest_utility)
+    if max(utilities[0], utilities[-1]) > nearest_utility(best_root):
+        boundary = lo if utilities[0] >= utilities[-1] else hi
+        return sm.MisreportResult(report=float(boundary), interior=False)
+    return sm.MisreportResult(report=best_root, interior=True)
+
+
+def scalar_tau_bar(model):
+    """Largest threshold with power slope above 1 on a tabulated curve: 100
+    scalar bisection steps on [1e-6, 1 - 1e-6], edges by their tests."""
+    lo, hi = 1e-6, 1.0 - 1e-6
+    if sm.power_derivative(model, lo) <= 1.0:
+        return lo
+    if sm.power_derivative(model, hi) > 1.0:
+        return hi
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if sm.power_derivative(model, mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -1,10 +1,11 @@
 """The array numerics, checked against the scalar code they replaced (kept in
-``oracles.py``): the FDR bisection, the Bayes threshold, the level-wise
-adaptive Simpson and the Gaussian power curve, plus the array readers."""
+``oracles.py``): the FDR bisection, the Bayes threshold, the misreport and
+elicitable-bound bisections, the level-wise adaptive Simpson and the Gaussian
+power curve, plus the array readers."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import statmenus as sm
@@ -16,6 +17,8 @@ from oracles import (
     scalar_bayes_threshold,
     scalar_fdr_threshold,
     scalar_gaussian_power,
+    scalar_misspecified_report,
+    scalar_tau_bar,
 )
 
 # ---------------------------------------------------------------------------
@@ -82,18 +85,19 @@ def test_fdr_threshold_boundary_cases_and_clamp():
     weights=st.tuples(st.sampled_from([0.0, 0.5, 1.0, 3.0]), st.sampled_from([0.0, 0.5, 1.0, 3.0])),
     qs=type_arrays(),
 )
+@example(theta=10.0, weights=(0.5, 0.5), qs=np.array([5e-324, 1e-300, 0.5]))  # 5e-324 underflows
 def test_bayes_threshold_matches_scalar_rule(theta, weights, qs):
     if sum(weights) == 0.0:
         weights = (1.0, 1.0)
     model = sm.gaussian_model(theta)
     objective = sm.bayes_objective(*weights)
-    try:
-        expected = [scalar_bayes_threshold(float(q), *weights, model) for q in qs]
-    except ValueError:  # a tiny type's likelihood-ratio level underflows to 0
-        with pytest.raises(ValueError):
-            sm.optimal_threshold(qs, objective, model)
-        return
-    assert sm.optimal_threshold(qs, objective, model).tolist() == expected
+    taus = sm.optimal_threshold(qs, objective, model).tolist()
+    for q, tau in zip(qs.tolist(), taus):
+        try:
+            expected = scalar_bayes_threshold(q, *weights, model)
+        except ValueError:  # a tiny type's likelihood-ratio level underflows to 0
+            expected = 1.0  # the q -> 0 limit
+        assert tau == expected
 
 
 def test_threshold_map_matches_scalar_bisection(gm1, fdr25):
@@ -101,6 +105,72 @@ def test_threshold_map_matches_scalar_bisection(gm1, fdr25):
     pairs = sm.threshold_map(population, fdr25, gm1)
     assert pairs == [(q, scalar_fdr_threshold(q, 0.25, gm1)) for q in population.points().tolist()]
     assert all(type(q) is float and type(t) is float for q, t in pairs)
+
+
+# ---------------------------------------------------------------------------
+# bracketed roots: misreports and the elicitable bound
+# ---------------------------------------------------------------------------
+
+MISREPORT_TYPES = np.linspace(0.43, 0.86, 15).tolist()  # the middle one, 0.645, is a scan point
+
+
+@pytest.fixture(scope="module", params=[65, 257])
+def misreport_menu(request, gm1, fdr25):
+    return sm.build_fixed_reward(100.0, 0.43, 0.86, fdr25, gm1, n=request.param)
+
+
+@pytest.mark.parametrize("theta", [0.6, 0.8, 0.95, 1.0, 1.05, 1.3, 2.0])
+def test_misspecified_report_matches_scalar_bisection(gm1, fdr25, misreport_menu, theta):
+    """Scans with one or two sign-change brackets and, at theta 1 for the type
+    on the scan grid, an exact zero scan point."""
+    scenario = sm.MisspecScenario(gm1, sm.gaussian_model(theta), misreport_menu, fdr25)
+    for q in MISREPORT_TYPES:
+        result = sm.misspecified_report(q, scenario)
+        assert result == scalar_misspecified_report(q, scenario)
+        assert type(result.report) is float
+    # On the scan grid, so at theta 1 its residual is exactly 0 at the report q.
+    assert MISREPORT_TYPES[7] in np.linspace(0.43, 0.86, 129)
+
+
+@st.composite
+def concave_tabulated_models(draw):
+    """Concave power curves: decreasing segment slopes scaled to end at (1, 1)."""
+    n = draw(st.integers(2, 10))
+    widths = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    slopes = np.array(
+        sorted(draw(st.lists(st.floats(0.01, 50.0), min_size=n, max_size=n, unique=True)))[::-1]
+    )
+    taus = np.concatenate([[0.0], np.cumsum(widths) / widths.sum()])
+    betas = np.concatenate([[0.0], np.cumsum(widths * slopes) / np.dot(widths, slopes)])
+    taus[-1] = betas[-1] = 1.0
+    try:
+        return sm.tabulated_model(taus, betas)
+    except sm.InvalidModelError:  # rounding put an interior knot on the diagonal
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=concave_tabulated_models(), alpha=st.sampled_from([0.05, 0.25, 0.4]))
+def test_elicitable_range_matches_scalar_bisection(model, alpha):
+    objective = sm.fdr_objective(alpha)
+    tau_bar = scalar_tau_bar(model)
+    assert sm.elicitable_range(objective, model) == (
+        sm.type_for_threshold(tau_bar, objective, model),
+        tau_bar,
+    )
+
+
+@pytest.mark.parametrize(
+    "taus, betas, tau_bar",
+    [
+        ([0.0, 1e-7, 1.0], [0.0, 2e-7, 1.0], 1e-6),  # slope below 1 from 1e-6 on
+        ([0.0, 0.5, 1.0 - 5e-7, 1.0], [0.0, 0.5 + 1e-9, 1.0 - 5e-7 + 1e-8, 1.0], 1.0 - 1e-6),
+    ],
+)
+def test_elicitable_range_edge_branches(taus, betas, tau_bar, fdr25):
+    model = sm.tabulated_model(taus, betas)
+    assert scalar_tau_bar(model) == tau_bar
+    assert sm.elicitable_range(fdr25, model)[1] == tau_bar
 
 
 # ---------------------------------------------------------------------------

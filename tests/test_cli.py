@@ -111,6 +111,46 @@ def test_simulation_integers_reject_booleans(tmp_path, capsys, key):
     assert not (tmp_path / "simulation.json").exists()
 
 
+FIXED_MENU = {"method": "fixed_reward", "reward": 100, "q_lo": 0.43, "q_bar": 0.86, "n": 9}
+VARYING = {"/menu/method": "varying_reward", "/menu/q_lo": 0.3, "/menu/q_bar": 0.8}
+POTENTIAL = {"/menu/method": "potential", "/menu/values": [1, 0], "/menu/subgradients": [-2, -1]}
+FINITE = {"/menu/method": "finite"}
+
+
+@pytest.mark.parametrize(
+    "command, overrides, pointer, artifact",
+    [
+        ("menu-build", {"/menu/reward": "abc"}, "/menu/reward", "menu.json"),
+        ("menu-build", {"/menu/q_lo": "x"}, "/menu/q_lo", "menu.json"),
+        ("menu-build", {"/menu/n": True}, "/menu/n", "menu.json"),
+        ("menu-build", {"/menu/n": 1.5}, "/menu/n", "menu.json"),
+        ("menu-build", {**VARYING, "/menu/eta": "x"}, "/menu/eta", "menu.json"),
+        ("menu-build", {**POTENTIAL, "/menu/points": "x"}, "/menu/points", "menu.json"),
+        ("menu-build", {**FINITE, "/menu/lambda": "x"}, "/menu/lambda", "menu.json"),
+        ("menu-build", {**FINITE, "/menu/epsilon": ["x"]}, "/menu/epsilon", "menu.json"),
+        ("menu-verify", {"/menu/margin": "x"}, "/menu/margin", "verify_report.json"),
+        ("menu-verify", {"/menu/path": 5}, "/menu/path", "verify_report.json"),
+        ("sensitivity", {"/sensitivity/points": "x"}, "/sensitivity/points", "sensitivity.csv"),
+        ("sensitivity", {"/sensitivity/points": -3}, "/sensitivity/points", "sensitivity.csv"),
+        ("sensitivity", {"/sensitivity/points": 0}, "/sensitivity/points", "sensitivity.csv"),
+        ("simulate", {"/simulation/stratified": "no"}, "/simulation/stratified", "simulation.json"),
+    ],
+)
+def test_mistyped_config_value_is_config_error(
+    tmp_path, capsys, command, overrides, pointer, artifact
+):
+    """Each value has the wrong type or is no positive count: exit 2 with its
+    pointer before any artifact is written (a valid menu.json is in place)."""
+    menu = {**FIXED_MENU, "path": "menu.json"}
+    good = write_config(tmp_path, {"/menu": menu})
+    assert main(["menu-build", "--config", str(good), "--out", str(tmp_path)]) == 0
+    path = write_config(tmp_path, {"/menu": menu, **overrides}, name="bad.json")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert f"config error at {pointer}:" in capsys.readouterr().err
+    assert not (out / artifact).exists()
+
+
 def test_cli_bad_config_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, {"/objective/alpha": 1.5})
     assert main(["thresholds", "--config", str(path)]) == 2

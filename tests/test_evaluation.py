@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 import statmenus as sm
-from statmenus.contracts import Contract, Menu
+from statmenus.contracts import PARTICIPATION_SLACK, Contract, Menu
 
 
 def figure_family(gm1, fdr25, etas, n_support=65):
@@ -294,3 +294,20 @@ def test_simulation_principal_cash_consistency(gm1, five_type_menu, five_types):
         approved = counts["approved_null"] + counts["approved_nonnull"]
         expected += counts["participating"] * contract.cost - approved * contract.reward
     assert report.principal_cash == pytest.approx(expected, rel=1e-12)
+
+
+def test_rounding_below_zero_utility_still_participates(gm1, fdr25):
+    """A worst type whose utility is a rounding error below 0 (-9.8e-15) passes
+    verification, so selection, the principal's return and the simulator must
+    all keep it in the menu."""
+    types = (0.5, 0.8)
+    taus = [sm.fdr_threshold(q, fdr25, gm1) for q in types]
+    cost = sm.zero_utility_cost(0.8, taus[-1], 100.0, gm1) + 1e-14
+    menu = sm.build_finite_menu(types, taus, (100.0, cost), 50.0, lam=0.5, model=gm1)
+    assert -PARTICIPATION_SLACK < sm.utility(0.8, menu.contracts[-1], gm1) < 0.0
+    assert sm.verify_separating(menu, model=gm1).passed
+    assert sm.select(0.8, menu, gm1).report == 0.8
+    assert sm.principal_return(menu, menu.contracts[-1], 0.8, gm1) == 0.0
+    report = sm.simulate_population(menu, sm.discrete_population(types), gm1, n=10_000, seed=1)
+    assert report.participating == report.n_agents
+    assert report.per_type[0.8]["participating"] == report.per_type[0.8]["agents"] == 4909

@@ -37,7 +37,7 @@ def scalar_select(q, menu, model):
         if u > best_u:
             best_u = u
             best_p = p
-    if best_u < 0.0:
+    if best_u < -PARTICIPATION_SLACK:
         return SelectionOutcome(report=None, utility=best_u)
     return SelectionOutcome(report=best_p, utility=best_u)
 
