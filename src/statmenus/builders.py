@@ -10,8 +10,8 @@ g_p < 0 pins down the reward through
 ``build_from_potential`` applies that recipe to any valid potential. The
 varying-reward family (whose screening cost shrinks with a slack schedule
 epsilon) and the unique constant-reward menu (whose potential is pinned
-down by the power function) are integral potentials fed through the same
-recipe; a backward recursion covers finitely many types. The converse
+down by the power function) are integral potentials, and finitely many
+types get a discrete potential; all four feed the same recipe. The converse
 direction (recovering and validating the potential of an existing menu)
 serves as an independent verification oracle.
 """
@@ -370,6 +370,11 @@ def build_fixed_reward(
     return _menu(support, taus, np.full(n, float(reward)), values, model)
 
 
+def _backward(last: float, steps: np.ndarray) -> np.ndarray:
+    """x[-1] = last and x[i] = x[i + 1] - steps[i], summed from the top down."""
+    return np.cumsum(np.append(last, -steps[::-1]))[::-1]
+
+
 def build_finite_menu(
     types: Sequence[float],
     thresholds: Sequence[float],
@@ -379,30 +384,26 @@ def build_finite_menu(
     *,
     model: TestModel,
 ) -> Menu:
-    """Backward recursion for finitely many types.
+    """Discrete potential for finitely many types.
 
     Starting from a terminal (reward, cost) pair satisfying the worst
-    type's participation constraint, each step inflates the reward by the
-    power-margin ratio plus a positive slack and places the cost at
-    fraction ``lam`` of the admissible interval. Positive slack keeps the
-    interval nonempty, so the result is separating for lam in (0, 1).
+    type's participation constraint, the subgradients step down by the
+    slack times the power margin, g_i = g_{i+1} - eps_i Delta_i, and the
+    values along the chord slope (1 - lam) g_i + lam g_{i+1}, which places
+    each cost at fraction ``lam`` of its admissible interval. Positive slack
+    keeps the interval nonempty, so the result is separating for lam in
+    (0, 1). The terminal contract is passed through as given.
     """
-    types = [float(q) for q in types]
-    taus = [float(t) for t in thresholds]
+    if len(types) != len(thresholds):
+        raise ValueError("need one threshold per type")
+    types, taus, deltas = _checked_thresholds(list(zip(types, thresholds)), model)
     n = len(types)
     if n < 2:
         raise ValueError("finite construction needs at least two types")
-    if len(taus) != n:
-        raise ValueError("need one threshold per type")
-    if any(b <= a for a, b in zip(types, types[1:])):
-        raise ValueError("types must be strictly increasing")
-    if isinstance(eps, (int, float)):
-        eps_seq = [float(eps)] * (n - 1)
-    else:
-        eps_seq = [float(e) for e in eps]
-    if len(eps_seq) != n - 1:
-        raise ValueError(f"need {n - 1} slack values, got {len(eps_seq)}")
-    if any(e <= 0.0 for e in eps_seq):
+    eps = np.full(n - 1, eps, dtype=float) if np.ndim(eps) == 0 else np.array(eps, dtype=float)
+    if len(eps) != n - 1:
+        raise ValueError(f"need {n - 1} slack values, got {len(eps)}")
+    if np.any(eps <= 0.0):
         raise ValueError("slack values must be strictly positive")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must lie in [0, 1], got {lam!r}")
@@ -413,40 +414,22 @@ def build_finite_menu(
             stacklevel=2,
         )
 
-    betas = [power(model, t) for t in taus]
-    deltas = [b - t for b, t in zip(betas, taus)]
-    if any(d <= 0.0 for d in deltas):
-        raise ValueError("interior thresholds with positive power margin required")
-
-    reward_n, cost_n = float(terminal[0]), float(terminal[1])
-    terminal_utility = utility(types[-1], Contract(taus[-1], reward_n, cost_n), model)
+    last = Contract(float(taus[-1]), float(terminal[0]), float(terminal[1]))
+    terminal_utility = utility(types[-1], last, model)
     if terminal_utility < -PARTICIPATION_SLACK:
         raise InfeasibleMenuError(
             f"terminal contract violates participation for the worst type "
             f"{types[-1]:.6g} (utility {terminal_utility:.6g})"
         )
 
-    rewards = [0.0] * n
-    costs = [0.0] * n
-    rewards[-1] = reward_n
-    costs[-1] = cost_n
-    for i in range(n - 2, -1, -1):  # transition between types[i] and types[i+1]
-        rewards[i] = rewards[i + 1] * deltas[i + 1] / deltas[i] + eps_seq[i]
-        slope_gap = rewards[i + 1] * deltas[i + 1] - rewards[i] * deltas[i]
-        base_term = rewards[i] * betas[i] - rewards[i + 1] * betas[i + 1] + costs[i + 1]
-        left = types[i + 1] * slope_gap + base_term
-        right = types[i] * slope_gap + base_term
-        if not right > left:
-            raise InfeasibleMenuError(
-                f"empty cost interval at step {i + 1}: [{left:.6g}, {right:.6g}]",
-                interval=(left, right),
-            )
-        costs[i] = left + lam * (right - left)
-
-    contracts = tuple(
-        Contract(tau=t, reward=r, cost=c) for t, r, c in zip(taus, rewards, costs)
-    )
-    return Menu(support=tuple(types), contracts=contracts)
+    subgrads = _backward(-last.reward * deltas[-1], eps * deltas[:-1])
+    stuck = np.flatnonzero(~(subgrads[:-1] < subgrads[1:]))
+    if len(stuck):  # a slack too small to register leaves an empty cost interval
+        raise InfeasibleMenuError(f"empty cost interval above type {types[stuck[0]]:.6g}")
+    chords = (1.0 - lam) * subgrads[:-1] + lam * subgrads[1:]
+    values = _backward(terminal_utility, np.diff(types) * chords)
+    menu = _menu(types, taus, -subgrads / deltas, values, model)
+    return Menu(menu.support, menu.contracts[:-1] + (last,))
 
 
 def fixed_cost_feasible(tau1: float, tau2: float, model: TestModel) -> bool:

@@ -153,6 +153,19 @@ _SECTION_KEYS = {
         ),
     },
 }
+# The type of every population key, checked before the population is built.
+_POPULATION_KEYS = {
+    "lo": _NUMBER, "hi": _NUMBER, "n": _COUNT, "types": _NUMBERS, "weights": _NUMBERS,
+}
+
+
+def _checked_keys(chk: _Checker, name: str, section: Dict[str, Any], keys) -> bool:
+    """Fail every present key of ``section`` that breaks its check in ``keys``;
+    True when none does."""
+    bad = [key for key, (valid, _) in keys.items() if key in section and not valid(section[key])]
+    for key in bad:
+        chk.fail(f"/{name}/{key}", keys[key][1])
+    return not bad
 
 
 def parse_config(path) -> RunConfig:
@@ -222,7 +235,7 @@ def parse_config(path) -> RunConfig:
     if pop is not None:
         if not isinstance(pop, dict):
             chk.fail("/population", "must be an object")
-        else:
+        elif _checked_keys(chk, "population", pop, _POPULATION_KEYS):
             kind = pop.get("kind")
             try:
                 if kind == "discrete":
@@ -240,9 +253,7 @@ def parse_config(path) -> RunConfig:
         if not isinstance(section, dict):
             chk.fail(f"/{name}", "must be an object")
             section = {}
-        for key, (valid, message) in keys.items():
-            if key in section and not valid(section[key]):
-                chk.fail(f"/{name}/{key}", message)
+        _checked_keys(chk, name, section, keys)
         sections[name] = section
     menu = sections["menu"]
     if "method" in menu and menu["method"] not in BUILDER_METHODS:
@@ -509,7 +520,7 @@ def run(
     if command == "sensitivity":
         _require_sections(config, command, ["menu.path", "sensitivity.actual_theta1"])
         menu = _load_menu(config)
-        if len({c.reward for c in menu.contracts}) > 1:
+        if np.any(menu.rewards != menu.rewards[0]):
             msg = "sensitivity needs a constant-reward menu; the closed-form gap assumes one reward"
             raise ConfigError([("/menu/path", msg)])
         n_points = grid or config.sensitivity.get("points", DEFAULT_SWEEP_POINTS)

@@ -78,6 +78,10 @@ class Menu:
 
     support: Tuple[float, ...]
     contracts: Tuple[Contract, ...]
+    # Read-only contract columns in support order, built once from ``contracts``.
+    taus: np.ndarray = field(init=False, repr=False, compare=False)
+    rewards: np.ndarray = field(init=False, repr=False, compare=False)
+    costs: np.ndarray = field(init=False, repr=False, compare=False)
     _lines: Dict[TestModel, Tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -91,23 +95,29 @@ class Menu:
             raise ValueError("support must lie in [0, 1]")
         if any(b <= a for a, b in zip(self.support, self.support[1:])):
             raise ValueError("support must be strictly increasing")
+        columns = np.array([(c.tau, c.reward, c.cost) for c in self.contracts]).T.copy()
+        columns.flags.writeable = False
+        for name, column in zip(("taus", "rewards", "costs"), columns):
+            object.__setattr__(self, name, column)
 
     def lines(self, model: TestModel) -> Tuple[np.ndarray, np.ndarray]:
         """Read-only slope and intercept arrays of the contracts' utility
         lines under ``model``, computed once per model."""
         cached = self._lines.get(model)
         if cached is None:
-            terms = np.array([(c.tau, c.reward, c.cost) for c in self.contracts]).T
-            cached = self._lines[model] = _line(*terms, model)
+            cached = self._lines[model] = _line(self.taus, self.rewards, self.costs, model)
             for column in cached:
                 column.flags.writeable = False
         return cached
 
-    def contract_for(self, p: float) -> Contract:
+    def _index(self, p: float) -> int:
         try:
-            return self.contracts[self.support.index(p)]
+            return self.support.index(p)
         except ValueError:
             raise KeyError(f"report {p!r} is not in the menu support") from None
+
+    def contract_for(self, p: float) -> Contract:
+        return self.contracts[self._index(p)]
 
     def to_json(self) -> str:
         doc = {
@@ -305,12 +315,14 @@ def scoring_rule(menu: Menu, p: float, y: int, model: TestModel) -> float:
     """Realized payoff of report ``p`` when the proposal state is ``y``.
 
     ``y = 1`` means the proposal is null (ineffective), ``y = 0`` effective.
+    The payoffs are the ends of the report's utility line: S(p, 1) = slope +
+    intercept at q = 1 and S(p, 0) = intercept at q = 0.
     """
     if y not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {y!r}")
-    contract = menu.contract_for(p)
-    rate = contract.tau if y == 1 else power(model, contract.tau)
-    return contract.reward * rate - contract.cost
+    i = menu._index(p)
+    slopes, intercepts = menu.lines(model)
+    return float(slopes[i] + intercepts[i] if y == 1 else intercepts[i])
 
 
 def expected_score(menu: Menu, p: float, q: float, model: TestModel) -> float:

@@ -20,15 +20,12 @@ class InvalidPotentialError(StatMenusError, ValueError):
 class InfeasibleMenuError(StatMenusError, RuntimeError):
     """A requested menu construction is infeasible.
 
-    Attributes carry the quantitative reason when one exists, e.g. ``bound``
-    for an elicitable-range violation or ``interval`` for an empty cost
-    interval in the finite recursion.
+    ``bound`` carries the limiting type of an elicitable-range violation.
     """
 
-    def __init__(self, message, *, bound=None, interval=None):
+    def __init__(self, message, *, bound=None):
         super().__init__(message)
         self.bound = bound
-        self.interval = interval
 
 
 class ConfigError(StatMenusError, ValueError):

@@ -128,19 +128,24 @@ def screening_cost(
 ) -> float:
     """Expected surplus conceded relative to offering only the base contract.
 
-    Integrates the gap between the menu's utility envelope and the base
-    contract's utility over the population, which should lie inside the
-    range the menu was designed for.
+    Integrates the gap between the menu's surplus and the base contract's
+    over the population, which should lie inside the range the menu was
+    designed for.
     """
     points = population.points()
     _, best = best_response(points, *menu.lines(model))
-    return population.average(best - utility(points, base, model))
+    return population.average(_surplus(best) - _surplus(utility(points, base, model)))
 
 
 def information_rent(menu: Menu, population: TypePopulation, model: TestModel) -> float:
-    """Expected truthful-reporting utility left to agents under the menu."""
+    """Expected surplus left to agents under the menu."""
     _, best = best_response(population.points(), *menu.lines(model))
-    return population.average(best)
+    return population.average(_surplus(best))
+
+
+def _surplus(best: np.ndarray) -> np.ndarray:
+    """A type's best utility, or 0 when it opts out (below ``-PARTICIPATION_SLACK``)."""
+    return np.where(best < -PARTICIPATION_SLACK, 0.0, best)
 
 
 def principal_return(menu: Menu, base: Contract, q, model: TestModel):
@@ -152,7 +157,7 @@ def principal_return(menu: Menu, base: Contract, q, model: TestModel):
     qs = np.atleast_1d(_types(q))
     index, best = best_response(qs, *menu.lines(model))
     _require(qs, best >= -PARTICIPATION_SLACK, "type opts out of the menu (return undefined)")
-    taus, rewards, costs = np.array([(c.tau, c.reward, c.cost) for c in menu.contracts])[index].T
+    taus, rewards, costs = menu.taus[index], menu.rewards[index], menu.costs[index]
 
     def approve_prob(tau):
         return qs * tau + (1.0 - qs) * power(model, tau)
@@ -202,7 +207,6 @@ def _stratified_counts(weights: np.ndarray, size: int) -> np.ndarray:
 
 def _simulate_chunk(menu, population, model, size, seed_child, stratified):
     rng = np.random.default_rng(seed_child)
-    taus, rewards, costs = np.array([(c.tau, c.reward, c.cost) for c in menu.contracts]).T
 
     if population.kind == "discrete":
         types = np.array(population.types)
@@ -221,10 +225,10 @@ def _simulate_chunk(menu, population, model, size, seed_child, stratified):
 
     is_null = rng.random(size) < q
     pvals = sample_pvalues(model, is_null, rng)
-    approve = participate & (pvals <= taus[choice])
+    approve = participate & (pvals <= menu.taus[choice])
 
-    cash = float(np.sum(np.where(participate, costs[choice], 0.0))) - float(
-        np.sum(np.where(approve, rewards[choice], 0.0))
+    cash = float(np.sum(np.where(participate, menu.costs[choice], 0.0))) - float(
+        np.sum(np.where(approve, menu.rewards[choice], 0.0))
     )
     out = {
         "participating": int(participate.sum()),

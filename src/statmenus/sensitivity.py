@@ -60,7 +60,7 @@ class MisspecScenario:
         p, support = np.asarray(p, dtype=float), np.array(self.menu.support)
         i = np.minimum(np.searchsorted(support, p), len(support) - 1)
         off = support[i] != p
-        tau = np.where(off, 0.0, np.array([c.tau for c in self.menu.contracts])[i])
+        tau = np.where(off, 0.0, self.menu.taus[i])
         if off.any():
             tau[off] = optimal_threshold(p[off], self.objective, self.designed)
         return _float_or_array(tau)

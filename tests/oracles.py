@@ -171,3 +171,26 @@ def scalar_tau_bar(model):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def scalar_finite_menu(types, thresholds, terminal, eps, lam, model):
+    """Finite menu by the backward recursion, one type at a time: each reward
+    is the next one times the power-margin ratio plus the slack, and each cost
+    sits at fraction ``lam`` of its admissible interval."""
+    n = len(types)
+    eps = [float(eps)] * (n - 1) if np.ndim(eps) == 0 else [float(e) for e in eps]
+    betas = [sm.power(model, t) for t in thresholds]
+    deltas = [b - t for b, t in zip(betas, thresholds)]
+    rewards, costs = [0.0] * n, [0.0] * n
+    rewards[-1], costs[-1] = float(terminal[0]), float(terminal[1])
+    for i in range(n - 2, -1, -1):  # transition between types[i] and types[i+1]
+        rewards[i] = rewards[i + 1] * deltas[i + 1] / deltas[i] + eps[i]
+        slope_gap = rewards[i + 1] * deltas[i + 1] - rewards[i] * deltas[i]
+        base_term = rewards[i] * betas[i] - rewards[i + 1] * betas[i + 1] + costs[i + 1]
+        left = types[i + 1] * slope_gap + base_term
+        right = types[i] * slope_gap + base_term
+        if not right > left:
+            raise sm.InfeasibleMenuError(f"empty cost interval at step {i + 1}")
+        costs[i] = left + lam * (right - left)
+    contracts = tuple(sm.Contract(t, r, c) for t, r, c in zip(thresholds, rewards, costs))
+    return sm.Menu(support=tuple(types), contracts=contracts)

@@ -10,7 +10,7 @@ from statmenus import builders
 from statmenus.contracts import Contract
 from statmenus.errors import InfeasibleMenuError, InvalidPotentialError
 
-from oracles import recursive_simpson, scalar_optimal_threshold
+from oracles import recursive_simpson, scalar_finite_menu, scalar_optimal_threshold
 
 ALPHA = 0.25
 
@@ -260,9 +260,13 @@ def test_finite_menu_interval_width_and_midpoint(gm1, fdr25, five_types):
 
 
 def test_finite_menu_lambda_endpoints_warn(gm1, fdr25, five_types):
+    """An endpoint lam warns but still returns the recursion's menu."""
     taus = [sm.fdr_threshold(q, fdr25, gm1) for q in five_types]
-    with pytest.warns(UserWarning):
-        sm.build_finite_menu(five_types, taus, (100.0, 5.0), 50.0, lam=0.0, model=gm1)
+    for lam in (0.0, 1.0):
+        with pytest.warns(UserWarning):
+            menu = sm.build_finite_menu(five_types, taus, (100.0, 5.0), 50.0, lam=lam, model=gm1)
+        oracle = scalar_finite_menu(five_types, taus, (100.0, 5.0), 50.0, lam, gm1)
+        np.testing.assert_allclose(menu.costs, oracle.costs, rtol=1e-12, atol=0.0)
 
 
 def test_finite_menu_terminal_participation_enforced(gm1, fdr25, five_types):
@@ -301,6 +305,55 @@ def test_finite_menu_contract_ordering(gm1, five_type_menu, five_types):
                 assert hi_u > lo_u
             elif q <= five_types[i - 1]:
                 assert hi_u < lo_u
+
+
+@st.composite
+def finite_cases(draw):
+    """Types on a 0.005 grid in [0.3, 0.9] (interior FDR thresholds), a
+    scalar or per-step slack, an interior lam and a terminal contract that
+    leaves the worst type a nonnegative utility."""
+    model = draw(st.sampled_from([sm.gaussian_model(1.0), sm.gaussian_model(2.5)]))
+    steps = draw(st.lists(st.integers(0, 120), min_size=2, max_size=12, unique=True))
+    types = [0.3 + 0.005 * k for k in sorted(steps)]
+    taus = [sm.fdr_threshold(q, sm.fdr_objective(ALPHA), model) for q in types]
+    slack = st.floats(0.01, 50.0)
+    eps = draw(st.one_of(slack, st.lists(slack, min_size=len(types) - 1, max_size=len(types) - 1)))
+    lam = draw(st.floats(0.05, 0.95))
+    reward = draw(st.floats(1.0, 200.0))
+    cost = draw(st.floats(0.0, sm.zero_utility_cost(types[-1], taus[-1], reward, model)))
+    return model, types, taus, (reward, cost), eps, lam
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=finite_cases())
+def test_finite_menu_matches_scalar_recursion(case):
+    """The discrete potential reproduces the backward recursion: rewards and
+    costs to 1e-12, the same separation verdict, and the terminal contract
+    exactly as given."""
+    model, types, taus, terminal, eps, lam = case
+    menu = sm.build_finite_menu(types, taus, terminal, eps, lam=lam, model=model)
+    oracle = scalar_finite_menu(types, taus, terminal, eps, lam, model)
+    np.testing.assert_allclose(menu.rewards, oracle.rewards, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(menu.costs, oracle.costs, rtol=1e-12, atol=0.0)
+    assert menu.contracts[-1] == Contract(taus[-1], *terminal)
+    report = sm.verify_separating(menu, model=model)
+    assert report.passed == sm.verify_separating(oracle, model=model).passed
+
+
+def test_finite_menu_unregistered_slack_is_infeasible(gm1, fdr25, five_types):
+    """A slack too small to move a subgradient leaves an empty cost interval."""
+    taus = [sm.fdr_threshold(q, fdr25, gm1) for q in five_types]
+    with pytest.raises(InfeasibleMenuError, match="empty cost interval"):
+        sm.build_finite_menu(five_types, taus, (100.0, 5.0), 1e-300, lam=0.5, model=gm1)
+
+
+def test_menu_columns_are_read_only(five_type_menu):
+    columns = (five_type_menu.taus, five_type_menu.rewards, five_type_menu.costs)
+    expected = zip(*((c.tau, c.reward, c.cost) for c in five_type_menu.contracts))
+    for column, values in zip(columns, expected):
+        assert column.tolist() == list(values)
+        with pytest.raises(ValueError):
+            column[0] = 0.0
 
 
 # ---------------------------------------------------------------------------

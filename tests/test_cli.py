@@ -115,6 +115,7 @@ FIXED_MENU = {"method": "fixed_reward", "reward": 100, "q_lo": 0.43, "q_bar": 0.
 VARYING = {"/menu/method": "varying_reward", "/menu/q_lo": 0.3, "/menu/q_bar": 0.8}
 POTENTIAL = {"/menu/method": "potential", "/menu/values": [1, 0], "/menu/subgradients": [-2, -1]}
 FINITE = {"/menu/method": "finite"}
+GRID = {"kind": "uniform_grid", "lo": 0.1, "hi": 0.9, "n": 64}
 
 
 @pytest.mark.parametrize(
@@ -134,6 +135,12 @@ FINITE = {"/menu/method": "finite"}
         ("sensitivity", {"/sensitivity/points": -3}, "/sensitivity/points", "sensitivity.csv"),
         ("sensitivity", {"/sensitivity/points": 0}, "/sensitivity/points", "sensitivity.csv"),
         ("simulate", {"/simulation/stratified": "no"}, "/simulation/stratified", "simulation.json"),
+        ("thresholds", {"/population": {**GRID, "lo": "0.1"}}, "/population/lo", "thresholds.csv"),
+        ("thresholds", {"/population": {**GRID, "hi": [0.9]}}, "/population/hi", "thresholds.csv"),
+        ("thresholds", {"/population": {**GRID, "n": 64.7}}, "/population/n", "thresholds.csv"),
+        ("thresholds", {"/population": {**GRID, "n": 0}}, "/population/n", "thresholds.csv"),
+        ("thresholds", {"/population/types": [0.3, "0.5"]}, "/population/types", "thresholds.csv"),
+        ("thresholds", {"/population/weights": "even"}, "/population/weights", "thresholds.csv"),
     ],
 )
 def test_mistyped_config_value_is_config_error(

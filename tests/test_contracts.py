@@ -222,6 +222,14 @@ def test_score_null_outcome_zero_threshold(gm1):
     assert sm.scoring_rule(menu, 0.5, 0, gm1) == pytest.approx(-2.0)
 
 
+def test_score_is_the_contract_payoff(gm1, five_type_menu):
+    """S(p, 1) = R tau - c and S(p, 0) = R beta1(tau) - c, read off the lines."""
+    for p, c in zip(five_type_menu.support, five_type_menu.contracts):
+        null, effective = (sm.scoring_rule(five_type_menu, p, y, gm1) for y in (1, 0))
+        assert null == pytest.approx(c.reward * c.tau - c.cost, rel=1e-12)
+        assert effective == pytest.approx(c.reward * sm.power(gm1, c.tau) - c.cost, rel=1e-12)
+
+
 def test_score_unknown_report_rejected(gm1, five_type_menu):
     with pytest.raises(KeyError):
         sm.scoring_rule(five_type_menu, 0.33, 1, gm1)

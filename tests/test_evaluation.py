@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 import statmenus as sm
-from statmenus.contracts import PARTICIPATION_SLACK, Contract, Menu
+from statmenus.contracts import PARTICIPATION_SLACK, Contract, Menu, best_response
 
 
 def figure_family(gm1, fdr25, etas, n_support=65):
@@ -176,6 +176,26 @@ def test_information_rent_zero_utility_menu(gm1, fdr25):
 def test_information_rent_point_mass_at_worst_type(gm1, fixed_menu):
     pop = sm.discrete_population([0.86])
     assert sm.information_rent(fixed_menu, pop, gm1) == pytest.approx(0.0, abs=1e-8)
+
+
+def test_opted_out_types_add_no_rent(gm1, fixed_menu):
+    """Grid types above the menu range opt out and count as 0, not at their
+    negative best utility (which would give 8.4312)."""
+    pop = sm.uniform_population(0.0, 1.0, n=1025)
+    _, best = best_response(pop.points(), *fixed_menu.lines(gm1))
+    assert np.sum(best < -PARTICIPATION_SLACK) == 144
+    assert sm.information_rent(fixed_menu, pop, gm1) == pytest.approx(8.4478, abs=5e-5)
+
+
+def test_screening_cost_counts_opted_out_base_as_zero(gm1, fixed_menu):
+    """A base contract no type accepts concedes nothing, so the screening
+    cost is the menu's whole rent."""
+    pop = sm.uniform_population(0.43, 0.86, n=129)
+    worst = fixed_menu.contracts[-1]
+    refused = Contract(worst.tau, worst.reward, worst.cost + 1000.0)
+    rent = sm.information_rent(fixed_menu, pop, gm1)
+    assert rent > 0
+    assert sm.screening_cost(fixed_menu, refused, pop, gm1) == rent
 
 
 def test_information_rent_grows_with_effect_size(fdr25):
