@@ -44,6 +44,7 @@ from .errors import (
     InfeasibleMenuError,
     InvalidModelError,
     InvalidPotentialError,
+    ParticipationError,
     StatMenusError,
     UnsupportedModelError,
 )

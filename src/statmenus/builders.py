@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from ._quad import adaptive_simpson
-from .contracts import PARTICIPATION_SLACK, Contract, Menu, utility
+from .contracts import PARTICIPATION_SLACK, Contract, Menu, utility, zero_utility_cost
 from .errors import InfeasibleMenuError, InvalidPotentialError
 from .objectives import PrincipalObjective, _bisect, optimal_threshold, type_for_threshold
 from .testmodel import TestModel, _float_or_array, normal_cdf, power, power_derivative
@@ -225,7 +225,7 @@ def _menu(ps, taus, rewards, values, model: TestModel) -> Menu:
     """Contracts whose truthful utilities are the potential values: type p
     rejects with probability p tau + (1 - p) beta1(tau), so
     c_p = R_p [p tau + (1 - p) beta1(tau)] - G(p)."""
-    costs = rewards * (ps * taus + (1.0 - ps) * power(model, taus)) - values
+    costs = zero_utility_cost(ps, taus, rewards, model) - values
     contracts = tuple(
         Contract(tau=tau, reward=r, cost=c)
         for tau, r, c in zip(taus.tolist(), rewards.tolist(), costs.tolist())

@@ -18,10 +18,11 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -91,42 +92,76 @@ class RunConfig:
     output_dir: Optional[str]
 
 
-class _Checker:
-    def __init__(self):
-        self.errors: List[Tuple[str, str]] = []
-
-    def fail(self, pointer: str, message: str) -> None:
-        self.errors.append((pointer, message))
-
-    def require(self, cond: bool, pointer: str, message: str) -> bool:
-        if not cond:
-            self.fail(pointer, message)
-        return cond
-
-    def raise_if_failed(self) -> None:
-        if self.errors:
-            raise ConfigError(self.errors)
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    """A number a float holds finitely; ``json.loads`` also reads NaN, Infinity
+    and integers past the float range."""
+    return _is_int(x) and abs(x) <= sys.float_info.max or isinstance(x, float) and math.isfinite(x)
 
 
 def _is_nums(x) -> bool:
     return isinstance(x, list) and all(_is_num(v) for v in x)
 
 
+def _one_of(names):
+    names = tuple(names)
+    return (lambda x: x in names, f"must be one of: {', '.join(names)}")
+
+
 _NUMBER = (_is_num, "must be a number")
 _NUMBERS = (_is_nums, "must be a list of numbers")
+_STRING = (lambda x: isinstance(x, str), "must be a string")
 _COUNT = (lambda x: _is_int(x) and x >= 1, "must be a positive integer")
-# The type of every section key ``run`` reads; the builders check value ranges.
-_SECTION_KEYS = {
+_ERROR_COST = (lambda x: _is_num(x) and x >= 0, "must be a nonnegative number")
+# The constructor of each kind of test, objective and population, from its
+# section and the config's directory.
+_KINDS = {
+    "test": {
+        "gaussian_mean": lambda s, base: gaussian_model(s["theta1"]),
+        "tabulated": lambda s, base: (
+            tabulated_from_csv(base / s["csv"]) if "csv" in s
+            else tabulated_model(s["taus"], s["betas"])
+        ),
+    },
+    "objective": {
+        "fdr": lambda s, base: fdr_objective(s["alpha"]),
+        "bayes": lambda s, base: bayes_objective(s["omega0"], s["omega1"]),
+    },
+    "population": {
+        "discrete": lambda s, base: discrete_population(s["types"], s.get("weights")),
+        "uniform_grid": lambda s, base: uniform_population(s["lo"], s["hi"], s.get("n", 1024)),
+    },
+}
+# Every key of every section with its check. Ranges that tie keys together
+# (q_lo < q_bar, weights summing to 1, ...) and the builders' own ranges
+# (lambda in [0, 1], a positive reward) are left to the constructors and
+# builders.
+_SCHEMA = {
+    "test": {
+        "kind": _one_of(_KINDS["test"]),
+        "theta1": (lambda x: _is_num(x) and 0 < x <= 10, "must be a number in (0, 10]"),
+        "csv": _STRING,
+        "taus": _NUMBERS,
+        "betas": _NUMBERS,
+    },
+    "objective": {
+        "kind": _one_of(_KINDS["objective"]),
+        "alpha": (lambda x: _is_num(x) and 0 < x < 1, "must be a number in (0, 1)"),
+        "omega0": _ERROR_COST,
+        "omega1": _ERROR_COST,
+    },
+    "population": {
+        "kind": _one_of(_KINDS["population"]),
+        **dict.fromkeys(("lo", "hi"), _NUMBER),
+        "n": _COUNT,
+        **dict.fromkeys(("types", "weights"), _NUMBERS),
+    },
     "menu": {
-        "path": (lambda x: isinstance(x, str), "must be a string"),
+        "method": _one_of(BUILDER_METHODS),
+        "path": _STRING,
         "n": _COUNT,
         "epsilon": (lambda x: _is_num(x) or _is_nums(x), "must be a number or a list of numbers"),
         "etas": (
@@ -152,20 +187,22 @@ _SECTION_KEYS = {
             "must be a nonempty list of numbers in (0, 10]",
         ),
     },
+    "output": {"directory": _STRING},
 }
-# The type of every population key, checked before the population is built.
-_POPULATION_KEYS = {
-    "lo": _NUMBER, "hi": _NUMBER, "n": _COUNT, "types": _NUMBERS, "weights": _NUMBERS,
+# The keys with no default that each command and builder method reads.
+_NEEDS = {
+    "thresholds": ("population",),
+    "menu-build": ("menu/method",),
+    "menu-verify": ("menu/path",),
+    "frontier": ("population",),
+    "evaluate": ("population",),
+    "simulate": ("menu/path", "population", "simulation/n"),
+    "sensitivity": ("menu/path", "sensitivity/actual_theta1"),
+    "finite": ("population",),
+    "fixed_reward": ("menu/q_lo", "menu/q_bar"),
+    "varying_reward": ("menu/q_lo", "menu/q_bar"),
+    "potential": ("menu/points", "menu/values", "menu/subgradients"),
 }
-
-
-def _checked_keys(chk: _Checker, name: str, section: Dict[str, Any], keys) -> bool:
-    """Fail every present key of ``section`` that breaks its check in ``keys``;
-    True when none does."""
-    bad = [key for key, (valid, _) in keys.items() if key in section and not valid(section[key])]
-    for key in bad:
-        chk.fail(f"/{name}/{key}", keys[key][1])
-    return not bad
 
 
 def parse_config(path) -> RunConfig:
@@ -175,7 +212,6 @@ def parse_config(path) -> RunConfig:
     problem found.
     """
     path = Path(path)
-    chk = _Checker()
     try:
         raw = json.loads(path.read_text())
     except FileNotFoundError:
@@ -185,101 +221,41 @@ def parse_config(path) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError([("/", "top level must be an object")])
 
+    errors = []
     if raw.get("schema_version") != SCHEMA_VERSION:
-        chk.fail("/schema_version", f"must be {SCHEMA_VERSION}")
-
-    model = None
-    test = raw.get("test")
-    if not isinstance(test, dict):
-        chk.fail("/test", "required section")
-    else:
-        kind = test.get("kind")
-        if kind == "gaussian_mean":
-            theta = test.get("theta1")
-            if chk.require(_is_num(theta) and 0 < theta <= 10, "/test/theta1", "must be a number in (0, 10]"):
-                model = gaussian_model(theta)
-        elif kind == "tabulated":
-            try:
-                if "csv" in test:
-                    model = tabulated_from_csv(path.parent / test["csv"])
-                elif "taus" in test and "betas" in test:
-                    model = tabulated_model(test["taus"], test["betas"])
-                else:
-                    chk.fail("/test", "tabulated needs 'csv' or 'taus'+'betas'")
-            except (StatMenusError, OSError, TypeError) as exc:
-                chk.fail("/test", str(exc))
-        else:
-            chk.fail("/test/kind", "must be 'gaussian_mean' or 'tabulated'")
-
-    objective = None
-    obj = raw.get("objective")
-    if not isinstance(obj, dict):
-        chk.fail("/objective", "required section")
-    else:
-        kind = obj.get("kind")
-        if kind == "fdr":
-            alpha = obj.get("alpha")
-            if chk.require(_is_num(alpha) and 0 < alpha < 1, "/objective/alpha", "must be a number in (0, 1)"):
-                objective = fdr_objective(alpha)
-        elif kind == "bayes":
-            w0, w1 = obj.get("omega0"), obj.get("omega1")
-            ok = chk.require(_is_num(w0) and w0 >= 0, "/objective/omega0", "must be a nonnegative number")
-            ok &= chk.require(_is_num(w1) and w1 >= 0, "/objective/omega1", "must be a nonnegative number")
-            if ok and chk.require(w0 + w1 > 0, "/objective", "omega0 + omega1 must be positive"):
-                objective = bayes_objective(w0, w1)
-        else:
-            chk.fail("/objective/kind", "must be 'bayes' or 'fdr'")
-
-    population = None
-    pop = raw.get("population")
-    if pop is not None:
-        if not isinstance(pop, dict):
-            chk.fail("/population", "must be an object")
-        elif _checked_keys(chk, "population", pop, _POPULATION_KEYS):
-            kind = pop.get("kind")
-            try:
-                if kind == "discrete":
-                    population = discrete_population(pop["types"], pop.get("weights"))
-                elif kind == "uniform_grid":
-                    population = uniform_population(pop["lo"], pop["hi"], pop.get("n", 1024))
-                else:
-                    chk.fail("/population/kind", "must be 'discrete' or 'uniform_grid'")
-            except (KeyError, TypeError, ValueError) as exc:
-                chk.fail("/population", str(exc))
-
-    sections = {}
-    for name, keys in _SECTION_KEYS.items():
-        section = raw.get(name, {})
+        errors.append(("/schema_version", f"must be {SCHEMA_VERSION}"))
+    sections, built = {}, {}
+    for name, keys in _SCHEMA.items():
+        if name == "population" and raw.get(name) is None:
+            continue  # optional; the commands that read it require it
+        section = raw.get(name, None if name in _KINDS else {})
         if not isinstance(section, dict):
-            chk.fail(f"/{name}", "must be an object")
-            section = {}
-        _checked_keys(chk, name, section, keys)
+            errors.append((f"/{name}", "must be an object" if name in raw else "required section"))
+            continue
+        present = [k for k in keys if k in section or k == "kind"]  # a kind is required
+        bad = [k for k in present if not keys[k][0](section.get(k))]
+        errors += [(f"/{name}/{k}", keys[k][1]) for k in bad]
         sections[name] = section
-    menu = sections["menu"]
-    if "method" in menu and menu["method"] not in BUILDER_METHODS:
-        chk.fail("/menu/method", f"unknown builder method {menu['method']!r}; allowed: {', '.join(BUILDER_METHODS)}")
+        if name in _KINDS and not bad:
+            try:
+                built[name] = _KINDS[name][section["kind"]](section, path.parent)
+            except KeyError as exc:
+                errors.append((f"/{name}/{exc.args[0]}", f"required by kind {section['kind']!r}"))
+            except (OSError, ValueError) as exc:
+                errors.append((f"/{name}", str(exc)))
 
-    output_dir = None
-    out = raw.get("output", {})
-    if not isinstance(out, dict):
-        chk.fail("/output", "must be an object")
-    elif "directory" in out:
-        if isinstance(out["directory"], str):
-            output_dir = out["directory"]
-        else:
-            chk.fail("/output/directory", "must be a string")
-
-    chk.raise_if_failed()
+    if errors:
+        raise ConfigError(errors)
     return RunConfig(
         raw=raw,
         base_dir=path.parent,
-        model=model,
-        objective=objective,
-        population=population,
-        menu=menu,
+        model=built["test"],
+        objective=built["objective"],
+        population=built.get("population"),
+        menu=sections["menu"],
         simulation=sections["simulation"],
         sensitivity=sections["sensitivity"],
-        output_dir=output_dir,
+        output_dir=sections["output"].get("directory"),
     )
 
 
@@ -310,21 +286,17 @@ def _write_json(path: Path, stamp: str, doc: Dict[str, Any]) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _require_sections(config: RunConfig, command: str, needed: Sequence[str]) -> None:
-    errs = []
-    for name in needed:
-        present = {
-            "population": config.population is not None,
-            "menu.method": bool(config.menu.get("method")),
-            "menu.path": bool(config.menu.get("path")),
-            "simulation.n": "n" in config.simulation,
-            "simulation.seed": "seed" in config.simulation,
-            "sensitivity.actual_theta1": "actual_theta1" in config.sensitivity,
-        }[name]
-        if not present:
-            errs.append(("/" + name.replace(".", "/"), f"required by the {command} command"))
-    if errs:
-        raise ConfigError(errs)
+def _require(config: RunConfig, name: str) -> None:
+    """Fail at once for every key that command or builder method ``name`` reads
+    and the config leaves out."""
+    missing = []
+    for pointer in _NEEDS[name]:
+        section, _, key = pointer.partition("/")
+        value = getattr(config, section)
+        if value is None or key and key not in value:
+            missing.append((f"/{pointer}", f"required by {name}"))
+    if missing:
+        raise ConfigError(missing)
 
 
 def _load_menu(config: RunConfig) -> Menu:
@@ -337,58 +309,55 @@ def _load_menu(config: RunConfig) -> Menu:
         raise ConfigError([("/menu/path", f"malformed menu document {path}: {exc}")]) from None
 
 
-def _need(spec: Dict[str, Any], key: str) -> Any:
-    try:
-        return spec[key]
-    except KeyError:
-        raise ConfigError([(f"/menu/{key}", "required by this builder method")]) from None
-
-
 def _build_menu(config: RunConfig, grid: Optional[int]) -> Menu:
+    """Build the menu that ``config.menu`` names. A builder's plain ValueError is
+    a range check on the menu's values, so it is a config error at /menu."""
     method = config.menu["method"]
     spec = config.menu
     model = config.model
     objective = config.objective
-    if method == "finite":
-        _require_sections(config, "menu-build[finite]", ["population"])
-        if config.population.kind != "discrete":
-            raise ConfigError([("/population/kind", "finite construction needs discrete types")])
-        types, taus = zip(*threshold_map(config.population, objective, model))
-        return build_finite_menu(
-            types,
-            taus,
-            (spec.get("terminal_reward", 100.0), spec.get("terminal_cost", 0.0)),
-            spec.get("epsilon", 50.0),
-            lam=spec.get("lambda", 0.5),
-            model=model,
-        )
-    if method == "fixed_reward":
-        n = grid or spec.get("n", 129)
-        return build_fixed_reward(
-            spec.get("reward", 100.0), _need(spec, "q_lo"), _need(spec, "q_bar"),
-            objective, model, n=n,
-        )
-    if method == "varying_reward":
-        n = grid or spec.get("n", 65)
-        q_lo, q_bar = _need(spec, "q_lo"), _need(spec, "q_bar")
-        support = np.linspace(q_lo, q_bar, n)
-        taus = optimal_threshold(support, objective, model)
-        thresholds = list(zip(support.tolist(), taus.tolist()))
-        reward = spec.get("base_reward", 100.0)
-        tau_bar = thresholds[-1][1]
-        base = Contract(
-            tau=tau_bar, reward=reward, cost=zero_utility_cost(q_bar, tau_bar, reward, model)
-        )
-        return build_varying_reward(base, quadratic_schedule(spec.get("eta", 0.1)), thresholds, model)
-    if method == "potential":
-        potential = tabulated_potential(
-            _need(spec, "points"), _need(spec, "values"), _need(spec, "subgradients")
-        )
+    _require(config, method)
+    try:
+        if method == "finite":
+            if config.population.kind != "discrete":
+                msg = "finite construction needs discrete types"
+                raise ConfigError([("/population/kind", msg)])
+            types, taus = zip(*threshold_map(config.population, objective, model))
+            return build_finite_menu(
+                types,
+                taus,
+                (spec.get("terminal_reward", 100.0), spec.get("terminal_cost", 0.0)),
+                spec.get("epsilon", 50.0),
+                lam=spec.get("lambda", 0.5),
+                model=model,
+            )
+        if method == "fixed_reward":
+            n = grid or spec.get("n", 129)
+            return build_fixed_reward(
+                spec.get("reward", 100.0), spec["q_lo"], spec["q_bar"], objective, model, n=n
+            )
+        if method == "varying_reward":
+            n = grid or spec.get("n", 65)
+            q_bar = spec["q_bar"]
+            support = np.linspace(spec["q_lo"], q_bar, n)
+            taus = optimal_threshold(support, objective, model)
+            thresholds = list(zip(support.tolist(), taus.tolist()))
+            reward = spec.get("base_reward", 100.0)
+            tau_bar = thresholds[-1][1]
+            base = Contract(
+                tau=tau_bar, reward=reward, cost=zero_utility_cost(q_bar, tau_bar, reward, model)
+            )
+            schedule = quadratic_schedule(spec.get("eta", 0.1))
+            return build_varying_reward(base, schedule, thresholds, model)
+        potential = tabulated_potential(spec["points"], spec["values"], spec["subgradients"])
         points = np.asarray(spec["points"], dtype=float)
         taus = optimal_threshold(points, objective, model)
         thresholds = list(zip(points.tolist(), taus.tolist()))
         return build_from_potential(potential, thresholds, model)
-    raise ConfigError([("/menu/method", f"unknown builder method {method!r}")])
+    except StatMenusError:
+        raise
+    except ValueError as exc:
+        raise ConfigError([("/menu", str(exc))]) from None
 
 
 def run(
@@ -400,18 +369,17 @@ def run(
     grid: Optional[int] = None,
 ) -> int:
     """Execute one subcommand; returns the process exit code."""
+    _require(config, command)
     out_dir.mkdir(parents=True, exist_ok=True)
     stamp = _config_hash(config, seed, grid)
 
     if command == "thresholds":
-        _require_sections(config, command, ["population"])
         pairs = threshold_map(config.population, config.objective, config.model)
         _write_csv(out_dir / "thresholds.csv", stamp, ("q", "tau"), pairs)
         print(f"thresholds: wrote {len(pairs)} rows to {out_dir / 'thresholds.csv'}")
         return EXIT_OK
 
     if command == "menu-build":
-        _require_sections(config, command, ["menu.method"])
         menu = _build_menu(config, grid)
         menu.save(out_dir / "menu.json")
         print(
@@ -421,7 +389,6 @@ def run(
         return EXIT_OK
 
     if command == "menu-verify":
-        _require_sections(config, command, ["menu.path"])
         menu = _load_menu(config)
         margin = config.menu.get("margin", DEFAULT_IC_MARGIN)
         report = verify_separating(menu, model=config.model, margin=margin)
@@ -440,7 +407,9 @@ def run(
         return EXIT_OK if report.passed else EXIT_VERIFY
 
     if command == "frontier":
-        _require_sections(config, command, ["population"])
+        if config.population.kind != "discrete" or len(config.population.types) != 2:
+            msg = "frontier needs a discrete population of two types"
+            raise ConfigError([("/population", msg)])
         points = frontier(config.population, config.model, resolution=grid or 512)
         _write_csv(
             out_dir / "frontier.csv",
@@ -452,7 +421,6 @@ def run(
         return EXIT_OK
 
     if command == "evaluate":
-        _require_sections(config, command, ["population"])
         doc: Dict[str, Any] = {}
         if config.objective.kind == "bayes":
             doc["oracle_bayes_risk"] = oracle_bayes_risk(
@@ -494,7 +462,10 @@ def run(
         return EXIT_OK
 
     if command == "simulate":
-        _require_sections(config, command, ["menu.path", "population", "simulation.n"])
+        stratified = config.simulation.get("stratified", False)
+        if stratified and config.population.kind != "discrete":
+            msg = "stratified sampling needs a discrete population"
+            raise ConfigError([("/simulation/stratified", msg)])
         menu = _load_menu(config)
         n = config.simulation["n"]
         run_seed = seed if seed is not None else config.simulation.get("seed", 0)
@@ -504,7 +475,7 @@ def run(
             config.model,
             n=n,
             seed=run_seed,
-            stratified=config.simulation.get("stratified", False),
+            stratified=stratified,
             jobs=jobs,
         )
         doc = dataclasses.asdict(report)
@@ -517,24 +488,21 @@ def run(
         )
         return EXIT_OK
 
-    if command == "sensitivity":
-        _require_sections(config, command, ["menu.path", "sensitivity.actual_theta1"])
-        menu = _load_menu(config)
-        if np.any(menu.rewards != menu.rewards[0]):
-            msg = "sensitivity needs a constant-reward menu; the closed-form gap assumes one reward"
-            raise ConfigError([("/menu/path", msg)])
-        n_points = grid or config.sensitivity.get("points", DEFAULT_SWEEP_POINTS)
-        lo, hi = menu.support[0] + SWEEP_EDGE_BAND, menu.support[-1] - SWEEP_EDGE_BAND
-        rows = []
-        for theta in config.sensitivity["actual_theta1"]:
-            scenario = MisspecScenario(config.model, gaussian_model(theta), menu, config.objective)
-            sweep = sensitivity_sweep(scenario, np.linspace(lo, hi, n_points))
-            rows += [(theta, row.report, row.gap) for row in sweep]
-        _write_csv(out_dir / "sensitivity.csv", stamp, ("theta_actual", "p", "gap"), rows)
-        print(f"sensitivity: wrote {len(rows)} rows to {out_dir / 'sensitivity.csv'}")
-        return EXIT_OK
-
-    raise ConfigError([("/", f"unknown command {command!r}")])
+    # sensitivity
+    menu = _load_menu(config)
+    if np.any(menu.rewards != menu.rewards[0]):
+        msg = "sensitivity needs a constant-reward menu; the closed-form gap assumes one reward"
+        raise ConfigError([("/menu/path", msg)])
+    n_points = grid or config.sensitivity.get("points", DEFAULT_SWEEP_POINTS)
+    lo, hi = menu.support[0] + SWEEP_EDGE_BAND, menu.support[-1] - SWEEP_EDGE_BAND
+    rows = []
+    for theta in config.sensitivity["actual_theta1"]:
+        scenario = MisspecScenario(config.model, gaussian_model(theta), menu, config.objective)
+        sweep = sensitivity_sweep(scenario, np.linspace(lo, hi, n_points))
+        rows += [(theta, row.report, row.gap) for row in sweep]
+    _write_csv(out_dir / "sensitivity.csv", stamp, ("theta_actual", "p", "gap"), rows)
+    print(f"sensitivity: wrote {len(rows)} rows to {out_dir / 'sensitivity.csv'}")
+    return EXIT_OK
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -566,7 +534,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for pointer, message in exc.errors:
             print(f"config error at {pointer}: {message}", file=sys.stderr)
         return EXIT_CONFIG
-    except (StatMenusError, ValueError) as exc:
+    except StatMenusError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

@@ -166,10 +166,10 @@ def utility(q, contract: Contract, model: TestModel):
     return _float_or_array(q * slope + intercept)
 
 
-def zero_utility_cost(q: float, tau: float, reward: float, model: TestModel) -> float:
-    """Cost calibrated so a type-q agent gets zero utility: reward times the
-    agent's approval probability under ``tau`` (zero up to rounding, which
-    ``PARTICIPATION_SLACK`` absorbs)."""
+def zero_utility_cost(q, tau, reward, model: TestModel):
+    """Cost calibrated so a type-q agent gets zero utility, elementwise: reward
+    times the agent's approval probability q tau + (1 - q) beta1(tau) (zero up
+    to rounding, which ``PARTICIPATION_SLACK`` absorbs)."""
     return reward * (q * tau + (1.0 - q) * power(model, tau))
 
 

@@ -28,6 +28,10 @@ class InfeasibleMenuError(StatMenusError, RuntimeError):
         self.bound = bound
 
 
+class ParticipationError(StatMenusError, ValueError):
+    """A type opts out of a menu where the quantity asked for needs it to take a contract."""
+
+
 class ConfigError(StatMenusError, ValueError):
     """A run configuration failed validation.
 

@@ -17,7 +17,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .contracts import PARTICIPATION_SLACK, Contract, Menu, best_response, utility
+from .contracts import (
+    PARTICIPATION_SLACK, Contract, Menu, best_response, utility, zero_utility_cost
+)
+from .errors import ParticipationError
 from .objectives import TypePopulation, _fdr_bisection
 from .rates import bayes_risk, fdr, tdr
 from .testmodel import TestModel, _float_or_array, _require, _types, power, sample_pvalues
@@ -156,14 +159,11 @@ def principal_return(menu: Menu, base: Contract, q, model: TestModel):
     """
     qs = np.atleast_1d(_types(q))
     index, best = best_response(qs, *menu.lines(model))
-    _require(qs, best >= -PARTICIPATION_SLACK, "type opts out of the menu (return undefined)")
+    opted_out = "type opts out of the menu (return undefined)"
+    _require(qs, best >= -PARTICIPATION_SLACK, opted_out, ParticipationError)
     taus, rewards, costs = menu.taus[index], menu.rewards[index], menu.costs[index]
-
-    def approve_prob(tau):
-        return qs * tau + (1.0 - qs) * power(model, tau)
-
-    tailored = costs - rewards * approve_prob(taus)
-    baseline = base.cost - base.reward * approve_prob(base.tau)
+    tailored = costs - zero_utility_cost(qs, taus, rewards, model)
+    baseline = base.cost - zero_utility_cost(qs, base.tau, base.reward, model)
     simplified = -(best - utility(qs, base, model))
     gap = tailored - baseline - simplified
     _require(gap, ~(np.abs(gap) > _FORM_AGREEMENT_TOL), "return forms disagree", RuntimeError)

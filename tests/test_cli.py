@@ -1,10 +1,13 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 import statmenus as sm
+from statmenus import cli
 from statmenus.cli import main, parse_config
 from statmenus.errors import ConfigError
 
@@ -116,6 +119,7 @@ VARYING = {"/menu/method": "varying_reward", "/menu/q_lo": 0.3, "/menu/q_bar": 0
 POTENTIAL = {"/menu/method": "potential", "/menu/values": [1, 0], "/menu/subgradients": [-2, -1]}
 FINITE = {"/menu/method": "finite"}
 GRID = {"kind": "uniform_grid", "lo": 0.1, "hi": 0.9, "n": 64}
+NAN = float("nan")  # json.dumps writes the literal NaN, which json.loads reads back
 
 
 @pytest.mark.parametrize(
@@ -141,13 +145,22 @@ GRID = {"kind": "uniform_grid", "lo": 0.1, "hi": 0.9, "n": 64}
         ("thresholds", {"/population": {**GRID, "n": 0}}, "/population/n", "thresholds.csv"),
         ("thresholds", {"/population/types": [0.3, "0.5"]}, "/population/types", "thresholds.csv"),
         ("thresholds", {"/population/weights": "even"}, "/population/weights", "thresholds.csv"),
+        ("menu-build", {**FINITE, "/menu/epsilon": NAN}, "/menu/epsilon", "menu.json"),
+        ("menu-build", {"/menu/reward": float("inf")}, "/menu/reward", "menu.json"),
+        ("menu-build", {"/menu/q_lo": NAN}, "/menu/q_lo", "menu.json"),
+        ("menu-build", {"/menu/reward": 10**400}, "/menu/reward", "menu.json"),  # past float range
+        ("menu-verify", {"/menu/margin": NAN}, "/menu/margin", "verify_report.json"),
+        ("thresholds", {"/population": {**GRID, "lo": NAN}}, "/population/lo", "thresholds.csv"),
+        ("thresholds", {"/population/weights": [0.2, NAN, 0.2, 0.2, 0.2]}, "/population/weights",
+         "thresholds.csv"),
     ],
 )
 def test_mistyped_config_value_is_config_error(
     tmp_path, capsys, command, overrides, pointer, artifact
 ):
-    """Each value has the wrong type or is no positive count: exit 2 with its
-    pointer before any artifact is written (a valid menu.json is in place)."""
+    """Each value has the wrong type, is no positive count or is not finite:
+    exit 2 with its pointer before any artifact is written (a valid menu.json
+    is in place)."""
     menu = {**FIXED_MENU, "path": "menu.json"}
     good = write_config(tmp_path, {"/menu": menu})
     assert main(["menu-build", "--config", str(good), "--out", str(tmp_path)]) == 0
@@ -156,6 +169,62 @@ def test_mistyped_config_value_is_config_error(
     assert main([command, "--config", str(path), "--out", str(out)]) == 2
     assert f"config error at {pointer}:" in capsys.readouterr().err
     assert not (out / artifact).exists()
+
+
+@pytest.mark.parametrize(
+    "command, overrides, pointer, message, artifact",
+    [
+        ("menu-build", {"/menu": {**FIXED_MENU, "reward": -1}}, "/menu", "reward must be positive",
+         "menu.json"),
+        ("menu-build", {"/menu": {**FIXED_MENU, "q_lo": 0.9}}, "/menu", "q_lo < q_bar", "menu.json"),
+        ("menu-build", {"/menu/lambda": 2}, "/menu", "lam must lie in", "menu.json"),
+        ("frontier", {}, "/population", "two types", "frontier.csv"),
+        ("simulate", {"/population": GRID, "/simulation/stratified": True},
+         "/simulation/stratified", "discrete population", "simulation.json"),
+    ],
+)
+def test_config_value_out_of_range_is_config_error(
+    tmp_path, capsys, command, overrides, pointer, message, artifact
+):
+    """A range the builders or commands check on config values exits 2 with
+    its pointer and message, not 3 ("infeasible")."""
+    assert main(["menu-build", "--config", str(write_config(tmp_path)), "--out", str(tmp_path)]) == 0
+    path = write_config(tmp_path, overrides, name="bad.json")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error at {pointer}:" in err and message in err
+    assert not (out / artifact).exists()
+
+
+def test_opted_out_type_in_evaluate_is_infeasible(tmp_path, capsys):
+    """A population type that opts out of the menu has no principal return:
+    the menu does not serve that population, exit 3."""
+    assert main(["menu-build", "--config", str(write_config(tmp_path)), "--out", str(tmp_path)]) == 0
+    path = write_config(tmp_path, {"/population/types": [0.5, 1.0]}, name="evaluate.json")
+    assert main(["evaluate", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "opts out" in capsys.readouterr().err
+
+
+def test_unexpected_value_error_is_not_infeasible(tmp_path, monkeypatch):
+    """Only package errors exit 3; a plain ValueError is a fault and propagates."""
+
+    def broken(*args, **kwargs):
+        raise ValueError("fault outside any config check")
+
+    monkeypatch.setattr(cli, "threshold_map", broken)
+    path = write_config(tmp_path)
+    with pytest.raises(ValueError, match="fault outside"):
+        main(["thresholds", "--config", str(path), "--out", str(tmp_path)])
+
+
+def test_readme_schema_lists_every_config_key():
+    """The README's schema block names exactly the keys the parser checks."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Config schema (version 1)")[1].split("```")[1]
+    sections = cli._SCHEMA
+    expected = {"schema_version", *sections, *(k for keys in sections.values() for k in keys)}
+    assert set(re.findall(r'"(\w+)"\s*:', block)) == expected
 
 
 def test_cli_bad_config_exit_code(tmp_path, capsys):

@@ -247,11 +247,17 @@ def test_simulation_deterministic(gm1, five_type_menu, five_types):
     assert a != c
 
 
-def test_simulation_worker_count_invariant(gm1, five_type_menu, five_types):
-    pop = sm.discrete_population(five_types)
-    a = sm.simulate_population(five_type_menu, pop, gm1, n=150_000, seed=5, jobs=1)
-    b = sm.simulate_population(five_type_menu, pop, gm1, n=150_000, seed=5, jobs=4)
-    assert a == b
+@pytest.mark.parametrize("draws", ["discrete", "stratified", "uniform_grid"])
+def test_simulation_worker_count_invariant(gm1, five_type_menu, five_types, draws):
+    """n = 150,000 is two full chunks and a partial one."""
+    if draws == "uniform_grid":
+        pop = sm.uniform_population(0.2, 0.8, 64)
+    else:
+        pop = sm.discrete_population(five_types)
+    kwargs = dict(n=150_000, seed=5, stratified=draws == "stratified")
+    a = sm.simulate_population(five_type_menu, pop, gm1, jobs=1, **kwargs)
+    for jobs in (2, 3):
+        assert sm.simulate_population(five_type_menu, pop, gm1, jobs=jobs, **kwargs) == a
 
 
 def test_simulation_matches_oracle(gm1, fdr25, five_type_menu, five_types):
