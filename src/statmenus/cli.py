@@ -115,7 +115,7 @@ _NUMBER = (_is_num, "must be a number")
 _NUMBERS = (_is_nums, "must be a list of numbers")
 _STRING = (lambda x: isinstance(x, str), "must be a string")
 _COUNT = (lambda x: _is_int(x) and x >= 1, "must be a positive integer")
-_ERROR_COST = (lambda x: _is_num(x) and x >= 0, "must be a nonnegative number")
+_NONNEGATIVE = (lambda x: _is_num(x) and x >= 0, "must be a nonnegative number")
 # The constructor of each kind of test, objective and population, from its
 # section and the config's directory.
 _KINDS = {
@@ -150,8 +150,8 @@ _SCHEMA = {
     "objective": {
         "kind": _one_of(_KINDS["objective"]),
         "alpha": (lambda x: _is_num(x) and 0 < x < 1, "must be a number in (0, 1)"),
-        "omega0": _ERROR_COST,
-        "omega1": _ERROR_COST,
+        "omega0": _NONNEGATIVE,
+        "omega1": _NONNEGATIVE,
     },
     "population": {
         "kind": _one_of(_KINDS["population"]),
@@ -171,13 +171,14 @@ _SCHEMA = {
         **dict.fromkeys(("points", "values", "subgradients"), _NUMBERS),
         **dict.fromkeys(
             ("reward", "q_lo", "q_bar", "base_reward", "eta", "terminal_reward",
-             "terminal_cost", "lambda", "margin"),
+             "terminal_cost", "lambda"),
             _NUMBER,
         ),
+        "margin": _NONNEGATIVE,
     },
     "simulation": {
         "n": _COUNT,
-        "seed": (_is_int, "must be an integer"),
+        "seed": (lambda x: _is_int(x) and x >= 0, "must be a nonnegative integer"),
         "stratified": (lambda x: isinstance(x, bool), "must be true or false"),
     },
     "sensitivity": {
@@ -520,9 +521,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--grid", type=int, default=None, help="override grid/sweep resolution")
     args = parser.parse_args(argv)
 
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
+    floors = {"--jobs": (args.jobs, 1), "--seed": (args.seed, 0), "--grid": (args.grid, 1)}
+    for flag, (value, least) in floors.items():
+        if value is not None and value < least:
+            print(f"error: {flag} must be >= {least}", file=sys.stderr)
+            return EXIT_CONFIG
 
     try:
         config = parse_config(args.config)

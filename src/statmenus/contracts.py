@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,9 +82,6 @@ class Menu:
     taus: np.ndarray = field(init=False, repr=False, compare=False)
     rewards: np.ndarray = field(init=False, repr=False, compare=False)
     costs: np.ndarray = field(init=False, repr=False, compare=False)
-    _lines: Dict[TestModel, Tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if not self.support:
@@ -101,23 +98,15 @@ class Menu:
             object.__setattr__(self, name, column)
 
     def lines(self, model: TestModel) -> Tuple[np.ndarray, np.ndarray]:
-        """Read-only slope and intercept arrays of the contracts' utility
-        lines under ``model``, computed once per model."""
-        cached = self._lines.get(model)
-        if cached is None:
-            cached = self._lines[model] = _line(self.taus, self.rewards, self.costs, model)
-            for column in cached:
-                column.flags.writeable = False
-        return cached
-
-    def _index(self, p: float) -> int:
-        try:
-            return self.support.index(p)
-        except ValueError:
-            raise KeyError(f"report {p!r} is not in the menu support") from None
+        """Slope and intercept arrays of the contracts' utility lines under
+        ``model``, in support order; computed on each call."""
+        return _line(self.taus, self.rewards, self.costs, model)
 
     def contract_for(self, p: float) -> Contract:
-        return self.contracts[self._index(p)]
+        try:
+            return self.contracts[self.support.index(p)]
+        except ValueError:
+            raise KeyError(f"report {p!r} is not in the menu support") from None
 
     def to_json(self) -> str:
         doc = {
@@ -267,8 +256,11 @@ def verify_separating(
     For each q in ``support`` (default: the full menu support) requires
     psi(q; q) > psi(q; p) + margin for p != q and psi(q; q) >= 0, the latter
     up to ``PARTICIPATION_SLACK``.
-    Returns a report carrying the first violating pair rather than raising.
+    Returns a report carrying the first violating pair rather than raising. A
+    negative or NaN ``margin``, which would pass menus that break IC, raises.
     """
+    if not margin >= 0.0:
+        raise ValueError(f"IC margin must be nonnegative, got {margin!r}")
     if support is None:
         support = menu.support
     support = tuple(float(q) for q in support)
@@ -320,9 +312,9 @@ def scoring_rule(menu: Menu, p: float, y: int, model: TestModel) -> float:
     """
     if y not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {y!r}")
-    i = menu._index(p)
-    slopes, intercepts = menu.lines(model)
-    return float(slopes[i] + intercepts[i] if y == 1 else intercepts[i])
+    c = menu.contract_for(p)
+    slope, intercept = _line(c.tau, c.reward, c.cost, model)
+    return float(slope + intercept if y == 1 else intercept)
 
 
 def expected_score(menu: Menu, p: float, q: float, model: TestModel) -> float:

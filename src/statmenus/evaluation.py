@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
+# Rows of a simulation chunk's per-type count matrix.
+_TALLIES = ("agents", "participating", "null", "approved_null", "approved_nonnull")
 _FORM_AGREEMENT_TOL = 1e-10
 
 
@@ -205,48 +207,40 @@ def _stratified_counts(weights: np.ndarray, size: int) -> np.ndarray:
     return counts
 
 
-def _simulate_chunk(menu, population, model, size, seed_child, stratified):
+def _simulate_chunk(contracts, population, model, size, seed_child, stratified):
+    """One chunk of agents through the menu, given as its (slopes, intercepts,
+    taus, rewards, costs) columns. Returns the ``_TALLIES`` x types count
+    matrix and the principal's cash."""
+    slopes, intercepts, taus, rewards, costs = contracts
     rng = np.random.default_rng(seed_child)
 
     if population.kind == "discrete":
-        types = np.array(population.types)
+        n_types = len(population.types)
         if stratified:
             counts = _stratified_counts(np.array(population.weights), size)
-            type_idx = np.repeat(np.arange(len(types)), counts)
+            type_idx = np.repeat(np.arange(n_types), counts)
         else:
-            type_idx = rng.choice(len(types), size=size, p=np.array(population.weights))
-        q = types[type_idx]
+            type_idx = rng.choice(n_types, size=size, p=np.array(population.weights))
+        q = np.array(population.types)[type_idx]
     else:
-        type_idx = None
+        n_types = 1  # a continuous population is tallied as one type
+        type_idx = np.zeros(size, dtype=np.intp)
         q = rng.uniform(population.lo, population.hi, size=size)
 
-    choice, best = best_response(q, *menu.lines(model))
+    choice, best = best_response(q, slopes, intercepts)
     participate = best >= -PARTICIPATION_SLACK
 
     is_null = rng.random(size) < q
     pvals = sample_pvalues(model, is_null, rng)
-    approve = participate & (pvals <= menu.taus[choice])
+    approve = participate & (pvals <= taus[choice])
 
-    cash = float(np.sum(np.where(participate, menu.costs[choice], 0.0))) - float(
-        np.sum(np.where(approve, menu.rewards[choice], 0.0))
+    cash = float(np.sum(np.where(participate, costs[choice], 0.0))) - float(
+        np.sum(np.where(approve, rewards[choice], 0.0))
     )
-    out = {
-        "participating": int(participate.sum()),
-        "approved": int(approve.sum()),
-        "approved_null": int((approve & is_null).sum()),
-        "approved_nonnull": int((approve & ~is_null).sum()),
-        "cash": cash,
-    }
-    if type_idx is not None:
-        k = len(population.types)
-        out["per_type"] = {
-            "agents": np.bincount(type_idx, minlength=k),
-            "participating": np.bincount(type_idx[participate], minlength=k),
-            "null": np.bincount(type_idx[is_null], minlength=k),
-            "approved_null": np.bincount(type_idx[approve & is_null], minlength=k),
-            "approved_nonnull": np.bincount(type_idx[approve & ~is_null], minlength=k),
-        }
-    return out
+    tallied = [type_idx] + [
+        type_idx[mask] for mask in (participate, is_null, approve & is_null, approve & ~is_null)
+    ]
+    return np.array([np.bincount(idx, minlength=n_types) for idx in tallied]), cash
 
 
 def simulate_population(
@@ -275,11 +269,11 @@ def simulate_population(
     if n % _CHUNK:
         sizes.append(n % _CHUNK)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
-    menu.lines(model)  # computed once here; the chunks read the cached arrays
+    contracts = (*menu.lines(model), menu.taus, menu.rewards, menu.costs)
 
     def work(args):
         size, child = args
-        return _simulate_chunk(menu, population, model, size, child, stratified)
+        return _simulate_chunk(contracts, population, model, size, child, stratified)
 
     if jobs > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -287,11 +281,10 @@ def simulate_population(
     else:
         results = [work(a) for a in zip(sizes, children)]
 
-    participating = sum(r["participating"] for r in results)
-    approved = sum(r["approved"] for r in results)
-    approved_null = sum(r["approved_null"] for r in results)
-    approved_nonnull = sum(r["approved_nonnull"] for r in results)
-    cash = sum(r["cash"] for r in results)
+    counts = sum(chunk_counts for chunk_counts, _ in results)
+    cash = sum(chunk_cash for _, chunk_cash in results)  # in chunk order, for reproducible bits
+    _, participating, _, approved_null, approved_nonnull = counts.sum(axis=1).tolist()
+    approved = approved_null + approved_nonnull
 
     emp_fdr = approved_null / approved if approved else 0.0
     fdr_se = math.sqrt(emp_fdr * (1.0 - emp_fdr) / approved) if approved else 0.0
@@ -300,11 +293,9 @@ def simulate_population(
 
     per_type = None
     if population.kind == "discrete":
-        keys = ("agents", "participating", "null", "approved_null", "approved_nonnull")
-        totals = {k: sum(r["per_type"][k] for r in results) for k in keys}
         per_type = {
-            float(q): {k: int(totals[k][i]) for k in keys}
-            for i, q in enumerate(population.types)
+            float(q): dict(zip(_TALLIES, column))
+            for q, column in zip(population.types, counts.T.tolist())
         }
 
     return SimulationReport(

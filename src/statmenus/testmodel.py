@@ -89,7 +89,6 @@ class TestModel:
     _knots: Optional[Tuple[np.ndarray, np.ndarray]] = field(
         default=None, init=False, repr=False, compare=False
     )
-    _hash: int = field(default=0, init=False, repr=False, compare=False)
 
     __test__ = False  # keep pytest from collecting this as a test class
 
@@ -111,11 +110,6 @@ class TestModel:
             object.__setattr__(self, "_knots", knots)
         else:
             raise InvalidModelError(f"unknown model kind {self.kind!r}")
-        # Models key per-model caches; hashing a long table on every lookup is slow.
-        object.__setattr__(self, "_hash", hash((self.kind, self.theta1, self.table)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def taus(self) -> np.ndarray:
@@ -131,6 +125,8 @@ class TestModel:
 def _validate_table(table) -> None:
     if table is None or len(table) < 2:
         raise InvalidModelError("tabulated model needs at least the (0,0) and (1,1) knots")
+    if not np.isfinite(np.asarray(table, dtype=float)).all():
+        raise InvalidModelError("table knots must be finite")
     taus = [t for t, _ in table]
     betas = [b for _, b in table]
     if taus[0] != 0.0 or betas[0] != 0.0 or taus[-1] != 1.0 or betas[-1] != 1.0:

@@ -343,11 +343,3 @@ def test_sensitivity_sweep_matches_per_report_calls(gm1, fdr25, fixed_menu):
     ]
 
 
-def test_equal_tabulated_models_share_one_lines_entry(five_type_menu):
-    knots = np.linspace(0.0, 1.0, 258)
-    a = sm.tabulated_model(knots, knots**0.4)
-    b = sm.tabulated_model(knots.tolist(), (knots**0.4).tolist())
-    assert a is not b and a == b and hash(a) == hash(b)
-    menu = sm.Menu(five_type_menu.support, five_type_menu.contracts)
-    assert menu.lines(a) is menu.lines(b)
-    assert len(menu._lines) == 1

@@ -153,6 +153,8 @@ NAN = float("nan")  # json.dumps writes the literal NaN, which json.loads reads 
         ("thresholds", {"/population": {**GRID, "lo": NAN}}, "/population/lo", "thresholds.csv"),
         ("thresholds", {"/population/weights": [0.2, NAN, 0.2, 0.2, 0.2]}, "/population/weights",
          "thresholds.csv"),
+        ("menu-verify", {"/menu/margin": -10}, "/menu/margin", "verify_report.json"),
+        ("simulate", {"/simulation/seed": -3}, "/simulation/seed", "simulation.json"),
     ],
 )
 def test_mistyped_config_value_is_config_error(
@@ -169,6 +171,37 @@ def test_mistyped_config_value_is_config_error(
     assert main([command, "--config", str(path), "--out", str(out)]) == 2
     assert f"config error at {pointer}:" in capsys.readouterr().err
     assert not (out / artifact).exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("simulate", "--seed", "-1"),
+        ("frontier", "--grid", "-4"),
+        ("frontier", "--grid", "0"),
+        ("simulate", "--jobs", "0"),
+    ],
+)
+def test_out_of_range_flag_is_config_error(tmp_path, capsys, command, flag, value):
+    """A negative seed, or a grid or worker count below 1, exits 2 before the
+    output directory is made."""
+    path = write_config(tmp_path, {"/population/types": [0.3, 0.7]})
+    assert main(["menu-build", "--config", str(path), "--out", str(tmp_path)]) == 0
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out), flag, value]) == 2
+    assert f"{flag} must be >=" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_csv_knot_is_config_error(tmp_path, capsys):
+    """A NaN knot fails every comparison the table checks would make; it is
+    rejected at /test instead of giving tau = 1 for every type."""
+    (tmp_path / "curve.csv").write_text("tau,beta1\n0,0\nnan,0.5\n1,1\n")
+    path = write_config(tmp_path, {"/test": {"kind": "tabulated", "csv": "curve.csv"}})
+    out = tmp_path / "out"
+    assert main(["thresholds", "--config", str(path), "--out", str(out)]) == 2
+    assert "config error at /test: table knots must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

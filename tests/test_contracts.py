@@ -171,6 +171,24 @@ def test_verify_margin_sensitivity(gm1, five_type_menu):
     assert report.first_violation.p is not None
 
 
+def test_verify_rejects_negative_margin(gm1, fdr25):
+    """A negative margin would pass a menu that breaks IC: here type 0.3
+    gains 2.89 by reporting 0.7 once its own contract costs 5 more."""
+    types = (0.3, 0.7)
+    taus = [sm.fdr_threshold(q, fdr25, gm1) for q in types]
+    menu = sm.build_finite_menu(types, taus, (100.0, 5.0), 50.0, lam=0.5, model=gm1)
+    c0 = menu.contracts[0]
+    broken = Menu(menu.support, (Contract(c0.tau, c0.reward, c0.cost + 5.0), menu.contracts[1]))
+    report = sm.verify_separating(broken, model=gm1, margin=0.0)
+    assert not report.passed
+    assert (report.first_violation.q, report.first_violation.p) == (0.3, 0.7)
+    assert report.first_violation.gap == pytest.approx(-2.89, abs=0.01)
+    for margin in (-10.0, -1e-300, float("nan")):
+        with pytest.raises(ValueError, match="margin must be nonnegative"):
+            sm.verify_separating(broken, model=gm1, margin=margin)
+    assert sm.verify_separating(menu, model=gm1, margin=0.0).passed
+
+
 def test_verify_support_must_be_subset(gm1, five_type_menu):
     with pytest.raises(ValueError):
         sm.verify_separating(five_type_menu, support=[0.33], model=gm1)

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import statmenus as sm
+from statmenus import evaluation
 from statmenus.contracts import PARTICIPATION_SLACK, Contract, Menu, best_response
 
 
@@ -258,6 +261,79 @@ def test_simulation_worker_count_invariant(gm1, five_type_menu, five_types, draw
     a = sm.simulate_population(five_type_menu, pop, gm1, jobs=1, **kwargs)
     for jobs in (2, 3):
         assert sm.simulate_population(five_type_menu, pop, gm1, jobs=jobs, **kwargs) == a
+
+
+def _five_type_counts(*rows):
+    """Per-type counts keyed by type, one (agents, participating, null,
+    approved_null, approved_nonnull) row per type of the five-type menu."""
+    keys = ("agents", "participating", "null", "approved_null", "approved_nonnull")
+    return {q: dict(zip(keys, row)) for q, row in zip((0.3, 0.4, 0.5, 0.6, 0.7), rows)}
+
+
+@pytest.mark.parametrize(
+    "draws, totals, cash, per_type",
+    [
+        ("discrete", (70_000, 28_921, 7_285), "-0x1.121f65142044bp+19", _five_type_counts(
+            (14102, 14102, 4219, 3093, 9337), (13692, 13692, 5508, 2049, 6144),
+            (14213, 14213, 7106, 1319, 3761), (14091, 14091, 8510, 612, 1731),
+            (13902, 13902, 9705, 212, 663))),
+        ("stratified", (70_000, 29_061, 7_144), "-0x1.241dccc636b68p+19", _five_type_counts(
+            (14001, 14001, 4181, 3072, 9346), (14000, 14000, 5504, 2088, 6394),
+            (14000, 14000, 6938, 1177, 3736), (14000, 14000, 8444, 586, 1798),
+            (13999, 13999, 9810, 221, 643))),
+        ("uniform_grid", (70_000, 11_629, 2_944), "-0x1.914e46613e484p+17", None),
+    ],
+)
+def test_simulation_output_is_pinned(
+    gm1, five_type_menu, fixed_menu, five_types, draws, totals, cash, per_type
+):
+    """Every count and the cash's bits at one seed, over a full chunk and a
+    partial one: a refactor of the simulator must reproduce them exactly."""
+    if draws == "uniform_grid":
+        menu, pop = fixed_menu, sm.uniform_population(0.43, 0.86, 64)
+    else:
+        menu, pop = five_type_menu, sm.discrete_population(five_types)
+    report = sm.simulate_population(
+        menu, pop, gm1, n=70_000, seed=5, stratified=draws == "stratified"
+    )
+    assert (report.participating, report.approved, report.approved_null) == totals
+    assert report.principal_cash.hex() == cash
+    assert report.per_type == per_type
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 2_000),
+    jobs=st.sampled_from([2, 3]),
+    draws=st.sampled_from(["discrete", "stratified", "uniform_grid"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_simulation_chunks_add_up(gm1, five_type_menu, five_types, n, jobs, draws, seed):
+    """With 97-agent chunks, boundaries fall anywhere: the report is the same
+    for any worker count, the per-type columns add up to the totals, and the
+    totals nest (approved <= participating <= n)."""
+    if draws == "uniform_grid":
+        pop = sm.uniform_population(0.2, 0.8, 64)  # types above 0.7 opt out
+    else:
+        pop = sm.discrete_population(five_types, [0.1, 0.3, 0.2, 0.15, 0.25])
+    kwargs = dict(n=n, seed=seed, stratified=draws == "stratified")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "_CHUNK", 97)
+        report = sm.simulate_population(five_type_menu, pop, gm1, jobs=1, **kwargs)
+        assert sm.simulate_population(five_type_menu, pop, gm1, jobs=jobs, **kwargs) == report
+    approved_nonnull = round(report.empirical_tdr * n)
+    assert report.approved_null + approved_nonnull == report.approved
+    assert 0 <= report.approved <= report.participating <= n
+    if draws == "uniform_grid":
+        assert report.per_type is None
+        return
+    columns = report.per_type.values()
+    tally = {key: sum(c[key] for c in columns) for key in next(iter(columns))}
+    assert tally["agents"] == n
+    assert tally["participating"] == report.participating
+    assert tally["approved_null"] == report.approved_null
+    assert tally["approved_nonnull"] == approved_nonnull
+    assert all(c["null"] <= c["agents"] and c["participating"] <= c["agents"] for c in columns)
 
 
 def test_simulation_matches_oracle(gm1, fdr25, five_type_menu, five_types):

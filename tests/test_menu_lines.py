@@ -212,11 +212,8 @@ def test_best_response_tie_breaks_to_first_line():
     assert value.tolist() == [1.0, 0.5, 0.0, -0.5]
 
 
-def test_menu_lines_are_cached_and_read_only(five_type_menu, gm1):
+def test_menu_lines_match_utility(five_type_menu, gm1):
     slopes, intercepts = five_type_menu.lines(gm1)
-    assert five_type_menu.lines(gm1)[0] is slopes
-    with pytest.raises(ValueError):
-        slopes[0] = 0.0
     for p, c, s, b in zip(five_type_menu.support, five_type_menu.contracts, slopes, intercepts):
         assert p * s + b == sm.utility(p, c, gm1)
     assert five_type_menu == Menu(five_type_menu.support, five_type_menu.contracts)
@@ -227,12 +224,13 @@ def test_simulate_chunk_memory_is_bounded(fine_fixed_menu, gm1):
     (chunk x contracts) utility matrix, which alone would take 537 MB."""
     population = sm.uniform_population(0.43, 0.86)
     child = np.random.SeedSequence(3).spawn(1)[0]
-    fine_fixed_menu.lines(gm1)
+    menu = fine_fixed_menu
+    contracts = (*menu.lines(gm1), menu.taus, menu.rewards, menu.costs)
     tracemalloc.start()
     try:
-        out = _simulate_chunk(fine_fixed_menu, population, gm1, 1 << 16, child, False)
+        counts, _ = _simulate_chunk(contracts, population, gm1, 1 << 16, child, False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out["participating"] == 1 << 16
+    assert counts[:2, 0].tolist() == [1 << 16, 1 << 16]  # agents, participating
     assert peak < 64 * 2**20

@@ -222,6 +222,15 @@ def test_tabulated_validation():
         sm.tabulated_model([0.0, 0.3, 0.6, 1.0], [0.0, 0.5, 0.4, 1.0])
     with pytest.raises(InvalidModelError):  # trivial power at a knot
         sm.tabulated_model([0.0, 0.5, 1.0], [0.0, 0.5, 1.0])
+    nan, inf = float("nan"), float("inf")
+    for taus, betas in (
+        ([0.0, nan, 1.0], [0.0, 0.5, 1.0]),  # every comparison with a NaN tau is false
+        ([0.0, 0.5, 1.0], [0.0, nan, 1.0]),
+        ([0.0, 0.5, inf], [0.0, 0.6, 1.0]),
+        ([0.0, 0.5, 1.0], [0.0, 0.6, inf]),
+    ):
+        with pytest.raises(InvalidModelError, match="finite"):
+            sm.tabulated_model(taus, betas)
 
 
 def test_tabulated_interpolation():
