@@ -25,7 +25,9 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from ._quad import adaptive_simpson
-from .contracts import PARTICIPATION_SLACK, Contract, Menu, utility, zero_utility_cost
+from .contracts import (
+    PARTICIPATION_SLACK, Contract, Menu, utility, verify_separating, zero_utility_cost
+)
 from .errors import InfeasibleMenuError, InvalidPotentialError
 from .objectives import PrincipalObjective, _bisect, optimal_threshold, type_for_threshold
 from .testmodel import TestModel, _float_or_array, normal_cdf, power, power_derivative
@@ -233,6 +235,16 @@ def _menu(ps, taus, rewards, values, model: TestModel) -> Menu:
     return Menu(support=tuple(ps.tolist()), contracts=contracts)
 
 
+def _separating(menu: Menu, model: TestModel) -> Menu:
+    """``menu``, unless it fails ``verify_separating`` at the default IC
+    margin: thresholds with almost no power margin separate types by less
+    than the margin, however valid the potential."""
+    report = verify_separating(menu, model=model)
+    if not report.passed:
+        raise InfeasibleMenuError(f"menu does not separate: {report.describe()}")
+    return menu
+
+
 def build_from_potential(
     G: GPotential, thresholds: Sequence[Tuple[float, float]], model: TestModel
 ) -> Menu:
@@ -240,7 +252,7 @@ def build_from_potential(
     assignment on the same support."""
     ps, taus, deltas = _checked_thresholds(thresholds, model)
     values, subgrads = _checked_potential(G, ps, 0.0)
-    return _menu(ps, taus, -subgrads / deltas, values, model)
+    return _separating(_menu(ps, taus, -subgrads / deltas, values, model), model)
 
 
 def build_varying_reward(
@@ -367,7 +379,7 @@ def build_fixed_reward(
         )
     # The reward is passed as given: -g / delta can differ from it in the last bit.
     values = fixed_reward_potential(reward, q_bar, objective, model).values(support)
-    return _menu(support, taus, np.full(n, float(reward)), values, model)
+    return _separating(_menu(support, taus, np.full(n, float(reward)), values, model), model)
 
 
 def _backward(last: float, steps: np.ndarray) -> np.ndarray:
@@ -429,7 +441,8 @@ def build_finite_menu(
     chords = (1.0 - lam) * subgrads[:-1] + lam * subgrads[1:]
     values = _backward(terminal_utility, np.diff(types) * chords)
     menu = _menu(types, taus, -subgrads / deltas, values, model)
-    return Menu(menu.support, menu.contracts[:-1] + (last,))
+    menu = Menu(menu.support, menu.contracts[:-1] + (last,))
+    return menu if lam in (0.0, 1.0) else _separating(menu, model)
 
 
 def fixed_cost_feasible(tau1: float, tau2: float, model: TestModel) -> bool:

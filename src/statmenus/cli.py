@@ -500,6 +500,9 @@ def run(
     for theta in config.sensitivity["actual_theta1"]:
         scenario = MisspecScenario(config.model, gaussian_model(theta), menu, config.objective)
         sweep = sensitivity_sweep(scenario, np.linspace(lo, hi, n_points))
+        if not sweep:  # reports whose implied true type leaves (0, 1) are dropped
+            msg = f"{n_points} sweep points leave no report for actual_theta1 {theta:g}"
+            raise ConfigError([("--grid" if grid else "/sensitivity/points", msg)])
         rows += [(theta, row.report, row.gap) for row in sweep]
     _write_csv(out_dir / "sensitivity.csv", stamp, ("theta_actual", "p", "gap"), rows)
     print(f"sensitivity: wrote {len(rows)} rows to {out_dir / 'sensitivity.csv'}")

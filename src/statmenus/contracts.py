@@ -32,6 +32,9 @@ __all__ = [
     "utility",
     "zero_utility_cost",
     "best_response",
+    "Envelope",
+    "upper_envelope",
+    "envelope_response",
     "select",
     "verify_separating",
     "scoring_rule",
@@ -46,6 +49,8 @@ TIE_BREAK_RULE = "smallest-report"
 # Rows of the (types x contracts) utility block held at once; bounds the
 # memory of selection and verification independently of the menu size.
 _BLOCK_ROWS = 1 << 12
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # absorbs underflow in the rounding bounds
 
 
 @dataclass(frozen=True)
@@ -194,6 +199,120 @@ def best_response(
         best = np.take(slopes, chosen, out=value[start:stop])
         best *= q[start:stop]
         best += np.take(intercepts, chosen)
+    return index, value
+
+
+@dataclass(frozen=True, eq=False)
+class Envelope:
+    """Upper envelope of utility lines over the types [lo, hi].
+
+    ``lines`` are the indices of the lines that win somewhere, in increasing
+    slope, and ``breaks`` the types where each hands over to the next; both
+    are empty when the envelope could not be certified exact (see
+    ``upper_envelope``). ``tol`` bounds the rounding error of one
+    ``q * slope + intercept`` for q in [0, 1].
+    """
+
+    slopes: np.ndarray
+    intercepts: np.ndarray
+    lo: float
+    hi: float
+    tol: float
+    lines: np.ndarray
+    breaks: np.ndarray
+
+
+def _padded(slopes: np.ndarray, intercepts: np.ndarray, lines: np.ndarray):
+    """Slopes and intercepts of ``lines`` between two sentinel lines at -inf,
+    which give the end segments one neighbour."""
+    return np.r_[0.0, slopes[lines], 0.0], np.r_[-np.inf, intercepts[lines], -np.inf]
+
+
+def upper_envelope(slopes: np.ndarray, intercepts: np.ndarray, lo: float, hi: float) -> Envelope:
+    """The upper envelope of the lines ``q * slopes + intercepts`` for types
+    in [lo, hi], within [0, 1].
+
+    Sorts the lines by slope, keeps the first of identical lines (the
+    smallest report wins their ties), drops the lines that never win and
+    computes the breakpoints. The envelope is certified, and
+    ``envelope_response`` uses it, only when the breakpoints increase by
+    more than their rounding error, so that the exact envelope has the same
+    lines in the same order, and every dropped line stays more than
+    ``8 * tol`` below the envelope on [lo, hi].
+    """
+    n = len(slopes)
+    # |fl(fl(q s) + b) - (q s + b)| <= 3u (|s| + |b|) for |q| <= 1, u = eps / 2
+    tol = 2.0 * _EPS * float(np.max(np.abs(slopes)) + np.max(np.abs(intercepts))) + _TINY
+    uncertified = Envelope(slopes, intercepts, lo, hi, tol, np.empty(0, np.intp), np.empty(0))
+    if not math.isfinite(tol):
+        return uncertified
+
+    order = np.lexsort((np.arange(n), -intercepts, slopes))
+    s, b = slopes[order], intercepts[order]
+    first = np.r_[True, s[1:] != s[:-1]]  # largest intercept of its slope
+    head = np.maximum.accumulate(np.where(first, np.arange(n), 0))
+    twin = ~first & (b == b[head])  # identical to an earlier report: never selected
+    S, B = slopes.tolist(), intercepts.tolist()
+    hull: list = []
+    for j in order[first].tolist():
+        # The top line m never wins if j overtakes the line a below it no later than m does.
+        while len(hull) > 1:
+            a, m = hull[-2], hull[-1]
+            if (B[a] - B[j]) * (S[m] - S[a]) > (B[a] - B[m]) * (S[j] - S[a]):
+                break
+            hull.pop()
+        hull.append(j)
+    lines = np.array(hull, dtype=np.intp)
+    hs, hb = slopes[lines], intercepts[lines]
+    with np.errstate(all="ignore"):
+        breaks = (hb[:-1] - hb[1:]) / (hs[1:] - hs[:-1])
+        # Each break is within 4u |break| of the exact one (three roundings);
+        # twice that bound keeps their exact order.
+        rounding = 4.0 * _EPS * (np.abs(breaks[:-1]) + np.abs(breaks[1:])) + 4.0 * _TINY
+        if not (np.all(np.isfinite(breaks)) and np.all(np.diff(breaks) > rounding)):
+            return uncertified
+
+    # A dropped line comes closest to the envelope where the envelope's slope
+    # passes its own, clipped to [lo, hi]; there the two hull lines around
+    # that kink bound the envelope from below.
+    dropped = np.ones(n, dtype=bool)
+    dropped[lines] = False
+    dropped[order[twin]] = False
+    dropped = np.flatnonzero(dropped)
+    if len(dropped):
+        left = np.searchsorted(hs, slopes[dropped], side="right")  # 1..len(lines)
+        p = np.clip(np.r_[-np.inf, breaks, np.inf][left], lo, hi)
+        pad_s, pad_b = _padded(slopes, intercepts, lines)
+        below = np.maximum(p * pad_s[left] + pad_b[left], p * pad_s[left + 1] + pad_b[left + 1])
+        if not np.all(below - (p * slopes[dropped] + intercepts[dropped]) > 8.0 * tol):
+            return uncertified
+    return Envelope(slopes, intercepts, lo, hi, tol, lines, breaks)
+
+
+def envelope_response(q: np.ndarray, envelope: Envelope) -> Tuple[np.ndarray, np.ndarray]:
+    """``best_response(q, envelope.slopes, envelope.intercepts)``, bit for bit,
+    from the envelope line of each type's segment.
+
+    Each type's line and its two hull neighbours are scored with
+    ``best_response``'s own ``q * slope + intercept``. On a certified
+    envelope the lines' exact values at a type rise to one peak and fall, so
+    a line that leads both neighbours by more than ``2 * tol`` is the exact
+    and the rounded maximum. Other types (ties included), types outside
+    [lo, hi] and every type of an uncertified envelope go to
+    ``best_response``.
+    """
+    q = np.asarray(q, dtype=float)
+    e = envelope
+    if not len(e.lines):
+        return best_response(q, e.slopes, e.intercepts)
+    s, b = _padded(e.slopes, e.intercepts, e.lines)
+    k = np.searchsorted(e.breaks, q, side="right")
+    value = q * s[k + 1] + b[k + 1]
+    rival = np.maximum(q * s[k] + b[k], q * s[k + 2] + b[k + 2])
+    index = e.lines[k]
+    redo = np.flatnonzero(~((value - rival > 2.0 * e.tol) & (q >= e.lo) & (q <= e.hi)))
+    if len(redo):
+        index[redo], value[redo] = best_response(q[redo], e.slopes, e.intercepts)
     return index, value
 
 

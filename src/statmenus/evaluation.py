@@ -18,7 +18,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .contracts import (
-    PARTICIPATION_SLACK, Contract, Menu, best_response, utility, zero_utility_cost
+    PARTICIPATION_SLACK, Contract, Menu, best_response, envelope_response, upper_envelope,
+    utility, zero_utility_cost,
 )
 from .errors import ParticipationError
 from .objectives import TypePopulation, _fdr_bisection
@@ -207,11 +208,11 @@ def _stratified_counts(weights: np.ndarray, size: int) -> np.ndarray:
     return counts
 
 
-def _simulate_chunk(contracts, population, model, size, seed_child, stratified):
-    """One chunk of agents through the menu, given as its (slopes, intercepts,
-    taus, rewards, costs) columns. Returns the ``_TALLIES`` x types count
-    matrix and the principal's cash."""
-    slopes, intercepts, taus, rewards, costs = contracts
+def _simulate_chunk(menu, selection, population, model, size, seed_child, stratified):
+    """One chunk of agents through the menu. ``selection`` is the
+    ``best_response`` of a discrete population's types, or the menu's
+    ``Envelope`` over a continuous population's range. Returns the
+    ``_TALLIES`` x types count matrix and the principal's cash."""
     rng = np.random.default_rng(seed_child)
 
     if population.kind == "discrete":
@@ -222,20 +223,21 @@ def _simulate_chunk(contracts, population, model, size, seed_child, stratified):
         else:
             type_idx = rng.choice(n_types, size=size, p=np.array(population.weights))
         q = np.array(population.types)[type_idx]
+        choice, best = (per_type[type_idx] for per_type in selection)
     else:
         n_types = 1  # a continuous population is tallied as one type
         type_idx = np.zeros(size, dtype=np.intp)
         q = rng.uniform(population.lo, population.hi, size=size)
+        choice, best = envelope_response(q, selection)
 
-    choice, best = best_response(q, slopes, intercepts)
     participate = best >= -PARTICIPATION_SLACK
 
     is_null = rng.random(size) < q
     pvals = sample_pvalues(model, is_null, rng)
-    approve = participate & (pvals <= taus[choice])
+    approve = participate & (pvals <= menu.taus[choice])
 
-    cash = float(np.sum(np.where(participate, costs[choice], 0.0))) - float(
-        np.sum(np.where(approve, rewards[choice], 0.0))
+    cash = float(np.sum(np.where(participate, menu.costs[choice], 0.0))) - float(
+        np.sum(np.where(approve, menu.rewards[choice], 0.0))
     )
     tallied = [type_idx] + [
         type_idx[mask] for mask in (participate, is_null, approve & is_null, approve & ~is_null)
@@ -269,11 +271,16 @@ def simulate_population(
     if n % _CHUNK:
         sizes.append(n % _CHUNK)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
-    contracts = (*menu.lines(model), menu.taus, menu.rewards, menu.costs)
+    # Selection depends only on the type, so it is prepared once for all chunks.
+    lines = menu.lines(model)
+    if population.kind == "discrete":
+        selection = best_response(np.array(population.types), *lines)
+    else:
+        selection = upper_envelope(*lines, population.lo, population.hi)
 
     def work(args):
         size, child = args
-        return _simulate_chunk(contracts, population, model, size, child, stratified)
+        return _simulate_chunk(menu, selection, population, model, size, child, stratified)
 
     if jobs > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

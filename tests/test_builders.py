@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import statmenus as sm
@@ -354,6 +354,57 @@ def test_menu_columns_are_read_only(five_type_menu):
         assert column.tolist() == list(values)
         with pytest.raises(ValueError):
             column[0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# every builder on random problems
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def builder_cases(draw):
+    """A builder, an effect size theta1, an FDR budget alpha, a support of
+    types with interior thresholds, a reward and a slack (the varying-reward
+    eta or the finite menu's eps)."""
+    model = sm.gaussian_model(draw(st.floats(0.2, 6.0)))
+    alpha = draw(st.floats(0.02, 0.45))
+    objective = sm.fdr_objective(alpha)
+    # Types up to alpha meet the budget untested (threshold 1, no power margin).
+    above = draw(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=16, unique=True))
+    support = sorted({alpha + (0.99 - alpha) * u for u in above})
+    taus = [sm.optimal_threshold(q, objective, model) for q in support]
+    assume(len(support) > 1 and all(sm.power(model, tau) > tau for tau in taus))
+    method = draw(st.sampled_from(["fixed_reward", "varying_reward", "from_potential", "finite"]))
+    reward = draw(st.floats(1.0, 200.0))
+    slack = draw(st.floats(0.01, 20.0))
+    lam = draw(st.floats(0.05, 0.95))
+    return method, model, objective, support, taus, reward, slack, lam
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=builder_cases())
+def test_every_builder_separates_or_raises(case):
+    """No builder hands back a menu that fails verification at the default
+    margin: it separates or raises one of the two infeasibility errors."""
+    method, model, objective, support, taus, reward, slack, lam = case
+    thresholds = list(zip(support, taus))
+    q_bar, tau_bar = thresholds[-1]
+    terminal = (reward, sm.zero_utility_cost(q_bar, tau_bar, reward, model))
+    try:
+        if method == "fixed_reward":
+            menu = sm.build_fixed_reward(reward, support[0], q_bar, objective, model, len(support))
+        elif method == "varying_reward":
+            base = Contract(tau_bar, *terminal)
+            menu = sm.build_varying_reward(base, sm.quadratic_schedule(slack), thresholds, model)
+        elif method == "from_potential":
+            potential = sm.fixed_reward_potential(reward, q_bar, objective, model)
+            menu = sm.build_from_potential(potential, thresholds, model)
+        else:
+            menu = sm.build_finite_menu(support, taus, terminal, slack, lam=lam, model=model)
+    except (InfeasibleMenuError, InvalidPotentialError):
+        return
+    report = sm.verify_separating(menu, model=model, margin=1e-9)
+    assert report.passed, report.describe()
 
 
 # ---------------------------------------------------------------------------

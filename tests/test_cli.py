@@ -445,6 +445,30 @@ def test_sensitivity_command(tmp_path):
     assert len(thetas) == 2
 
 
+@pytest.mark.parametrize(
+    "flags, points, pointer",
+    [(["--grid", "1"], 64, "--grid"), ([], 1, "/sensitivity/points")],
+)
+def test_empty_sensitivity_sweep_exits_2(tmp_path, capsys, flags, points, pointer):
+    """A one-point sweep is the lowest report, whose implied true type leaves
+    (0, 1) when the actual effect is larger: a sweep without rows for an
+    effect size is an error at the setting that asked for it."""
+    path = write_config(
+        tmp_path,
+        {"/menu": {"method": "fixed_reward", "reward": 100, "q_lo": 0.43, "q_bar": 0.86, "n": 65,
+                   "path": "menu.json"}, "/sensitivity/points": points,
+         "/sensitivity/actual_theta1": [0.9, 1.1]},
+    )
+    assert main(["menu-build", "--config", str(path), "--out", str(tmp_path)]) == 0
+    out = ["--out", str(tmp_path)]
+    assert main(["sensitivity", "--config", str(path), *out, *flags]) == 2
+    assert f"config error at {pointer}:" in capsys.readouterr().err
+    assert not (tmp_path / "sensitivity.csv").exists()
+    assert main(["sensitivity", "--config", str(path), *out, "--grid", "2"]) == 0
+    thetas = [float(row[0]) for row in read_csv(tmp_path / "sensitivity.csv")[1]]
+    assert thetas == [0.9, 0.9, 1.1]
+
+
 def test_sensitivity_refuses_varying_rewards(tmp_path, capsys):
     """The closed-form gap holds for constant-reward menus only; the finite
     menu has one reward per type."""

@@ -20,6 +20,8 @@ from statmenus.contracts import (
     SeparationReport,
     Violation,
     best_response,
+    envelope_response,
+    upper_envelope,
 )
 from statmenus.evaluation import _simulate_chunk
 
@@ -219,18 +221,131 @@ def test_menu_lines_match_utility(five_type_menu, gm1):
     assert five_type_menu == Menu(five_type_menu.support, five_type_menu.contracts)
 
 
-def test_simulate_chunk_memory_is_bounded(fine_fixed_menu, gm1):
-    """A full chunk on a 1025-contract menu stays far below the
-    (chunk x contracts) utility matrix, which alone would take 537 MB."""
-    population = sm.uniform_population(0.43, 0.86)
+def _assert_envelope_exact(slopes, intercepts, lo, hi, q):
+    """Envelope selection returns blocked ``best_response``'s indices and value
+    bits at ``q``, at 0, 1, lo and hi, and at and beside every breakpoint."""
+    envelope = upper_envelope(slopes, intercepts, lo, hi)
+    breaks = np.clip(envelope.breaks, 0.0, 1.0)
+    q = np.concatenate(
+        [[0.0, 1.0, lo, hi], q, breaks, np.nextafter(breaks, 0.0), np.nextafter(breaks, 1.0)]
+    )
+    index, value = envelope_response(q, envelope)
+    expected_index, expected_value = best_response(q, slopes, intercepts)
+    assert np.array_equal(index, expected_index)
+    assert value.tobytes() == expected_value.tobytes()
+
+
+ranges = st.one_of(
+    st.just((0.0, 1.0)), st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=cases, data=st.data())
+def test_envelope_matches_best_response(case, data):
+    """On random, tied and perturbed menus, at the support and drawn types,
+    inside and outside the envelope's range."""
+    menu, model = case
+    drawn = data.draw(st.lists(st.floats(0.0, 1.0), max_size=40))
+    _assert_envelope_exact(*menu.lines(model), *data.draw(ranges), np.r_[menu.support, drawn])
+
+
+@st.composite
+def pencils(draw):
+    """Lines whose order near a type x only rounding decides, and types
+    crowding x. Either lines through (x, y) up to a few units in the last
+    place, with slopes far apart or a few units in the last place apart
+    (near-parallel); or tangents to a parabola at points a few units in the
+    last place apart, so that every line wins on a sliver around x."""
+    x = draw(st.floats(0.01, 0.99))
+    near = np.nextafter(x, 1.0) - x  # one unit in the last place of x
+    k = np.array(draw(st.lists(st.integers(-20, 20), min_size=1, max_size=12)), dtype=float)
+    if draw(st.booleans()):
+        y = draw(st.floats(-100.0, 100.0))
+        base = draw(st.floats(-200.0, 200.0))
+        step = draw(st.sampled_from([1.0, 1e-6, abs(base) * 2.0**-50 + 1e-300]))
+        slopes = base + step * k
+        nudges = draw(st.lists(st.integers(-3, 3), min_size=len(k), max_size=len(k)))
+        intercepts = y - slopes * x
+        intercepts += np.spacing(intercepts) * np.array(nudges)
+    else:
+        curvature = draw(st.floats(1.0, 1e6))
+        touch = x + near * draw(st.integers(1, 16)) * np.unique(k)
+        slopes, intercepts = 2.0 * curvature * touch, -curvature * touch**2
+    q = np.clip(x + near * np.arange(-40.0, 41.0), 0.0, 1.0)
+    return slopes, intercepts, q
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=pencils(), span=ranges)
+def test_envelope_matches_best_response_on_pencils(case, span):
+    slopes, intercepts, q = case
+    _assert_envelope_exact(slopes, intercepts, *span, q)
+
+
+def test_envelope_sends_ties_and_uncertain_menus_to_best_response(monkeypatch):
+    redone = []
+
+    def recording(q, slopes, intercepts):
+        redone.append(q.tolist())
+        return best_response(q, slopes, intercepts)
+
+    monkeypatch.setattr(contracts, "best_response", recording)
+    q = np.array([0.0, 0.25, 0.5, 1.0])
+    # test_best_response_tie_breaks_to_first_line's four lines, meeting at q = 0.5
+    slopes, intercepts = np.array([-1.0, -1.0, -2.0, -1.0]), np.array([0.5, 0.5, 1.0, 0.5])
+    ties = upper_envelope(slopes, intercepts, 0.0, 1.0)
+    assert ties.lines.tolist() == [2, 0] and ties.breaks.tolist() == [0.5]
+    index, value = envelope_response(q, ties)
+    assert index.tolist() == [2, 2, 0, 0]
+    assert value.tolist() == [1.0, 0.5, 0.0, -0.5]
+    assert redone == [[0.5]]
+    # Three distinct lines through one point: the middle one is dropped but
+    # touches the envelope, so no type is selected from the envelope.
+    pencil = upper_envelope(np.array([-3.0, -2.0, -1.0]), np.array([1.5, 1.0, 0.5]), 0.0, 1.0)
+    assert len(pencil.lines) == 0
+    index, _ = envelope_response(q, pencil)
+    assert index.tolist() == [0, 0, 0, 2]
+    assert redone[1:] == [q.tolist()]
+    # The same lines with the middle one lowered leave a certified envelope.
+    lowered = upper_envelope(np.array([-3.0, -2.0, -1.0]), np.array([1.5, 0.9, 0.5]), 0.0, 1.0)
+    assert lowered.lines.tolist() == [0, 2]
+
+
+def test_fine_menu_envelope_keeps_every_line(fine_fixed_menu, gm1):
+    """On a separating menu every contract wins on its own segment, and the
+    breakpoints separate consecutive reports."""
+    envelope = upper_envelope(*fine_fixed_menu.lines(gm1), 0.43, 0.86)
+    assert envelope.lines.tolist() == list(range(1025))
+    support = np.array(fine_fixed_menu.support)
+    assert np.all((support[:-1] < envelope.breaks) & (envelope.breaks < support[1:]))
+
+
+def _chunk_peak(menu, selection, population, model):
+    """Count matrix and traced peak bytes of one full simulation chunk."""
     child = np.random.SeedSequence(3).spawn(1)[0]
-    menu = fine_fixed_menu
-    contracts = (*menu.lines(gm1), menu.taus, menu.rewards, menu.costs)
     tracemalloc.start()
     try:
-        counts, _ = _simulate_chunk(contracts, population, gm1, 1 << 16, child, False)
-        peak = tracemalloc.get_traced_memory()[1]
+        counts, _ = _simulate_chunk(menu, selection, population, model, 1 << 16, child, False)
+        return counts, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_simulate_chunk_memory_is_bounded(fine_fixed_menu, gm1):
+    """A full chunk on a 1025-contract menu stays far below the (chunk x
+    contracts) utility matrix, which alone would take 537 MB, and below the
+    34 MB of one block of the blocked ``best_response``."""
+    population = sm.uniform_population(0.43, 0.86)
+    envelope = upper_envelope(*fine_fixed_menu.lines(gm1), population.lo, population.hi)
+    counts, peak = _chunk_peak(fine_fixed_menu, envelope, population, gm1)
     assert counts[:2, 0].tolist() == [1 << 16, 1 << 16]  # agents, participating
-    assert peak < 64 * 2**20
+    assert peak < 24 * 2**20
+
+
+def test_simulate_chunk_memory_is_bounded_per_type(five_type_menu, five_types, gm1):
+    population = sm.discrete_population(five_types)
+    per_type = best_response(np.array(five_types), *five_type_menu.lines(gm1))
+    counts, peak = _chunk_peak(five_type_menu, per_type, population, gm1)
+    assert counts[0].sum() == 1 << 16
+    assert peak < 24 * 2**20
