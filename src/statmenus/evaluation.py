@@ -18,8 +18,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .contracts import (
-    PARTICIPATION_SLACK, Contract, Menu, best_response, envelope_response, upper_envelope,
-    utility, zero_utility_cost,
+    PARTICIPATION_SLACK, Contract, Menu, best_response, envelope_response, upper_envelope, utility,
 )
 from .errors import ParticipationError
 from .objectives import TypePopulation, _fdr_bisection
@@ -43,7 +42,6 @@ __all__ = [
 _CHUNK = 1 << 16
 # Rows of a simulation chunk's per-type count matrix.
 _TALLIES = ("agents", "participating", "null", "approved_null", "approved_nonnull")
-_FORM_AGREEMENT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -155,22 +153,16 @@ def _surplus(best: np.ndarray) -> np.ndarray:
 
 
 def principal_return(menu: Menu, base: Contract, q, model: TestModel):
-    """Expected financial return from tailoring type q's contract vs the base (elementwise).
-
-    Computed both as the difference of (cost - reward * approval) brackets
-    and as the negated utility gap; the two must agree to 1e-10.
+    """Expected financial return from tailoring type q's contract vs the base
+    (elementwise): the principal's expected cash (cost minus reward times
+    approval) under the type's best contract less that under the base. This
+    equals the negated utility gap, which is what is computed.
     """
     qs = np.atleast_1d(_types(q))
-    index, best = best_response(qs, *menu.lines(model))
+    _, best = best_response(qs, *menu.lines(model))
     opted_out = "type opts out of the menu (return undefined)"
     _require(qs, best >= -PARTICIPATION_SLACK, opted_out, ParticipationError)
-    taus, rewards, costs = menu.taus[index], menu.rewards[index], menu.costs[index]
-    tailored = costs - zero_utility_cost(qs, taus, rewards, model)
-    baseline = base.cost - zero_utility_cost(qs, base.tau, base.reward, model)
-    simplified = -(best - utility(qs, base, model))
-    gap = tailored - baseline - simplified
-    _require(gap, ~(np.abs(gap) > _FORM_AGREEMENT_TOL), "return forms disagree", RuntimeError)
-    return _float_or_array(simplified.reshape(np.shape(q)))
+    return _float_or_array((-(best - utility(qs, base, model))).reshape(np.shape(q)))
 
 
 @dataclass(frozen=True)
@@ -211,7 +203,7 @@ def _stratified_counts(weights: np.ndarray, size: int) -> np.ndarray:
 def _simulate_chunk(menu, selection, population, model, size, seed_child, stratified):
     """One chunk of agents through the menu. ``selection`` is the
     ``best_response`` of a discrete population's types, or the menu's
-    ``Envelope`` over a continuous population's range. Returns the
+    ``Envelope`` for a continuous population. Returns the
     ``_TALLIES`` x types count matrix and the principal's cash."""
     rng = np.random.default_rng(seed_child)
 
@@ -276,7 +268,7 @@ def simulate_population(
     if population.kind == "discrete":
         selection = best_response(np.array(population.types), *lines)
     else:
-        selection = upper_envelope(*lines, population.lo, population.hi)
+        selection = upper_envelope(*lines)
 
     def work(args):
         size, child = args

@@ -10,7 +10,7 @@ the oracle value the menus are designed to match.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +37,11 @@ __all__ = [
 
 WEIGHT_SUM_TOL = 1e-12
 _BISECT_LO = 1e-12
-_BISECT_MAX_ITER = 200
+# Smallest normal double: the floor of a threshold over budget at 1e-12.
+_FLOOR = float(np.finfo(float).tiny)
+# A bracket of normal doubles in [_FLOOR, 1] reaches adjacent doubles in at
+# most 1,074 steps (1,022 halvings of its width, then 52 mantissa bits).
+_BISECT_MAX_ITER = 1100
 _SMALLEST_LEVEL = np.nextafter(0.0, 1.0)
 
 
@@ -125,10 +129,6 @@ class TypePopulation:
             return float(np.dot(np.array(self.weights), values))
         return float(np.trapezoid(values, self.points()) / (self.hi - self.lo))
 
-    def expectation(self, f: Callable[[float], float]) -> float:
-        """E[f(q)] under the population."""
-        return self.average([f(float(q)) for q in self.points()])
-
 
 def discrete_population(
     types: Sequence[float], weights: Optional[Sequence[float]] = None
@@ -169,7 +169,7 @@ def _bisect(below, lo, hi, *data, tol: float = 0.0):
     """Final ``(lo, hi)`` of brackets with ``below(lo)`` true and ``below(hi)``
     false. ``below(mid, *data)`` sees the live brackets' midpoints and ``data``
     only. A bracket stops once its midpoint is not strictly inside it, it is no
-    wider than a positive ``tol``, or after 200 steps."""
+    wider than a positive ``tol``, or after ``_BISECT_MAX_ITER`` steps."""
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     out_lo, out_hi, idx = lo.copy(), hi.copy(), np.arange(len(lo))
     for _ in range(_BISECT_MAX_ITER):
@@ -190,19 +190,23 @@ def _bisect(below, lo, hi, *data, tol: float = 0.0):
 
 
 def _fdr_bisection(q, alpha, model: TestModel) -> np.ndarray:
-    """Largest tau in [1e-12, 1] with FDR(q, tau) <= alpha, for types ``q``
-    broadcast against budgets ``alpha``. FDR is strictly increasing in tau for
-    concave nontrivial power, so bisection is globally safe."""
+    """Largest tau with FDR(q, tau) <= alpha, for types ``q`` broadcast
+    against budgets ``alpha``: bisected on [1e-12, 1], or on [_FLOOR, 1e-12]
+    for a type over budget at 1e-12; a type over budget at ``_FLOOR`` gets 0
+    (approve nothing). FDR is strictly increasing in tau for concave
+    nontrivial power, so bisection is globally safe."""
     q, alpha = np.broadcast_arrays(_types(q), np.asarray(alpha, dtype=float))
     shape, q, alpha = q.shape, q.ravel(), alpha.ravel()
     tau = np.where(q == 1.0, 0.0, 1.0)  # q = 0 and FDR(q, 1) <= alpha also give 1
     idx = np.flatnonzero((0.0 < q) & (q < 1.0))
     idx = idx[fdr(q[idx], 1.0, model) > alpha[idx]]
-    tau[idx] = _BISECT_LO
-    idx = idx[fdr(q[idx], _BISECT_LO, model) <= alpha[idx]]
+    over = fdr(q[idx, None], np.array([_BISECT_LO, _FLOOR]), model) > alpha[idx, None]
+    stuck = over.all(axis=1)
+    tau[idx[stuck]] = 0.0  # over budget at the floor too: approve nothing
+    over, idx = over[~stuck, 0], idx[~stuck]
     tau[idx], _ = _bisect(
         lambda mid, q, alpha: _fdr(q, mid, _power(model, mid)) <= alpha,
-        tau[idx], np.ones(len(idx)), q[idx], alpha[idx],
+        np.where(over, _FLOOR, _BISECT_LO), np.where(over, _BISECT_LO, 1.0), q[idx], alpha[idx],
     )
     return tau.reshape(shape)
 

@@ -55,7 +55,9 @@ def recursive_simpson(f, a, b, tol=1e-10, trace=None):
 
 
 def scalar_fdr_threshold(q, alpha, model):
-    """Largest threshold keeping FDR(q, tau) within alpha, by scalar bisection."""
+    """Largest threshold keeping FDR(q, tau) within alpha, by scalar bisection
+    on [1e-12, 1], or on [smallest normal double, 1e-12] for a type over
+    budget at 1e-12; 0 (approve nothing) when over budget at both."""
     if q == 0.0:
         return 1.0
     if q == 1.0:
@@ -64,7 +66,9 @@ def scalar_fdr_threshold(q, alpha, model):
         return 1.0
     lo, hi = objectives._BISECT_LO, 1.0
     if sm.fdr(q, lo, model) > alpha:
-        return lo
+        lo, hi = float(np.finfo(float).tiny), lo
+        if sm.fdr(q, lo, model) > alpha:
+            return 0.0
     for _ in range(objectives._BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -74,6 +78,17 @@ def scalar_fdr_threshold(q, alpha, model):
         else:
             hi = mid
     return lo
+
+
+def bracket_principal_return(menu, base, q, model):
+    """Principal's return at one type as the difference of its (cost - reward
+    * approval) brackets under the type's best contract and the base."""
+    contract = menu.contract_for(sm.select(q, menu, model).report)
+
+    def cash(c):
+        return c.cost - sm.zero_utility_cost(q, c.tau, c.reward, model)
+
+    return cash(contract) - cash(base)
 
 
 def scalar_bayes_threshold(q, omega0, omega1, model):

@@ -62,7 +62,9 @@ def type_arrays(draw):
 def test_fdr_threshold_matches_scalar_bisection(model, alpha, qs):
     objective = sm.fdr_objective(alpha)
     expected = [scalar_fdr_threshold(float(q), alpha, model) for q in qs]
-    assert sm.fdr_threshold(qs, objective, model).tolist() == expected
+    taus = sm.fdr_threshold(qs, objective, model)
+    assert taus.tolist() == expected
+    assert np.all((sm.fdr(qs, taus, model) <= alpha) | (taus == 0.0))
     assert sm.optimal_threshold(qs, objective, model).tolist() == expected
     assert objectives._fdr_bisection(qs[:, None], [alpha, alpha], model)[:, 1].tolist() == expected
 
@@ -75,8 +77,17 @@ def test_fdr_threshold_boundary_cases_and_clamp():
     assert taus.tolist() == [scalar_fdr_threshold(q, 0.25, steep) for q in qs.tolist()]
     assert taus[0] == taus[1] == taus[2] == 1.0  # q = 0 and FDR(q, 1) = q <= alpha
     assert taus[-1] == 0.0
-    assert taus[4] == taus[5] == objectives._BISECT_LO  # FDR(q, 1e-12) > alpha
+    # FDR(q, tau) = q / (q + 5 (1 - q)) > alpha for every tau below 0.01: approve nothing
+    assert taus[4] == taus[5] == 0.0
     assert objectives._BISECT_LO < taus[3] < 1.0
+    assert np.all((sm.fdr(qs, taus, steep) <= 0.25) | (taus == 0.0))
+    # Gaussian types over budget at 1e-12 bisect on [smallest normal, 1e-12]
+    weak = sm.gaussian_model(0.25)
+    qs = np.array([0.5, 0.7, 0.75, 0.9])
+    taus = sm.fdr_threshold(qs, objective, weak)
+    assert taus.tolist() == [scalar_fdr_threshold(q, 0.25, weak) for q in qs.tolist()]
+    assert np.all(sm.fdr(qs, taus, weak) <= 0.25)
+    assert np.finfo(float).tiny < taus[3] < taus[2] < taus[1] < objectives._BISECT_LO < taus[0]
 
 
 @settings(max_examples=100, deadline=None)

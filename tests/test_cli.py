@@ -380,6 +380,20 @@ def test_evaluate_command(tmp_path):
     assert len(rows) == 5
 
 
+def test_evaluate_large_reward_menu(tmp_path):
+    """At reward 1e8 the return's two algebraically equal forms differ by
+    about 7e-9 in rounding alone; evaluate computes one and exits 0."""
+    path = write_config(
+        tmp_path,
+        {"/menu": {"method": "fixed_reward", "reward": 1e8, "q_lo": 0.43, "q_bar": 0.86, "n": 33,
+                   "path": "menu.json"}},
+    )
+    assert main(["menu-build", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert main(["evaluate", "--config", str(path), "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "return_curve.csv")
+    assert len(rows) == 5
+
+
 def test_evaluate_varying_reward_family(tmp_path):
     """The family evaluation emits one nonpositive return column per eta."""
     path = write_config(

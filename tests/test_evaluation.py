@@ -10,6 +10,8 @@ import statmenus as sm
 from statmenus import evaluation
 from statmenus.contracts import PARTICIPATION_SLACK, Contract, Menu, best_response
 
+from oracles import bracket_principal_return
+
 
 def figure_family(gm1, fdr25, etas, n_support=65):
     """Varying-reward menus anchored at the worst-type contract for the
@@ -163,7 +165,7 @@ def test_screening_cost_is_negated_return_integral(gm1, fdr25):
     menu = menus[0.5]
     pop = sm.uniform_population(0.0, 0.8, n=257)
     cost = sm.screening_cost(menu, base, pop, gm1)
-    integral = pop.expectation(lambda q: sm.principal_return(menu, base, q, gm1))
+    integral = pop.average(sm.principal_return(menu, base, pop.points(), gm1))
     assert cost == pytest.approx(-integral, abs=1e-10)
 
 
@@ -229,6 +231,19 @@ def test_principal_return_family_nonpositive_and_vanishing(gm1, fdr25):
     for small, big in zip(etas, etas[1:]):
         assert all(a >= b - 1e-12 for a, b in zip(returns[small], returns[big]))
     assert max(abs(r) for r in returns[0.01]) < 0.1 * max(abs(r) for r in returns[1.0])
+
+
+@pytest.mark.parametrize("reward", [100.0, 1e8])
+def test_principal_return_matches_bracket_form(gm1, fdr25, reward):
+    """The utility gap equals the difference of cash brackets up to rounding
+    relative to the reward."""
+    menu = sm.build_fixed_reward(reward, 0.43, 0.86, fdr25, gm1, n=33)
+    base = menu.contracts[-1]
+    qs = np.linspace(0.3, 0.86, 29)
+    expected = [bracket_principal_return(menu, base, q, gm1) for q in qs.tolist()]
+    np.testing.assert_allclose(
+        sm.principal_return(menu, base, qs, gm1), expected, rtol=0.0, atol=1e-14 * reward
+    )
 
 
 def test_principal_return_requires_participation(gm1, five_type_menu):

@@ -3,6 +3,7 @@ the scalar loops they replaced, which live on here as exact oracles."""
 
 import functools
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import statmenus as sm
-from statmenus import contracts
+from statmenus import contracts, evaluation
 from statmenus.contracts import (
     DEFAULT_IC_MARGIN,
     PARTICIPATION_SLACK,
@@ -221,13 +222,20 @@ def test_menu_lines_match_utility(five_type_menu, gm1):
     assert five_type_menu == Menu(five_type_menu.support, five_type_menu.contracts)
 
 
-def _assert_envelope_exact(slopes, intercepts, lo, hi, q):
-    """Envelope selection returns blocked ``best_response``'s indices and value
-    bits at ``q``, at 0, 1, lo and hi, and at and beside every breakpoint."""
-    envelope = upper_envelope(slopes, intercepts, lo, hi)
-    breaks = np.clip(envelope.breaks, 0.0, 1.0)
+def _assert_envelope_exact(slopes, intercepts, q):
+    """A certified envelope's exact breakpoints increase, so every line wins
+    on a segment; and envelope selection returns blocked ``best_response``'s
+    indices and value bits at ``q``, at 0 and 1, and at and beside every
+    breakpoint."""
+    envelope = upper_envelope(slopes, intercepts)
+    breaks = np.empty(0)
+    if envelope.breaks is not None:
+        s, b = [Fraction(x) for x in slopes.tolist()], [Fraction(x) for x in intercepts.tolist()]
+        exact = [(b[i] - b[i + 1]) / (s[i + 1] - s[i]) for i in range(len(s) - 1)]
+        assert all(x < y for x, y in zip(exact, exact[1:]))
+        breaks = np.clip(envelope.breaks, 0.0, 1.0)
     q = np.concatenate(
-        [[0.0, 1.0, lo, hi], q, breaks, np.nextafter(breaks, 0.0), np.nextafter(breaks, 1.0)]
+        [[0.0, 1.0], q, breaks, np.nextafter(breaks, 0.0), np.nextafter(breaks, 1.0)]
     )
     index, value = envelope_response(q, envelope)
     expected_index, expected_value = best_response(q, slopes, intercepts)
@@ -235,31 +243,26 @@ def _assert_envelope_exact(slopes, intercepts, lo, hi, q):
     assert value.tobytes() == expected_value.tobytes()
 
 
-ranges = st.one_of(
-    st.just((0.0, 1.0)), st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted)
-)
-
-
 @settings(max_examples=300, deadline=None)
 @given(case=cases, data=st.data())
 def test_envelope_matches_best_response(case, data):
-    """On random, tied and perturbed menus, at the support and drawn types,
-    inside and outside the envelope's range."""
+    """On random, tied and perturbed menus, at the support and drawn types."""
     menu, model = case
     drawn = data.draw(st.lists(st.floats(0.0, 1.0), max_size=40))
-    _assert_envelope_exact(*menu.lines(model), *data.draw(ranges), np.r_[menu.support, drawn])
+    _assert_envelope_exact(*menu.lines(model), np.r_[menu.support, drawn])
 
 
 @st.composite
 def pencils(draw):
-    """Lines whose order near a type x only rounding decides, and types
-    crowding x. Either lines through (x, y) up to a few units in the last
-    place, with slopes far apart or a few units in the last place apart
-    (near-parallel); or tangents to a parabola at points a few units in the
-    last place apart, so that every line wins on a sliver around x."""
+    """Lines in increasing slope order whose order near a type x only
+    rounding decides, and types crowding x. Either lines through (x, y) up to
+    a few units in the last place, with slopes far apart or a few units in
+    the last place apart (near-parallel); or tangents to a parabola at points
+    a few units in the last place apart, so that every line wins on a sliver
+    around x."""
     x = draw(st.floats(0.01, 0.99))
     near = np.nextafter(x, 1.0) - x  # one unit in the last place of x
-    k = np.array(draw(st.lists(st.integers(-20, 20), min_size=1, max_size=12)), dtype=float)
+    k = np.unique(draw(st.lists(st.integers(-20, 20), min_size=1, max_size=12))).astype(float)
     if draw(st.booleans()):
         y = draw(st.floats(-100.0, 100.0))
         base = draw(st.floats(-200.0, 200.0))
@@ -270,17 +273,16 @@ def pencils(draw):
         intercepts += np.spacing(intercepts) * np.array(nudges)
     else:
         curvature = draw(st.floats(1.0, 1e6))
-        touch = x + near * draw(st.integers(1, 16)) * np.unique(k)
+        touch = x + near * draw(st.integers(1, 16)) * k
         slopes, intercepts = 2.0 * curvature * touch, -curvature * touch**2
     q = np.clip(x + near * np.arange(-40.0, 41.0), 0.0, 1.0)
     return slopes, intercepts, q
 
 
 @settings(max_examples=500, deadline=None)
-@given(case=pencils(), span=ranges)
-def test_envelope_matches_best_response_on_pencils(case, span):
-    slopes, intercepts, q = case
-    _assert_envelope_exact(slopes, intercepts, *span, q)
+@given(case=pencils())
+def test_envelope_matches_best_response_on_pencils(case):
+    _assert_envelope_exact(*case)
 
 
 def test_envelope_sends_ties_and_uncertain_menus_to_best_response(monkeypatch):
@@ -292,33 +294,79 @@ def test_envelope_sends_ties_and_uncertain_menus_to_best_response(monkeypatch):
 
     monkeypatch.setattr(contracts, "best_response", recording)
     q = np.array([0.0, 0.25, 0.5, 1.0])
-    # test_best_response_tie_breaks_to_first_line's four lines, meeting at q = 0.5
+    # Two lines meeting at q = 0.5: a certified envelope sends only the tie back.
+    two = upper_envelope(np.array([-2.0, -1.0]), np.array([1.0, 0.5]))
+    assert two.breaks.tolist() == [0.5]
+    index, value = envelope_response(q, two)
+    assert index.tolist() == [0, 0, 0, 1]
+    assert value.tolist() == [1.0, 0.5, 0.0, -0.5]
+    assert redone == [[0.5]]
+    # test_best_response_tie_breaks_to_first_line's four lines, meeting at
+    # q = 0.5: their slopes do not increase, so the whole menu goes back.
     slopes, intercepts = np.array([-1.0, -1.0, -2.0, -1.0]), np.array([0.5, 0.5, 1.0, 0.5])
-    ties = upper_envelope(slopes, intercepts, 0.0, 1.0)
-    assert ties.lines.tolist() == [2, 0] and ties.breaks.tolist() == [0.5]
+    ties = upper_envelope(slopes, intercepts)
+    assert ties.breaks is None
     index, value = envelope_response(q, ties)
     assert index.tolist() == [2, 2, 0, 0]
     assert value.tolist() == [1.0, 0.5, 0.0, -0.5]
-    assert redone == [[0.5]]
-    # Three distinct lines through one point: the middle one is dropped but
-    # touches the envelope, so no type is selected from the envelope.
-    pencil = upper_envelope(np.array([-3.0, -2.0, -1.0]), np.array([1.5, 1.0, 0.5]), 0.0, 1.0)
-    assert len(pencil.lines) == 0
-    index, _ = envelope_response(q, pencil)
-    assert index.tolist() == [0, 0, 0, 2]
     assert redone[1:] == [q.tolist()]
-    # The same lines with the middle one lowered leave a certified envelope.
-    lowered = upper_envelope(np.array([-3.0, -2.0, -1.0]), np.array([1.5, 0.9, 0.5]), 0.0, 1.0)
-    assert lowered.lines.tolist() == [0, 2]
+    # Three lines through one point, and the same lines with the middle one
+    # lowered, which never wins: the breakpoints do not increase, so the
+    # whole menu goes back.
+    for middle in (1.0, 0.9):
+        redone.clear()
+        fan = upper_envelope(np.array([-3.0, -2.0, -1.0]), np.array([1.5, middle, 0.5]))
+        assert fan.breaks is None
+        index, _ = envelope_response(q, fan)
+        assert index.tolist() == [0, 0, 0, 2]
+        assert redone == [q.tolist()]
+    # Rounded breakpoints 0.9000000000000001 < 0.9000000000000002 whose exact
+    # values decrease, so the middle line never wins; and breakpoints -1.25 <
+    # -2/3 of lines out of slope order, where line 0 wins on [0, 0.5] but is
+    # no neighbour of line 2's segment: neither is certified.
+    for slopes, intercepts in (
+        ([-3.75, 2.0, 4.75], [5.875000000000001, 0.6999999999999998, -1.7750000000000006]),
+        ([-1.0, -5.0, 1.0], [3.0, -2.0, 2.0]),
+    ):
+        slopes, intercepts = np.array(slopes), np.array(intercepts)
+        assert upper_envelope(slopes, intercepts).breaks is None
+        _assert_envelope_exact(slopes, intercepts, q)
+    # Tangents to 131 q^2 at 0.95 and 3 and 6 units in the last place above:
+    # certified, yet near 0.95 only rounding orders the lines, so the types
+    # there go back per row.
+    near = np.spacing(0.95)
+    touch = 0.95 + near * np.array([0.0, 3.0, 6.0])
+    slopes, intercepts = 2.0 * 131.0 * touch, -131.0 * touch**2
+    assert upper_envelope(slopes, intercepts).breaks is not None
+    _assert_envelope_exact(slopes, intercepts, 0.95 + near * np.arange(-10.0, 11.0))
 
 
 def test_fine_menu_envelope_keeps_every_line(fine_fixed_menu, gm1):
     """On a separating menu every contract wins on its own segment, and the
     breakpoints separate consecutive reports."""
-    envelope = upper_envelope(*fine_fixed_menu.lines(gm1), 0.43, 0.86)
-    assert envelope.lines.tolist() == list(range(1025))
+    envelope = upper_envelope(*fine_fixed_menu.lines(gm1))
+    assert envelope.breaks is not None and len(envelope.breaks) == 1024
     support = np.array(fine_fixed_menu.support)
     assert np.all((support[:-1] < envelope.breaks) & (envelope.breaks < support[1:]))
+
+
+def test_non_separating_menu_simulates_on_the_blocked_route(fixed_menu, gm1, monkeypatch):
+    """A continuous population on a menu with two costs swapped, which is not
+    separating and has no certified envelope, gets the blocked route's result."""
+    costs = [c.cost for c in fixed_menu.contracts]
+    costs[40], costs[80] = costs[80], costs[40]
+    swapped = Menu(
+        fixed_menu.support,
+        tuple(Contract(c.tau, c.reward, cost) for c, cost in zip(fixed_menu.contracts, costs)),
+    )
+    assert not sm.verify_separating(swapped, model=gm1).passed
+    assert upper_envelope(*swapped.lines(gm1)).breaks is None
+    population = sm.uniform_population(0.43, 0.86)
+    report = sm.simulate_population(swapped, population, gm1, n=70_000, seed=5)
+    monkeypatch.setattr(
+        evaluation, "envelope_response", lambda q, e: best_response(q, e.slopes, e.intercepts)
+    )
+    assert sm.simulate_population(swapped, population, gm1, n=70_000, seed=5) == report
 
 
 def _chunk_peak(menu, selection, population, model):
@@ -337,7 +385,7 @@ def test_simulate_chunk_memory_is_bounded(fine_fixed_menu, gm1):
     contracts) utility matrix, which alone would take 537 MB, and below the
     34 MB of one block of the blocked ``best_response``."""
     population = sm.uniform_population(0.43, 0.86)
-    envelope = upper_envelope(*fine_fixed_menu.lines(gm1), population.lo, population.hi)
+    envelope = upper_envelope(*fine_fixed_menu.lines(gm1))
     counts, peak = _chunk_peak(fine_fixed_menu, envelope, population, gm1)
     assert counts[:2, 0].tolist() == [1 << 16, 1 << 16]  # agents, participating
     assert peak < 24 * 2**20

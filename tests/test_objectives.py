@@ -53,9 +53,9 @@ def test_population_validation():
 
 def test_population_expectation():
     pop = sm.discrete_population([0.2, 0.6], [0.25, 0.75])
-    assert pop.expectation(lambda q: q) == pytest.approx(0.5)
+    assert pop.average(pop.points()) == pytest.approx(0.5)
     uni = sm.uniform_population(0.0, 1.0, n=4097)
-    assert uni.expectation(lambda q: q * q) == pytest.approx(1 / 3, abs=1e-6)
+    assert uni.average(uni.points() ** 2) == pytest.approx(1 / 3, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
