@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -32,9 +33,6 @@ __all__ = [
     "utility",
     "zero_utility_cost",
     "best_response",
-    "Envelope",
-    "upper_envelope",
-    "envelope_response",
     "select",
     "verify_separating",
     "scoring_rule",
@@ -124,11 +122,25 @@ class Menu:
 
     @staticmethod
     def from_json(text: str) -> "Menu":
+        """Parse ``to_json``'s document. A boolean, an integer past the float
+        range or any other non-number in ``support``, ``tau``, ``reward`` or
+        ``cost`` raises ``ValueError``."""
         doc = json.loads(text)
+
+        def numbers(name, values):
+            bad = [  # json.loads reads true/false as bools and integers of any size
+                x for x in values
+                if not (isinstance(x, float) or type(x) is int and abs(x) <= sys.float_info.max)
+            ]
+            if bad:
+                raise ValueError(f"menu {name} must be numbers, got {bad[0]!r}")
+            return tuple(values)
+
         contracts = tuple(
-            Contract(tau=c["tau"], reward=c["reward"], cost=c["cost"]) for c in doc["contracts"]
+            Contract(*numbers("contracts", (c["tau"], c["reward"], c["cost"])))
+            for c in doc["contracts"]
         )
-        return Menu(support=tuple(doc["support"]), contracts=contracts)
+        return Menu(support=numbers("support", doc["support"]), contracts=contracts)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -179,16 +191,11 @@ def _utility_blocks(q: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray):
         yield start, u
 
 
-def best_response(
+def _blocked_response(
     q: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Index and utility of the best line for each type in ``q``.
-
-    Ties break toward the first maximum, which is the smallest report
-    because menu supports are increasing. Opting out is left to the caller
-    (a best utility below ``-PARTICIPATION_SLACK``).
-    """
-    q = np.asarray(q, dtype=float)
+    """``best_response`` by an argmax over every (type, line) pair, in
+    fixed-size row blocks so that memory is bounded whatever the menu size."""
     index = np.empty(len(q), dtype=np.intp)
     value = np.empty(len(q))
     for start, u in _utility_blocks(q, slopes, intercepts):
@@ -202,32 +209,16 @@ def best_response(
     return index, value
 
 
-@dataclass(frozen=True, eq=False)
-class Envelope:
-    """Upper envelope of utility lines that each win on a segment, in the
-    order given.
+def _segments(slopes: np.ndarray, intercepts: np.ndarray) -> Tuple[Optional[np.ndarray], float]:
+    """Breakpoints of the lines ``q * slopes + intercepts`` as their own upper
+    envelope, each line winning on a segment in the order given, and the
+    rounding bound of one ``q * slope + intercept`` for q in [0, 1].
 
-    ``breaks[k]`` is the type where line k hands over to line k + 1; it is
-    None when the envelope could not be certified exact (see
-    ``upper_envelope``). ``tol`` bounds the rounding error of one
-    ``q * slope + intercept`` for q in [0, 1].
-    """
-
-    slopes: np.ndarray
-    intercepts: np.ndarray
-    tol: float
-    breaks: Optional[np.ndarray]
-
-
-def upper_envelope(slopes: np.ndarray, intercepts: np.ndarray) -> Envelope:
-    """The upper envelope of the lines ``q * slopes + intercepts`` when every
-    line wins on its own segment, in the order given.
-
-    A separating menu's lines do, in support order. The envelope is
-    certified, and ``envelope_response`` uses it, only when the slopes
-    strictly increase and the breakpoints of consecutive lines are finite
-    and increase by more than their rounding error, so that the exact
-    breakpoints increase too and no line is dropped.
+    A separating menu's lines are such an envelope, in support order. The
+    breakpoints (``breaks[k]`` hands line k over to line k + 1) are certified
+    only when the slopes strictly increase and the breakpoints are finite and
+    increase by more than their rounding error, so that the exact breakpoints
+    increase too and no line is dropped; otherwise they are None.
     """
     with np.errstate(all="ignore"):
         # |fl(fl(q s) + b) - (q s + b)| <= 3u (|s| + |b|) for |q| <= 1, u = eps / 2
@@ -242,32 +233,39 @@ def upper_envelope(slopes: np.ndarray, intercepts: np.ndarray) -> Envelope:
             and np.all(np.isfinite(breaks))
             and np.all(np.diff(breaks) > rounding)
         )
-    return Envelope(slopes, intercepts, tol, breaks if certified else None)
+    return (breaks if certified else None), tol
 
 
-def envelope_response(q: np.ndarray, envelope: Envelope) -> Tuple[np.ndarray, np.ndarray]:
-    """``best_response(q, envelope.slopes, envelope.intercepts)``, bit for bit,
-    from the line of each type's segment.
+def best_response(
+    q: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Index and utility of the best line for each type in ``q``.
 
-    Each type's line and its two neighbours are scored with
-    ``best_response``'s own ``q * slope + intercept``. On a certified
-    envelope the lines' exact values at a type rise to one peak and fall, so
-    a line that leads both neighbours by more than ``2 * tol`` is the exact
-    and the rounded maximum. Other types (ties included), types outside
-    [0, 1] and every type of an uncertified envelope go to ``best_response``.
+    Ties break toward the first maximum, which is the smallest report
+    because menu supports are increasing. Opting out is left to the caller
+    (a best utility below ``-PARTICIPATION_SLACK``).
+
+    When the lines are certified as their own upper envelope (``_segments``),
+    each type finds its segment by ``searchsorted`` and its line and the two
+    neighbours are scored with the same ``q * slope + intercept``. The
+    lines' exact values at a type then rise to one peak and fall, so a line
+    that leads both neighbours by more than twice the rounding bound is the
+    exact and the rounded maximum. Other types (ties included), types
+    outside [0, 1] and every type of uncertified lines go to the argmax
+    over all lines; both routes give the same indices and value bits.
     """
     q = np.asarray(q, dtype=float)
-    e = envelope
-    if e.breaks is None:
-        return best_response(q, e.slopes, e.intercepts)
+    breaks, tol = _segments(slopes, intercepts)
+    if breaks is None:
+        return _blocked_response(q, slopes, intercepts)
     # Two sentinel lines at -inf give the end segments one neighbour.
-    s, b = np.r_[0.0, e.slopes, 0.0], np.r_[-np.inf, e.intercepts, -np.inf]
-    index = np.searchsorted(e.breaks, q, side="right")
+    s, b = np.r_[0.0, slopes, 0.0], np.r_[-np.inf, intercepts, -np.inf]
+    index = np.searchsorted(breaks, q, side="right")
     value = q * s[index + 1] + b[index + 1]
     rival = np.maximum(q * s[index] + b[index], q * s[index + 2] + b[index + 2])
-    redo = np.flatnonzero(~((value - rival > 2.0 * e.tol) & (q >= 0.0) & (q <= 1.0)))
+    redo = np.flatnonzero(~((value - rival > 2.0 * tol) & (q >= 0.0) & (q <= 1.0)))
     if len(redo):
-        index[redo], value[redo] = best_response(q[redo], e.slopes, e.intercepts)
+        index[redo], value[redo] = _blocked_response(q[redo], slopes, intercepts)
     return index, value
 
 

@@ -17,9 +17,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .contracts import (
-    PARTICIPATION_SLACK, Contract, Menu, best_response, envelope_response, upper_envelope, utility,
-)
+from .contracts import PARTICIPATION_SLACK, Contract, Menu, best_response, utility
 from .errors import ParticipationError
 from .objectives import TypePopulation, _fdr_bisection
 from .rates import bayes_risk, fdr, tdr
@@ -202,9 +200,9 @@ def _stratified_counts(weights: np.ndarray, size: int) -> np.ndarray:
 
 def _simulate_chunk(menu, selection, population, model, size, seed_child, stratified):
     """One chunk of agents through the menu. ``selection`` is the
-    ``best_response`` of a discrete population's types, or the menu's
-    ``Envelope`` for a continuous population. Returns the
-    ``_TALLIES`` x types count matrix and the principal's cash."""
+    ``best_response`` of a discrete population's types, or the menu's lines
+    for a continuous population. Returns the ``_TALLIES`` x types count
+    matrix and the principal's cash."""
     rng = np.random.default_rng(seed_child)
 
     if population.kind == "discrete":
@@ -220,7 +218,7 @@ def _simulate_chunk(menu, selection, population, model, size, seed_child, strati
         n_types = 1  # a continuous population is tallied as one type
         type_idx = np.zeros(size, dtype=np.intp)
         q = rng.uniform(population.lo, population.hi, size=size)
-        choice, best = envelope_response(q, selection)
+        choice, best = best_response(q, *selection)
 
     participate = best >= -PARTICIPATION_SLACK
 
@@ -263,12 +261,10 @@ def simulate_population(
     if n % _CHUNK:
         sizes.append(n % _CHUNK)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
-    # Selection depends only on the type, so it is prepared once for all chunks.
-    lines = menu.lines(model)
+    # A discrete population's selection depends only on the type, so it is made once.
+    selection = menu.lines(model)
     if population.kind == "discrete":
-        selection = best_response(np.array(population.types), *lines)
-    else:
-        selection = upper_envelope(*lines)
+        selection = best_response(np.array(population.types), *selection)
 
     def work(args):
         size, child = args

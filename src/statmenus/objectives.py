@@ -58,7 +58,7 @@ class PrincipalObjective:
         if self.kind == "bayes":
             if self.omega0 is None or self.omega1 is None or self.alpha is not None:
                 raise ValueError("bayes objective takes omega0 and omega1 only")
-            if self.omega0 < 0.0 or self.omega1 < 0.0 or self.omega0 + self.omega1 <= 0.0:
+            if not (self.omega0 >= 0.0 and self.omega1 >= 0.0 and self.omega0 + self.omega1 > 0.0):
                 raise ValueError("error costs must be nonnegative with positive sum")
         elif self.kind == "fdr":
             if self.alpha is None or self.omega0 is not None or self.omega1 is not None:
@@ -103,9 +103,9 @@ class TypePopulation:
                 raise ValueError("types must be strictly increasing")
             if len(self.weights) != len(self.types):
                 raise ValueError("weights must match types")
-            if any(w < 0.0 for w in self.weights):
+            if any(not w >= 0.0 for w in self.weights):
                 raise ValueError("weights must be nonnegative")
-            if abs(sum(self.weights) - 1.0) > WEIGHT_SUM_TOL:
+            if not abs(sum(self.weights) - 1.0) <= WEIGHT_SUM_TOL:
                 raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}")
         elif self.kind == "uniform_grid":
             if self.lo is None or self.hi is None or not 0.0 <= self.lo < self.hi <= 1.0:

@@ -517,6 +517,32 @@ def test_non_finite_menu_is_config_error(tmp_path, capsys, command):
     assert "/menu/path" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["contracts"][2].update(reward=True, cost=False),
+        lambda doc: doc["contracts"][0].update(tau="0.01"),
+        lambda doc: doc["support"].__setitem__(0, False),
+        lambda doc: doc["contracts"][4].update(cost=None),
+        lambda doc: doc["contracts"][0].update(reward=10**400),
+    ],
+    ids=["bool-reward-cost", "string-tau", "bool-support", "null-cost", "huge-int-reward"],
+)
+def test_non_number_menu_entry_is_config_error(tmp_path, capsys, edit):
+    """JSON booleans are not read as 1 and 0, and an integer past the float
+    range is no number: the menu file fails at its path before the menu is
+    verified (a boolean reward and cost used to exit 4, the integer to raise
+    OverflowError)."""
+    path = write_config(tmp_path)
+    assert main(["menu-build", "--config", str(path), "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "menu.json").read_text())
+    edit(doc)
+    (tmp_path / "menu.json").write_text(json.dumps(doc))
+    assert main(["menu-verify", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "/menu/path" in capsys.readouterr().err
+    assert not (tmp_path / "verify_report.json").exists()
+
+
 def test_missing_builder_key_is_config_error(tmp_path, capsys):
     path = write_config(tmp_path, {"/menu": {"method": "fixed_reward", "reward": 100}})
     assert main(["menu-build", "--config", str(path), "--out", str(tmp_path)]) == 2

@@ -20,9 +20,9 @@ from statmenus.contracts import (
     SelectionOutcome,
     SeparationReport,
     Violation,
+    _blocked_response,
+    _segments,
     best_response,
-    envelope_response,
-    upper_envelope,
 )
 from statmenus.evaluation import _simulate_chunk
 
@@ -196,10 +196,10 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, rows):
     q = np.concatenate([rng.uniform(0.0, 1.0, 40), np.array(menu.support[:5])])
     slopes, intercepts = broken.lines(GM1)
 
-    whole_index, whole_value = best_response(q, slopes, intercepts)
+    whole_index, whole_value = _blocked_response(q, slopes, intercepts)
     whole_reports = [sm.verify_separating(m, model=GM1) for m in (menu, broken)]
     monkeypatch.setattr(contracts, "_BLOCK_ROWS", rows)
-    index, value = best_response(q, slopes, intercepts)
+    index, value = _blocked_response(q, slopes, intercepts)
     assert np.array_equal(index, whole_index)
     assert value.tobytes() == whole_value.tobytes()
     assert [sm.verify_separating(m, model=GM1) for m in (menu, broken)] == whole_reports
@@ -223,29 +223,31 @@ def test_menu_lines_match_utility(five_type_menu, gm1):
 
 
 def _assert_envelope_exact(slopes, intercepts, q):
-    """A certified envelope's exact breakpoints increase, so every line wins
-    on a segment; and envelope selection returns blocked ``best_response``'s
-    indices and value bits at ``q``, at 0 and 1, and at and beside every
-    breakpoint."""
-    envelope = upper_envelope(slopes, intercepts)
-    breaks = np.empty(0)
-    if envelope.breaks is not None:
+    """Certified lines' exact breakpoints increase, so every line wins on a
+    segment; and ``best_response`` returns ``_blocked_response``'s indices
+    and value bits at ``q``, at 0 and 1, and at and beside every breakpoint.
+    Returns the types checked."""
+    breaks, _ = _segments(slopes, intercepts)
+    if breaks is None:
+        breaks = np.empty(0)
+    else:
         s, b = [Fraction(x) for x in slopes.tolist()], [Fraction(x) for x in intercepts.tolist()]
         exact = [(b[i] - b[i + 1]) / (s[i + 1] - s[i]) for i in range(len(s) - 1)]
         assert all(x < y for x, y in zip(exact, exact[1:]))
-        breaks = np.clip(envelope.breaks, 0.0, 1.0)
+        breaks = np.clip(breaks, 0.0, 1.0)
     q = np.concatenate(
         [[0.0, 1.0], q, breaks, np.nextafter(breaks, 0.0), np.nextafter(breaks, 1.0)]
     )
-    index, value = envelope_response(q, envelope)
-    expected_index, expected_value = best_response(q, slopes, intercepts)
+    index, value = best_response(q, slopes, intercepts)
+    expected_index, expected_value = _blocked_response(q, slopes, intercepts)
     assert np.array_equal(index, expected_index)
     assert value.tobytes() == expected_value.tobytes()
+    return q
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=cases, data=st.data())
-def test_envelope_matches_best_response(case, data):
+def test_envelope_route_matches_blocked_route(case, data):
     """On random, tied and perturbed menus, at the support and drawn types."""
     menu, model = case
     drawn = data.draw(st.lists(st.floats(0.0, 1.0), max_size=40))
@@ -281,78 +283,122 @@ def pencils(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(case=pencils())
-def test_envelope_matches_best_response_on_pencils(case):
+def test_envelope_route_matches_blocked_route_on_pencils(case):
     _assert_envelope_exact(*case)
 
 
-def test_envelope_sends_ties_and_uncertain_menus_to_best_response(monkeypatch):
+def test_ties_and_uncertified_lines_take_the_blocked_route(monkeypatch):
     redone = []
 
     def recording(q, slopes, intercepts):
         redone.append(q.tolist())
-        return best_response(q, slopes, intercepts)
+        return _blocked_response(q, slopes, intercepts)
 
-    monkeypatch.setattr(contracts, "best_response", recording)
+    monkeypatch.setattr(contracts, "_blocked_response", recording)
     q = np.array([0.0, 0.25, 0.5, 1.0])
-    # Two lines meeting at q = 0.5: a certified envelope sends only the tie back.
-    two = upper_envelope(np.array([-2.0, -1.0]), np.array([1.0, 0.5]))
-    assert two.breaks.tolist() == [0.5]
-    index, value = envelope_response(q, two)
+    # Two lines meeting at q = 0.5: certified, so only the tie goes back.
+    slopes, intercepts = np.array([-2.0, -1.0]), np.array([1.0, 0.5])
+    assert _segments(slopes, intercepts)[0].tolist() == [0.5]
+    index, value = best_response(q, slopes, intercepts)
     assert index.tolist() == [0, 0, 0, 1]
     assert value.tolist() == [1.0, 0.5, 0.0, -0.5]
     assert redone == [[0.5]]
     # test_best_response_tie_breaks_to_first_line's four lines, meeting at
-    # q = 0.5: their slopes do not increase, so the whole menu goes back.
+    # q = 0.5: their slopes do not increase, so every type goes back.
+    redone.clear()
     slopes, intercepts = np.array([-1.0, -1.0, -2.0, -1.0]), np.array([0.5, 0.5, 1.0, 0.5])
-    ties = upper_envelope(slopes, intercepts)
-    assert ties.breaks is None
-    index, value = envelope_response(q, ties)
+    assert _segments(slopes, intercepts)[0] is None
+    index, value = best_response(q, slopes, intercepts)
     assert index.tolist() == [2, 2, 0, 0]
     assert value.tolist() == [1.0, 0.5, 0.0, -0.5]
-    assert redone[1:] == [q.tolist()]
+    assert redone == [q.tolist()]
     # Three lines through one point, and the same lines with the middle one
-    # lowered, which never wins: the breakpoints do not increase, so the
-    # whole menu goes back.
+    # lowered, which never wins: the breakpoints do not increase, so every
+    # type goes back.
     for middle in (1.0, 0.9):
         redone.clear()
-        fan = upper_envelope(np.array([-3.0, -2.0, -1.0]), np.array([1.5, middle, 0.5]))
-        assert fan.breaks is None
-        index, _ = envelope_response(q, fan)
+        slopes, intercepts = np.array([-3.0, -2.0, -1.0]), np.array([1.5, middle, 0.5])
+        assert _segments(slopes, intercepts)[0] is None
+        index, _ = best_response(q, slopes, intercepts)
         assert index.tolist() == [0, 0, 0, 2]
         assert redone == [q.tolist()]
     # Rounded breakpoints 0.9000000000000001 < 0.9000000000000002 whose exact
     # values decrease, so the middle line never wins; and breakpoints -1.25 <
     # -2/3 of lines out of slope order, where line 0 wins on [0, 0.5] but is
-    # no neighbour of line 2's segment: neither is certified.
+    # no neighbour of line 2's segment: neither is certified, and every type
+    # goes back.
     for slopes, intercepts in (
         ([-3.75, 2.0, 4.75], [5.875000000000001, 0.6999999999999998, -1.7750000000000006]),
         ([-1.0, -5.0, 1.0], [3.0, -2.0, 2.0]),
     ):
+        redone.clear()
         slopes, intercepts = np.array(slopes), np.array(intercepts)
-        assert upper_envelope(slopes, intercepts).breaks is None
-        _assert_envelope_exact(slopes, intercepts, q)
+        assert _segments(slopes, intercepts)[0] is None
+        checked = _assert_envelope_exact(slopes, intercepts, q)
+        assert redone == [checked.tolist()]
     # Tangents to 131 q^2 at 0.95 and 3 and 6 units in the last place above:
-    # certified, yet near 0.95 only rounding orders the lines, so the types
-    # there go back per row.
+    # certified, yet the lines stay within twice the rounding bound of one
+    # another on all of [0, 1], so every type goes back as a near-tie.
+    redone.clear()
     near = np.spacing(0.95)
     touch = 0.95 + near * np.array([0.0, 3.0, 6.0])
     slopes, intercepts = 2.0 * 131.0 * touch, -131.0 * touch**2
-    assert upper_envelope(slopes, intercepts).breaks is not None
-    _assert_envelope_exact(slopes, intercepts, 0.95 + near * np.arange(-10.0, 11.0))
+    assert _segments(slopes, intercepts)[0] is not None
+    checked = _assert_envelope_exact(slopes, intercepts, 0.95 + near * np.arange(-10.0, 11.0))
+    assert redone == [checked.tolist()]
+
+
+def test_one_line_menu_and_no_types_match_the_blocked_route():
+    for q, slopes, intercepts in (
+        (np.array([0.0, 0.3, 1.0]), [-1.5], [0.75]),
+        (np.empty(0), [-2.0, -1.0], [1.0, 0.5]),
+    ):
+        slopes, intercepts = np.array(slopes), np.array(intercepts)
+        index, value = best_response(q, slopes, intercepts)
+        expected_index, expected_value = _blocked_response(q, slopes, intercepts)
+        assert index.dtype == expected_index.dtype and np.array_equal(index, expected_index)
+        assert value.dtype == expected_value.dtype
+        assert value.tobytes() == expected_value.tobytes()
 
 
 def test_fine_menu_envelope_keeps_every_line(fine_fixed_menu, gm1):
     """On a separating menu every contract wins on its own segment, and the
     breakpoints separate consecutive reports."""
-    envelope = upper_envelope(*fine_fixed_menu.lines(gm1))
-    assert envelope.breaks is not None and len(envelope.breaks) == 1024
+    breaks, _ = _segments(*fine_fixed_menu.lines(gm1))
+    assert breaks is not None and len(breaks) == 1024
     support = np.array(fine_fixed_menu.support)
-    assert np.all((support[:-1] < envelope.breaks) & (envelope.breaks < support[1:]))
+    assert np.all((support[:-1] < breaks) & (breaks < support[1:]))
+
+
+def _without_certification(monkeypatch):
+    """Every later ``best_response`` takes the blocked route."""
+    monkeypatch.setattr(contracts, "_segments", lambda slopes, intercepts: (None, 0.0))
+
+
+def test_evaluators_on_the_envelope_match_the_blocked_route(fine_fixed_menu, gm1, monkeypatch):
+    """Screening cost, rent and return on the fine menu's certified lines
+    equal the blocked route's, bit for bit."""
+    population = sm.uniform_population(0.43, 0.86)
+    base = fine_fixed_menu.contracts[-1]
+    points = population.points()
+
+    def evaluate():
+        return (
+            sm.screening_cost(fine_fixed_menu, base, population, gm1),
+            sm.information_rent(fine_fixed_menu, population, gm1),
+            sm.principal_return(fine_fixed_menu, base, points, gm1).tobytes(),
+        )
+
+    assert _segments(*fine_fixed_menu.lines(gm1))[0] is not None
+    on_envelope = evaluate()
+    _without_certification(monkeypatch)
+    assert evaluate() == on_envelope
 
 
 def test_non_separating_menu_simulates_on_the_blocked_route(fixed_menu, gm1, monkeypatch):
     """A continuous population on a menu with two costs swapped, which is not
-    separating and has no certified envelope, gets the blocked route's result."""
+    separating and whose lines are not certified, gets the blocked route's
+    result; so does the separating menu, whose lines are."""
     costs = [c.cost for c in fixed_menu.contracts]
     costs[40], costs[80] = costs[80], costs[40]
     swapped = Menu(
@@ -360,13 +406,13 @@ def test_non_separating_menu_simulates_on_the_blocked_route(fixed_menu, gm1, mon
         tuple(Contract(c.tau, c.reward, cost) for c, cost in zip(fixed_menu.contracts, costs)),
     )
     assert not sm.verify_separating(swapped, model=gm1).passed
-    assert upper_envelope(*swapped.lines(gm1)).breaks is None
+    assert _segments(*swapped.lines(gm1))[0] is None
+    assert _segments(*fixed_menu.lines(gm1))[0] is not None
     population = sm.uniform_population(0.43, 0.86)
-    report = sm.simulate_population(swapped, population, gm1, n=70_000, seed=5)
-    monkeypatch.setattr(
-        evaluation, "envelope_response", lambda q, e: best_response(q, e.slopes, e.intercepts)
-    )
-    assert sm.simulate_population(swapped, population, gm1, n=70_000, seed=5) == report
+    menus = (swapped, fixed_menu)
+    reports = [sm.simulate_population(m, population, gm1, n=70_000, seed=5) for m in menus]
+    _without_certification(monkeypatch)
+    assert [sm.simulate_population(m, population, gm1, n=70_000, seed=5) for m in menus] == reports
 
 
 def _chunk_peak(menu, selection, population, model):
@@ -383,10 +429,10 @@ def _chunk_peak(menu, selection, population, model):
 def test_simulate_chunk_memory_is_bounded(fine_fixed_menu, gm1):
     """A full chunk on a 1025-contract menu stays far below the (chunk x
     contracts) utility matrix, which alone would take 537 MB, and below the
-    34 MB of one block of the blocked ``best_response``."""
+    34 MB of one block of ``_blocked_response``."""
     population = sm.uniform_population(0.43, 0.86)
-    envelope = upper_envelope(*fine_fixed_menu.lines(gm1))
-    counts, peak = _chunk_peak(fine_fixed_menu, envelope, population, gm1)
+    lines = fine_fixed_menu.lines(gm1)
+    counts, peak = _chunk_peak(fine_fixed_menu, lines, population, gm1)
     assert counts[:2, 0].tolist() == [1 << 16, 1 << 16]  # agents, participating
     assert peak < 24 * 2**20
 

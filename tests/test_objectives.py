@@ -40,6 +40,22 @@ def test_objective_validation():
     sm.bayes_objective(0.0, 1.0)
 
 
+@pytest.mark.parametrize("omegas", [(np.nan, 1.0), (1.0, np.nan), (np.nan, np.nan)])
+def test_objective_rejects_nan_error_costs(omegas):
+    """A NaN cost passed every comparison-based check and gave every type
+    threshold 1.0."""
+    with pytest.raises(ValueError, match="error costs"):
+        sm.bayes_objective(*omegas)
+
+
+@pytest.mark.parametrize("weights", [[np.nan, np.nan], [np.nan, 1.0], [0.5, np.nan]])
+def test_population_rejects_nan_weights(weights):
+    """NaN weights passed both the sign and the sum check, and ``oracle_tdr``
+    on the population returned NaN."""
+    with pytest.raises(ValueError, match="weights"):
+        sm.discrete_population([0.3, 0.5], weights)
+
+
 def test_population_validation():
     with pytest.raises(ValueError):
         sm.discrete_population([0.5, 0.3])  # not increasing
