@@ -11,6 +11,7 @@ results are reproducible and independent of worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -40,6 +41,9 @@ __all__ = [
 _CHUNK = 1 << 16
 # Rows of a simulation chunk's per-type count matrix.
 _TALLIES = ("agents", "participating", "null", "approved_null", "approved_nonnull")
+# Up to this many types the type draw compares each uniform with every CDF
+# entry and the tally codes fit in a byte; above it the draw bisects the CDF.
+_DRAW_CUT = 64
 
 
 @dataclass(frozen=True)
@@ -198,41 +202,80 @@ def _stratified_counts(weights: np.ndarray, size: int) -> np.ndarray:
     return counts
 
 
+def _draw_types(weights: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Type indices of ``size`` agents: ``Generator.choice(len(weights), size,
+    p=weights)``'s inverse-CDF draw, so the same indices and generator state.
+    Each index counts the CDF entries at or below a uniform draw: by one
+    comparison per entry up to ``_DRAW_CUT`` types, by bisection above."""
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    if cdf.size > _DRAW_CUT:
+        return cdf.searchsorted(u, side="right")
+    idx = np.zeros(size, dtype=np.uint8)
+    for edge in cdf[:-1]:  # the last entry is 1.0, above every draw
+        idx += u >= edge
+    return idx
+
+
 def _simulate_chunk(menu, selection, population, model, size, seed_child, stratified):
     """One chunk of agents through the menu. ``selection`` is the
     ``best_response`` of a discrete population's types, or the menu's lines
     for a continuous population. Returns the ``_TALLIES`` x types count
-    matrix and the principal's cash."""
-    rng = np.random.default_rng(seed_child)
+    matrix and the principal's cash.
 
-    if population.kind == "discrete":
-        n_types = len(population.types)
+    Each agent gets a tally code ``slot * 4 + null * 2 + approved``, and one
+    ``bincount`` of the codes gives every tally. A discrete population's
+    slot is the agent's type, and its thresholds, costs and rewards come
+    from per-type tables; an opted-out type gets threshold -1, below every
+    p-value, and cost 0. A continuous population's slot is whether the agent
+    participates, and its contracts come per agent."""
+    rng = np.random.default_rng(seed_child)
+    discrete = population.kind == "discrete"
+    if discrete:
+        weights = np.array(population.weights)
+        code_type = np.min_scalar_type(4 * weights.size - 1)
         if stratified:
-            counts = _stratified_counts(np.array(population.weights), size)
-            type_idx = np.repeat(np.arange(n_types), counts)
+            counts = _stratified_counts(weights, size)
+            slot = np.repeat(np.arange(weights.size, dtype=code_type), counts)
         else:
-            type_idx = rng.choice(n_types, size=size, p=np.array(population.weights))
-        q = np.array(population.types)[type_idx]
-        choice, best = (per_type[type_idx] for per_type in selection)
+            slot = _draw_types(weights, size, rng).astype(code_type, copy=False)
+        q = np.array(population.types)[slot]
+        choice, best = selection
     else:
-        n_types = 1  # a continuous population is tallied as one type
-        type_idx = np.zeros(size, dtype=np.intp)
         q = rng.uniform(population.lo, population.hi, size=size)
         choice, best = best_response(q, *selection)
 
-    participate = best >= -PARTICIPATION_SLACK
+    participates = best >= -PARTICIPATION_SLACK
+    threshold = np.where(participates, menu.taus[choice], -1.0)  # p-values are >= 0
+    cost = np.where(participates, menu.costs[choice], 0.0)
+    if discrete:
+        threshold = threshold[slot]
+    else:
+        slot = participates.view(np.uint8)
 
     is_null = rng.random(size) < q
     pvals = sample_pvalues(model, is_null, rng)
-    approve = participate & (pvals <= menu.taus[choice])
+    approve = pvals <= threshold
+    code = slot << 2
+    code |= is_null.view(np.uint8) << 1
+    code |= approve.view(np.uint8)
 
-    cash = float(np.sum(np.where(participate, menu.costs[choice], 0.0))) - float(
-        np.sum(np.where(approve, menu.rewards[choice], 0.0))
-    )
-    tallied = [type_idx] + [
-        type_idx[mask] for mask in (participate, is_null, approve & is_null, approve & ~is_null)
-    ]
-    return np.array([np.bincount(idx, minlength=n_types) for idx in tallied]), cash
+    if discrete:
+        approving = [False, True, False, True]  # a slot's codes, by null * 2 + approved
+        reward = np.where(approving, menu.rewards[choice][:, None], 0.0).ravel()
+        cash = float(np.sum(np.repeat(cost, 4)[code])) - float(np.sum(reward[code]))
+        return _tally(code, participates), cash
+    cash = float(np.sum(cost)) - float(np.sum(np.where(approve, menu.rewards[choice], 0.0)))
+    return _tally(code, np.array([False, True])).sum(axis=1, keepdims=True), cash
+
+
+def _tally(code: np.ndarray, participates: np.ndarray) -> np.ndarray:
+    """The ``_TALLIES`` x slots count matrix of the agents' tally codes."""
+    by_code = np.bincount(code, minlength=4 * participates.size).reshape(-1, 4)
+    agents = by_code.sum(axis=1)
+    null = by_code[:, 2] + by_code[:, 3]
+    return np.array([agents, agents * participates, null, by_code[:, 3], by_code[:, 1]])
 
 
 def simulate_population(
@@ -251,7 +294,8 @@ def simulate_population(
     threshold. Types are drawn i.i.d. unless ``stratified`` allocates them
     proportionally per chunk (discrete populations only). The chunk layout
     and per-chunk generators depend only on ``seed`` and ``n``, so reports
-    are identical for any ``jobs``.
+    are identical for any ``jobs``. At most ``min(jobs, chunks, CPUs)``
+    worker threads run.
     """
     if n < 1:
         raise ValueError("need at least one agent")
@@ -270,8 +314,10 @@ def simulate_population(
         size, child = args
         return _simulate_chunk(menu, selection, population, model, size, child, stratified)
 
-    if jobs > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    # A pool starts a new thread on each submit until it has max_workers.
+    workers = min(jobs, len(sizes), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(work, zip(sizes, children)))
     else:
         results = [work(a) for a in zip(sizes, children)]

@@ -1,7 +1,8 @@
 """Scalar reference implementations that the array code replaced.
 
 Each is the former library code, kept verbatim in spirit: one type, one
-threshold or one interval at a time. The array paths must reproduce them
+threshold or one interval at a time, or for the simulator one boolean mask
+per tally. The array paths must reproduce them
 (bit for bit where both evaluate the same library functions).
 """
 
@@ -10,7 +11,8 @@ import math
 import numpy as np
 
 import statmenus as sm
-from statmenus import objectives
+from statmenus import evaluation, objectives
+from statmenus.contracts import PARTICIPATION_SLACK, best_response
 
 _MAX_DEPTH = 48
 
@@ -209,3 +211,41 @@ def scalar_finite_menu(types, thresholds, terminal, eps, lam, model):
         costs[i] = left + lam * (right - left)
     contracts = tuple(sm.Contract(t, r, c) for t, r, c in zip(thresholds, rewards, costs))
     return sm.Menu(support=tuple(types), contracts=contracts)
+
+
+def masked_simulate_chunk(menu, selection, population, model, size, seed_child, stratified):
+    """One simulation chunk as boolean masks over the agents: types by
+    ``Generator.choice``, per-agent contract, threshold and cash columns, and
+    one masked ``bincount`` per tally. Returns the (agents, participating,
+    null, approved null, approved non-null) x types count matrix and the
+    principal's cash."""
+    rng = np.random.default_rng(seed_child)
+
+    if population.kind == "discrete":
+        n_types = len(population.types)
+        if stratified:
+            counts = evaluation._stratified_counts(np.array(population.weights), size)
+            type_idx = np.repeat(np.arange(n_types), counts)
+        else:
+            type_idx = rng.choice(n_types, size=size, p=np.array(population.weights))
+        q = np.array(population.types)[type_idx]
+        choice, best = (per_type[type_idx] for per_type in selection)
+    else:
+        n_types = 1  # a continuous population is tallied as one type
+        type_idx = np.zeros(size, dtype=np.intp)
+        q = rng.uniform(population.lo, population.hi, size=size)
+        choice, best = best_response(q, *selection)
+
+    participate = best >= -PARTICIPATION_SLACK
+
+    is_null = rng.random(size) < q
+    pvals = sm.sample_pvalues(model, is_null, rng)
+    approve = participate & (pvals <= menu.taus[choice])
+
+    cash = float(np.sum(np.where(participate, menu.costs[choice], 0.0))) - float(
+        np.sum(np.where(approve, menu.rewards[choice], 0.0))
+    )
+    tallied = [type_idx] + [
+        type_idx[mask] for mask in (participate, is_null, approve & is_null, approve & ~is_null)
+    ]
+    return np.array([np.bincount(idx, minlength=n_types) for idx in tallied]), cash

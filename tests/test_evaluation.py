@@ -1,8 +1,11 @@
 """Tests for rates, frontier sweeps, cost metrics, and the simulator."""
 
+import os
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -10,7 +13,7 @@ import statmenus as sm
 from statmenus import evaluation
 from statmenus.contracts import PARTICIPATION_SLACK, Contract, Menu, best_response
 
-from oracles import bracket_principal_return
+from oracles import bracket_principal_return, masked_simulate_chunk
 
 
 def figure_family(gm1, fdr25, etas, n_support=65):
@@ -349,6 +352,114 @@ def test_simulation_chunks_add_up(gm1, five_type_menu, five_types, n, jobs, draw
     assert tally["approved_null"] == report.approved_null
     assert tally["approved_nonnull"] == approved_nonnull
     assert all(c["null"] <= c["agents"] and c["participating"] <= c["agents"] for c in columns)
+
+
+GM1 = sm.gaussian_model(1.0)
+# The Gaussian power curve tabulated on 258 evenly spaced knots.
+TABULATED = sm.tabulated_model(
+    np.linspace(0.0, 1.0, 258), [sm.power(GM1, t) for t in np.linspace(0.0, 1.0, 258)]
+)
+
+
+@st.composite
+def chunk_cases(draw):
+    """How a chunk's types are drawn, its population, model, size and seed.
+    Discrete populations have up to 80 types, some of them opting out of the
+    five-type menu (above 0.7), and weights with zeros."""
+    draws = draw(st.sampled_from(["discrete", "stratified", "uniform_grid"]))
+    if draws == "uniform_grid":
+        population = sm.uniform_population(0.2, 0.8, 64)  # types above 0.7 opt out
+    else:
+        k = draw(st.integers(1, 80))
+        types = draw(st.lists(st.floats(0.05, 0.95), min_size=k, max_size=k, unique=True))
+        raw = draw(st.lists(st.just(0.0) | st.floats(1e-3, 1.0), min_size=k, max_size=k))
+        raw[draw(st.integers(0, k - 1))] += 1.0  # some weight is positive
+        population = sm.discrete_population(sorted(types), np.array(raw) / sum(raw))
+    model = draw(st.sampled_from([GM1, TABULATED]))
+    return draws, population, model, draw(st.integers(1, 2_000)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=chunk_cases())
+@example(case=("discrete", sm.discrete_population(np.linspace(0.3, 0.75, 10), [0.1] * 10), GM1, 2_000, 1))
+@example(case=("stratified", sm.discrete_population([0.3, 0.72], [0.0, 1.0]), TABULATED, 1, 2))
+def test_simulate_chunk_matches_masked_oracle(five_type_menu, case):
+    """The tally-code chunk gives the masked chunk's count matrix and cash
+    bits, for any weights (``[0.1] * 10`` sums to 0.9999999999999999), chunk
+    size, draw, model and opted-out types."""
+    draws, population, model, size, seed = case
+    selection = five_type_menu.lines(model)
+    if population.kind == "discrete":
+        selection = best_response(np.array(population.types), *selection)
+    child = np.random.SeedSequence(seed)
+    args = (five_type_menu, selection, population, model, size, child, draws == "stratified")
+    counts, cash = evaluation._simulate_chunk(*args)
+    expected_counts, expected_cash = masked_simulate_chunk(*args)
+    assert counts.dtype == expected_counts.dtype
+    assert counts.tolist() == expected_counts.tolist()
+    assert cash.hex() == expected_cash.hex()
+
+
+@pytest.mark.parametrize(
+    "k", [1, 2, 5, 10, evaluation._DRAW_CUT, evaluation._DRAW_CUT + 1, 5 * evaluation._DRAW_CUT]
+)
+def test_type_draw_matches_generator_choice(k):
+    """The simulator's own inverse-CDF type draw gives ``Generator.choice``'s
+    indices and leaves the generator in the same state, by comparisons up to
+    ``_DRAW_CUT`` types and by bisection above, so the pinned simulation
+    values do not rest on numpy's ``choice``."""
+    vectors = np.random.default_rng(k).random((40, k))
+    vectors[vectors < 0.3] = 0.0  # zero weights, also first and last
+    vectors[:, 0] += vectors.sum(axis=1) == 0.0
+    weights = [np.full(k, 1.0 / k)] + [v / v.sum() for v in vectors]
+    if k == 10:
+        weights.append(np.full(10, 0.1))  # its cumulative sum ends at 0.9999999999999999
+    for seed, w in enumerate(weights):
+        ours, numpy_s = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = evaluation._draw_types(w, 3_000, ours)
+        assert drawn.tolist() == numpy_s.choice(k, size=3_000, p=w).tolist()
+        assert ours.bit_generator.state == numpy_s.bit_generator.state
+        # Draws on a CDF entry or just below it count that entry as numpy's
+        # searchsorted does (a uniform draw is below 1).
+        cdf = np.cumsum(w) / np.cumsum(w)[-1]
+        ties = np.concatenate([cdf, np.nextafter(cdf, 0.0), [0.0]])
+        ties = ties[ties < 1.0]
+        stub = SimpleNamespace(random=lambda size: ties)
+        drawn = evaluation._draw_types(w, ties.size, stub)
+        assert drawn.tolist() == cdf.searchsorted(ties, side="right").tolist()
+
+
+def test_simulation_threads_are_bounded(gm1, five_type_menu, five_types, monkeypatch):
+    """``simulate_population`` starts at most min(jobs, chunks, CPUs) workers
+    however large ``jobs`` is. A stand-in pool records its size and runs the
+    chunks inline, so no thread starts."""
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(evaluation, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(evaluation, "_CHUNK", 97)  # 1,000 agents are 11 chunks
+    pop = sm.discrete_population(five_types)
+    serial = sm.simulate_population(five_type_menu, pop, gm1, n=1_000, seed=4)
+    assert pools == []
+    cpus = os.cpu_count() or 1
+    for cpu_count, jobs in ((cpus, 10**6), (4, 10**6), (64, 10**6), (64, 3), (None, 10**6)):
+        monkeypatch.setattr(evaluation.os, "cpu_count", lambda: cpu_count)
+        report = sm.simulate_population(five_type_menu, pop, gm1, n=1_000, seed=4, jobs=jobs)
+        assert report == serial
+    # one CPU, or none reported, runs the chunks serially without a pool
+    assert pools == ([min(11, cpus)] if cpus > 1 else []) + [4, 11, 3]
 
 
 def test_simulation_matches_oracle(gm1, fdr25, five_type_menu, five_types):
