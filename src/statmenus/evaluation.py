@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -42,7 +43,7 @@ _CHUNK = 1 << 16
 # Rows of a simulation chunk's per-type count matrix.
 _TALLIES = ("agents", "participating", "null", "approved_null", "approved_nonnull")
 # Up to this many types the type draw compares each uniform with every CDF
-# entry and the tally codes fit in a byte; above it the draw bisects the CDF.
+# entry; above it the draw bisects the CDF.
 _DRAW_CUT = 64
 
 
@@ -202,23 +203,42 @@ def _stratified_counts(weights: np.ndarray, size: int) -> np.ndarray:
     return counts
 
 
-def _draw_types(weights: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+def _draw_types(
+    weights: np.ndarray,
+    size: int,
+    rng: np.random.Generator,
+    u: Optional[np.ndarray] = None,
+    mask: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Type indices of ``size`` agents: ``Generator.choice(len(weights), size,
     p=weights)``'s inverse-CDF draw, so the same indices and generator state.
     Each index counts the CDF entries at or below a uniform draw: by one
-    comparison per entry up to ``_DRAW_CUT`` types, by bisection above."""
+    comparison per entry up to ``_DRAW_CUT`` types, by bisection above. The
+    uniforms go into ``u``, the comparisons into ``mask`` and the intp
+    indices into ``out`` when these buffers of ``size`` entries are given."""
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
-    u = rng.random(size)
+    u = rng.random(size) if u is None else rng.random(out=u)
+    idx = np.empty(size, dtype=np.intp) if out is None else out
     if cdf.size > _DRAW_CUT:
-        return cdf.searchsorted(u, side="right")
-    idx = np.zeros(size, dtype=np.uint8)
+        idx[:] = cdf.searchsorted(u, side="right")
+        return idx
+    mask = np.empty(size, dtype=bool) if mask is None else mask
+    idx.fill(0)
     for edge in cdf[:-1]:  # the last entry is 1.0, above every draw
-        idx += u >= edge
+        idx += np.greater_equal(u, edge, out=mask)
     return idx
 
 
-def _simulate_chunk(menu, selection, population, model, size, seed_child, stratified):
+def _workspace(size: int):
+    """Per-agent buffers for simulation chunks of up to ``size`` agents: two
+    float64 rows, an intp row (the slot, then the tally code) and two bool
+    rows (the null and approval masks)."""
+    return np.empty((2, size)), np.empty(size, dtype=np.intp), np.empty((2, size), dtype=bool)
+
+
+def _simulate_chunk(menu, selection, population, model, size, seed_child, stratified, work=None):
     """One chunk of agents through the menu. ``selection`` is the
     ``best_response`` of a discrete population's types, or the menu's lines
     for a continuous population. Returns the ``_TALLIES`` x types count
@@ -229,18 +249,28 @@ def _simulate_chunk(menu, selection, population, model, size, seed_child, strati
     slot is the agent's type, and its thresholds, costs and rewards come
     from per-type tables; an opted-out type gets threshold -1, below every
     p-value, and cost 0. A continuous population's slot is whether the agent
-    participates, and its contracts come per agent."""
+    participates, and its contracts come per agent.
+
+    The per-agent rows are written into ``work``, a ``_workspace`` of at
+    least ``size`` agents that a thread reuses for every chunk it runs (a
+    fresh one when None). Every row is written before it is read, so what
+    the workspace held before does not matter. Gathers index by intp and
+    pass ``mode="clip"``: the indices are in range, and the default "raise"
+    would gather into a temporary and copy it into ``out``."""
+    floats, slot, masks = _workspace(size) if work is None else work
+    (u, x), slot, (is_null, approve) = floats[:, :size], slot[:size], masks[:, :size]
     rng = np.random.default_rng(seed_child)
     discrete = population.kind == "discrete"
     if discrete:
         weights = np.array(population.weights)
-        code_type = np.min_scalar_type(4 * weights.size - 1)
         if stratified:
-            counts = _stratified_counts(weights, size)
-            slot = np.repeat(np.arange(weights.size, dtype=code_type), counts)
+            start = 0
+            for k, count in enumerate(_stratified_counts(weights, size)):
+                slot[start : start + count] = k
+                start += count
         else:
-            slot = _draw_types(weights, size, rng).astype(code_type, copy=False)
-        q = np.array(population.types)[slot]
+            _draw_types(weights, size, rng, u=u, mask=is_null, out=slot)
+        q = np.take(population.types, slot, out=u, mode="clip")
         choice, best = selection
     else:
         q = rng.uniform(population.lo, population.hi, size=size)
@@ -249,24 +279,25 @@ def _simulate_chunk(menu, selection, population, model, size, seed_child, strati
     participates = best >= -PARTICIPATION_SLACK
     threshold = np.where(participates, menu.taus[choice], -1.0)  # p-values are >= 0
     cost = np.where(participates, menu.costs[choice], 0.0)
+    np.less(rng.random(out=x), q, out=is_null)
+    pvals = sample_pvalues(model, is_null, rng, out=u)  # q, if held there, is spent
     if discrete:
-        threshold = threshold[slot]
+        np.less_equal(pvals, np.take(threshold, slot, out=x, mode="clip"), out=approve)
+        cost = np.take(cost, slot, out=x, mode="clip")
     else:
-        slot = participates.view(np.uint8)
-
-    is_null = rng.random(size) < q
-    pvals = sample_pvalues(model, is_null, rng)
-    approve = pvals <= threshold
-    code = slot << 2
+        np.less_equal(pvals, threshold, out=approve)
+        np.copyto(slot, participates)
+    cost_sum = float(np.sum(cost))
+    code = np.left_shift(slot, 2, out=slot)  # the tally code, over the spent slot
     code |= is_null.view(np.uint8) << 1
-    code |= approve.view(np.uint8)
+    code |= approve
 
     if discrete:
         approving = [False, True, False, True]  # a slot's codes, by null * 2 + approved
         reward = np.where(approving, menu.rewards[choice][:, None], 0.0).ravel()
-        cash = float(np.sum(np.repeat(cost, 4)[code])) - float(np.sum(reward[code]))
+        cash = cost_sum - float(np.sum(np.take(reward, code, out=x, mode="clip")))
         return _tally(code, participates), cash
-    cash = float(np.sum(cost)) - float(np.sum(np.where(approve, menu.rewards[choice], 0.0)))
+    cash = cost_sum - float(np.sum(np.where(approve, menu.rewards[choice], 0.0)))
     return _tally(code, np.array([False, True])).sum(axis=1, keepdims=True), cash
 
 
@@ -310,9 +341,15 @@ def simulate_population(
     if population.kind == "discrete":
         selection = best_response(np.array(population.types), *selection)
 
+    local = threading.local()  # each thread's workspace, reused by every chunk it runs
+
     def work(args):
+        if not hasattr(local, "work"):
+            local.work = _workspace(sizes[0])  # the first chunk is the largest
         size, child = args
-        return _simulate_chunk(menu, selection, population, model, size, child, stratified)
+        return _simulate_chunk(
+            menu, selection, population, model, size, child, stratified, local.work
+        )
 
     # A pool starts a new thread on each submit until it has max_workers.
     workers = min(jobs, len(sizes), os.cpu_count() or 1)

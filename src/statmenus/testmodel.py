@@ -215,25 +215,42 @@ def inverse_likelihood_ratio(model: TestModel, y):
     return _float_or_array(0.5 * erfc(z / _SQRT2))  # 1 - Phi(z), no cancellation
 
 
-def sample_pvalues(model: TestModel, is_null: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def sample_pvalues(
+    model: TestModel,
+    is_null: np.ndarray,
+    rng: np.random.Generator,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Draw one p-value per entry of the boolean mask ``is_null``.
 
     Null entries are uniform draws; alternative entries are 1 - Phi(Z) with
     Z centered at the alternative. Uniforms are drawn first, then normals,
-    so output is deterministic given the mask and generator state.
+    so output is deterministic given the mask and generator state. The
+    draws are scattered by index arrays and written into ``out`` when it is
+    given, which must be a C-contiguous float64 array of the mask's shape.
     """
     is_null = np.asarray(is_null, dtype=bool)
-    out = np.empty(is_null.shape, dtype=float)
-    n_null = int(is_null.sum())
-    n_alt = is_null.size - n_null
-    out[is_null] = rng.random(n_null)
-    if n_alt:
+    if out is None:
+        out = np.empty(is_null.shape)
+    elif not (
+        isinstance(out, np.ndarray)
+        and out.dtype == np.float64
+        and out.shape == is_null.shape
+        and out.flags.c_contiguous
+    ):
+        # reshape(-1) of any other array is a copy, and the draws would not reach it
+        raise ValueError("out must be a C-contiguous float64 array of the mask's shape")
+    flat = out.reshape(-1)
+    null = np.flatnonzero(is_null)
+    flat[null] = rng.random(null.size)
+    if null.size < flat.size:
+        alt = np.flatnonzero(~is_null)
         if model.kind == "gaussian_mean":
-            z = model.theta1 + rng.standard_normal(n_alt)
-            out[~is_null] = ndtr(-z)  # 1 - Phi(z) without cancellation
+            z = rng.standard_normal(alt.size)
+            z += model.theta1
+            flat[alt] = ndtr(np.negative(z, out=z), out=z)  # 1 - Phi(z) without cancellation
         else:
-            u = rng.random(n_alt)
-            out[~is_null] = np.interp(u, model.betas, model.taus)
+            flat[alt] = np.interp(rng.random(alt.size), model.betas, model.taus)
     return out
 
 

@@ -1,14 +1,15 @@
 """Scalar reference implementations that the array code replaced.
 
 Each is the former library code, kept verbatim in spirit: one type, one
-threshold or one interval at a time, or for the simulator one boolean mask
-per tally. The array paths must reproduce them
-(bit for bit where both evaluate the same library functions).
+threshold or one interval at a time, or for the simulator and its p-value
+sampler boolean masks. The array paths must reproduce them (bit for bit
+where both evaluate the same library functions).
 """
 
 import math
 
 import numpy as np
+from scipy.special import ndtr
 
 import statmenus as sm
 from statmenus import evaluation, objectives
@@ -213,6 +214,25 @@ def scalar_finite_menu(types, thresholds, terminal, eps, lam, model):
     return sm.Menu(support=tuple(types), contracts=contracts)
 
 
+def masked_sample_pvalues(model, is_null, rng):
+    """P-values for the boolean mask ``is_null`` by boolean-mask scatters:
+    uniforms for the null entries, then the alternative draws (normals for a
+    Gaussian model, uniforms through the inverted power table otherwise)."""
+    is_null = np.asarray(is_null, dtype=bool)
+    out = np.empty(is_null.shape, dtype=float)
+    n_null = int(is_null.sum())
+    n_alt = is_null.size - n_null
+    out[is_null] = rng.random(n_null)
+    if n_alt:
+        if model.kind == "gaussian_mean":
+            z = model.theta1 + rng.standard_normal(n_alt)
+            out[~is_null] = ndtr(-z)  # 1 - Phi(z) without cancellation
+        else:
+            u = rng.random(n_alt)
+            out[~is_null] = np.interp(u, model.betas, model.taus)
+    return out
+
+
 def masked_simulate_chunk(menu, selection, population, model, size, seed_child, stratified):
     """One simulation chunk as boolean masks over the agents: types by
     ``Generator.choice``, per-agent contract, threshold and cash columns, and
@@ -239,7 +259,7 @@ def masked_simulate_chunk(menu, selection, population, model, size, seed_child, 
     participate = best >= -PARTICIPATION_SLACK
 
     is_null = rng.random(size) < q
-    pvals = sm.sample_pvalues(model, is_null, rng)
+    pvals = masked_sample_pvalues(model, is_null, rng)
     approve = participate & (pvals <= menu.taus[choice])
 
     cash = float(np.sum(np.where(participate, menu.costs[choice], 0.0))) - float(

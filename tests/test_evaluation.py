@@ -1,6 +1,7 @@
 """Tests for rates, frontier sweeps, cost metrics, and the simulator."""
 
 import os
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -398,6 +399,41 @@ def test_simulate_chunk_matches_masked_oracle(five_type_menu, case):
     assert counts.dtype == expected_counts.dtype
     assert counts.tolist() == expected_counts.tolist()
     assert cash.hex() == expected_cash.hex()
+
+
+def test_reused_workspace_leaks_no_state(five_type_menu):
+    """Chunks of 65,536, 97, 1 and 65,536 agents run one after another in
+    one workspace that starts full of garbage (NaN, -1, True) give the
+    counts and cash bits of chunks in fresh workspaces and of the masked
+    chunk, for i.i.d., stratified and ``uniform_grid`` draws. A report whose
+    four chunks run on two threads, each reusing its workspace, equals the
+    report whose chunks run in turn."""
+    work = evaluation._workspace(1 << 16)
+    for buffer, garbage in zip(work, (np.nan, -1, True)):
+        buffer.fill(garbage)
+    discrete = sm.discrete_population([0.3, 0.4, 0.5, 0.6, 0.72], [0.1, 0.3, 0.2, 0.15, 0.25])
+    for draws in ("discrete", "stratified", "uniform_grid"):
+        population = sm.uniform_population(0.2, 0.8, 64) if draws == "uniform_grid" else discrete
+        selection = five_type_menu.lines(GM1)
+        if population.kind == "discrete":
+            selection = best_response(np.array(population.types), *selection)
+        for seed, size in enumerate((1 << 16, 97, 1, 1 << 16)):
+            args = (five_type_menu, selection, population, GM1, size, np.random.SeedSequence(seed))
+            args += (draws == "stratified",)
+            expected_counts, expected_cash = masked_simulate_chunk(*args)
+            for chunk_work in (work, None):
+                counts, cash = evaluation._simulate_chunk(*args, chunk_work)
+                assert counts.tolist() == expected_counts.tolist()
+                assert cash.hex() == expected_cash.hex()
+        kwargs = dict(n=3 * (1 << 16) + 11, seed=8, stratified=draws == "stratified")
+        serial = sm.simulate_population(five_type_menu, population, GM1, jobs=1, **kwargs)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads interleave within chunks
+        try:
+            threaded = sm.simulate_population(five_type_menu, population, GM1, jobs=2, **kwargs)
+        finally:
+            sys.setswitchinterval(switch)
+        assert threaded == serial
 
 
 @pytest.mark.parametrize(

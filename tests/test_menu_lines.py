@@ -24,7 +24,7 @@ from statmenus.contracts import (
     _segments,
     best_response,
 )
-from statmenus.evaluation import _simulate_chunk
+from statmenus.evaluation import _simulate_chunk, _workspace
 
 # ---------------------------------------------------------------------------
 # scalar oracles
@@ -415,12 +415,13 @@ def test_non_separating_menu_simulates_on_the_blocked_route(fixed_menu, gm1, mon
     assert [sm.simulate_population(m, population, gm1, n=70_000, seed=5) for m in menus] == reports
 
 
-def _chunk_peak(menu, selection, population, model):
+def _chunk_peak(menu, selection, population, model, work=None):
     """Count matrix and traced peak bytes of one full simulation chunk."""
     child = np.random.SeedSequence(3).spawn(1)[0]
     tracemalloc.start()
     try:
-        counts, _ = _simulate_chunk(menu, selection, population, model, 1 << 16, child, False)
+        args = (menu, selection, population, model, 1 << 16, child, False, work)
+        counts, _ = _simulate_chunk(*args)
         return counts, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -443,3 +444,15 @@ def test_simulate_chunk_memory_is_bounded_per_type(five_type_menu, five_types, g
     counts, peak = _chunk_peak(five_type_menu, per_type, population, gm1)
     assert counts[0].sum() == 1 << 16
     assert peak < 24 * 2**20
+
+
+def test_simulate_chunk_in_a_workspace_allocates_little(five_type_menu, five_types, gm1):
+    """Given a workspace, a full five-type chunk allocates little beyond the
+    p-value sampler's draws and index arrays: below 1 MiB, where the
+    workspace's per-agent rows take 1.6 MiB."""
+    population = sm.discrete_population(five_types)
+    per_type = best_response(np.array(five_types), *five_type_menu.lines(gm1))
+    work = _workspace(1 << 16)
+    counts, peak = _chunk_peak(five_type_menu, per_type, population, gm1, work)
+    assert counts[0].sum() == 1 << 16
+    assert peak < 2**20
