@@ -18,12 +18,21 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
+from scipy.special import ndtr
 
 from .contracts import PARTICIPATION_SLACK, Contract, Menu, best_response, utility
 from .errors import ParticipationError
 from .objectives import TypePopulation, _fdr_bisection
 from .rates import bayes_risk, fdr, tdr
-from .testmodel import TestModel, _float_or_array, _require, _types, power, sample_pvalues
+from .testmodel import (
+    TestModel,
+    _cutoff_brackets,
+    _float_or_array,
+    _require,
+    _sample_statistics,
+    _types,
+    power,
+)
 
 __all__ = [
     "fdr",
@@ -208,15 +217,17 @@ def _draw_types(
     size: int,
     rng: np.random.Generator,
     u: Optional[np.ndarray] = None,
-    mask: Optional[np.ndarray] = None,
+    masks: Optional[np.ndarray] = None,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Type indices of ``size`` agents: ``Generator.choice(len(weights), size,
     p=weights)``'s inverse-CDF draw, so the same indices and generator state.
     Each index counts the CDF entries at or below a uniform draw: by one
-    comparison per entry up to ``_DRAW_CUT`` types, by bisection above. The
-    uniforms go into ``u``, the comparisons into ``mask`` and the intp
-    indices into ``out`` when these buffers of ``size`` entries are given."""
+    comparison per entry, counted in a byte row (``_DRAW_CUT`` < 256, so it
+    cannot wrap) and copied once into the indices, up to ``_DRAW_CUT`` types,
+    by bisection above. The uniforms go into ``u``, the comparisons and
+    counts into the two rows of ``masks`` and the intp indices into ``out``
+    when these buffers of ``size`` entries are given."""
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
     u = rng.random(size) if u is None else rng.random(out=u)
@@ -224,32 +235,72 @@ def _draw_types(
     if cdf.size > _DRAW_CUT:
         idx[:] = cdf.searchsorted(u, side="right")
         return idx
-    mask = np.empty(size, dtype=bool) if mask is None else mask
-    idx.fill(0)
+    above, count = np.empty((2, size), dtype=bool) if masks is None else masks
+    count = count.view(np.uint8)
+    count.fill(0)
     for edge in cdf[:-1]:  # the last entry is 1.0, above every draw
-        idx += np.greater_equal(u, edge, out=mask)
+        count += np.greater_equal(u, edge, out=above)
+    np.copyto(idx, count)
     return idx
 
 
 def _workspace(size: int):
     """Per-agent buffers for simulation chunks of up to ``size`` agents: two
-    float64 rows, an intp row (the slot, then the tally code) and two bool
-    rows (the null and approval masks)."""
+    float64 rows, an intp row (the slot, then the key, then the tally code)
+    and two bool rows (the null and approval masks)."""
     return np.empty((2, size)), np.empty(size, dtype=np.intp), np.empty((2, size), dtype=bool)
 
 
-def _simulate_chunk(menu, selection, population, model, size, seed_child, stratified, work=None):
+def _chunk_tables(menu, selection, population, model):
+    """A simulation chunk's lookup tables over its slots. A discrete
+    population's slot is the type, whose contract is its ``best_response``
+    (``selection``); a continuous population's slot is the contract, with
+    one last slot for opting out. An opted-out slot has threshold -1,
+    clearing no p-value, and cost and reward 0.
+
+    Returns, by key ``slot * 2 + null``, the cutoff an agent's statistic
+    must not exceed (the threshold for a null agent, the lower end of its
+    ``_cutoff_brackets`` bracket for an alternative one), the bracket's
+    upper end (the threshold again for a null agent), and the cost; the
+    threshold per slot; by tally code ``key * 2 + approved``, the reward
+    paid; and whether each slot participates."""
+    n = len(menu.taus)
+    taus = np.append(menu.taus, -1.0)
+    lo, hi = _cutoff_brackets(model, taus)
+    costs, rewards = np.append(menu.costs, 0.0), np.append(menu.rewards, 0.0)
+    if population.kind == "discrete":
+        choice, best = selection
+        contract = np.where(best >= -PARTICIPATION_SLACK, choice, n)
+    else:
+        contract = np.arange(n + 1)
+    tau = taus[contract]
+    cutoff = np.stack([lo[contract], tau], axis=1).ravel()
+    upper = np.stack([hi[contract], tau], axis=1).ravel()
+    approving = [False, True, False, True]  # a slot's codes, by null * 2 + approved
+    reward = np.where(approving, rewards[contract][:, None], 0.0).ravel()
+    return cutoff, upper, np.repeat(costs[contract], 2), tau, reward, contract < n
+
+
+def _simulate_chunk(
+    menu, selection, population, model, size, seed_child, stratified, work=None, tables=None
+):
     """One chunk of agents through the menu. ``selection`` is the
     ``best_response`` of a discrete population's types, or the menu's lines
-    for a continuous population. Returns the ``_TALLIES`` x types count
+    for a continuous population; ``tables`` are their ``_chunk_tables``
+    (computed here when None). Returns the ``_TALLIES`` x types count
     matrix and the principal's cash.
 
-    Each agent gets a tally code ``slot * 4 + null * 2 + approved``, and one
-    ``bincount`` of the codes gives every tally. A discrete population's
-    slot is the agent's type, and its thresholds, costs and rewards come
-    from per-type tables; an opted-out type gets threshold -1, below every
-    p-value, and cost 0. A continuous population's slot is whether the agent
-    participates, and its contracts come per agent.
+    Each agent gets a slot (its type, or for a continuous population its
+    contract) and a statistic from ``_sample_statistics``, and is approved
+    when the statistic does not exceed its cutoff, looked up by the key
+    ``slot * 2 + null``; an alternative statistic inside its bracket is
+    decided by its p-value, ``ndtr(statistic) <= tau`` (two or three of 8M
+    agents on the five-type benchmark menu). The decisions are those of
+    comparing every p-value with its threshold.
+    The tally code ``key * 2 + approved`` (``slot * 4 + null * 2 +
+    approved``) of every agent gives every tally in one ``bincount``, and
+    the cost and reward in agent order from the keyed tables, so the cash
+    keeps the bits of a per-agent sum.
 
     The per-agent rows are written into ``work``, a ``_workspace`` of at
     least ``size`` agents that a thread reuses for every chunk it runs (a
@@ -257,8 +308,12 @@ def _simulate_chunk(menu, selection, population, model, size, seed_child, strati
     the workspace held before does not matter. Gathers index by intp and
     pass ``mode="clip"``: the indices are in range, and the default "raise"
     would gather into a temporary and copy it into ``out``."""
+    if tables is None:
+        tables = _chunk_tables(menu, selection, population, model)
+    cutoff, upper, cost, tau, reward, participates = tables
     floats, slot, masks = _workspace(size) if work is None else work
-    (u, x), slot, (is_null, approve) = floats[:, :size], slot[:size], masks[:, :size]
+    (u, x), slot, masks = floats[:, :size], slot[:size], masks[:, :size]
+    is_null, approve = masks
     rng = np.random.default_rng(seed_child)
     discrete = population.kind == "discrete"
     if discrete:
@@ -269,36 +324,29 @@ def _simulate_chunk(menu, selection, population, model, size, seed_child, strati
                 slot[start : start + count] = k
                 start += count
         else:
-            _draw_types(weights, size, rng, u=u, mask=is_null, out=slot)
+            _draw_types(weights, size, rng, u=u, masks=masks, out=slot)
         q = np.take(population.types, slot, out=u, mode="clip")
-        choice, best = selection
     else:
         q = rng.uniform(population.lo, population.hi, size=size)
         choice, best = best_response(q, *selection)
+        slot.fill(participates.size - 1)  # the opt-out slot
+        np.copyto(slot, choice, where=best >= -PARTICIPATION_SLACK)
 
-    participates = best >= -PARTICIPATION_SLACK
-    threshold = np.where(participates, menu.taus[choice], -1.0)  # p-values are >= 0
-    cost = np.where(participates, menu.costs[choice], 0.0)
     np.less(rng.random(out=x), q, out=is_null)
-    pvals = sample_pvalues(model, is_null, rng, out=u)  # q, if held there, is spent
-    if discrete:
-        np.less_equal(pvals, np.take(threshold, slot, out=x, mode="clip"), out=approve)
-        cost = np.take(cost, slot, out=x, mode="clip")
-    else:
-        np.less_equal(pvals, threshold, out=approve)
-        np.copyto(slot, participates)
-    cost_sum = float(np.sum(cost))
-    code = np.left_shift(slot, 2, out=slot)  # the tally code, over the spent slot
-    code |= is_null.view(np.uint8) << 1
+    _sample_statistics(model, is_null, rng, u, scratch=x)  # q, if held in u, is spent
+    key = np.left_shift(slot, 1, out=slot)
+    key |= is_null
+    np.less_equal(u, np.take(cutoff, key, out=x, mode="clip"), out=approve)
+    inside = np.less_equal(u, np.take(upper, key, out=x, mode="clip"), out=is_null)  # key has it
+    band = np.flatnonzero(np.greater(inside, approve, out=inside))
+    if band.size:  # statistics in their bracket, decided by their p-values
+        approve[band] = ndtr(u[band]) <= tau[key[band] >> 1]
+    cost_sum = float(np.sum(np.take(cost, key, out=x, mode="clip")))
+    code = np.left_shift(key, 1, out=key)  # the tally code, over the spent key
     code |= approve
-
-    if discrete:
-        approving = [False, True, False, True]  # a slot's codes, by null * 2 + approved
-        reward = np.where(approving, menu.rewards[choice][:, None], 0.0).ravel()
-        cash = cost_sum - float(np.sum(np.take(reward, code, out=x, mode="clip")))
-        return _tally(code, participates), cash
-    cash = cost_sum - float(np.sum(np.where(approve, menu.rewards[choice], 0.0)))
-    return _tally(code, np.array([False, True])).sum(axis=1, keepdims=True), cash
+    cash = cost_sum - float(np.sum(np.take(reward, code, out=x, mode="clip")))
+    counts = _tally(code, participates)
+    return (counts if discrete else counts.sum(axis=1, keepdims=True)), cash
 
 
 def _tally(code: np.ndarray, participates: np.ndarray) -> np.ndarray:
@@ -340,6 +388,7 @@ def simulate_population(
     selection = menu.lines(model)
     if population.kind == "discrete":
         selection = best_response(np.array(population.types), *selection)
+    tables = _chunk_tables(menu, selection, population, model)
 
     local = threading.local()  # each thread's workspace, reused by every chunk it runs
 
@@ -348,7 +397,7 @@ def simulate_population(
             local.work = _workspace(sizes[0])  # the first chunk is the largest
         size, child = args
         return _simulate_chunk(
-            menu, selection, population, model, size, child, stratified, local.work
+            menu, selection, population, model, size, child, stratified, local.work, tables
         )
 
     # A pool starts a new thread on each submit until it has max_workers.

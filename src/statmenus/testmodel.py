@@ -215,6 +215,36 @@ def inverse_likelihood_ratio(model: TestModel, y):
     return _float_or_array(0.5 * erfc(z / _SQRT2))  # 1 - Phi(z), no cancellation
 
 
+def _sample_statistics(
+    model: TestModel, is_null: np.ndarray, rng: np.random.Generator, out: np.ndarray, scratch=None
+) -> np.ndarray:
+    """Fill the flat float64 row ``out`` with one test statistic per entry of
+    the flat boolean mask ``is_null``, each in the p-value's order (smaller
+    is more significant), and return the alternative entries' indices.
+
+    A null entry gets its uniform p-value and a tabulated alternative its
+    p-value from the inverted power table; a Gaussian alternative gets
+    ``w = -(z + theta1)``, whose p-value is ``ndtr(w)``. Uniforms are drawn
+    first, then the alternatives' draws, each with ``out=`` into the front
+    of ``scratch`` (a float64 row of the mask's size; a fresh one when
+    None) and scattered by index arrays.
+    """
+    scratch = np.empty(out.size) if scratch is None else scratch
+    null = np.flatnonzero(is_null)
+    out[null] = rng.random(out=scratch[: null.size])
+    if null.size == out.size:
+        return null[:0]
+    alt = np.flatnonzero(~is_null)
+    draws = scratch[: alt.size]
+    if model.kind == "gaussian_mean":
+        rng.standard_normal(out=draws)
+        draws += model.theta1
+        out[alt] = np.negative(draws, out=draws)
+    else:
+        out[alt] = np.interp(rng.random(out=draws), model.betas, model.taus)
+    return alt
+
+
 def sample_pvalues(
     model: TestModel,
     is_null: np.ndarray,
@@ -225,9 +255,10 @@ def sample_pvalues(
 
     Null entries are uniform draws; alternative entries are 1 - Phi(Z) with
     Z centered at the alternative. Uniforms are drawn first, then normals,
-    so output is deterministic given the mask and generator state. The
-    draws are scattered by index arrays and written into ``out`` when it is
-    given, which must be a C-contiguous float64 array of the mask's shape.
+    so output is deterministic given the mask and generator state. These
+    are ``_sample_statistics``' draws with ``ndtr`` applied to the Gaussian
+    statistics. The p-values are written into ``out`` when it is given,
+    which must be a C-contiguous float64 array of the mask's shape.
     """
     is_null = np.asarray(is_null, dtype=bool)
     if out is None:
@@ -241,17 +272,56 @@ def sample_pvalues(
         # reshape(-1) of any other array is a copy, and the draws would not reach it
         raise ValueError("out must be a C-contiguous float64 array of the mask's shape")
     flat = out.reshape(-1)
-    null = np.flatnonzero(is_null)
-    flat[null] = rng.random(null.size)
-    if null.size < flat.size:
-        alt = np.flatnonzero(~is_null)
-        if model.kind == "gaussian_mean":
-            z = rng.standard_normal(alt.size)
-            z += model.theta1
-            flat[alt] = ndtr(np.negative(z, out=z), out=z)  # 1 - Phi(z) without cancellation
-        else:
-            flat[alt] = np.interp(rng.random(alt.size), model.betas, model.taus)
+    alt = _sample_statistics(model, is_null.reshape(-1), rng, flat)
+    if model.kind == "gaussian_mean":
+        flat[alt] = ndtr(flat[alt])  # ndtr(-(z + theta1)) is 1 - Phi(z + theta1), no cancellation
     return out
+
+
+# The certified cutoff's margins: its bracket's half-width relative to the
+# critical value, and how far the p-values at its ends must clear tau.
+_BRACKET_WIDTH = 1e-6
+_BRACKET_MARGIN = 1e-9
+
+
+def _cutoff_brackets(model: TestModel, taus: np.ndarray):
+    """Per threshold ``tau``, the bracket ``(lo, hi]`` of statistics (as
+    ``_sample_statistics`` draws them) outside which comparing with the
+    bracket decides ``p-value <= tau``: a statistic ``w <= lo`` clears tau, a
+    statistic ``w > hi`` does not, and one inside is decided by its p-value.
+
+    A tabulated model's statistic is its p-value, so ``lo = hi = tau``. For
+    the Gaussian model ``c = ndtri(tau)`` and ``d = 1e-6 * max(1, |c|)``
+    give ``(c - d, c + d]``, kept only when it is certified: ``tau`` is a
+    normal double, ``ndtr(c - d) <= tau * (1 - 1e-9)`` and ``ndtr(c + d) >=
+    tau * (1 + 1e-9)``. A plain cutoff at ``c`` would be wrong, because
+    ``ndtr`` is not monotone in its last bit (reversals of up to 5.6e-16
+    relative near -2.5, -1.7 and +-1/sqrt 2). The bracket rests on one
+    assumption: ``ndtr``'s relative error is below 5e-10, so that, within
+    the 1e-9 margin, ``ndtr(w) <= tau`` for every ``w <= c - d`` and
+    ``ndtr(w) > tau`` for every ``w > c + d``. A threshold that cannot be
+    certified (0, a subnormal, one within 1e-9 of 1 or, as the curve
+    flattens, above about 0.9999) gets ``(-inf, +inf]``, so every statistic
+    goes to ``ndtr``; one of at least 1 gets ``(+inf, +inf]``, clearing
+    every statistic, and a negative one (an opted-out agent) ``(-inf,
+    -inf]``, clearing none.
+    """
+    taus = np.asarray(taus, dtype=float)
+    if model.kind != "gaussian_mean":
+        return taus, taus
+    with np.errstate(invalid="ignore"):  # tau = 0 gives c = -inf and hi = nan
+        c = ndtri(np.clip(taus, 0.0, 1.0))
+        d = _BRACKET_WIDTH * np.maximum(1.0, np.abs(c))
+        lo, hi = c - d, c + d
+        certified = (
+            (taus >= np.finfo(float).tiny)
+            & (ndtr(lo) <= taus * (1.0 - _BRACKET_MARGIN))
+            & (ndtr(hi) >= taus * (1.0 + _BRACKET_MARGIN))
+        )
+    lo[~certified], hi[~certified] = -np.inf, np.inf
+    lo[taus >= 1.0], hi[taus >= 1.0] = np.inf, np.inf
+    lo[taus < 0.0], hi[taus < 0.0] = -np.inf, -np.inf
+    return lo, hi
 
 
 def sample_pvalue(model: TestModel, is_null: bool, rng: np.random.Generator) -> float:

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import ndtr, ndtri
 
 import statmenus as sm
-from statmenus import evaluation
+from statmenus import evaluation, testmodel
 from statmenus.contracts import PARTICIPATION_SLACK, Contract, Menu, best_response
 
 from oracles import bracket_principal_return, masked_simulate_chunk
@@ -434,6 +435,86 @@ def test_reused_workspace_leaks_no_state(five_type_menu):
         finally:
             sys.setswitchinterval(switch)
         assert threaded == serial
+
+
+class PlantedDraws:
+    """Stands in for a chunk's generator: hands out the given uniform rows,
+    then the given normals, one row per draw, as ``Generator`` would
+    (``size=`` or ``out=``)."""
+
+    def __init__(self, uniforms, normals):
+        self.rows = {"random": list(uniforms), "standard_normal": [normals]}
+
+    def _draw(self, kind, size, out):
+        row = self.rows[kind].pop(0)
+        assert row.size == (size if out is None else out.size)
+        if out is None:
+            return row.copy()
+        out[...] = row
+        return out
+
+    def random(self, size=None, out=None):
+        return self._draw("random", size, out)
+
+    def standard_normal(self, size=None, out=None):
+        return self._draw("standard_normal", size, out)
+
+
+def _ndtr_reversal():
+    """Adjacent doubles ``w1 < w2`` near -2.5 with ``ndtr(w1) > ndtr(w2)``."""
+    start = np.float64(-2.5).view(np.int64)
+    ws = np.sort((start + np.arange(-20_000, 20_000)).view(np.float64))
+    i = np.flatnonzero(np.diff(ndtr(ws)) < 0.0)[0]
+    return ws[i], ws[i + 1]
+
+
+def test_planted_ndtr_reversal_matches_masked_oracle(gm1, monkeypatch):
+    """Alternative statistics planted at an ``ndtr`` reversal, at every
+    contract's bracket ends and critical value and their float neighbours,
+    and null p-values at every threshold and its neighbours, are approved as
+    the masked chunk approves their p-values: the same counts and cash bits.
+    One threshold is ``ndtr(w2)`` of a reversal ``w1 < w2``, so no single
+    cutoff decides both; others cannot be certified (0, subnormals, near 1)
+    or approve everything (1)."""
+    w1, w2 = _ndtr_reversal()
+    assert ndtr(w1) > ndtr(w2)
+    taus = [ndtr(w2), 0.0225, 0.0, 5e-324, 1e-310, 1 - 2**-53, 0.99999, 1.0]
+    k = len(taus)
+    menu = Menu(
+        tuple(np.linspace(0.1, 0.9, k)), tuple(Contract(t, 100.0, 1.0 + t) for t in taus)
+    )
+    lo, hi = testmodel._cutoff_brackets(gm1, menu.taus)
+    assert lo[0] < w1 < w2 <= hi[0]
+    assert ((-np.inf < lo) & (hi < np.inf)).tolist() == [True, True] + [False] * 6  # certified
+    statistics = []
+    for j, tau in enumerate(taus):
+        c = ndtri(tau)
+        d = 1e-6 * max(1.0, abs(c)) if np.isfinite(c) else 0.0
+        points = [w1, w2] if j == 0 else []
+        for base in (c, c - d, c + d, lo[j], hi[j], -40.0, 40.0):
+            if np.isfinite(base):
+                points += [np.nextafter(base, -np.inf), base, np.nextafter(base, np.inf)]
+        statistics.append(points)
+    per_slot = max(map(len, statistics))
+    alts = np.array([points + points[:1] * (per_slot - len(points)) for points in statistics])
+    nulls = np.array([[np.nextafter(t, 0.0), t, np.nextafter(t, 1.0)] for t in taus])
+    flags = np.hstack([np.ones_like(alts), np.zeros_like(nulls)])  # 1: not below q, alternative
+    normals = -alts.ravel() - gm1.theta1
+    assert (-(normals + gm1.theta1)).tolist() == alts.ravel().tolist()  # the planted statistics
+
+    population = sm.discrete_population(menu.support)
+    selection = (np.arange(k), np.zeros(k))  # type j takes contract j
+    monkeypatch.setattr(np.random, "default_rng", lambda draws: draws)
+    args = (menu, selection, population, gm1, flags.size)
+    counts, cash = evaluation._simulate_chunk(
+        *args, PlantedDraws([flags.ravel(), nulls.ravel()], normals), True
+    )
+    expected_counts, expected_cash = masked_simulate_chunk(
+        *args, PlantedDraws([flags.ravel(), nulls.ravel()], normals), True
+    )
+    assert counts[0].tolist() == [flags.shape[1]] * k
+    assert counts.tolist() == expected_counts.tolist()
+    assert cash.hex() == expected_cash.hex()
 
 
 @pytest.mark.parametrize(

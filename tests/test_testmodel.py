@@ -5,13 +5,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 from scipy import stats
+from scipy.special import ndtr, ndtri
 
 import statmenus as sm
 from statmenus.errors import InvalidModelError, UnsupportedModelError
+from statmenus.testmodel import _cutoff_brackets
 
 from oracles import masked_sample_pvalues
 
@@ -366,3 +368,56 @@ def test_sample_pvalues_rejects_unusable_out(gm1, out):
     with pytest.raises(ValueError, match="C-contiguous float64"):
         sm.sample_pvalues(gm1, np.ones((6, 4), dtype=bool), rng, out=out)
     assert rng.bit_generator.state == state
+
+
+def _doubles_around(x: float, n: int) -> np.ndarray:
+    """The 2n + 1 consecutive doubles centred on ``x``, in increasing order."""
+    bits = int(np.float64(x).view(np.int64))
+    key = bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)  # ordered like the doubles
+    keys = key + np.arange(-n, n + 1)
+    magnitudes = np.abs(keys).view(np.float64)
+    return np.where(keys < 0, -magnitudes, magnitudes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tau=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(tau=0.0)
+@example(tau=5e-324)
+@example(tau=np.finfo(float).tiny)
+@example(tau=1e-300)
+@example(tau=0.5)
+@example(tau=1 - 2**-53)
+@example(tau=1.0)
+@example(tau=-1.0)
+def test_cutoff_bracket_decides_as_ndtr(tau):
+    """Approving a statistic ``w <= lo``, rejecting one ``w > hi`` and
+    deciding one in between by ``ndtr(w) <= tau`` gives ``ndtr(w) <= tau``
+    on 2,001 consecutive doubles around ``ndtri(tau)`` and on both bracket
+    ends and their neighbours. A bracket is kept exactly when it is
+    certified; a threshold in [0, 1) that is not gets ``(-inf, +inf]``."""
+    lo, hi = (end[0] for end in _cutoff_brackets(GM1, np.array([tau])))
+    if tau < 0.0:
+        assert (lo, hi) == (-np.inf, -np.inf)  # opted out: nothing clears
+    elif tau >= 1.0:
+        assert (lo, hi) == (np.inf, np.inf)  # everything clears
+    else:
+        c = ndtri(tau)
+        d = 1e-6 * max(1.0, abs(c)) if np.isfinite(c) else 0.0
+        certified = (
+            tau >= np.finfo(float).tiny
+            and ndtr(c - d) <= tau * (1 - 1e-9)
+            and ndtr(c + d) >= tau * (1 + 1e-9)
+        )
+        assert (lo, hi) == ((c - d, c + d) if certified else (-np.inf, np.inf))
+    if tau in (0.0, 5e-324, 1 - 2**-53):
+        assert (lo, hi) == (-np.inf, np.inf)
+    if tau in (np.finfo(float).tiny, 1e-300, 0.5):
+        assert np.isfinite([lo, hi]).all()
+    ends = [e for end in (lo, hi) if np.isfinite(end) for e in _doubles_around(end, 1)]
+    centre = ndtri(min(max(tau, 0.0), 1.0))
+    around = _doubles_around(centre, 1000) if np.isfinite(centre) else [-40.0, 0.0, 40.0]
+    assert (np.diff(around) > 0.0).all()
+    ws = np.concatenate([around, ends])
+    decided = np.where(ws <= lo, True, np.where(ws > hi, False, ndtr(ws) <= tau))
+    assert decided.tolist() == (ndtr(ws) <= tau).tolist()
+    assert [end.tolist() for end in _cutoff_brackets(TABULATED, np.array([tau]))] == [[tau]] * 2
