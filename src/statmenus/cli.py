@@ -57,7 +57,13 @@ from .objectives import (
     uniform_population,
 )
 from .sensitivity import DEFAULT_SWEEP_POINTS, SWEEP_EDGE_BAND, MisspecScenario, sensitivity_sweep
-from .testmodel import TestModel, gaussian_model, tabulated_from_csv, tabulated_model
+from .testmodel import (
+    MAX_EFFECT_SIZE,
+    TestModel,
+    gaussian_model,
+    tabulated_from_csv,
+    tabulated_model,
+)
 
 COMMANDS = (
     "thresholds",
@@ -142,7 +148,10 @@ _KINDS = {
 _SCHEMA = {
     "test": {
         "kind": _one_of(_KINDS["test"]),
-        "theta1": (lambda x: _is_num(x) and 0 < x <= 10, "must be a number in (0, 10]"),
+        "theta1": (
+            lambda x: _is_num(x) and 0 < x <= MAX_EFFECT_SIZE,
+            f"must be a number in (0, {MAX_EFFECT_SIZE:g}]",
+        ),
         "csv": _STRING,
         "taus": _NUMBERS,
         "betas": _NUMBERS,
@@ -184,8 +193,8 @@ _SCHEMA = {
     "sensitivity": {
         "points": _COUNT,
         "actual_theta1": (
-            lambda x: _is_nums(x) and x and all(0 < t <= 10 for t in x),
-            "must be a nonempty list of numbers in (0, 10]",
+            lambda x: _is_nums(x) and x and all(0 < t <= MAX_EFFECT_SIZE for t in x),
+            f"must be a nonempty list of numbers in (0, {MAX_EFFECT_SIZE:g}]",
         ),
     },
     "output": {"directory": _STRING},

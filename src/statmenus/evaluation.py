@@ -213,35 +213,38 @@ def _stratified_counts(weights: np.ndarray, size: int) -> np.ndarray:
 
 
 def _draw_types(
-    weights: np.ndarray,
-    size: int,
-    rng: np.random.Generator,
-    u: Optional[np.ndarray] = None,
-    masks: Optional[np.ndarray] = None,
-    out: Optional[np.ndarray] = None,
+    weights: np.ndarray, rng: np.random.Generator, u: np.ndarray, masks: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """Type indices of ``size`` agents: ``Generator.choice(len(weights), size,
-    p=weights)``'s inverse-CDF draw, so the same indices and generator state.
-    Each index counts the CDF entries at or below a uniform draw: by one
+    """Type indices of ``out.size`` agents into the intp row ``out``:
+    ``Generator.choice(len(weights), out.size, p=weights)``'s inverse-CDF
+    draw, so the same indices and generator state. Each index counts the CDF
+    entries at or below a uniform draw (into the float64 row ``u``): by one
     comparison per entry, counted in a byte row (``_DRAW_CUT`` < 256, so it
     cannot wrap) and copied once into the indices, up to ``_DRAW_CUT`` types,
-    by bisection above. The uniforms go into ``u``, the comparisons and
-    counts into the two rows of ``masks`` and the intp indices into ``out``
-    when these buffers of ``size`` entries are given."""
+    by bisection above. The comparisons and counts go into the two bool rows
+    of ``masks``."""
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
-    u = rng.random(size) if u is None else rng.random(out=u)
-    idx = np.empty(size, dtype=np.intp) if out is None else out
+    rng.random(out=u)
     if cdf.size > _DRAW_CUT:
-        idx[:] = cdf.searchsorted(u, side="right")
-        return idx
-    above, count = np.empty((2, size), dtype=bool) if masks is None else masks
+        out[:] = cdf.searchsorted(u, side="right")
+        return out
+    above, count = masks
     count = count.view(np.uint8)
     count.fill(0)
     for edge in cdf[:-1]:  # the last entry is 1.0, above every draw
         count += np.greater_equal(u, edge, out=above)
-    np.copyto(idx, count)
-    return idx
+    np.copyto(out, count)
+    return out
+
+
+def _uniform_types(lo: float, hi: float, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """``Generator.uniform(lo, hi, out.size)``'s draw, ``lo + (hi - lo) * u``
+    bit for bit, into the float64 row ``out``."""
+    rng.random(out=out)
+    out *= hi - lo
+    out += lo
+    return out
 
 
 def _workspace(size: int):
@@ -251,12 +254,27 @@ def _workspace(size: int):
     return np.empty((2, size)), np.empty(size, dtype=np.intp), np.empty((2, size), dtype=bool)
 
 
-def _chunk_tables(menu, selection, population, model):
-    """A simulation chunk's lookup tables over its slots. A discrete
-    population's slot is the type, whose contract is its ``best_response``
-    (``selection``); a continuous population's slot is the contract, with
-    one last slot for opting out. An opted-out slot has threshold -1,
-    clearing no p-value, and cost and reward 0.
+def _chunk_plan(menu, population, model):
+    """What every simulation chunk of a run reads, made once per run: the
+    menu's lines and the ``_chunk_tables`` of the run's slots. A discrete
+    population's slot is its type, whose contract is its ``best_response``;
+    a continuous population's slot is the contract, with one last slot for
+    opting out."""
+    lines = menu.lines(model)
+    n = len(menu.taus)
+    if population.kind == "discrete":
+        choice, best = best_response(np.array(population.types), *lines)
+        contract = np.where(best >= -PARTICIPATION_SLACK, choice, n)
+    else:
+        contract = np.arange(n + 1)
+    return lines, _chunk_tables(menu, model, contract)
+
+
+def _chunk_tables(menu, model, contract):
+    """A simulation chunk's lookup tables over its slots, from each slot's
+    menu contract (``contract``; ``len(menu.taus)`` for opting out). An
+    opted-out slot has threshold -1, clearing no p-value, and cost and
+    reward 0.
 
     Returns, by key ``slot * 2 + null``, the cutoff an agent's statistic
     must not exceed (the threshold for a null agent, the lower end of its
@@ -264,31 +282,20 @@ def _chunk_tables(menu, selection, population, model):
     upper end (the threshold again for a null agent), and the cost; the
     threshold per slot; by tally code ``key * 2 + approved``, the reward
     paid; and whether each slot participates."""
-    n = len(menu.taus)
     taus = np.append(menu.taus, -1.0)
     lo, hi = _cutoff_brackets(model, taus)
     costs, rewards = np.append(menu.costs, 0.0), np.append(menu.rewards, 0.0)
-    if population.kind == "discrete":
-        choice, best = selection
-        contract = np.where(best >= -PARTICIPATION_SLACK, choice, n)
-    else:
-        contract = np.arange(n + 1)
     tau = taus[contract]
     cutoff = np.stack([lo[contract], tau], axis=1).ravel()
     upper = np.stack([hi[contract], tau], axis=1).ravel()
     approving = [False, True, False, True]  # a slot's codes, by null * 2 + approved
     reward = np.where(approving, rewards[contract][:, None], 0.0).ravel()
-    return cutoff, upper, np.repeat(costs[contract], 2), tau, reward, contract < n
+    return cutoff, upper, np.repeat(costs[contract], 2), tau, reward, contract < len(menu.taus)
 
 
-def _simulate_chunk(
-    menu, selection, population, model, size, seed_child, stratified, work=None, tables=None
-):
-    """One chunk of agents through the menu. ``selection`` is the
-    ``best_response`` of a discrete population's types, or the menu's lines
-    for a continuous population; ``tables`` are their ``_chunk_tables``
-    (computed here when None). Returns the ``_TALLIES`` x types count
-    matrix and the principal's cash.
+def _simulate_chunk(plan, population, model, size, seed_child, stratified, work):
+    """One chunk of agents through the menu, by the run's ``_chunk_plan``.
+    Returns the ``_TALLIES`` x types count matrix and the principal's cash.
 
     Each agent gets a slot (its type, or for a continuous population its
     contract) and a statistic from ``_sample_statistics``, and is approved
@@ -303,15 +310,13 @@ def _simulate_chunk(
     keeps the bits of a per-agent sum.
 
     The per-agent rows are written into ``work``, a ``_workspace`` of at
-    least ``size`` agents that a thread reuses for every chunk it runs (a
-    fresh one when None). Every row is written before it is read, so what
-    the workspace held before does not matter. Gathers index by intp and
-    pass ``mode="clip"``: the indices are in range, and the default "raise"
-    would gather into a temporary and copy it into ``out``."""
-    if tables is None:
-        tables = _chunk_tables(menu, selection, population, model)
-    cutoff, upper, cost, tau, reward, participates = tables
-    floats, slot, masks = _workspace(size) if work is None else work
+    least ``size`` agents that a thread reuses for every chunk it runs.
+    Every row is written before it is read, so what the workspace held
+    before does not matter. Gathers index by intp and pass ``mode="clip"``:
+    the indices are in range, and the default "raise" would gather into a
+    temporary and copy it into ``out``."""
+    lines, (cutoff, upper, cost, tau, reward, participates) = plan
+    floats, slot, masks = work
     (u, x), slot, masks = floats[:, :size], slot[:size], masks[:, :size]
     is_null, approve = masks
     rng = np.random.default_rng(seed_child)
@@ -319,21 +324,18 @@ def _simulate_chunk(
     if discrete:
         weights = np.array(population.weights)
         if stratified:
-            start = 0
-            for k, count in enumerate(_stratified_counts(weights, size)):
-                slot[start : start + count] = k
-                start += count
+            slot[:] = np.repeat(np.arange(weights.size), _stratified_counts(weights, size))
         else:
-            _draw_types(weights, size, rng, u=u, masks=masks, out=slot)
+            _draw_types(weights, rng, u, masks, slot)
         q = np.take(population.types, slot, out=u, mode="clip")
     else:
-        q = rng.uniform(population.lo, population.hi, size=size)
-        choice, best = best_response(q, *selection)
+        q = _uniform_types(population.lo, population.hi, rng, u)
+        choice, best = best_response(q, *lines)
         slot.fill(participates.size - 1)  # the opt-out slot
         np.copyto(slot, choice, where=best >= -PARTICIPATION_SLACK)
 
     np.less(rng.random(out=x), q, out=is_null)
-    _sample_statistics(model, is_null, rng, u, scratch=x)  # q, if held in u, is spent
+    _sample_statistics(model, is_null, rng, u, x)  # q, held in u, is spent
     key = np.left_shift(slot, 1, out=slot)
     key |= is_null
     np.less_equal(u, np.take(cutoff, key, out=x, mode="clip"), out=approve)
@@ -384,21 +386,14 @@ def simulate_population(
     if n % _CHUNK:
         sizes.append(n % _CHUNK)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
-    # A discrete population's selection depends only on the type, so it is made once.
-    selection = menu.lines(model)
-    if population.kind == "discrete":
-        selection = best_response(np.array(population.types), *selection)
-    tables = _chunk_tables(menu, selection, population, model)
-
+    plan = _chunk_plan(menu, population, model)
     local = threading.local()  # each thread's workspace, reused by every chunk it runs
 
     def work(args):
         if not hasattr(local, "work"):
             local.work = _workspace(sizes[0])  # the first chunk is the largest
         size, child = args
-        return _simulate_chunk(
-            menu, selection, population, model, size, child, stratified, local.work, tables
-        )
+        return _simulate_chunk(plan, population, model, size, child, stratified, local.work)
 
     # A pool starts a new thread on each submit until it has max_workers.
     workers = min(jobs, len(sizes), os.cpu_count() or 1)

@@ -216,7 +216,11 @@ def inverse_likelihood_ratio(model: TestModel, y):
 
 
 def _sample_statistics(
-    model: TestModel, is_null: np.ndarray, rng: np.random.Generator, out: np.ndarray, scratch=None
+    model: TestModel,
+    is_null: np.ndarray,
+    rng: np.random.Generator,
+    out: np.ndarray,
+    scratch: np.ndarray,
 ) -> np.ndarray:
     """Fill the flat float64 row ``out`` with one test statistic per entry of
     the flat boolean mask ``is_null``, each in the p-value's order (smaller
@@ -226,10 +230,9 @@ def _sample_statistics(
     p-value from the inverted power table; a Gaussian alternative gets
     ``w = -(z + theta1)``, whose p-value is ``ndtr(w)``. Uniforms are drawn
     first, then the alternatives' draws, each with ``out=`` into the front
-    of ``scratch`` (a float64 row of the mask's size; a fresh one when
-    None) and scattered by index arrays.
+    of ``scratch`` (a float64 row of the mask's size) and scattered by index
+    arrays.
     """
-    scratch = np.empty(out.size) if scratch is None else scratch
     null = np.flatnonzero(is_null)
     out[null] = rng.random(out=scratch[: null.size])
     if null.size == out.size:
@@ -245,34 +248,19 @@ def _sample_statistics(
     return alt
 
 
-def sample_pvalues(
-    model: TestModel,
-    is_null: np.ndarray,
-    rng: np.random.Generator,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def sample_pvalues(model: TestModel, is_null: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draw one p-value per entry of the boolean mask ``is_null``.
 
     Null entries are uniform draws; alternative entries are 1 - Phi(Z) with
     Z centered at the alternative. Uniforms are drawn first, then normals,
     so output is deterministic given the mask and generator state. These
     are ``_sample_statistics``' draws with ``ndtr`` applied to the Gaussian
-    statistics. The p-values are written into ``out`` when it is given,
-    which must be a C-contiguous float64 array of the mask's shape.
+    statistics.
     """
     is_null = np.asarray(is_null, dtype=bool)
-    if out is None:
-        out = np.empty(is_null.shape)
-    elif not (
-        isinstance(out, np.ndarray)
-        and out.dtype == np.float64
-        and out.shape == is_null.shape
-        and out.flags.c_contiguous
-    ):
-        # reshape(-1) of any other array is a copy, and the draws would not reach it
-        raise ValueError("out must be a C-contiguous float64 array of the mask's shape")
+    out = np.empty(is_null.shape)
     flat = out.reshape(-1)
-    alt = _sample_statistics(model, is_null.reshape(-1), rng, flat)
+    alt = _sample_statistics(model, is_null.reshape(-1), rng, flat, np.empty(flat.size))
     if model.kind == "gaussian_mean":
         flat[alt] = ndtr(flat[alt])  # ndtr(-(z + theta1)) is 1 - Phi(z + theta1), no cancellation
     return out

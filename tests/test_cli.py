@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -492,6 +493,18 @@ def test_sensitivity_refuses_varying_rewards(tmp_path, capsys):
     assert main(["sensitivity", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "/menu/path" in capsys.readouterr().err
     assert not (tmp_path / "sensitivity.csv").exists()
+
+
+def test_effect_size_bound_is_the_models():
+    """The schema bounds ``theta1`` and ``actual_theta1`` by the test model's
+    ``MAX_EFFECT_SIZE`` and names it in its messages."""
+    above = math.nextafter(sm.testmodel.MAX_EFFECT_SIZE, math.inf)
+    check, message = cli._SCHEMA["test"]["theta1"]
+    assert check(sm.testmodel.MAX_EFFECT_SIZE) and not check(above)
+    assert message == "must be a number in (0, 10]"
+    check, message = cli._SCHEMA["sensitivity"]["actual_theta1"]
+    assert check([1.0, sm.testmodel.MAX_EFFECT_SIZE]) and not check([1.0, above])
+    assert message == "must be a nonempty list of numbers in (0, 10]"
 
 
 def test_missing_required_section(tmp_path, capsys):

@@ -394,9 +394,10 @@ def test_simulate_chunk_matches_masked_oracle(five_type_menu, case):
     if population.kind == "discrete":
         selection = best_response(np.array(population.types), *selection)
     child = np.random.SeedSequence(seed)
-    args = (five_type_menu, selection, population, model, size, child, draws == "stratified")
-    counts, cash = evaluation._simulate_chunk(*args)
-    expected_counts, expected_cash = masked_simulate_chunk(*args)
+    args = (population, model, size, child, draws == "stratified")
+    plan = evaluation._chunk_plan(five_type_menu, population, model)
+    counts, cash = evaluation._simulate_chunk(plan, *args, evaluation._workspace(size))
+    expected_counts, expected_cash = masked_simulate_chunk(five_type_menu, selection, *args)
     assert counts.dtype == expected_counts.dtype
     assert counts.tolist() == expected_counts.tolist()
     assert cash.hex() == expected_cash.hex()
@@ -418,12 +419,12 @@ def test_reused_workspace_leaks_no_state(five_type_menu):
         selection = five_type_menu.lines(GM1)
         if population.kind == "discrete":
             selection = best_response(np.array(population.types), *selection)
+        plan = evaluation._chunk_plan(five_type_menu, population, GM1)
         for seed, size in enumerate((1 << 16, 97, 1, 1 << 16)):
-            args = (five_type_menu, selection, population, GM1, size, np.random.SeedSequence(seed))
-            args += (draws == "stratified",)
-            expected_counts, expected_cash = masked_simulate_chunk(*args)
-            for chunk_work in (work, None):
-                counts, cash = evaluation._simulate_chunk(*args, chunk_work)
+            args = (population, GM1, size, np.random.SeedSequence(seed), draws == "stratified")
+            expected_counts, expected_cash = masked_simulate_chunk(five_type_menu, selection, *args)
+            for chunk_work in (work, evaluation._workspace(size)):
+                counts, cash = evaluation._simulate_chunk(plan, *args, chunk_work)
                 assert counts.tolist() == expected_counts.tolist()
                 assert cash.hex() == expected_cash.hex()
         kwargs = dict(n=3 * (1 << 16) + 11, seed=8, stratified=draws == "stratified")
@@ -504,17 +505,28 @@ def test_planted_ndtr_reversal_matches_masked_oracle(gm1, monkeypatch):
 
     population = sm.discrete_population(menu.support)
     selection = (np.arange(k), np.zeros(k))  # type j takes contract j
+    plan = (menu.lines(gm1), evaluation._chunk_tables(menu, gm1, np.arange(k)))
     monkeypatch.setattr(np.random, "default_rng", lambda draws: draws)
-    args = (menu, selection, population, gm1, flags.size)
+    args = (population, gm1, flags.size)
     counts, cash = evaluation._simulate_chunk(
-        *args, PlantedDraws([flags.ravel(), nulls.ravel()], normals), True
+        plan,
+        *args,
+        PlantedDraws([flags.ravel(), nulls.ravel()], normals),
+        True,
+        evaluation._workspace(flags.size),
     )
     expected_counts, expected_cash = masked_simulate_chunk(
-        *args, PlantedDraws([flags.ravel(), nulls.ravel()], normals), True
+        menu, selection, *args, PlantedDraws([flags.ravel(), nulls.ravel()], normals), True
     )
     assert counts[0].tolist() == [flags.shape[1]] * k
     assert counts.tolist() == expected_counts.tolist()
     assert cash.hex() == expected_cash.hex()
+
+
+def _draw_buffers(size):
+    """``_draw_types``' uniform row, comparison and count rows and indices,
+    filled with garbage."""
+    return np.full(size, np.nan), np.ones((2, size), dtype=bool), np.full(size, -1, dtype=np.intp)
 
 
 @pytest.mark.parametrize(
@@ -533,7 +545,7 @@ def test_type_draw_matches_generator_choice(k):
         weights.append(np.full(10, 0.1))  # its cumulative sum ends at 0.9999999999999999
     for seed, w in enumerate(weights):
         ours, numpy_s = np.random.default_rng(seed), np.random.default_rng(seed)
-        drawn = evaluation._draw_types(w, 3_000, ours)
+        drawn = evaluation._draw_types(w, ours, *_draw_buffers(3_000))
         assert drawn.tolist() == numpy_s.choice(k, size=3_000, p=w).tolist()
         assert ours.bit_generator.state == numpy_s.bit_generator.state
         # Draws on a CDF entry or just below it count that entry as numpy's
@@ -541,9 +553,21 @@ def test_type_draw_matches_generator_choice(k):
         cdf = np.cumsum(w) / np.cumsum(w)[-1]
         ties = np.concatenate([cdf, np.nextafter(cdf, 0.0), [0.0]])
         ties = ties[ties < 1.0]
-        stub = SimpleNamespace(random=lambda size: ties)
-        drawn = evaluation._draw_types(w, ties.size, stub)
+        stub = SimpleNamespace(random=lambda out: np.copyto(out, ties))
+        drawn = evaluation._draw_types(w, stub, *_draw_buffers(ties.size))
         assert drawn.tolist() == cdf.searchsorted(ties, side="right").tolist()
+
+
+@pytest.mark.parametrize("lo, hi", [(0.43, 0.86), (0.2, 0.8), (0.0, 1.0)])
+def test_uniform_type_draw_matches_generator_uniform(lo, hi):
+    """A continuous population's types, drawn into a given row, have the bits
+    of ``Generator.uniform`` and leave the generator in the same state."""
+    ours, numpy_s = np.random.default_rng(4), np.random.default_rng(4)
+    row = np.full(70_001, np.nan)
+    drawn = evaluation._uniform_types(lo, hi, ours, row)
+    assert drawn is row
+    assert drawn.tobytes() == numpy_s.uniform(lo, hi, size=row.size).tobytes()
+    assert ours.bit_generator.state == numpy_s.bit_generator.state
 
 
 def test_simulation_threads_are_bounded(gm1, five_type_menu, five_types, monkeypatch):

@@ -24,7 +24,7 @@ from statmenus.contracts import (
     _segments,
     best_response,
 )
-from statmenus.evaluation import _simulate_chunk, _workspace
+from statmenus.evaluation import _chunk_plan, _simulate_chunk, _workspace
 
 # ---------------------------------------------------------------------------
 # scalar oracles
@@ -415,13 +415,15 @@ def test_non_separating_menu_simulates_on_the_blocked_route(fixed_menu, gm1, mon
     assert [sm.simulate_population(m, population, gm1, n=70_000, seed=5) for m in menus] == reports
 
 
-def _chunk_peak(menu, selection, population, model, work=None):
-    """Count matrix and traced peak bytes of one full simulation chunk."""
+def _chunk_peak(menu, population, model, work=None):
+    """Count matrix and traced peak bytes of one full simulation chunk, in
+    ``work`` or in a workspace allocated while tracing."""
     child = np.random.SeedSequence(3).spawn(1)[0]
+    plan = _chunk_plan(menu, population, model)
     tracemalloc.start()
     try:
-        args = (menu, selection, population, model, 1 << 16, child, False, work)
-        counts, _ = _simulate_chunk(*args)
+        work = _workspace(1 << 16) if work is None else work
+        counts, _ = _simulate_chunk(plan, population, model, 1 << 16, child, False, work)
         return counts, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -432,16 +434,14 @@ def test_simulate_chunk_memory_is_bounded(fine_fixed_menu, gm1):
     contracts) utility matrix, which alone would take 537 MB, and below the
     34 MB of one block of ``_blocked_response``."""
     population = sm.uniform_population(0.43, 0.86)
-    lines = fine_fixed_menu.lines(gm1)
-    counts, peak = _chunk_peak(fine_fixed_menu, lines, population, gm1)
+    counts, peak = _chunk_peak(fine_fixed_menu, population, gm1)
     assert counts[:2, 0].tolist() == [1 << 16, 1 << 16]  # agents, participating
     assert peak < 24 * 2**20
 
 
 def test_simulate_chunk_memory_is_bounded_per_type(five_type_menu, five_types, gm1):
     population = sm.discrete_population(five_types)
-    per_type = best_response(np.array(five_types), *five_type_menu.lines(gm1))
-    counts, peak = _chunk_peak(five_type_menu, per_type, population, gm1)
+    counts, peak = _chunk_peak(five_type_menu, population, gm1)
     assert counts[0].sum() == 1 << 16
     assert peak < 24 * 2**20
 
@@ -451,8 +451,7 @@ def test_simulate_chunk_in_a_workspace_allocates_little(five_type_menu, five_typ
     p-value sampler's draws and index arrays: below 1 MiB, where the
     workspace's per-agent rows take 1.6 MiB."""
     population = sm.discrete_population(five_types)
-    per_type = best_response(np.array(five_types), *five_type_menu.lines(gm1))
     work = _workspace(1 << 16)
-    counts, peak = _chunk_peak(five_type_menu, per_type, population, gm1, work)
+    counts, peak = _chunk_peak(five_type_menu, population, gm1, work)
     assert counts[0].sum() == 1 << 16
     assert peak < 2**20

@@ -325,49 +325,23 @@ TABULATED = sm.tabulated_model(
     null_share=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),  # 0 and 1: one kind only
     transposed=st.booleans(),
     model=st.sampled_from([GM1, TABULATED]),
-    with_out=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_sample_pvalues_matches_masked_oracle(
-    shape, null_share, transposed, model, with_out, seed
-):
+def test_sample_pvalues_matches_masked_oracle(shape, null_share, transposed, model, seed):
     """The index-scatter sampler gives the boolean-mask sampler's p-values
     bit for bit and leaves the generator in the same state, for empty,
     all-null, all-alternative and mixed masks, 1-D and 2-D (also not
-    C-contiguous), with and without ``out``."""
+    C-contiguous)."""
     mask = np.random.default_rng(seed).random(shape) < null_share
     if transposed:
         mask = mask.T
     ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-    out = np.full(mask.shape, np.nan) if with_out else None
-    drawn = sm.sample_pvalues(model, mask, ours, out=out)
+    drawn = sm.sample_pvalues(model, mask, ours)
     expected = masked_sample_pvalues(model, mask, oracle)
-    assert drawn is out if with_out else drawn.flags.c_contiguous
+    assert drawn.flags.c_contiguous
     assert drawn.shape == expected.shape and drawn.dtype == expected.dtype
     assert drawn.tobytes() == expected.tobytes()
     assert ours.bit_generator.state == oracle.bit_generator.state
-
-
-@pytest.mark.parametrize(
-    "out",
-    [
-        np.empty((4, 6)).T,  # Fortran order
-        np.empty((6, 8))[:, ::2],  # strided
-        np.empty((6, 5)),
-        np.empty(24),
-        np.empty((6, 4), dtype=np.float32),
-        [[0.0] * 4] * 6,
-    ],
-    ids=["fortran", "strided", "shape", "flat", "float32", "list"],
-)
-def test_sample_pvalues_rejects_unusable_out(gm1, out):
-    """An ``out`` that ``reshape(-1)`` would copy, or of another shape or
-    dtype, raises before any draw."""
-    rng = np.random.default_rng(3)
-    state = rng.bit_generator.state
-    with pytest.raises(ValueError, match="C-contiguous float64"):
-        sm.sample_pvalues(gm1, np.ones((6, 4), dtype=bool), rng, out=out)
-    assert rng.bit_generator.state == state
 
 
 def _doubles_around(x: float, n: int) -> np.ndarray:
