@@ -24,6 +24,7 @@ def _halves(first, second, split):
     return np.stack([first[split], second[split]], axis=1).ravel()
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite estimate raises instead
 def adaptive_simpson(
     f: Callable[[np.ndarray], np.ndarray], knots, tol: float = 1e-10
 ) -> np.ndarray:
@@ -32,6 +33,10 @@ def adaptive_simpson(
     integral. Each segment follows the recursive rule bit for bit: an interval is
     accepted once its error estimate is within 15 tol (or at depth 48), otherwise
     both halves are refined at tol / 2 and their results summed left + right.
+
+    Raises ``ValueError``, naming the segment, when an integrand value or a
+    Simpson estimate is not finite: its error estimate could never pass, and
+    every interval of the segment would split down to depth 48.
     """
     knots = np.asarray(knots, dtype=float)
     live = np.flatnonzero(knots[:-1] != knots[1:])  # empty segments give 0 without calling f
@@ -47,6 +52,16 @@ def adaptive_simpson(
         f_lm, f_rm = np.split(f(np.concatenate([0.5 * (a + m), 0.5 * (m + b)])), 2)
         left, right = _simpson(f_a, f_lm, f_m, m - a), _simpson(f_m, f_rm, f_b, b - m)
         err = left + right - whole
+        # err is finite only when every integrand value and estimate it rests on is
+        if not np.isfinite(err).all():
+            k = np.flatnonzero(~np.isfinite(err))[0]
+            for _, split in reversed(levels):  # up to the interval's segment
+                k = split[k // 2]
+            i = live[k]
+            raise ValueError(
+                f"integrand or Simpson estimate not finite on segment "
+                f"[{float(knots[i])!r}, {float(knots[i + 1])!r}]"
+            )
         split = np.flatnonzero(~(np.abs(err) <= 15.0 * tol)) if depth < _MAX_DEPTH else []
         levels.append((left + right + err / 15.0, split))
         if not len(split):

@@ -130,8 +130,8 @@ class EpsilonSchedule:
 
 def quadratic_schedule(eta: float) -> EpsilonSchedule:
     """eps(z) = eta * (1 - z)^2."""
-    if eta <= 0.0:
-        raise ValueError(f"eta must be positive, got {eta!r}")
+    if not 0.0 < eta < np.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta!r}")
     return EpsilonSchedule(kind="quadratic", eta=float(eta))
 
 
@@ -139,19 +139,20 @@ def tabulated_schedule(zs: Sequence[float], values: Sequence[float]) -> EpsilonS
     """Piecewise-linear schedule through the given knots."""
     if len(zs) != len(values) or len(zs) < 2:
         raise ValueError("schedule needs matching knot sequences of length >= 2")
-    return EpsilonSchedule(
-        kind="tabulated", zs=tuple(map(float, zs)), values=tuple(map(float, values))
-    )
+    zs, values = tuple(map(float, zs)), tuple(map(float, values))
+    if not np.all(np.isfinite(zs + values)):
+        raise ValueError("schedule knots must be finite")
+    return EpsilonSchedule(kind="tabulated", zs=zs, values=values)
 
 
 def _validate_schedule(eps: EpsilonSchedule, q_bar: float) -> None:
     grid = np.linspace(0.0, q_bar, 129)
     vals = eps.value(grid)
-    if np.any(vals[:-1] <= 0.0):
+    if not np.all(vals[:-1] > 0.0):
         raise ValueError("slack schedule must be strictly positive below the worst type")
-    if np.any(np.diff(vals) >= 0.0):
+    if not np.all(np.diff(vals) < 0.0):
         raise ValueError("slack schedule must be strictly decreasing")
-    if vals[-1] < -1e-12:
+    if not vals[-1] >= -1e-12:
         raise ValueError("slack schedule must be nonnegative at the worst type")
 
 
@@ -415,7 +416,7 @@ def build_finite_menu(
     eps = np.full(n - 1, eps, dtype=float) if np.ndim(eps) == 0 else np.array(eps, dtype=float)
     if len(eps) != n - 1:
         raise ValueError(f"need {n - 1} slack values, got {len(eps)}")
-    if np.any(eps <= 0.0):
+    if not np.all(eps > 0.0):
         raise ValueError("slack values must be strictly positive")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must lie in [0, 1], got {lam!r}")

@@ -44,9 +44,11 @@ DEFAULT_IC_MARGIN = 1e-9
 # opts out only below -PARTICIPATION_SLACK.
 PARTICIPATION_SLACK = 1e-12
 TIE_BREAK_RULE = "smallest-report"
-# Rows of the (types x contracts) utility block held at once; bounds the
-# memory of selection and verification independently of the menu size.
-_BLOCK_ROWS = 1 << 12
+# Elements of the (types x contracts) utility block held at once, 8 MiB of
+# float64: a block has _BLOCK_ELEMENTS // contracts rows, and at least one,
+# so the memory of selection and verification does not grow with the menu
+# size (up to 2^20 contracts, where one row holds more).
+_BLOCK_ELEMENTS = 1 << 20
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)  # absorbs underflow in the rounding bounds
 
@@ -182,9 +184,10 @@ def zero_utility_cost(q, tau, reward, model: TestModel):
 def _utility_blocks(q: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray):
     """Yield ``(start, u)`` with u[i, j] = q[start + i] * slopes[j] + intercepts[j]
     over consecutive row blocks; ``u`` is one reused buffer."""
-    buf = np.empty((min(len(q), _BLOCK_ROWS), len(slopes)))
-    for start in range(0, len(q), _BLOCK_ROWS):
-        rows = q[start : start + _BLOCK_ROWS]
+    block = max(1, _BLOCK_ELEMENTS // len(slopes))
+    buf = np.empty((min(len(q), block), len(slopes)))
+    for start in range(0, len(q), block):
+        rows = q[start : start + block]
         u = buf[: len(rows)]
         np.multiply(rows[:, None], slopes, out=u)
         u += intercepts

@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
-# Rows of a simulation chunk's per-type count matrix.
+# Rows of a simulation's per-slot count matrix (``_tally``).
 _TALLIES = ("agents", "participating", "null", "approved_null", "approved_nonnull")
 # Up to this many types the type draw compares each uniform with every CDF
 # entry; above it the draw bisects the CDF.
@@ -179,7 +179,13 @@ def principal_return(menu: Menu, base: Contract, q, model: TestModel):
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Aggregate outcome of a synthetic agent population run."""
+    """Aggregate outcome of a synthetic agent population run.
+
+    ``principal_cash`` is what participants pay in costs less what approved
+    agents receive in rewards. It is priced once from the run's tallies, as
+    the ``math.fsum`` over contracts of participants times cost and approvals
+    times reward, so it does not depend on the chunk layout.
+    """
 
     n_agents: int
     seed: int
@@ -256,7 +262,8 @@ def _workspace(size: int):
 
 def _chunk_plan(menu, population, model):
     """What every simulation chunk of a run reads, made once per run: the
-    menu's lines and the ``_chunk_tables`` of the run's slots. A discrete
+    menu's lines, each slot's menu contract (``len(menu.taus)`` for opting
+    out) and the ``_chunk_tables`` of those contracts. A discrete
     population's slot is its type, whose contract is its ``best_response``;
     a continuous population's slot is the contract, with one last slot for
     opting out."""
@@ -267,35 +274,31 @@ def _chunk_plan(menu, population, model):
         contract = np.where(best >= -PARTICIPATION_SLACK, choice, n)
     else:
         contract = np.arange(n + 1)
-    return lines, _chunk_tables(menu, model, contract)
+    return lines, contract, _chunk_tables(menu, model, contract)
 
 
 def _chunk_tables(menu, model, contract):
     """A simulation chunk's lookup tables over its slots, from each slot's
     menu contract (``contract``; ``len(menu.taus)`` for opting out). An
-    opted-out slot has threshold -1, clearing no p-value, and cost and
-    reward 0.
+    opted-out slot has threshold -1, which clears no p-value.
 
     Returns, by key ``slot * 2 + null``, the cutoff an agent's statistic
     must not exceed (the threshold for a null agent, the lower end of its
-    ``_cutoff_brackets`` bracket for an alternative one), the bracket's
-    upper end (the threshold again for a null agent), and the cost; the
-    threshold per slot; by tally code ``key * 2 + approved``, the reward
-    paid; and whether each slot participates."""
+    ``_cutoff_brackets`` bracket for an alternative one) and the bracket's
+    upper end (the threshold again for a null agent); and the threshold per
+    slot."""
     taus = np.append(menu.taus, -1.0)
     lo, hi = _cutoff_brackets(model, taus)
-    costs, rewards = np.append(menu.costs, 0.0), np.append(menu.rewards, 0.0)
     tau = taus[contract]
     cutoff = np.stack([lo[contract], tau], axis=1).ravel()
     upper = np.stack([hi[contract], tau], axis=1).ravel()
-    approving = [False, True, False, True]  # a slot's codes, by null * 2 + approved
-    reward = np.where(approving, rewards[contract][:, None], 0.0).ravel()
-    return cutoff, upper, np.repeat(costs[contract], 2), tau, reward, contract < len(menu.taus)
+    return cutoff, upper, tau
 
 
 def _simulate_chunk(plan, population, model, size, seed_child, stratified, work):
     """One chunk of agents through the menu, by the run's ``_chunk_plan``.
-    Returns the ``_TALLIES`` x types count matrix and the principal's cash.
+    Returns the chunk's count of each tally code ``slot * 4 + null * 2 +
+    approved`` over the run's slots, which ``_tally`` reads.
 
     Each agent gets a slot (its type, or for a continuous population its
     contract) and a statistic from ``_sample_statistics``, and is approved
@@ -304,10 +307,6 @@ def _simulate_chunk(plan, population, model, size, seed_child, stratified, work)
     decided by its p-value, ``ndtr(statistic) <= tau`` (two or three of 8M
     agents on the five-type benchmark menu). The decisions are those of
     comparing every p-value with its threshold.
-    The tally code ``key * 2 + approved`` (``slot * 4 + null * 2 +
-    approved``) of every agent gives every tally in one ``bincount``, and
-    the cost and reward in agent order from the keyed tables, so the cash
-    keeps the bits of a per-agent sum.
 
     The per-agent rows are written into ``work``, a ``_workspace`` of at
     least ``size`` agents that a thread reuses for every chunk it runs.
@@ -315,13 +314,12 @@ def _simulate_chunk(plan, population, model, size, seed_child, stratified, work)
     before does not matter. Gathers index by intp and pass ``mode="clip"``:
     the indices are in range, and the default "raise" would gather into a
     temporary and copy it into ``out``."""
-    lines, (cutoff, upper, cost, tau, reward, participates) = plan
+    lines, _, (cutoff, upper, tau) = plan
     floats, slot, masks = work
     (u, x), slot, masks = floats[:, :size], slot[:size], masks[:, :size]
     is_null, approve = masks
     rng = np.random.default_rng(seed_child)
-    discrete = population.kind == "discrete"
-    if discrete:
+    if population.kind == "discrete":
         weights = np.array(population.weights)
         if stratified:
             slot[:] = np.repeat(np.arange(weights.size), _stratified_counts(weights, size))
@@ -331,7 +329,7 @@ def _simulate_chunk(plan, population, model, size, seed_child, stratified, work)
     else:
         q = _uniform_types(population.lo, population.hi, rng, u)
         choice, best = best_response(q, *lines)
-        slot.fill(participates.size - 1)  # the opt-out slot
+        slot.fill(tau.size - 1)  # the opt-out slot
         np.copyto(slot, choice, where=best >= -PARTICIPATION_SLACK)
 
     np.less(rng.random(out=x), q, out=is_null)
@@ -343,17 +341,14 @@ def _simulate_chunk(plan, population, model, size, seed_child, stratified, work)
     band = np.flatnonzero(np.greater(inside, approve, out=inside))
     if band.size:  # statistics in their bracket, decided by their p-values
         approve[band] = ndtr(u[band]) <= tau[key[band] >> 1]
-    cost_sum = float(np.sum(np.take(cost, key, out=x, mode="clip")))
     code = np.left_shift(key, 1, out=key)  # the tally code, over the spent key
     code |= approve
-    cash = cost_sum - float(np.sum(np.take(reward, code, out=x, mode="clip")))
-    counts = _tally(code, participates)
-    return (counts if discrete else counts.sum(axis=1, keepdims=True)), cash
+    return np.bincount(code, minlength=4 * tau.size)
 
 
-def _tally(code: np.ndarray, participates: np.ndarray) -> np.ndarray:
-    """The ``_TALLIES`` x slots count matrix of the agents' tally codes."""
-    by_code = np.bincount(code, minlength=4 * participates.size).reshape(-1, 4)
+def _tally(by_code: np.ndarray, participates: np.ndarray) -> np.ndarray:
+    """The ``_TALLIES`` x slots count matrix of the tally codes' counts."""
+    by_code = by_code.reshape(-1, 4)
     agents = by_code.sum(axis=1)
     null = by_code[:, 2] + by_code[:, 3]
     return np.array([agents, agents * participates, null, by_code[:, 3], by_code[:, 1]])
@@ -403,8 +398,12 @@ def simulate_population(
     else:
         results = [work(a) for a in zip(sizes, children)]
 
-    counts = sum(chunk_counts for chunk_counts, _ in results)
-    cash = sum(chunk_cash for _, chunk_cash in results)  # in chunk order, for reproducible bits
+    _, contract, _ = plan
+    counts = _tally(sum(results), contract < len(menu.taus))  # integer sums, in any order
+    # Participants pay their contract's cost, approved agents receive its
+    # reward; the opt-out slot costs and pays nothing.
+    costs, rewards = (np.append(column, 0.0)[contract] for column in (menu.costs, menu.rewards))
+    cash = math.fsum([*counts[1] * costs, *-(counts[3] + counts[4]) * rewards])
     _, participating, _, approved_null, approved_nonnull = counts.sum(axis=1).tolist()
     approved = approved_null + approved_nonnull
 

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import statmenus as sm
-from statmenus import objectives
+from statmenus import _quad, objectives
 from statmenus._quad import _MAX_DEPTH, adaptive_simpson
 
 from oracles import (
@@ -238,6 +238,32 @@ def test_simpson_recursing_several_levels_and_to_the_depth_cap():
         expected = [recursive_simpson(f, a, b, tol, trace=depths) for a, b in zip(knots, knots[1:])]
         assert adaptive_simpson(f, knots, tol).tolist() == [float(v) for v in expected]
         assert max(depths) >= (_MAX_DEPTH if f is step else 8)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e308])
+def test_non_finite_integral_raises_naming_its_segment(monkeypatch, value):
+    """An integrand value that is NaN or infinite, or finite values whose
+    Simpson sums overflow (1e308), raise at once, naming the segment, instead
+    of splitting every interval down to the depth cap (lowered here, so that
+    a quadrature that refines them stops soon). A bad point first met at a
+    deeper level names its own segment too, while the other segment is being
+    refined alongside it."""
+    monkeypatch.setattr(_quad, "_MAX_DEPTH", 12)
+    calls = []
+
+    def jump(x):
+        calls.append(x)
+        return np.where(x > 0.5, value, 1.0)
+
+    with pytest.raises(ValueError, match=r"not finite on segment \[0\.25, 0\.75\]"):
+        adaptive_simpson(jump, [0.0, 0.25, 0.75, 1.0])
+    assert len(calls) == 2  # the knots and midpoints, then the first level
+
+    def wave(x):
+        return np.where(x == 1.0625, value, np.sin(40.0 * x))
+
+    with pytest.raises(ValueError, match=r"not finite on segment \[1\.0, 2\.0\]"):
+        adaptive_simpson(wave, [0.0, 1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import statmenus as sm
-from statmenus import builders
+from statmenus import _quad, builders
 from statmenus.contracts import Contract
 from statmenus.errors import InfeasibleMenuError, InvalidPotentialError
 
@@ -161,6 +161,31 @@ def test_varying_reward_rejects_bad_schedule(gm1, fdr25):
         sm.quadratic_schedule(0.0)
 
 
+@pytest.mark.parametrize(
+    "schedule, message",
+    [
+        (lambda: sm.quadratic_schedule(np.nan), "eta must be positive and finite"),
+        (lambda: sm.quadratic_schedule(np.inf), "eta must be positive and finite"),
+        (lambda: sm.tabulated_schedule([0.0, np.nan], [0.1, 0.0]), "knots must be finite"),
+        (lambda: sm.tabulated_schedule([0.0, 0.8], [np.inf, 0.0]), "knots must be finite"),
+        (lambda: builders.EpsilonSchedule("quadratic", eta=np.nan), "strictly positive"),
+        (lambda: sm.quadratic_schedule(1e308), "not finite on segment"),
+    ],
+)
+def test_varying_reward_rejects_non_finite_slack(gm1, fdr25, monkeypatch, schedule, message):
+    """A NaN or infinite slack fails at its schedule or its validation, and
+    a finite one whose integral overflows (eta 1e308) fails in the
+    quadrature: a ValueError before any deep refinement. The depth cap is
+    lowered, so that a quadrature that refines instead stops soon."""
+    monkeypatch.setattr(_quad, "_MAX_DEPTH", 12)
+    q_bar = 0.8
+    tau_bar = sm.fdr_threshold(q_bar, fdr25, gm1)
+    base = Contract(tau_bar, 100.0, sm.zero_utility_cost(q_bar, tau_bar, 100.0, gm1))
+    thresholds = fdr_thresholds_on([0.3, 0.5, q_bar], fdr25, gm1)
+    with pytest.raises(ValueError, match=message):
+        sm.build_varying_reward(base, schedule(), thresholds, gm1)
+
+
 # ---------------------------------------------------------------------------
 # fixed-reward construction
 # ---------------------------------------------------------------------------
@@ -281,6 +306,8 @@ def test_finite_menu_rejects_nonpositive_slack(gm1, fdr25, five_types):
         sm.build_finite_menu(five_types, taus, (100.0, 5.0), 0.0, lam=0.5, model=gm1)
     with pytest.raises(ValueError):
         sm.build_finite_menu(five_types, taus, (100.0, 5.0), [50.0, 50.0, -1.0, 50.0], lam=0.5, model=gm1)
+    with pytest.raises(ValueError, match="slack values must be strictly positive"):
+        sm.build_finite_menu(five_types, taus, (100.0, 5.0), [50.0, np.nan, 50.0, 50.0], model=gm1)
 
 
 def test_finite_menu_slack_controls_separation(gm1, fdr25, five_types):

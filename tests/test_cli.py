@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import statmenus as sm
-from statmenus import cli
+from statmenus import _quad, cli
 from statmenus.cli import main, parse_config
 from statmenus.errors import ConfigError
 
@@ -229,6 +229,19 @@ def test_config_value_out_of_range_is_config_error(
     err = capsys.readouterr().err
     assert f"config error at {pointer}:" in err and message in err
     assert not (out / artifact).exists()
+
+
+def test_overflowing_slack_is_config_error(tmp_path, capsys, monkeypatch):
+    """``"eta": 1e308`` is finite, but the Simpson sums of its slack overflow:
+    the quadrature raises and the build exits 2 at /menu. The depth cap is
+    lowered, so that a quadrature that refines instead stops soon."""
+    monkeypatch.setattr(_quad, "_MAX_DEPTH", 12)
+    path = write_config(tmp_path, {**VARYING, "/menu/eta": 1e308})
+    out = tmp_path / "out"
+    assert main(["menu-build", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error at /menu: integrand or Simpson estimate not finite" in err
+    assert not (out / "menu.json").exists()
 
 
 def test_opted_out_type_in_evaluate_is_infeasible(tmp_path, capsys):

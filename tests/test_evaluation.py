@@ -1,5 +1,6 @@
 """Tests for rates, frontier sweeps, cost metrics, and the simulator."""
 
+import math
 import os
 import sys
 from types import SimpleNamespace
@@ -293,16 +294,17 @@ def _five_type_counts(*rows):
 @pytest.mark.parametrize(
     "draws, totals, cash, per_type",
     [
-        ("discrete", (70_000, 28_921, 7_285), "-0x1.121f65142044bp+19", _five_type_counts(
+        ("discrete", (70_000, 28_921, 7_285), "-0x1.121f651420450p+19", _five_type_counts(
             (14102, 14102, 4219, 3093, 9337), (13692, 13692, 5508, 2049, 6144),
             (14213, 14213, 7106, 1319, 3761), (14091, 14091, 8510, 612, 1731),
             (13902, 13902, 9705, 212, 663))),
-        ("stratified", (70_000, 29_061, 7_144), "-0x1.241dccc636b68p+19", _five_type_counts(
+        ("stratified", (70_000, 29_061, 7_144), "-0x1.241dccc636b66p+19", _five_type_counts(
             (14001, 14001, 4181, 3072, 9346), (14000, 14000, 5504, 2088, 6394),
             (14000, 14000, 6938, 1177, 3736), (14000, 14000, 8444, 586, 1798),
             (13999, 13999, 9810, 221, 643))),
-        ("uniform_grid", (70_000, 11_629, 2_944), "-0x1.914e46613e484p+17", None),
+        ("uniform_grid", (70_000, 11_629, 2_944), "-0x1.914e46613e481p+17", None),
     ],
+    ids=["discrete", "stratified", "uniform_grid"],  # so that a re-pin keeps the names
 )
 def test_simulation_output_is_pinned(
     gm1, five_type_menu, fixed_menu, five_types, draws, totals, cash, per_type
@@ -386,9 +388,9 @@ def chunk_cases(draw):
 @example(case=("discrete", sm.discrete_population(np.linspace(0.3, 0.75, 10), [0.1] * 10), GM1, 2_000, 1))
 @example(case=("stratified", sm.discrete_population([0.3, 0.72], [0.0, 1.0]), TABULATED, 1, 2))
 def test_simulate_chunk_matches_masked_oracle(five_type_menu, case):
-    """The tally-code chunk gives the masked chunk's count matrix and cash
-    bits, for any weights (``[0.1] * 10`` sums to 0.9999999999999999), chunk
-    size, draw, model and opted-out types."""
+    """The tally-code chunk's counts give the masked chunk's count matrix,
+    for any weights (``[0.1] * 10`` sums to 0.9999999999999999), chunk size,
+    draw, model and opted-out types."""
     draws, population, model, size, seed = case
     selection = five_type_menu.lines(model)
     if population.kind == "discrete":
@@ -396,20 +398,28 @@ def test_simulate_chunk_matches_masked_oracle(five_type_menu, case):
     child = np.random.SeedSequence(seed)
     args = (population, model, size, child, draws == "stratified")
     plan = evaluation._chunk_plan(five_type_menu, population, model)
-    counts, cash = evaluation._simulate_chunk(plan, *args, evaluation._workspace(size))
-    expected_counts, expected_cash = masked_simulate_chunk(five_type_menu, selection, *args)
+    by_code = evaluation._simulate_chunk(plan, *args, evaluation._workspace(size))
+    expected_counts, _ = masked_simulate_chunk(five_type_menu, selection, *args)
+    counts = _chunk_counts(five_type_menu, population, plan, by_code)
     assert counts.dtype == expected_counts.dtype
     assert counts.tolist() == expected_counts.tolist()
-    assert cash.hex() == expected_cash.hex()
+
+
+def _chunk_counts(menu, population, plan, by_code):
+    """The ``_tally`` of a chunk's tally-code counts as the masked chunk
+    gives it: per type, or summed over a continuous population's slots."""
+    _, contract, _ = plan
+    counts = evaluation._tally(by_code, contract < len(menu.taus))
+    return counts if population.kind == "discrete" else counts.sum(axis=1, keepdims=True)
 
 
 def test_reused_workspace_leaks_no_state(five_type_menu):
     """Chunks of 65,536, 97, 1 and 65,536 agents run one after another in
     one workspace that starts full of garbage (NaN, -1, True) give the
-    counts and cash bits of chunks in fresh workspaces and of the masked
-    chunk, for i.i.d., stratified and ``uniform_grid`` draws. A report whose
-    four chunks run on two threads, each reusing its workspace, equals the
-    report whose chunks run in turn."""
+    counts of chunks in fresh workspaces and of the masked chunk, for
+    i.i.d., stratified and ``uniform_grid`` draws. A report whose four
+    chunks run on two threads, each reusing its workspace, equals the report
+    whose chunks run in turn."""
     work = evaluation._workspace(1 << 16)
     for buffer, garbage in zip(work, (np.nan, -1, True)):
         buffer.fill(garbage)
@@ -422,11 +432,11 @@ def test_reused_workspace_leaks_no_state(five_type_menu):
         plan = evaluation._chunk_plan(five_type_menu, population, GM1)
         for seed, size in enumerate((1 << 16, 97, 1, 1 << 16)):
             args = (population, GM1, size, np.random.SeedSequence(seed), draws == "stratified")
-            expected_counts, expected_cash = masked_simulate_chunk(five_type_menu, selection, *args)
+            expected_counts, _ = masked_simulate_chunk(five_type_menu, selection, *args)
             for chunk_work in (work, evaluation._workspace(size)):
-                counts, cash = evaluation._simulate_chunk(plan, *args, chunk_work)
+                by_code = evaluation._simulate_chunk(plan, *args, chunk_work)
+                counts = _chunk_counts(five_type_menu, population, plan, by_code)
                 assert counts.tolist() == expected_counts.tolist()
-                assert cash.hex() == expected_cash.hex()
         kwargs = dict(n=3 * (1 << 16) + 11, seed=8, stratified=draws == "stratified")
         serial = sm.simulate_population(five_type_menu, population, GM1, jobs=1, **kwargs)
         switch = sys.getswitchinterval()
@@ -473,7 +483,7 @@ def test_planted_ndtr_reversal_matches_masked_oracle(gm1, monkeypatch):
     """Alternative statistics planted at an ``ndtr`` reversal, at every
     contract's bracket ends and critical value and their float neighbours,
     and null p-values at every threshold and its neighbours, are approved as
-    the masked chunk approves their p-values: the same counts and cash bits.
+    the masked chunk approves their p-values: the same counts.
     One threshold is ``ndtr(w2)`` of a reversal ``w1 < w2``, so no single
     cutoff decides both; others cannot be certified (0, subnormals, near 1)
     or approve everything (1)."""
@@ -505,22 +515,22 @@ def test_planted_ndtr_reversal_matches_masked_oracle(gm1, monkeypatch):
 
     population = sm.discrete_population(menu.support)
     selection = (np.arange(k), np.zeros(k))  # type j takes contract j
-    plan = (menu.lines(gm1), evaluation._chunk_tables(menu, gm1, np.arange(k)))
+    plan = (menu.lines(gm1), np.arange(k), evaluation._chunk_tables(menu, gm1, np.arange(k)))
     monkeypatch.setattr(np.random, "default_rng", lambda draws: draws)
     args = (population, gm1, flags.size)
-    counts, cash = evaluation._simulate_chunk(
+    by_code = evaluation._simulate_chunk(
         plan,
         *args,
         PlantedDraws([flags.ravel(), nulls.ravel()], normals),
         True,
         evaluation._workspace(flags.size),
     )
-    expected_counts, expected_cash = masked_simulate_chunk(
+    expected_counts, _ = masked_simulate_chunk(
         menu, selection, *args, PlantedDraws([flags.ravel(), nulls.ravel()], normals), True
     )
+    counts = _chunk_counts(menu, population, plan, by_code)
     assert counts[0].tolist() == [flags.shape[1]] * k
     assert counts.tolist() == expected_counts.tolist()
-    assert cash.hex() == expected_cash.hex()
 
 
 def _draw_buffers(size):
@@ -654,15 +664,39 @@ def test_simulation_uniform_population(gm1, fixed_menu):
 
 
 def test_simulation_principal_cash_consistency(gm1, five_type_menu, five_types):
-    """Cash equals collected costs minus paid rewards, recomputed per type."""
+    """Cash equals collected costs minus paid rewards, recomputed per type
+    and summed exactly."""
     pop = sm.discrete_population(five_types)
     report = sm.simulate_population(five_type_menu, pop, gm1, n=50_000, seed=21)
-    expected = 0.0
+    terms = []
     for q, counts in report.per_type.items():
         contract = five_type_menu.contract_for(q)
         approved = counts["approved_null"] + counts["approved_nonnull"]
-        expected += counts["participating"] * contract.cost - approved * contract.reward
-    assert report.principal_cash == pytest.approx(expected, rel=1e-12)
+        terms += [counts["participating"] * contract.cost, -approved * contract.reward]
+    assert report.principal_cash == math.fsum(terms)
+
+
+@pytest.mark.parametrize("draws", ["discrete", "stratified", "uniform_grid"])
+def test_simulation_cash_matches_per_agent_cash(gm1, five_type_menu, draws):
+    """A run's cash, priced once from its tallies, is within 1e-12 relative
+    of the masked chunks' per-agent cash summed over the run's chunks, with
+    opted-out types (above about 0.797) in the population."""
+    if draws == "uniform_grid":
+        population = sm.uniform_population(0.2, 0.9, 64)
+        selection = five_type_menu.lines(gm1)
+    else:
+        population = sm.discrete_population([0.3, 0.4, 0.5, 0.6, 0.9], [0.1, 0.3, 0.2, 0.15, 0.25])
+        selection = best_response(np.array(population.types), *five_type_menu.lines(gm1))
+    sizes = (evaluation._CHUNK, evaluation._CHUNK, 1_234)
+    n, seed, stratified = sum(sizes), 6, draws == "stratified"
+    report = sm.simulate_population(five_type_menu, population, gm1, n, seed, stratified)
+    children = np.random.SeedSequence(seed).spawn(len(sizes))
+    per_agent = sum(
+        masked_simulate_chunk(five_type_menu, selection, population, gm1, *chunk, stratified)[1]
+        for chunk in zip(sizes, children)
+    )
+    assert report.participating < n
+    assert report.principal_cash == pytest.approx(per_agent, rel=1e-12, abs=0.0)
 
 
 def test_rounding_below_zero_utility_still_participates(gm1, fdr25):

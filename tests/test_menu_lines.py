@@ -24,7 +24,7 @@ from statmenus.contracts import (
     _segments,
     best_response,
 )
-from statmenus.evaluation import _chunk_plan, _simulate_chunk, _workspace
+from statmenus.evaluation import _chunk_plan, _simulate_chunk, _tally, _workspace
 
 # ---------------------------------------------------------------------------
 # scalar oracles
@@ -186,8 +186,10 @@ def test_separating_menu_checks_every_pair(fixed_menu, gm1):
     assert new.pairs_checked == 129 * 128
 
 
-@pytest.mark.parametrize("rows", [1, 2, 3, 7])
+@pytest.mark.parametrize("rows", [0, 1, 2, 3, 7])
 def test_results_do_not_depend_on_the_block_size(monkeypatch, rows):
+    """Blocks of ``rows`` rows of the 33-contract menu give the whole
+    block's selection and reports; 0 rows' worth of elements is one row."""
     rng = np.random.default_rng(rows)
     menu = _fixed_reward_menu(33)
     contracts_ = list(menu.contracts)
@@ -198,7 +200,7 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, rows):
 
     whole_index, whole_value = _blocked_response(q, slopes, intercepts)
     whole_reports = [sm.verify_separating(m, model=GM1) for m in (menu, broken)]
-    monkeypatch.setattr(contracts, "_BLOCK_ROWS", rows)
+    monkeypatch.setattr(contracts, "_BLOCK_ELEMENTS", rows * len(slopes))
     index, value = _blocked_response(q, slopes, intercepts)
     assert np.array_equal(index, whole_index)
     assert value.tobytes() == whole_value.tobytes()
@@ -423,20 +425,37 @@ def _chunk_peak(menu, population, model, work=None):
     tracemalloc.start()
     try:
         work = _workspace(1 << 16) if work is None else work
-        counts, _ = _simulate_chunk(plan, population, model, 1 << 16, child, False, work)
-        return counts, tracemalloc.get_traced_memory()[1]
+        by_code = _simulate_chunk(plan, population, model, 1 << 16, child, False, work)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    _, contract, _ = plan
+    return _tally(by_code, contract < len(menu.taus)), peak
 
 
 def test_simulate_chunk_memory_is_bounded(fine_fixed_menu, gm1):
     """A full chunk on a 1025-contract menu stays far below the (chunk x
     contracts) utility matrix, which alone would take 537 MB, and below the
-    34 MB of one block of ``_blocked_response``."""
+    8 MiB of one block of ``_blocked_response`` (about 10.7 MiB when every
+    agent takes that route)."""
     population = sm.uniform_population(0.43, 0.86)
     counts, peak = _chunk_peak(fine_fixed_menu, population, gm1)
-    assert counts[:2, 0].tolist() == [1 << 16, 1 << 16]  # agents, participating
-    assert peak < 24 * 2**20
+    assert counts[:2].sum(axis=1).tolist() == [1 << 16, 1 << 16]  # agents, participating
+    assert peak < 8 * 2**20
+
+
+def test_verification_memory_does_not_grow_with_the_menu(gm1, fdr25):
+    """Verifying every pair of an 8,193-contract menu holds one utility
+    block of 2^20 elements, not 4,096 rows of 8,193 (a 256 MiB block)."""
+    menu = sm.build_fixed_reward(100.0, 0.43, 0.86, fdr25, gm1, n=8_193)
+    tracemalloc.start()
+    try:
+        report = sm.verify_separating(menu, model=gm1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.pairs_checked == 8_193 * 8_192
+    assert peak < 32 * 2**20
 
 
 def test_simulate_chunk_memory_is_bounded_per_type(five_type_menu, five_types, gm1):
