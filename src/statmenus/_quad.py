@@ -13,10 +13,21 @@ from typing import Callable
 import numpy as np
 
 _MAX_DEPTH = 48
+# An error estimate within this many ulps of its Simpson sums is their rounding.
+_ROUNDING = 64 * np.finfo(float).eps
 
 
 def _simpson(f_a, f_m, f_b, h):
     return h / 6.0 * (f_a + 4.0 * f_m + f_b)
+
+
+def _fail(knots, live, levels, k, what: str):
+    """Raise ``ValueError``: ``what`` on the segment of interval ``k`` at the
+    current level, found by tracing it up the ``levels`` splits."""
+    for _, split in reversed(levels):
+        k = split[k // 2]
+    i = live[k]
+    raise ValueError(f"{what} on segment [{float(knots[i])!r}, {float(knots[i + 1])!r}]")
 
 
 def _halves(first, second, split):
@@ -34,9 +45,11 @@ def adaptive_simpson(
     accepted once its error estimate is within 15 tol (or at depth 48), otherwise
     both halves are refined at tol / 2 and their results summed left + right.
 
-    Raises ``ValueError``, naming the segment, when an integrand value or a
-    Simpson estimate is not finite: its error estimate could never pass, and
-    every interval of the segment would split down to depth 48.
+    Raises ``ValueError``, naming the segment, when an error estimate could
+    never pass, so that every interval of the segment would split down to
+    depth 48: when an integrand value or a Simpson estimate is not finite, or
+    when an interval's error estimate misses its tolerance while lying within
+    the rounding of its own Simpson sums (an integrand too large for ``tol``).
     """
     knots = np.asarray(knots, dtype=float)
     live = np.flatnonzero(knots[:-1] != knots[1:])  # empty segments give 0 without calling f
@@ -54,15 +67,15 @@ def adaptive_simpson(
         err = left + right - whole
         # err is finite only when every integrand value and estimate it rests on is
         if not np.isfinite(err).all():
-            k = np.flatnonzero(~np.isfinite(err))[0]
-            for _, split in reversed(levels):  # up to the interval's segment
-                k = split[k // 2]
-            i = live[k]
-            raise ValueError(
-                f"integrand or Simpson estimate not finite on segment "
-                f"[{float(knots[i])!r}, {float(knots[i + 1])!r}]"
-            )
+            what = "integrand or Simpson estimate not finite"
+            _fail(knots, live, levels, np.flatnonzero(~np.isfinite(err))[0], what)
         split = np.flatnonzero(~(np.abs(err) <= 15.0 * tol)) if depth < _MAX_DEPTH else []
+        # tol and the rounding of the Simpson sums both halve per level, so an
+        # error within that rounding can never pass
+        stuck = np.abs(err[split]) <= _ROUNDING * (np.abs(left[split]) + np.abs(right[split]))
+        if stuck.any():
+            what = "tolerance below the rounding of the Simpson sums"
+            _fail(knots, live, levels, split[np.argmax(stuck)], what)
         levels.append((left + right + err / 15.0, split))
         if not len(split):
             break

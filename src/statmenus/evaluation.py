@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .contracts import PARTICIPATION_SLACK, Contract, Menu, best_response, utility
 from .errors import ParticipationError
@@ -26,7 +25,7 @@ from .objectives import TypePopulation, _fdr_bisection
 from .rates import bayes_risk, fdr, tdr
 from .testmodel import (
     TestModel,
-    _cutoff_brackets,
+    _critical_values,
     _float_or_array,
     _require,
     _sample_statistics,
@@ -263,7 +262,7 @@ def _workspace(size: int):
 def _chunk_plan(menu, population, model):
     """What every simulation chunk of a run reads, made once per run: the
     menu's lines, each slot's menu contract (``len(menu.taus)`` for opting
-    out) and the ``_chunk_tables`` of those contracts. A discrete
+    out) and the ``_chunk_tables`` cutoffs of those contracts. A discrete
     population's slot is its type, whose contract is its ``best_response``;
     a continuous population's slot is the contract, with one last slot for
     opting out."""
@@ -278,21 +277,13 @@ def _chunk_plan(menu, population, model):
 
 
 def _chunk_tables(menu, model, contract):
-    """A simulation chunk's lookup tables over its slots, from each slot's
-    menu contract (``contract``; ``len(menu.taus)`` for opting out). An
-    opted-out slot has threshold -1, which clears no p-value.
-
-    Returns, by key ``slot * 2 + null``, the cutoff an agent's statistic
-    must not exceed (the threshold for a null agent, the lower end of its
-    ``_cutoff_brackets`` bracket for an alternative one) and the bracket's
-    upper end (the threshold again for a null agent); and the threshold per
-    slot."""
-    taus = np.append(menu.taus, -1.0)
-    lo, hi = _cutoff_brackets(model, taus)
-    tau = taus[contract]
-    cutoff = np.stack([lo[contract], tau], axis=1).ravel()
-    upper = np.stack([hi[contract], tau], axis=1).ravel()
-    return cutoff, upper, tau
+    """A simulation chunk's cutoffs over its slots, from each slot's menu
+    contract (``contract``; ``len(menu.taus)`` for opting out, whose
+    threshold -1 approves no one): by key ``slot * 2 + null``, the largest
+    statistic approved, which is the threshold for a null agent and its
+    ``_critical_values`` entry for an alternative one."""
+    taus = np.append(menu.taus, -1.0)[contract]
+    return np.stack([_critical_values(model, taus), taus], axis=1).ravel()
 
 
 def _simulate_chunk(plan, population, model, size, seed_child, stratified, work):
@@ -303,10 +294,7 @@ def _simulate_chunk(plan, population, model, size, seed_child, stratified, work)
     Each agent gets a slot (its type, or for a continuous population its
     contract) and a statistic from ``_sample_statistics``, and is approved
     when the statistic does not exceed its cutoff, looked up by the key
-    ``slot * 2 + null``; an alternative statistic inside its bracket is
-    decided by its p-value, ``ndtr(statistic) <= tau`` (two or three of 8M
-    agents on the five-type benchmark menu). The decisions are those of
-    comparing every p-value with its threshold.
+    ``slot * 2 + null``: one gather and one comparison per agent.
 
     The per-agent rows are written into ``work``, a ``_workspace`` of at
     least ``size`` agents that a thread reuses for every chunk it runs.
@@ -314,7 +302,7 @@ def _simulate_chunk(plan, population, model, size, seed_child, stratified, work)
     before does not matter. Gathers index by intp and pass ``mode="clip"``:
     the indices are in range, and the default "raise" would gather into a
     temporary and copy it into ``out``."""
-    lines, _, (cutoff, upper, tau) = plan
+    lines, contract, cutoff = plan
     floats, slot, masks = work
     (u, x), slot, masks = floats[:, :size], slot[:size], masks[:, :size]
     is_null, approve = masks
@@ -329,7 +317,7 @@ def _simulate_chunk(plan, population, model, size, seed_child, stratified, work)
     else:
         q = _uniform_types(population.lo, population.hi, rng, u)
         choice, best = best_response(q, *lines)
-        slot.fill(tau.size - 1)  # the opt-out slot
+        slot.fill(contract.size - 1)  # the opt-out slot
         np.copyto(slot, choice, where=best >= -PARTICIPATION_SLACK)
 
     np.less(rng.random(out=x), q, out=is_null)
@@ -337,13 +325,9 @@ def _simulate_chunk(plan, population, model, size, seed_child, stratified, work)
     key = np.left_shift(slot, 1, out=slot)
     key |= is_null
     np.less_equal(u, np.take(cutoff, key, out=x, mode="clip"), out=approve)
-    inside = np.less_equal(u, np.take(upper, key, out=x, mode="clip"), out=is_null)  # key has it
-    band = np.flatnonzero(np.greater(inside, approve, out=inside))
-    if band.size:  # statistics in their bracket, decided by their p-values
-        approve[band] = ndtr(u[band]) <= tau[key[band] >> 1]
     code = np.left_shift(key, 1, out=key)  # the tally code, over the spent key
     code |= approve
-    return np.bincount(code, minlength=4 * tau.size)
+    return np.bincount(code, minlength=4 * contract.size)
 
 
 def _tally(by_code: np.ndarray, participates: np.ndarray) -> np.ndarray:
@@ -375,6 +359,8 @@ def simulate_population(
     """
     if n < 1:
         raise ValueError("need at least one agent")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs!r}")
     if stratified and population.kind != "discrete":
         raise ValueError("stratified sampling requires a discrete population")
     sizes = [_CHUNK] * (n // _CHUNK)

@@ -228,10 +228,11 @@ def _sample_statistics(
 
     A null entry gets its uniform p-value and a tabulated alternative its
     p-value from the inverted power table; a Gaussian alternative gets
-    ``w = -(z + theta1)``, whose p-value is ``ndtr(w)``. Uniforms are drawn
-    first, then the alternatives' draws, each with ``out=`` into the front
-    of ``scratch`` (a float64 row of the mask's size) and scattered by index
-    arrays.
+    ``w = -(z + theta1)``, whose p-value is ``ndtr(w)`` and which is
+    approved at ``tau`` when ``w <= ndtri(tau)`` (``_critical_values``).
+    Uniforms are drawn first, then the alternatives' draws, each with
+    ``out=`` into the front of ``scratch`` (a float64 row of the mask's size)
+    and scattered by index arrays.
     """
     null = np.flatnonzero(is_null)
     out[null] = rng.random(out=scratch[: null.size])
@@ -266,50 +267,22 @@ def sample_pvalues(model: TestModel, is_null: np.ndarray, rng: np.random.Generat
     return out
 
 
-# The certified cutoff's margins: its bracket's half-width relative to the
-# critical value, and how far the p-values at its ends must clear tau.
-_BRACKET_WIDTH = 1e-6
-_BRACKET_MARGIN = 1e-9
+def _critical_values(model: TestModel, taus: np.ndarray) -> np.ndarray:
+    """Per threshold ``tau``, the largest statistic (as ``_sample_statistics``
+    draws it) that the test approves at ``tau``: for the Gaussian model
+    ``ndtri(tau)``, which is ``-inf`` at 0 and below (an opted-out agent's
+    -1) and ``+inf`` at 1; for a tabulated model, whose statistic is its
+    p-value, ``tau`` itself.
 
-
-def _cutoff_brackets(model: TestModel, taus: np.ndarray):
-    """Per threshold ``tau``, the bracket ``(lo, hi]`` of statistics (as
-    ``_sample_statistics`` draws them) outside which comparing with the
-    bracket decides ``p-value <= tau``: a statistic ``w <= lo`` clears tau, a
-    statistic ``w > hi`` does not, and one inside is decided by its p-value.
-
-    A tabulated model's statistic is its p-value, so ``lo = hi = tau``. For
-    the Gaussian model ``c = ndtri(tau)`` and ``d = 1e-6 * max(1, |c|)``
-    give ``(c - d, c + d]``, kept only when it is certified: ``tau`` is a
-    normal double, ``ndtr(c - d) <= tau * (1 - 1e-9)`` and ``ndtr(c + d) >=
-    tau * (1 + 1e-9)``. A plain cutoff at ``c`` would be wrong, because
-    ``ndtr`` is not monotone in its last bit (reversals of up to 5.6e-16
-    relative near -2.5, -1.7 and +-1/sqrt 2). The bracket rests on one
-    assumption: ``ndtr``'s relative error is below 5e-10, so that, within
-    the 1e-9 margin, ``ndtr(w) <= tau`` for every ``w <= c - d`` and
-    ``ndtr(w) > tau`` for every ``w > c + d``. A threshold that cannot be
-    certified (0, a subnormal, one within 1e-9 of 1 or, as the curve
-    flattens, above about 0.9999) gets ``(-inf, +inf]``, so every statistic
-    goes to ``ndtr``; one of at least 1 gets ``(+inf, +inf]``, clearing
-    every statistic, and a negative one (an opted-out agent) ``(-inf,
-    -inf]``, clearing none.
+    Comparing ``w <= ndtri(tau)`` decides as ``ndtr(w) <= tau`` wherever the
+    p-value lies more than ``ndtr``'s error (1e-9 relative) from ``tau``;
+    within it, the comparison stays monotone in ``w``, where ``ndtr``'s last
+    bit is not.
     """
     taus = np.asarray(taus, dtype=float)
     if model.kind != "gaussian_mean":
-        return taus, taus
-    with np.errstate(invalid="ignore"):  # tau = 0 gives c = -inf and hi = nan
-        c = ndtri(np.clip(taus, 0.0, 1.0))
-        d = _BRACKET_WIDTH * np.maximum(1.0, np.abs(c))
-        lo, hi = c - d, c + d
-        certified = (
-            (taus >= np.finfo(float).tiny)
-            & (ndtr(lo) <= taus * (1.0 - _BRACKET_MARGIN))
-            & (ndtr(hi) >= taus * (1.0 + _BRACKET_MARGIN))
-        )
-    lo[~certified], hi[~certified] = -np.inf, np.inf
-    lo[taus >= 1.0], hi[taus >= 1.0] = np.inf, np.inf
-    lo[taus < 0.0], hi[taus < 0.0] = -np.inf, -np.inf
-    return lo, hi
+        return taus
+    return ndtri(np.clip(taus, 0.0, 1.0))  # a negative tau clips to 0: -inf
 
 
 def sample_pvalue(model: TestModel, is_null: bool, rng: np.random.Generator) -> float:

@@ -238,7 +238,10 @@ def masked_simulate_chunk(menu, selection, population, model, size, seed_child, 
     ``Generator.choice``, per-agent contract, threshold and cash columns, and
     one masked ``bincount`` per tally. Returns the (agents, participating,
     null, approved null, approved non-null) x types count matrix and the
-    principal's cash."""
+    principal's cash. It approves by comparing each p-value with its
+    threshold; the simulator's critical values decide alike except within
+    ``ndtr``'s rounding of a threshold (3e-13 relative), a band a random
+    p-value falls in with a probability of order 1e-13."""
     rng = np.random.default_rng(seed_child)
 
     if population.kind == "discrete":

@@ -240,6 +240,24 @@ def test_simpson_recursing_several_levels_and_to_the_depth_cap():
         assert max(depths) >= (_MAX_DEPTH if f is step else 8)
 
 
+def test_tolerance_below_rounding_raises_naming_its_segment(monkeypatch):
+    """An interval whose error estimate misses its tolerance while lying
+    within the rounding of its own Simpson sums can never pass, because both
+    halve per level: the quadrature raises, naming the segment, instead of
+    splitting down to the depth cap (lowered here, so that a quadrature that
+    refines them stops soon)."""
+    monkeypatch.setattr(_quad, "_MAX_DEPTH", 12)
+    calls = []
+
+    def sine(x):
+        calls.append(x)
+        return np.sin(x)
+
+    with pytest.raises(ValueError, match=r"rounding of the Simpson sums on segment \[0\.0, 1\.0\]"):
+        adaptive_simpson(sine, [0.0, 1.0, 3.0], tol=1e-20)
+    assert len(calls) <= 12  # before the lowered cap
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e308])
 def test_non_finite_integral_raises_naming_its_segment(monkeypatch, value):
     """An integrand value that is NaN or infinite, or finite values whose

@@ -186,6 +186,23 @@ def test_varying_reward_rejects_non_finite_slack(gm1, fdr25, monkeypatch, schedu
         sm.build_varying_reward(base, schedule(), thresholds, gm1)
 
 
+def test_varying_reward_rejects_slack_too_large_for_the_quadrature(gm1, fdr25, monkeypatch):
+    """On 17 support points over [0.5, 0.8], the cost integrals of the slack
+    ``quadratic_schedule(1e10)`` have rounding above the quadrature's
+    tolerance at every depth: the build raises at once, naming a segment.
+    ``eta`` 1e8 still builds. The depth cap is lowered, so that a quadrature
+    that refines instead stops soon."""
+    monkeypatch.setattr(_quad, "_MAX_DEPTH", 12)
+    q_bar = 0.8
+    tau_bar = sm.fdr_threshold(q_bar, fdr25, gm1)
+    base = Contract(tau_bar, 100.0, sm.zero_utility_cost(q_bar, tau_bar, 100.0, gm1))
+    thresholds = fdr_thresholds_on(np.linspace(0.5, q_bar, 17), fdr25, gm1)
+    with pytest.raises(ValueError, match=r"rounding of the Simpson sums on segment \[0\.5"):
+        sm.build_varying_reward(base, sm.quadratic_schedule(1e10), thresholds, gm1)
+    menu = sm.build_varying_reward(base, sm.quadratic_schedule(1e8), thresholds, gm1)
+    assert len(menu.taus) == 17
+
+
 # ---------------------------------------------------------------------------
 # fixed-reward construction
 # ---------------------------------------------------------------------------

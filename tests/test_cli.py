@@ -244,6 +244,22 @@ def test_overflowing_slack_is_config_error(tmp_path, capsys, monkeypatch):
     assert not (out / "menu.json").exists()
 
 
+def test_slack_too_large_for_the_quadrature_is_config_error(tmp_path, capsys, monkeypatch):
+    """On 17 support points over [0.5, 0.8], ``"eta": 1e308`` keeps its
+    Simpson sums finite, but their rounding exceeds the quadrature's
+    tolerance at every depth: the build exits 2 at /menu at once instead of
+    refining until memory runs out. The depth cap is lowered, so that a
+    quadrature that refines instead stops soon."""
+    monkeypatch.setattr(_quad, "_MAX_DEPTH", 12)
+    overrides = {**VARYING, "/menu/q_lo": 0.5, "/menu/n": 17, "/menu/eta": 1e308}
+    out = tmp_path / "out"
+    path = write_config(tmp_path, overrides)
+    assert main(["menu-build", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error at /menu: tolerance below the rounding of the Simpson sums" in err
+    assert not (out / "menu.json").exists()
+
+
 def test_opted_out_type_in_evaluate_is_infeasible(tmp_path, capsys):
     """A population type that opts out of the menu has no principal return:
     the menu does not serve that population, exit 3."""

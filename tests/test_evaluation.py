@@ -13,7 +13,7 @@ from scipy import stats
 from scipy.special import ndtr, ndtri
 
 import statmenus as sm
-from statmenus import evaluation, testmodel
+from statmenus import evaluation
 from statmenus.contracts import PARTICIPATION_SLACK, Contract, Menu, best_response
 
 from oracles import bracket_principal_return, masked_simulate_chunk
@@ -262,6 +262,14 @@ def test_principal_return_requires_participation(gm1, five_type_menu):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_simulation_rejects_fewer_than_one_worker(gm1, five_type_menu, five_types, jobs):
+    """A worker count below 1 is an error, not a serial run."""
+    pop = sm.discrete_population(five_types)
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        sm.simulate_population(five_type_menu, pop, gm1, n=100, seed=1, jobs=jobs)
+
+
 def test_simulation_deterministic(gm1, five_type_menu, five_types):
     pop = sm.discrete_population(five_types)
     a = sm.simulate_population(five_type_menu, pop, gm1, n=20_000, seed=77)
@@ -335,7 +343,7 @@ def test_simulation_chunks_add_up(gm1, five_type_menu, five_types, n, jobs, draw
     for any worker count, the per-type columns add up to the totals, and the
     totals nest (approved <= participating <= n)."""
     if draws == "uniform_grid":
-        pop = sm.uniform_population(0.2, 0.8, 64)  # types above 0.7 opt out
+        pop = sm.uniform_population(0.2, 0.8, 64)  # types above about 0.797 opt out
     else:
         pop = sm.discrete_population(five_types, [0.1, 0.3, 0.2, 0.15, 0.25])
     kwargs = dict(n=n, seed=seed, stratified=draws == "stratified")
@@ -369,10 +377,10 @@ TABULATED = sm.tabulated_model(
 def chunk_cases(draw):
     """How a chunk's types are drawn, its population, model, size and seed.
     Discrete populations have up to 80 types, some of them opting out of the
-    five-type menu (above 0.7), and weights with zeros."""
+    five-type menu (above about 0.797), and weights with zeros."""
     draws = draw(st.sampled_from(["discrete", "stratified", "uniform_grid"]))
     if draws == "uniform_grid":
-        population = sm.uniform_population(0.2, 0.8, 64)  # types above 0.7 opt out
+        population = sm.uniform_population(0.2, 0.8, 64)  # types above about 0.797 opt out
     else:
         k = draw(st.integers(1, 80))
         types = draw(st.lists(st.floats(0.05, 0.95), min_size=k, max_size=k, unique=True))
@@ -386,7 +394,7 @@ def chunk_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=chunk_cases())
 @example(case=("discrete", sm.discrete_population(np.linspace(0.3, 0.75, 10), [0.1] * 10), GM1, 2_000, 1))
-@example(case=("stratified", sm.discrete_population([0.3, 0.72], [0.0, 1.0]), TABULATED, 1, 2))
+@example(case=("stratified", sm.discrete_population([0.3, 0.9], [0.0, 1.0]), TABULATED, 1, 2))
 def test_simulate_chunk_matches_masked_oracle(five_type_menu, case):
     """The tally-code chunk's counts give the masked chunk's count matrix,
     for any weights (``[0.1] * 10`` sums to 0.9999999999999999), chunk size,
@@ -423,7 +431,7 @@ def test_reused_workspace_leaks_no_state(five_type_menu):
     work = evaluation._workspace(1 << 16)
     for buffer, garbage in zip(work, (np.nan, -1, True)):
         buffer.fill(garbage)
-    discrete = sm.discrete_population([0.3, 0.4, 0.5, 0.6, 0.72], [0.1, 0.3, 0.2, 0.15, 0.25])
+    discrete = sm.discrete_population([0.3, 0.4, 0.5, 0.6, 0.9], [0.1, 0.3, 0.2, 0.15, 0.25])
     for draws in ("discrete", "stratified", "uniform_grid"):
         population = sm.uniform_population(0.2, 0.8, 64) if draws == "uniform_grid" else discrete
         selection = five_type_menu.lines(GM1)
@@ -479,14 +487,15 @@ def _ndtr_reversal():
     return ws[i], ws[i + 1]
 
 
-def test_planted_ndtr_reversal_matches_masked_oracle(gm1, monkeypatch):
+def test_planted_ndtr_reversal_follows_critical_value(gm1, monkeypatch):
     """Alternative statistics planted at an ``ndtr`` reversal, at every
-    contract's bracket ends and critical value and their float neighbours,
-    and null p-values at every threshold and its neighbours, are approved as
-    the masked chunk approves their p-values: the same counts.
-    One threshold is ``ndtr(w2)`` of a reversal ``w1 < w2``, so no single
-    cutoff decides both; others cannot be certified (0, subnormals, near 1)
-    or approve everything (1)."""
+    contract's critical value and its float neighbours and at +-40, and null
+    p-values at every threshold and its neighbours, are approved by the
+    explicit rule: an alternative when ``w <= ndtri(tau)``, a null agent when
+    ``p <= tau``. One threshold is ``ndtr(w2)`` of a reversal ``w1 < w2``:
+    the p-value rule approves ``w2`` and rejects ``w1``, the critical value
+    ``w1`` and not ``w2``. At ``tau = 0`` no alternative is approved, though
+    ``ndtr(-40)`` underflows to 0."""
     w1, w2 = _ndtr_reversal()
     assert ndtr(w1) > ndtr(w2)
     taus = [ndtr(w2), 0.0225, 0.0, 5e-324, 1e-310, 1 - 2**-53, 0.99999, 1.0]
@@ -494,15 +503,12 @@ def test_planted_ndtr_reversal_matches_masked_oracle(gm1, monkeypatch):
     menu = Menu(
         tuple(np.linspace(0.1, 0.9, k)), tuple(Contract(t, 100.0, 1.0 + t) for t in taus)
     )
-    lo, hi = testmodel._cutoff_brackets(gm1, menu.taus)
-    assert lo[0] < w1 < w2 <= hi[0]
-    assert ((-np.inf < lo) & (hi < np.inf)).tolist() == [True, True] + [False] * 6  # certified
+    critical = ndtri(taus)
+    assert w1 <= critical[0] < w2  # contract 0 approves w1 and rejects w2
     statistics = []
-    for j, tau in enumerate(taus):
-        c = ndtri(tau)
-        d = 1e-6 * max(1.0, abs(c)) if np.isfinite(c) else 0.0
+    for j, c in enumerate(critical):
         points = [w1, w2] if j == 0 else []
-        for base in (c, c - d, c + d, lo[j], hi[j], -40.0, 40.0):
+        for base in (c, -40.0, 40.0):
             if np.isfinite(base):
                 points += [np.nextafter(base, -np.inf), base, np.nextafter(base, np.inf)]
         statistics.append(points)
@@ -512,25 +518,26 @@ def test_planted_ndtr_reversal_matches_masked_oracle(gm1, monkeypatch):
     flags = np.hstack([np.ones_like(alts), np.zeros_like(nulls)])  # 1: not below q, alternative
     normals = -alts.ravel() - gm1.theta1
     assert (-(normals + gm1.theta1)).tolist() == alts.ravel().tolist()  # the planted statistics
+    approved_alt = (alts <= critical[:, None]).sum(axis=1).tolist()
+    approved_null = (nulls <= np.array(taus)[:, None]).sum(axis=1).tolist()
+    assert approved_alt == [6, 7, 0, 7, 7, 7, 7, 11]
+    assert approved_null == [2, 2, 2, 2, 2, 2, 2, 3]
 
     population = sm.discrete_population(menu.support)
-    selection = (np.arange(k), np.zeros(k))  # type j takes contract j
     plan = (menu.lines(gm1), np.arange(k), evaluation._chunk_tables(menu, gm1, np.arange(k)))
     monkeypatch.setattr(np.random, "default_rng", lambda draws: draws)
-    args = (population, gm1, flags.size)
     by_code = evaluation._simulate_chunk(
         plan,
-        *args,
+        population,
+        gm1,
+        flags.size,
         PlantedDraws([flags.ravel(), nulls.ravel()], normals),
         True,
         evaluation._workspace(flags.size),
     )
-    expected_counts, _ = masked_simulate_chunk(
-        menu, selection, *args, PlantedDraws([flags.ravel(), nulls.ravel()], normals), True
-    )
     counts = _chunk_counts(menu, population, plan, by_code)
-    assert counts[0].tolist() == [flags.shape[1]] * k
-    assert counts.tolist() == expected_counts.tolist()
+    agents = [flags.shape[1]] * k
+    assert counts.tolist() == [agents, agents, [3] * k, approved_null, approved_alt]
 
 
 def _draw_buffers(size):

@@ -13,7 +13,7 @@ from scipy.special import ndtr, ndtri
 
 import statmenus as sm
 from statmenus.errors import InvalidModelError, UnsupportedModelError
-from statmenus.testmodel import _cutoff_brackets
+from statmenus.testmodel import _critical_values
 
 from oracles import masked_sample_pvalues
 
@@ -363,35 +363,28 @@ def _doubles_around(x: float, n: int) -> np.ndarray:
 @example(tau=1 - 2**-53)
 @example(tau=1.0)
 @example(tau=-1.0)
-def test_cutoff_bracket_decides_as_ndtr(tau):
-    """Approving a statistic ``w <= lo``, rejecting one ``w > hi`` and
-    deciding one in between by ``ndtr(w) <= tau`` gives ``ndtr(w) <= tau``
-    on 2,001 consecutive doubles around ``ndtri(tau)`` and on both bracket
-    ends and their neighbours. A bracket is kept exactly when it is
-    certified; a threshold in [0, 1) that is not gets ``(-inf, +inf]``."""
-    lo, hi = (end[0] for end in _cutoff_brackets(GM1, np.array([tau])))
-    if tau < 0.0:
-        assert (lo, hi) == (-np.inf, -np.inf)  # opted out: nothing clears
+def test_critical_value_decides_as_ndtr_off_its_rounding(tau):
+    """Approving a statistic ``w <= c``, with ``c`` the threshold's critical
+    value, is monotone in ``w`` and decides as ``ndtr(w) <= tau`` on 2,001
+    consecutive doubles around ``c`` wherever the p-value lies more than
+    ``ndtr``'s error from ``tau``: 1e-9 relative, plus the smallest normal
+    double, below which ``ndtr`` flushes to 0 (it gives 0 around
+    ``ndtri(5e-324)``). A threshold of 0 or below gets ``-inf`` and approves
+    nothing (though ``ndtr(-40)`` underflows to 0), one of 1 gets ``+inf``,
+    and a tabulated model's critical value is ``tau`` itself, its statistic
+    being its p-value."""
+    (c,) = _critical_values(GM1, np.array([tau]))
+    if tau <= 0.0:
+        assert c == -np.inf
     elif tau >= 1.0:
-        assert (lo, hi) == (np.inf, np.inf)  # everything clears
+        assert c == np.inf
     else:
-        c = ndtri(tau)
-        d = 1e-6 * max(1.0, abs(c)) if np.isfinite(c) else 0.0
-        certified = (
-            tau >= np.finfo(float).tiny
-            and ndtr(c - d) <= tau * (1 - 1e-9)
-            and ndtr(c + d) >= tau * (1 + 1e-9)
-        )
-        assert (lo, hi) == ((c - d, c + d) if certified else (-np.inf, np.inf))
-    if tau in (0.0, 5e-324, 1 - 2**-53):
-        assert (lo, hi) == (-np.inf, np.inf)
-    if tau in (np.finfo(float).tiny, 1e-300, 0.5):
-        assert np.isfinite([lo, hi]).all()
-    ends = [e for end in (lo, hi) if np.isfinite(end) for e in _doubles_around(end, 1)]
-    centre = ndtri(min(max(tau, 0.0), 1.0))
-    around = _doubles_around(centre, 1000) if np.isfinite(centre) else [-40.0, 0.0, 40.0]
-    assert (np.diff(around) > 0.0).all()
-    ws = np.concatenate([around, ends])
-    decided = np.where(ws <= lo, True, np.where(ws > hi, False, ndtr(ws) <= tau))
-    assert decided.tolist() == (ndtr(ws) <= tau).tolist()
-    assert [end.tolist() for end in _cutoff_brackets(TABULATED, np.array([tau]))] == [[tau]] * 2
+        assert c == ndtri(tau)
+    ws = _doubles_around(c, 1000) if np.isfinite(c) else np.array([-40.0, 0.0, 40.0])
+    assert (np.diff(ws) > 0.0).all()
+    approved = ws <= c
+    assert (np.diff(approved.astype(int)) <= 0).all()  # approved up to c, rejected above
+    p = ndtr(ws)
+    clear = np.abs(p - tau) > 1e-9 * tau + np.finfo(float).tiny
+    assert approved[clear].tolist() == (p <= tau)[clear].tolist()
+    assert _critical_values(TABULATED, np.array([tau])).tolist() == [tau]
