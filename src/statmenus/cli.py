@@ -1,10 +1,11 @@
 """Command-line orchestration.
 
 Subcommands map onto the library: ``thresholds`` (type-optimal threshold
-map), ``menu-build`` / ``menu-verify`` (constructions and the brute-force
-separation check), ``frontier`` (two-type FDR/TDR sweeps), ``evaluate``
-(oracle values plus menu cost metrics), ``simulate`` (seeded Monte Carlo),
-and ``sensitivity`` (misspecification gap sweeps). All inputs come from a
+map), ``menu-build`` / ``menu-verify`` (constructions and the separation
+check of every supported type against every report), ``frontier``
+(two-type FDR/TDR sweeps), ``evaluate`` (oracle values plus menu cost
+metrics), ``simulate`` (seeded Monte Carlo), and ``sensitivity``
+(misspecification gap sweeps). All inputs come from a
 JSON config; outputs are CSV/JSON files stamped with the config hash so
 identical runs produce identical bytes.
 

@@ -239,6 +239,38 @@ def _segments(slopes: np.ndarray, intercepts: np.ndarray) -> Tuple[Optional[np.n
     return (breaks if certified else None), tol
 
 
+def _leads(
+    q: np.ndarray,
+    index: np.ndarray,
+    slopes: np.ndarray,
+    intercepts: np.ndarray,
+    tol: float,
+    margin: float = 0.0,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Value of line ``index`` at each type in ``q``, by ``q * slope +
+    intercept``, and whether it beats every other line by more than
+    ``margin``, both exactly and as ``value > other + margin`` is rounded.
+
+    Only for lines certified by ``_segments``, with rounding bound ``tol``,
+    and types in [0, 1]. The line and its two neighbours (sentinel lines at
+    -inf past the ends) are scored. Line k + 1 exceeds line k exactly when q
+    is above their breakpoint, and the exact breakpoints increase, so at any
+    q the exact values rise to one peak and then fall: a line that beats
+    both neighbours is the peak, and every other line is at most the larger
+    neighbour. Each rounded value is within ``tol`` of the exact one (with
+    room to spare), so a rounded lead above twice ``tol`` is an exact lead,
+    and every other line's rounded value is at most the larger rounded
+    neighbour plus twice ``tol``. On [0, 1] every value is at most
+    ``tol / (2 eps)`` in magnitude, so one more ``tol``, and
+    ``4 eps margin``, cover the rounding of ``other + margin`` and of the
+    test itself.
+    """
+    s, b = np.r_[0.0, slopes, 0.0], np.r_[-np.inf, intercepts, -np.inf]
+    value = q * s[index + 1] + b[index + 1]
+    rival = np.maximum(q * s[index] + b[index], q * s[index + 2] + b[index + 2])
+    return value, value - rival > margin + (3.0 * tol + 4.0 * _EPS * margin)
+
+
 def best_response(
     q: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -249,24 +281,19 @@ def best_response(
     (a best utility below ``-PARTICIPATION_SLACK``).
 
     When the lines are certified as their own upper envelope (``_segments``),
-    each type finds its segment by ``searchsorted`` and its line and the two
-    neighbours are scored with the same ``q * slope + intercept``. The
-    lines' exact values at a type then rise to one peak and fall, so a line
-    that leads both neighbours by more than twice the rounding bound is the
-    exact and the rounded maximum. Other types (ties included), types
-    outside [0, 1] and every type of uncertified lines go to the argmax
-    over all lines; both routes give the same indices and value bits.
+    each type finds its segment by ``searchsorted`` on the breakpoints and
+    keeps that line where ``_leads`` proves it the maximum. Other types
+    (ties included), types outside [0, 1] and every type of uncertified
+    lines go to the argmax over all lines; both routes give the same
+    indices and value bits.
     """
     q = np.asarray(q, dtype=float)
     breaks, tol = _segments(slopes, intercepts)
     if breaks is None:
         return _blocked_response(q, slopes, intercepts)
-    # Two sentinel lines at -inf give the end segments one neighbour.
-    s, b = np.r_[0.0, slopes, 0.0], np.r_[-np.inf, intercepts, -np.inf]
     index = np.searchsorted(breaks, q, side="right")
-    value = q * s[index + 1] + b[index + 1]
-    rival = np.maximum(q * s[index] + b[index], q * s[index + 2] + b[index + 2])
-    redo = np.flatnonzero(~((value - rival > 2.0 * tol) & (q >= 0.0) & (q <= 1.0)))
+    value, leads = _leads(q, index, slopes, intercepts, tol)
+    redo = np.flatnonzero(~(leads & (q >= 0.0) & (q <= 1.0)))
     if len(redo):
         index[redo], value[redo] = _blocked_response(q[redo], slopes, intercepts)
     return index, value
@@ -295,7 +322,8 @@ class Violation:
 
 @dataclass(frozen=True)
 class SeparationReport:
-    """Outcome of a brute-force separation check over support x support."""
+    """Outcome of a separation check over support x support; ``pairs_checked``
+    counts the (type, other report) pairs found to hold."""
 
     passed: bool
     support: Tuple[float, ...]
@@ -333,6 +361,12 @@ def verify_separating(
     up to ``PARTICIPATION_SLACK``.
     Returns a report carrying the first violating pair rather than raising. A
     negative or NaN ``margin``, which would pass menus that break IC, raises.
+
+    When the lines are certified (``_segments``) and every verified type's
+    own line leads both neighbours by the margin (``_leads``) and
+    participates, the menu passes in O(n): every pair holds, as the pass
+    over all pairs would find. Otherwise every pair is scored, in row blocks
+    (``_utility_blocks``), and the first violation is reported.
     """
     if not margin >= 0.0:
         raise ValueError(f"IC margin must be nonnegative, got {margin!r}")
@@ -353,11 +387,17 @@ def verify_separating(
             first_violation=violation,
         )
 
-    # The first violation in row-major (q, then p) order: within a row the
-    # participation check precedes the IC pairs, and p == q is not a pair.
     others = len(menu.support) - 1
     own = np.array([position[q] for q in support], dtype=np.intp)
-    for start, u in _utility_blocks(np.array(support), *menu.lines(model)):
+    qs, (slopes, intercepts) = np.array(support, dtype=float), menu.lines(model)
+    breaks, tol = _segments(slopes, intercepts)
+    if breaks is not None:
+        truthful, leads = _leads(qs, own, slopes, intercepts, tol, margin)
+        if np.all(leads & (truthful >= -PARTICIPATION_SLACK)):
+            return report(len(support) * others)
+    # The first violation in row-major (q, then p) order: within a row the
+    # participation check precedes the IC pairs, and p == q is not a pair.
+    for start, u in _utility_blocks(qs, slopes, intercepts):
         rows, cols = np.arange(len(u)), own[start : start + len(u)]
         truthful = u[rows, cols]
         bad = ~(truthful[:, None] > u + margin)

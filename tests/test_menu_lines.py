@@ -22,6 +22,7 @@ from statmenus.contracts import (
     Violation,
     _blocked_response,
     _segments,
+    _utility_blocks,
     best_response,
 )
 from statmenus.evaluation import _chunk_plan, _simulate_chunk, _tally, _workspace
@@ -146,6 +147,52 @@ def perturbed_cases(draw):
 cases = st.one_of(random_cases(), tied_cases(), perturbed_cases())
 
 
+@st.composite
+def pencils(draw):
+    """Lines in increasing slope order whose order near a type x only
+    rounding decides, and types crowding x. Either lines through (x, y) up to
+    a few units in the last place, with slopes far apart or a few units in
+    the last place apart (near-parallel); or tangents to a parabola at points
+    a few units in the last place apart, so that every line wins on a sliver
+    around x."""
+    x = draw(st.floats(0.01, 0.99))
+    near = np.nextafter(x, 1.0) - x  # one unit in the last place of x
+    k = np.unique(draw(st.lists(st.integers(-20, 20), min_size=1, max_size=12))).astype(float)
+    if draw(st.booleans()):
+        y = draw(st.floats(-100.0, 100.0))
+        base = draw(st.floats(-200.0, 200.0))
+        step = draw(st.sampled_from([1.0, 1e-6, abs(base) * 2.0**-50 + 1e-300]))
+        slopes = base + step * k
+        nudges = draw(st.lists(st.integers(-3, 3), min_size=len(k), max_size=len(k)))
+        intercepts = y - slopes * x
+        intercepts += np.spacing(intercepts) * np.array(nudges)
+    else:
+        curvature = draw(st.floats(1.0, 1e6))
+        touch = x + near * draw(st.integers(1, 16)) * k
+        slopes, intercepts = 2.0 * curvature * touch, -curvature * touch**2
+    q = np.clip(x + near * np.arange(-40.0, 41.0), 0.0, 1.0)
+    return slopes, intercepts, q
+
+
+# One tabulated test with power 1 at size 0.5: a contract (0.5, R, c) has the
+# line -R/2 q + (R - c), so a menu can carry any lines of nonpositive slope.
+STEEP = sm.tabulated_model([0.0, 0.5, 1.0], [0.0, 1.0, 1.0])
+
+
+@st.composite
+def pencil_menus(draw):
+    """``pencils`` as menus: the lines tilted to nonpositive slopes, with
+    reports at the crowded types around their meeting point."""
+    slopes, intercepts, q = draw(pencils())
+    rewards = -2.0 * (slopes - slopes.max())
+    start = draw(st.integers(0, len(q) - len(slopes)))  # q: 81 increasing types
+    support = q[start : start + len(slopes)]
+    contracts_ = tuple(
+        Contract(0.5, r, c) for r, c in zip(rewards.tolist(), (rewards - intercepts).tolist())
+    )
+    return Menu(tuple(support.tolist()), contracts_), STEEP
+
+
 def _bits(x):
     return None if x is None else float(x).hex()
 
@@ -166,7 +213,7 @@ def test_select_matches_scalar_oracle(case, data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=cases, data=st.data())
+@given(case=st.one_of(cases, pencil_menus()), data=st.data())
 def test_verify_matches_scalar_oracle(case, data):
     menu, model = case
     margin = data.draw(st.sampled_from([DEFAULT_IC_MARGIN, 0.0, 1e-3]))
@@ -254,33 +301,6 @@ def test_envelope_route_matches_blocked_route(case, data):
     menu, model = case
     drawn = data.draw(st.lists(st.floats(0.0, 1.0), max_size=40))
     _assert_envelope_exact(*menu.lines(model), np.r_[menu.support, drawn])
-
-
-@st.composite
-def pencils(draw):
-    """Lines in increasing slope order whose order near a type x only
-    rounding decides, and types crowding x. Either lines through (x, y) up to
-    a few units in the last place, with slopes far apart or a few units in
-    the last place apart (near-parallel); or tangents to a parabola at points
-    a few units in the last place apart, so that every line wins on a sliver
-    around x."""
-    x = draw(st.floats(0.01, 0.99))
-    near = np.nextafter(x, 1.0) - x  # one unit in the last place of x
-    k = np.unique(draw(st.lists(st.integers(-20, 20), min_size=1, max_size=12))).astype(float)
-    if draw(st.booleans()):
-        y = draw(st.floats(-100.0, 100.0))
-        base = draw(st.floats(-200.0, 200.0))
-        step = draw(st.sampled_from([1.0, 1e-6, abs(base) * 2.0**-50 + 1e-300]))
-        slopes = base + step * k
-        nudges = draw(st.lists(st.integers(-3, 3), min_size=len(k), max_size=len(k)))
-        intercepts = y - slopes * x
-        intercepts += np.spacing(intercepts) * np.array(nudges)
-    else:
-        curvature = draw(st.floats(1.0, 1e6))
-        touch = x + near * draw(st.integers(1, 16)) * k
-        slopes, intercepts = 2.0 * curvature * touch, -curvature * touch**2
-    q = np.clip(x + near * np.arange(-40.0, 41.0), 0.0, 1.0)
-    return slopes, intercepts, q
 
 
 @settings(max_examples=500, deadline=None)
@@ -456,6 +476,61 @@ def test_verification_memory_does_not_grow_with_the_menu(gm1, fdr25):
         tracemalloc.stop()
     assert report.passed and report.pairs_checked == 8_193 * 8_192
     assert peak < 32 * 2**20
+
+
+def test_certificate_decides_the_fine_menu(fine_fixed_menu, gm1, monkeypatch):
+    """The 1,025-contract menu passes on its adjacent pairs alone."""
+
+    def refuse(*args):
+        raise AssertionError("the pass over all pairs ran")
+
+    monkeypatch.setattr(contracts, "_utility_blocks", refuse)
+    report = sm.verify_separating(fine_fixed_menu, model=gm1)
+    assert report.passed and report.pairs_checked == 1025 * 1024
+
+
+def test_margins_at_the_smallest_gap_take_the_blocked_route(fixed_menu, gm1, monkeypatch):
+    """Margins twice the rounding bound ``tol`` below and above the
+    129-contract menu's smallest lead over a neighbour leave the certificate
+    in doubt (it needs a lead of three), so the pass over all pairs decides,
+    as ``scalar_verify`` does, and the two differ; four below it decides."""
+    slopes, intercepts = fixed_menu.lines(gm1)
+    _, tol = _segments(slopes, intercepts)
+    q = np.array(fixed_menu.support)
+    value = q * slopes + intercepts
+    left, right = q[1:] * slopes[:-1] + intercepts[:-1], q[:-1] * slopes[1:] + intercepts[1:]
+    gap = min(np.min(value[1:] - left), np.min(value[:-1] - right))
+    calls = []
+
+    def recording(q, slopes, intercepts):
+        calls.append(len(q))
+        return _utility_blocks(q, slopes, intercepts)
+
+    monkeypatch.setattr(contracts, "_utility_blocks", recording)
+    reports = []
+    for margin in (gap - 2.0 * tol, gap + 2.0 * tol):
+        calls.clear()
+        reports.append(sm.verify_separating(fixed_menu, model=gm1, margin=margin))
+        assert calls == [129]
+        assert reports[-1] == scalar_verify(fixed_menu, model=gm1, margin=margin)
+    assert [r.passed for r in reports] == [True, False]
+    calls.clear()
+    assert sm.verify_separating(fixed_menu, model=gm1, margin=gap - 4.0 * tol).passed
+    assert calls == []
+
+
+def test_certified_verification_memory_is_linear():
+    """Passing the 8,193-contract menu on adjacent pairs holds a few arrays
+    of the menu's length, not a 2^20-element utility block (8 MiB)."""
+    menu = _fixed_reward_menu(8_193)
+    tracemalloc.start()
+    try:
+        report = sm.verify_separating(menu, model=GM1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.pairs_checked == 8_193 * 8_192
+    assert peak < 2 * 2**20
 
 
 def test_simulate_chunk_memory_is_bounded_per_type(five_type_menu, five_types, gm1):
