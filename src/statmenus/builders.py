@@ -75,6 +75,8 @@ def tabulated_potential(
     inferred from the values.
     """
     points = tuple(float(p) for p in points)
+    if not points:
+        raise ValueError("a tabulated potential needs at least one point")
     if len(set(points)) != len(points):
         raise ValueError("potential points must be distinct")
     if not len(points) == len(values) == len(subgradients):
@@ -183,6 +185,8 @@ def _potential_issue(ps, values, subgrads, tol: float) -> Optional[str]:
 def _checked_potential(G: GPotential, ps: Sequence[float], tol: float):
     """Values and subgradients of G on ``ps``; raises on the first violated
     separating-menu condition."""
+    if len(ps) == 0:
+        raise ValueError("potential support must be nonempty")
     values, subgrads = G.values(ps), G.subgradient(ps)
     issue = _potential_issue(ps, values, subgrads, tol)
     if issue is not None:

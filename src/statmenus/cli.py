@@ -120,6 +120,7 @@ def _one_of(names):
 
 _NUMBER = (_is_num, "must be a number")
 _NUMBERS = (_is_nums, "must be a list of numbers")
+_NONEMPTY_NUMBERS = (lambda x: _is_nums(x) and len(x) > 0, "must be a nonempty list of numbers")
 _STRING = (lambda x: isinstance(x, str), "must be a string")
 _COUNT = (lambda x: _is_int(x) and x >= 1, "must be a positive integer")
 _NONNEGATIVE = (lambda x: _is_num(x) and x >= 0, "must be a nonnegative number")
@@ -178,7 +179,7 @@ _SCHEMA = {
             lambda x: _is_nums(x) and x and all(e > 0 for e in x),
             "must be a nonempty list of positive numbers",
         ),
-        **dict.fromkeys(("points", "values", "subgradients"), _NUMBERS),
+        **dict.fromkeys(("points", "values", "subgradients"), _NONEMPTY_NUMBERS),
         **dict.fromkeys(
             ("reward", "q_lo", "q_bar", "base_reward", "eta", "terminal_reward",
              "terminal_cost", "lambda"),

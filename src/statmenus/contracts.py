@@ -341,6 +341,11 @@ class SeparationReport:
         v = self.first_violation
         if v.kind == "participation":
             return f"participation violated at q={v.q:.6g}: utility {v.gap:.6g} < 0"
+        if v.gap >= 0.0:  # truthful leads, but not by more than the margin
+            return (
+                f"IC violated at q={v.q:.6g}: truthful leads report {v.p:.6g} by "
+                f"{v.gap:.6g}, not above the margin {self.margin:g}"
+            )
         return (
             f"IC violated at q={v.q:.6g}: report {v.p:.6g} beats truthful by "
             f"{-v.gap:.6g} (margin {self.margin:g})"

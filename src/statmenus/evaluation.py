@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -48,6 +47,9 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
+# A continuous population's chunk selects its agents' contracts in row blocks
+# of this many agents, so selection's temporaries take one block, not a chunk.
+_SELECT_ROWS = 1 << 12
 # Rows of a simulation's per-slot count matrix (``_tally``).
 _TALLIES = ("agents", "participating", "null", "approved_null", "approved_nonnull")
 # Up to this many types the type draw compares each uniform with every CDF
@@ -316,9 +318,11 @@ def _simulate_chunk(plan, population, model, size, seed_child, stratified, work)
         q = np.take(population.types, slot, out=u, mode="clip")
     else:
         q = _uniform_types(population.lo, population.hi, rng, u)
-        choice, best = best_response(q, *lines)
         slot.fill(contract.size - 1)  # the opt-out slot
-        np.copyto(slot, choice, where=best >= -PARTICIPATION_SLACK)
+        for start in range(0, size, _SELECT_ROWS):
+            rows = slice(start, start + _SELECT_ROWS)
+            choice, best = best_response(q[rows], *lines)
+            np.copyto(slot[rows], choice, where=best >= -PARTICIPATION_SLACK)
 
     np.less(rng.random(out=x), q, out=is_null)
     _sample_statistics(model, is_null, rng, u, x)  # q, held in u, is spent
@@ -363,29 +367,31 @@ def simulate_population(
         raise ValueError(f"jobs must be at least 1, got {jobs!r}")
     if stratified and population.kind != "discrete":
         raise ValueError("stratified sampling requires a discrete population")
-    sizes = [_CHUNK] * (n // _CHUNK)
-    if n % _CHUNK:
-        sizes.append(n % _CHUNK)
-    children = np.random.SeedSequence(seed).spawn(len(sizes))
+    chunks = -(-n // _CHUNK)
     plan = _chunk_plan(menu, population, model)
-    local = threading.local()  # each thread's workspace, reused by every chunk it runs
+    workers = min(jobs, chunks, os.cpu_count() or 1)
 
-    def work(args):
-        if not hasattr(local, "work"):
-            local.work = _workspace(sizes[0])  # the first chunk is the largest
-        size, child = args
-        return _simulate_chunk(plan, population, model, size, child, stratified, local.work)
+    def run(first):
+        """The summed counts of chunks ``first``, ``first + workers``, ...,
+        run in one workspace. Chunk i's generator is the root seed's i-th
+        spawned child."""
+        work = _workspace(min(n, _CHUNK))  # the first chunk is the largest
+        total = 0
+        for i in range(first, chunks, workers):
+            size = min(_CHUNK, n - i * _CHUNK)
+            child = np.random.SeedSequence(seed, spawn_key=(i,))
+            total += _simulate_chunk(plan, population, model, size, child, stratified, work)
+        return total
 
-    # A pool starts a new thread on each submit until it has max_workers.
-    workers = min(jobs, len(sizes), os.cpu_count() or 1)
+    # Each worker thread keeps a running total; integer sums in any order.
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, zip(sizes, children)))
+            by_code = sum(pool.map(run, range(workers)))
     else:
-        results = [work(a) for a in zip(sizes, children)]
+        by_code = run(0)
 
     _, contract, _ = plan
-    counts = _tally(sum(results), contract < len(menu.taus))  # integer sums, in any order
+    counts = _tally(by_code, contract < len(menu.taus))
     # Participants pay their contract's cost, approved agents receive its
     # reward; the opt-out slot costs and pays nothing.
     costs, rewards = (np.append(column, 0.0)[contract] for column in (menu.costs, menu.rewards))

@@ -482,6 +482,18 @@ def test_validate_potential_flags_broken_menu(gm1, five_type_menu):
         sm.validate_potential(recovered, broken.support, tol=1e-8)
 
 
+def test_empty_potential_support_is_rejected(gm1, fdr25):
+    """No points is a ValueError, for a tabulated potential and for any
+    potential checked on an empty support, not an IndexError."""
+    with pytest.raises(ValueError, match="at least one point"):
+        sm.validate_potential(sm.tabulated_potential([], [], []), [])
+    G = sm.fixed_reward_potential(100.0, 0.86, fdr25, gm1)
+    with pytest.raises(ValueError, match="support must be nonempty"):
+        sm.validate_potential(G, [])
+    with pytest.raises(ValueError, match="support must be nonempty"):
+        sm.build_from_potential(G, [], gm1)
+
+
 # ---------------------------------------------------------------------------
 # fixed-cost feasibility
 # ---------------------------------------------------------------------------

@@ -156,6 +156,11 @@ NAN = float("nan")  # json.dumps writes the literal NaN, which json.loads reads 
          "thresholds.csv"),
         ("menu-verify", {"/menu/margin": -10}, "/menu/margin", "verify_report.json"),
         ("simulate", {"/simulation/seed": -3}, "/simulation/seed", "simulation.json"),
+        ("menu-build", {**POTENTIAL, "/menu/points": []}, "/menu/points", "menu.json"),
+        ("menu-build", {**POTENTIAL, "/menu/points": [0.3, 0.6], "/menu/values": []},
+         "/menu/values", "menu.json"),
+        ("menu-build", {**POTENTIAL, "/menu/points": [0.3, 0.6], "/menu/subgradients": []},
+         "/menu/subgradients", "menu.json"),
     ],
 )
 def test_mistyped_config_value_is_config_error(
@@ -385,6 +390,18 @@ def test_potential_build_command(tmp_path):
     )
     assert main(["menu-build", "--config", str(path), "--out", str(tmp_path)]) == 0
     assert main(["menu-verify", "--config", str(path), "--out", str(tmp_path)]) == 0
+
+
+def test_empty_potential_is_config_error(tmp_path, capsys):
+    """A potential with no points exits 2 at /menu/points, with no traceback
+    and no menu written."""
+    empty = {"method": "potential", "points": [], "values": [], "subgradients": []}
+    path = write_config(tmp_path, {"/menu": empty})
+    assert main(["menu-build", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error at /menu/points: must be a nonempty list of numbers" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "menu.json").exists()
 
 
 def test_frontier_command(tmp_path):

@@ -3,6 +3,7 @@
 import math
 import os
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -618,6 +619,25 @@ def test_simulation_threads_are_bounded(gm1, five_type_menu, five_types, monkeyp
         assert report == serial
     # one CPU, or none reported, runs the chunks serially without a pool
     assert pools == ([min(11, cpus)] if cpus > 1 else []) + [4, 11, 3]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_simulation_memory_does_not_grow_with_the_chunks(fine_fixed_menu, gm1, monkeypatch, jobs):
+    """A run keeps a running total of its chunks' counts. With 256-agent
+    chunks on the 1,025-contract menu, 400 chunks trace no more than 25 do,
+    where holding every chunk's 33 KiB count row until the end took 12 MiB
+    more."""
+    monkeypatch.setattr(evaluation, "_CHUNK", 256)
+    population = sm.uniform_population(0.43, 0.86)
+    peaks = []
+    for chunks in (25, 400):
+        tracemalloc.start()
+        try:
+            sm.simulate_population(fine_fixed_menu, population, gm1, 256 * chunks, 1, jobs=jobs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 2**16
 
 
 def test_simulation_matches_oracle(gm1, fdr25, five_type_menu, five_types):

@@ -123,6 +123,15 @@ def _fixed_reward_menu(n):
     return sm.build_fixed_reward(100.0, 0.43, 0.86, sm.fdr_objective(0.25), GM1, n=n)
 
 
+def _broken_menu():
+    """The 33-contract menu with contract 20's cost cut by 0.5: its lines
+    are not certified, and it does not separate."""
+    menu = _fixed_reward_menu(33)
+    contracts_ = list(menu.contracts)
+    contracts_[20] = Contract(contracts_[20].tau, contracts_[20].reward, contracts_[20].cost - 0.5)
+    return Menu(menu.support, tuple(contracts_))
+
+
 @st.composite
 def perturbed_cases(draw):
     """A separating menu from a builder with one contract's cost moved."""
@@ -238,10 +247,7 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, rows):
     """Blocks of ``rows`` rows of the 33-contract menu give the whole
     block's selection and reports; 0 rows' worth of elements is one row."""
     rng = np.random.default_rng(rows)
-    menu = _fixed_reward_menu(33)
-    contracts_ = list(menu.contracts)
-    contracts_[20] = Contract(contracts_[20].tau, contracts_[20].reward, contracts_[20].cost - 0.5)
-    broken = Menu(menu.support, tuple(contracts_))
+    menu, broken = _fixed_reward_menu(33), _broken_menu()
     q = np.concatenate([rng.uniform(0.0, 1.0, 40), np.array(menu.support[:5])])
     slopes, intercepts = broken.lines(GM1)
 
@@ -519,6 +525,23 @@ def test_margins_at_the_smallest_gap_take_the_blocked_route(fixed_menu, gm1, mon
     assert calls == []
 
 
+def test_a_lead_within_the_margin_reads_as_a_lead(fixed_menu, gm1):
+    """A truthful lead that does not clear the margin is described as that
+    lead, not as a negative win; a report that beats truthful keeps its
+    text."""
+    report = sm.verify_separating(fixed_menu, model=gm1, margin=1e-4)
+    assert report.first_violation.gap > 0.0
+    assert report.describe() == (
+        "IC violated at q=0.43: truthful leads report 0.433359 by 3.77531e-05, "
+        "not above the margin 0.0001"
+    )
+    report = sm.verify_separating(_broken_menu(), model=gm1)
+    assert report.first_violation.gap < 0.0
+    assert report.describe() == (
+        "IC violated at q=0.604688: report 0.69875 beats truthful by 0.00471422 (margin 1e-09)"
+    )
+
+
 def test_certified_verification_memory_is_linear():
     """Passing the 8,193-contract menu on adjacent pairs holds a few arrays
     of the menu's length, not a 2^20-element utility block (8 MiB)."""
@@ -549,3 +572,47 @@ def test_simulate_chunk_in_a_workspace_allocates_little(five_type_menu, five_typ
     counts, peak = _chunk_peak(five_type_menu, population, gm1, work)
     assert counts[0].sum() == 1 << 16
     assert peak < 2**20
+
+
+def test_continuous_chunk_in_a_workspace_allocates_little(fine_fixed_menu, gm1):
+    """Given a workspace, a full chunk of a continuous population on the
+    1,025-contract menu selects its contracts in row blocks: below 1 MiB
+    traced, where one ``best_response`` over the whole chunk took 3.03 MiB."""
+    population = sm.uniform_population(0.43, 0.86)
+    counts, peak = _chunk_peak(fine_fixed_menu, population, gm1, _workspace(1 << 16))
+    assert counts[:2].sum(axis=1).tolist() == [1 << 16, 1 << 16]  # agents, participating
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "menu, population",
+    [
+        (_fixed_reward_menu(129), sm.uniform_population(0.43, 0.86)),
+        (_broken_menu(), sm.uniform_population(0.43, 0.86)),
+        (_fixed_reward_menu(129), sm.uniform_population(0.2, 0.95)),  # above 0.86 opts out
+    ],
+    ids=["certified", "broken", "opt_out_tail"],
+)
+@pytest.mark.parametrize("rows", [1, 3, 7, 1_000])
+def test_chunk_selection_does_not_depend_on_the_row_block(monkeypatch, menu, population, rows):
+    """A continuous population's 500-agent chunk, selected in blocks of
+    ``rows`` agents, one ``best_response`` call each, counts what one
+    selection over the whole chunk counts, on certified lines, on lines that
+    take the blocked route and with types that opt out."""
+    size, child = 500, np.random.SeedSequence(8)
+    plan = _chunk_plan(menu, population, GM1)
+    monkeypatch.setattr(evaluation, "_SELECT_ROWS", size)
+    whole = _simulate_chunk(plan, population, GM1, size, child, False, _workspace(size))
+    calls = []
+
+    def counted(q, slopes, intercepts):
+        calls.append(len(q))
+        return best_response(q, slopes, intercepts)
+
+    monkeypatch.setattr(evaluation, "best_response", counted)
+    monkeypatch.setattr(evaluation, "_SELECT_ROWS", rows)
+    blocked = _simulate_chunk(plan, population, GM1, size, child, False, _workspace(size))
+    assert calls == [min(rows, size - start) for start in range(0, size, rows)]
+    assert blocked.tolist() == whole.tolist()
+    participating = _tally(whole, plan[1] < len(menu.taus))[1].sum()
+    assert (participating < size) == (population.hi > 0.86)
