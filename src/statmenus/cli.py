@@ -77,6 +77,10 @@ COMMANDS = (
 )
 BUILDER_METHODS = ("potential", "varying_reward", "fixed_reward", "finite")
 SCHEMA_VERSION = 1
+# The largest grid a config or ``--grid`` may ask for: population and menu
+# grids and sensitivity sweeps are held whole in memory. Up to this size a
+# utility block (``contracts._BLOCK_ELEMENTS``) still bounds selection's memory.
+MAX_GRID = 1 << 20
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -123,6 +127,7 @@ _NUMBERS = (_is_nums, "must be a list of numbers")
 _NONEMPTY_NUMBERS = (lambda x: _is_nums(x) and len(x) > 0, "must be a nonempty list of numbers")
 _STRING = (lambda x: isinstance(x, str), "must be a string")
 _COUNT = (lambda x: _is_int(x) and x >= 1, "must be a positive integer")
+_GRID = (lambda x: _is_int(x) and 1 <= x <= MAX_GRID, f"must be an integer in [1, {MAX_GRID}]")
 _NONNEGATIVE = (lambda x: _is_num(x) and x >= 0, "must be a nonnegative number")
 # The constructor of each kind of test, objective and population, from its
 # section and the config's directory.
@@ -167,13 +172,13 @@ _SCHEMA = {
     "population": {
         "kind": _one_of(_KINDS["population"]),
         **dict.fromkeys(("lo", "hi"), _NUMBER),
-        "n": _COUNT,
+        "n": _GRID,
         **dict.fromkeys(("types", "weights"), _NUMBERS),
     },
     "menu": {
         "method": _one_of(BUILDER_METHODS),
         "path": _STRING,
-        "n": _COUNT,
+        "n": _GRID,
         "epsilon": (lambda x: _is_num(x) or _is_nums(x), "must be a number or a list of numbers"),
         "etas": (
             lambda x: _is_nums(x) and x and all(e > 0 for e in x),
@@ -193,7 +198,7 @@ _SCHEMA = {
         "stratified": (lambda x: isinstance(x, bool), "must be true or false"),
     },
     "sensitivity": {
-        "points": _COUNT,
+        "points": _GRID,
         "actual_theta1": (
             lambda x: _is_nums(x) and x and all(0 < t <= MAX_EFFECT_SIZE for t in x),
             f"must be a nonempty list of numbers in (0, {MAX_EFFECT_SIZE:g}]",
@@ -540,6 +545,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if value is not None and value < least:
             print(f"error: {flag} must be >= {least}", file=sys.stderr)
             return EXIT_CONFIG
+    if args.grid is not None and args.grid > MAX_GRID:
+        print(f"error: --grid must be <= {MAX_GRID}", file=sys.stderr)
+        return EXIT_CONFIG
 
     try:
         config = parse_config(args.config)

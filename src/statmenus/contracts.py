@@ -239,24 +239,45 @@ def _segments(slopes: np.ndarray, intercepts: np.ndarray) -> Tuple[Optional[np.n
     return (breaks if certified else None), tol
 
 
+@dataclass(frozen=True)
+class _Certificate:
+    """A menu's lines as ``_select`` reads them, made once for any number of
+    types. On lines that ``_segments`` certifies, ``bounds`` is
+    ``[-inf, *breaks, inf]`` (line i wins on ``[bounds[i], bounds[i + 1])``)
+    and ``padded`` holds the slopes and intercepts between ``_leads``'
+    sentinel lines; both are None on other lines.
+
+    ``table``, when built, has an entry for each ``_bucket`` (``1 / scale``
+    wide, from ``lo``, the first break, to ``hi``, the last): the number of
+    breaks that ``_bucket`` places below it. ``_bucket`` is monotone, so a
+    type's segment index is at least its bucket's entry and exceeds it by at
+    most the number of breaks in its bucket.
+    """
+
+    slopes: np.ndarray
+    intercepts: np.ndarray
+    tol: float
+    bounds: Optional[np.ndarray] = None
+    padded: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    table: Optional[np.ndarray] = None
+    lo: float = 0.0
+    hi: float = 0.0
+    scale: float = 0.0
+
+
 def _leads(
-    q: np.ndarray,
-    index: np.ndarray,
-    slopes: np.ndarray,
-    intercepts: np.ndarray,
-    tol: float,
-    margin: float = 0.0,
+    q: np.ndarray, index: np.ndarray, certificate: _Certificate, margin: float = 0.0
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Value of line ``index`` at each type in ``q``, by ``q * slope +
     intercept``, and whether it beats every other line by more than
     ``margin``, both exactly and as ``value > other + margin`` is rounded.
 
-    Only for lines certified by ``_segments``, with rounding bound ``tol``,
-    and types in [0, 1]. The line and its two neighbours (sentinel lines at
-    -inf past the ends) are scored. Line k + 1 exceeds line k exactly when q
-    is above their breakpoint, and the exact breakpoints increase, so at any
-    q the exact values rise to one peak and then fall: a line that beats
-    both neighbours is the peak, and every other line is at most the larger
+    Only for certified lines (``certificate.bounds`` is not None) and types
+    in [0, 1]. The line and its two neighbours (sentinel lines at -inf past
+    the ends) are scored. Line k + 1 exceeds line k exactly when q is above
+    their breakpoint, and the exact breakpoints increase, so at any q the
+    exact values rise to one peak and then fall: a line that beats both
+    neighbours is the peak, and every other line is at most the larger
     neighbour. Each rounded value is within ``tol`` of the exact one (with
     room to spare), so a rounded lead above twice ``tol`` is an exact lead,
     and every other line's rounded value is at most the larger rounded
@@ -265,10 +286,89 @@ def _leads(
     ``4 eps margin``, cover the rounding of ``other + margin`` and of the
     test itself.
     """
-    s, b = np.r_[0.0, slopes, 0.0], np.r_[-np.inf, intercepts, -np.inf]
+    s, b = certificate.padded
     value = q * s[index + 1] + b[index + 1]
     rival = np.maximum(q * s[index] + b[index], q * s[index + 2] + b[index + 2])
-    return value, value - rival > margin + (3.0 * tol + 4.0 * _EPS * margin)
+    return value, value - rival > margin + (3.0 * certificate.tol + 4.0 * _EPS * margin)
+
+
+def _certify(slopes: np.ndarray, intercepts: np.ndarray, table: bool = True) -> _Certificate:
+    """``_select``'s certificate of the lines. When ``table`` is true and the
+    lines are certified with at least two breaks, it holds a bucket table of
+    two buckets per break, unless their width does not scale finitely."""
+    breaks, tol = _segments(slopes, intercepts)
+    if breaks is None:
+        return _Certificate(slopes, intercepts, tol)
+    bounds = np.concatenate(([-np.inf], breaks, [np.inf]))
+    padded = (
+        np.concatenate(([0.0], slopes, [0.0])),
+        np.concatenate(([-np.inf], intercepts, [-np.inf])),
+    )
+    slopes, intercepts = padded[0][1:-1], padded[1][1:-1]  # no second copy
+    if not (table and len(breaks) > 1):
+        return _Certificate(slopes, intercepts, tol, bounds, padded)
+    buckets = 2 * len(breaks)
+    lo, hi = float(breaks[0]), float(breaks[-1])
+    with np.errstate(over="ignore"):
+        scale = float(np.float64(buckets) / (hi - lo))
+    if not 0.0 < scale < math.inf:
+        return _Certificate(slopes, intercepts, tol, bounds, padded)
+    # Types land in buckets 0 to ``buckets`` (the last where hi may round).
+    placed = _bucket(breaks, lo, hi, scale).astype(np.intp)
+    counts = np.searchsorted(placed, np.arange(buckets + 1), side="left")
+    return _Certificate(slopes, intercepts, tol, bounds, padded, counts, lo, hi, scale)
+
+
+def _bucket(q: np.ndarray, lo: float, hi: float, scale: float) -> np.ndarray:
+    """The table bucket of each type as a float, ``(q - lo) * scale``, with q
+    clamped to ``[lo, hi]`` first (NaN to ``lo``), so that no value overflows
+    and its cast to an index does not fail."""
+    at = np.fmax(q, lo)
+    np.fmin(at, hi, out=at)
+    at -= lo
+    at *= scale
+    return at
+
+
+def _segment_index(q: np.ndarray, certificate: _Certificate) -> np.ndarray:
+    """``np.searchsorted(breaks, q, side="right")`` on certified lines.
+
+    With a table, each type takes its bucket's entry, steps up once past a
+    break at or below it, and keeps that index where ``bounds[i] <= q <
+    bounds[i + 1]`` proves it; the breaks strictly increase, so that index
+    is the search's. Every other type (NaN, +inf, a type in a bucket of more
+    than one break) is searched."""
+    bounds = certificate.bounds
+    breaks = bounds[1:-1]
+    if certificate.table is None:
+        return np.searchsorted(breaks, q, side="right")
+    above = bounds[1:]  # above[i] is bounds[i + 1]
+    at = _bucket(q, certificate.lo, certificate.hi, certificate.scale)
+    index = np.take(certificate.table, at.astype(np.intp), mode="clip")
+    # The gathers go into ``at``; mode "clip" (the indices are in range)
+    # writes them there without a temporary.
+    index += q >= np.take(above, index, out=at, mode="clip")
+    found = np.take(bounds, index, out=at, mode="clip") <= q
+    found &= q < np.take(above, index, out=at, mode="clip")
+    miss = np.flatnonzero(~found)
+    if len(miss):
+        index[miss] = np.searchsorted(breaks, q[miss], side="right")
+    return index
+
+
+def _select(q: np.ndarray, certificate: _Certificate) -> Tuple[np.ndarray, np.ndarray]:
+    """``best_response`` of the float types ``q`` on a certificate of the
+    lines, which a caller that selects many times makes once."""
+    if certificate.bounds is None:
+        return _blocked_response(q, certificate.slopes, certificate.intercepts)
+    index = _segment_index(q, certificate)
+    value, leads = _leads(q, index, certificate)
+    redo = np.flatnonzero(~(leads & (q >= 0.0) & (q <= 1.0)))
+    if len(redo):
+        index[redo], value[redo] = _blocked_response(
+            q[redo], certificate.slopes, certificate.intercepts
+        )
+    return index, value
 
 
 def best_response(
@@ -281,22 +381,15 @@ def best_response(
     (a best utility below ``-PARTICIPATION_SLACK``).
 
     When the lines are certified as their own upper envelope (``_segments``),
-    each type finds its segment by ``searchsorted`` on the breakpoints and
-    keeps that line where ``_leads`` proves it the maximum. Other types
-    (ties included), types outside [0, 1] and every type of uncertified
-    lines go to the argmax over all lines; both routes give the same
-    indices and value bits.
+    each type finds its segment among the breakpoints (``_segment_index``:
+    by a bucket table when there are at least as many types as breakpoints,
+    else by ``searchsorted``) and keeps that line where ``_leads`` proves it
+    the maximum. Other types (ties included), types outside [0, 1] and every
+    type of uncertified lines go to the argmax over all lines; both routes
+    give the same indices and value bits.
     """
     q = np.asarray(q, dtype=float)
-    breaks, tol = _segments(slopes, intercepts)
-    if breaks is None:
-        return _blocked_response(q, slopes, intercepts)
-    index = np.searchsorted(breaks, q, side="right")
-    value, leads = _leads(q, index, slopes, intercepts, tol)
-    redo = np.flatnonzero(~(leads & (q >= 0.0) & (q <= 1.0)))
-    if len(redo):
-        index[redo], value[redo] = _blocked_response(q[redo], slopes, intercepts)
-    return index, value
+    return _select(q, _certify(slopes, intercepts, table=len(q) >= len(slopes) - 1))
 
 
 def select(q: float, menu: Menu, model: TestModel) -> SelectionOutcome:
@@ -395,9 +488,9 @@ def verify_separating(
     others = len(menu.support) - 1
     own = np.array([position[q] for q in support], dtype=np.intp)
     qs, (slopes, intercepts) = np.array(support, dtype=float), menu.lines(model)
-    breaks, tol = _segments(slopes, intercepts)
-    if breaks is not None:
-        truthful, leads = _leads(qs, own, slopes, intercepts, tol, margin)
+    certificate = _certify(slopes, intercepts, table=False)
+    if certificate.bounds is not None:
+        truthful, leads = _leads(qs, own, certificate, margin)
         if np.all(leads & (truthful >= -PARTICIPATION_SLACK)):
             return report(len(support) * others)
     # The first violation in row-major (q, then p) order: within a row the

@@ -18,7 +18,15 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .contracts import PARTICIPATION_SLACK, Contract, Menu, best_response, utility
+from .contracts import (
+    PARTICIPATION_SLACK,
+    Contract,
+    Menu,
+    _certify,
+    _select,
+    best_response,
+    utility,
+)
 from .errors import ParticipationError
 from .objectives import TypePopulation, _fdr_bisection
 from .rates import bayes_risk, fdr, tdr
@@ -263,19 +271,19 @@ def _workspace(size: int):
 
 def _chunk_plan(menu, population, model):
     """What every simulation chunk of a run reads, made once per run: the
-    menu's lines, each slot's menu contract (``len(menu.taus)`` for opting
-    out) and the ``_chunk_tables`` cutoffs of those contracts. A discrete
-    population's slot is its type, whose contract is its ``best_response``;
-    a continuous population's slot is the contract, with one last slot for
-    opting out."""
-    lines = menu.lines(model)
+    ``_certify`` certificate of the menu's lines (with its bucket table),
+    each slot's menu contract (``len(menu.taus)`` for opting out) and the
+    ``_chunk_tables`` cutoffs of those contracts. A discrete population's
+    slot is its type, whose contract is its ``best_response``; a continuous
+    population's slot is the contract, with one last slot for opting out."""
+    certificate = _certify(*menu.lines(model))
     n = len(menu.taus)
     if population.kind == "discrete":
-        choice, best = best_response(np.array(population.types), *lines)
+        choice, best = _select(np.array(population.types, dtype=float), certificate)
         contract = np.where(best >= -PARTICIPATION_SLACK, choice, n)
     else:
         contract = np.arange(n + 1)
-    return lines, contract, _chunk_tables(menu, model, contract)
+    return certificate, contract, _chunk_tables(menu, model, contract)
 
 
 def _chunk_tables(menu, model, contract):
@@ -304,7 +312,7 @@ def _simulate_chunk(plan, population, model, size, seed_child, stratified, work)
     before does not matter. Gathers index by intp and pass ``mode="clip"``:
     the indices are in range, and the default "raise" would gather into a
     temporary and copy it into ``out``."""
-    lines, contract, cutoff = plan
+    certificate, contract, cutoff = plan
     floats, slot, masks = work
     (u, x), slot, masks = floats[:, :size], slot[:size], masks[:, :size]
     is_null, approve = masks
@@ -321,7 +329,7 @@ def _simulate_chunk(plan, population, model, size, seed_child, stratified, work)
         slot.fill(contract.size - 1)  # the opt-out slot
         for start in range(0, size, _SELECT_ROWS):
             rows = slice(start, start + _SELECT_ROWS)
-            choice, best = best_response(q[rows], *lines)
+            choice, best = _select(q[rows], certificate)
             np.copyto(slot[rows], choice, where=best >= -PARTICIPATION_SLACK)
 
     np.less(rng.random(out=x), q, out=is_null)

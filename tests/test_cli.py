@@ -161,14 +161,19 @@ NAN = float("nan")  # json.dumps writes the literal NaN, which json.loads reads 
          "/menu/values", "menu.json"),
         ("menu-build", {**POTENTIAL, "/menu/points": [0.3, 0.6], "/menu/subgradients": []},
          "/menu/subgradients", "menu.json"),
+        ("thresholds", {"/population": {**GRID, "n": 10**12}}, "/population/n", "thresholds.csv"),
+        ("thresholds", {"/population": {**GRID, "n": cli.MAX_GRID + 1}}, "/population/n",
+         "thresholds.csv"),
+        ("menu-build", {"/menu/n": 10**12}, "/menu/n", "menu.json"),
+        ("sensitivity", {"/sensitivity/points": 10**12}, "/sensitivity/points", "sensitivity.csv"),
     ],
 )
 def test_mistyped_config_value_is_config_error(
     tmp_path, capsys, command, overrides, pointer, artifact
 ):
-    """Each value has the wrong type, is no positive count or is not finite:
-    exit 2 with its pointer before any artifact is written (a valid menu.json
-    is in place)."""
+    """Each value has the wrong type, is no positive count, is a grid size
+    above ``cli.MAX_GRID`` or is not finite: exit 2 with its pointer before
+    any artifact is written (a valid menu.json is in place)."""
     menu = {**FIXED_MENU, "path": "menu.json"}
     good = write_config(tmp_path, {"/menu": menu})
     assert main(["menu-build", "--config", str(good), "--out", str(tmp_path)]) == 0
@@ -196,6 +201,19 @@ def test_out_of_range_flag_is_config_error(tmp_path, capsys, command, flag, valu
     out = tmp_path / "out"
     assert main([command, "--config", str(path), "--out", str(out), flag, value]) == 2
     assert f"{flag} must be >=" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["menu-build", "frontier", "sensitivity"])
+def test_grid_above_the_bound_is_config_error(tmp_path, capsys, command):
+    """``--grid`` above ``cli.MAX_GRID`` exits 2 and names the flag before the
+    output directory is made, instead of failing to allocate the grid."""
+    menu = {**FIXED_MENU, "path": "menu.json"}
+    path = write_config(tmp_path, {"/population/types": [0.3, 0.7], "/menu": menu})
+    assert main(["menu-build", "--config", str(path), "--out", str(tmp_path)]) == 0
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out), "--grid", str(10**12)]) == 2
+    assert f"--grid must be <= {cli.MAX_GRID}" in capsys.readouterr().err
     assert not out.exists()
 
 

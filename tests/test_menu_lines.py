@@ -4,6 +4,7 @@ the scalar loops they replaced, which live on here as exact oracles."""
 import functools
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,10 @@ from statmenus.contracts import (
     SeparationReport,
     Violation,
     _blocked_response,
+    _certify,
+    _segment_index,
     _segments,
+    _select,
     _utility_blocks,
     best_response,
 )
@@ -315,6 +319,86 @@ def test_envelope_route_matches_blocked_route_on_pencils(case):
     _assert_envelope_exact(*case)
 
 
+def _types_at_the_breaks(slopes, intercepts, q):
+    """``q`` with +-0, 1, NaN, types outside [0, 1] and every breakpoint of
+    certified lines with its ``nextafter`` neighbours. (An infinite type
+    makes NaN on a flat line, which warns, on either route.)"""
+    breaks, _ = _segments(slopes, intercepts)
+    breaks = np.empty(0) if breaks is None else breaks
+    return np.concatenate(
+        [
+            [0.0, -0.0, 1.0, np.nan, -3.0, -0.5, 1.5, 5.0],
+            q,
+            breaks,
+            np.nextafter(breaks, -np.inf),
+            np.nextafter(breaks, np.inf),
+        ]
+    )
+
+
+menu_lines = cases.map(lambda case: (*case[0].lines(case[1]), np.array(case[0].support)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of(menu_lines, pencils()))
+def test_selection_with_and_without_the_table_matches_best_response(case):
+    """``_select`` on a certificate made once, with a bucket table and
+    without one, returns ``best_response``'s indices and value bits, at the
+    breakpoints, beside them, at NaN and at types outside [0, 1]."""
+    slopes, intercepts, q = case
+    q = _types_at_the_breaks(slopes, intercepts, q)
+    expected_index, expected_value = best_response(q, slopes, intercepts)
+    for table in (True, False):
+        index, value = _select(q, _certify(slopes, intercepts, table=table))
+        assert np.array_equal(index, expected_index)
+        assert value.tobytes() == expected_value.tobytes()
+
+
+@st.composite
+def sorted_breaks(draw):
+    """Strictly increasing finite breakpoints: none (a one-line menu), one,
+    spread over [0, 1] and beyond, or clustered a few units in the last place
+    apart around points of [0, 1], with far outliers."""
+    shape = draw(st.sampled_from(["none", "one", "spread", "clustered"]))
+    if shape == "none":
+        return np.empty(0)
+    if shape == "one":
+        return np.array([draw(st.floats(-2.0, 2.0))])
+    if shape == "spread":
+        return np.unique(draw(st.lists(st.floats(-0.5, 1.5), min_size=2, max_size=60)))
+    groups = []
+    for x in draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)):
+        steps = draw(st.lists(st.integers(0, 40), min_size=1, max_size=12, unique=True))
+        groups.append(x + np.spacing(x if x else 1.0) * np.array(steps, dtype=float))
+    outliers = draw(st.lists(st.sampled_from([-1e308, -3.0, 5.0, 1e308, 5e-324]), max_size=2))
+    return np.unique(np.concatenate([*groups, outliers]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(breaks=sorted_breaks(), data=st.data())
+def test_segment_index_matches_searchsorted(breaks, data):
+    """The bucket table's segment index is ``np.searchsorted(breaks, q,
+    side="right")`` for every type, NaN and +-inf included, and casting
+    those to a bucket does not warn (warnings are errors here)."""
+    drawn = data.draw(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=20))
+    q = np.concatenate(
+        [
+            [0.0, -0.0, 1.0, np.nan, np.inf, -np.inf, -1e308, -0.5, 1.5, 1e308, 5e-324],
+            drawn,
+            breaks,
+            np.nextafter(breaks, -np.inf),
+            np.nextafter(breaks, np.inf),
+        ]
+    )
+    lines = np.zeros(len(breaks) + 1), np.zeros(len(breaks) + 1)
+    with mock.patch.object(contracts, "_segments", return_value=(breaks, 0.0)):
+        certificate = _certify(*lines, table=True)
+    expected = np.searchsorted(breaks, q, side="right")
+    assert np.array_equal(_segment_index(q, certificate), expected)
+    if len(breaks) > 1 and 1e-300 < float(breaks[-1]) - float(breaks[0]) < 1e300:
+        assert certificate.table is not None
+
+
 def test_ties_and_uncertified_lines_take_the_blocked_route(monkeypatch):
     redone = []
 
@@ -421,6 +505,36 @@ def test_evaluators_on_the_envelope_match_the_blocked_route(fine_fixed_menu, gm1
     on_envelope = evaluate()
     _without_certification(monkeypatch)
     assert evaluate() == on_envelope
+
+
+def test_simulation_on_the_envelope_matches_the_blocked_route(fine_fixed_menu, gm1, monkeypatch):
+    """A continuous population's simulation on the fine menu, whose plan
+    holds a certificate with a bucket table, counts what the blocked route
+    counts. With ``_segments`` patched, the plan holds no certificate and
+    every agent takes the blocked route."""
+    population = sm.uniform_population(0.43, 0.86)
+    assert _chunk_plan(fine_fixed_menu, population, gm1)[0].table is not None
+    n = 20_000
+    on_envelope = sm.simulate_population(fine_fixed_menu, population, gm1, n=n, seed=3)
+    _without_certification(monkeypatch)
+    assert _chunk_plan(fine_fixed_menu, population, gm1)[0].bounds is None
+    blocked = []
+
+    def recording(q, slopes, intercepts):
+        blocked.append(len(q))
+        return _blocked_response(q, slopes, intercepts)
+
+    monkeypatch.setattr(contracts, "_blocked_response", recording)
+    assert sm.simulate_population(fine_fixed_menu, population, gm1, n=n, seed=3) == on_envelope
+    assert sum(blocked) == n
+
+
+def test_fine_menu_table_holds_a_break_per_bucket_at_most(fine_fixed_menu, gm1):
+    """The 1,025-contract menu's table has two buckets per break and at most
+    one break in a bucket, so one step up finds every type's segment."""
+    certificate = _certify(*fine_fixed_menu.lines(gm1))
+    assert len(certificate.table) == 2 * 1024 + 1
+    assert np.diff(certificate.table).max() == 1
 
 
 def test_non_separating_menu_simulates_on_the_blocked_route(fixed_menu, gm1, monkeypatch):
@@ -596,20 +710,22 @@ def test_continuous_chunk_in_a_workspace_allocates_little(fine_fixed_menu, gm1):
 @pytest.mark.parametrize("rows", [1, 3, 7, 1_000])
 def test_chunk_selection_does_not_depend_on_the_row_block(monkeypatch, menu, population, rows):
     """A continuous population's 500-agent chunk, selected in blocks of
-    ``rows`` agents, one ``best_response`` call each, counts what one
-    selection over the whole chunk counts, on certified lines, on lines that
-    take the blocked route and with types that opt out."""
+    ``rows`` agents, one selection call each on the plan's certificate,
+    counts what one selection over the whole chunk counts, on certified
+    lines, on lines that take the blocked route and with types that opt
+    out."""
     size, child = 500, np.random.SeedSequence(8)
     plan = _chunk_plan(menu, population, GM1)
     monkeypatch.setattr(evaluation, "_SELECT_ROWS", size)
     whole = _simulate_chunk(plan, population, GM1, size, child, False, _workspace(size))
     calls = []
 
-    def counted(q, slopes, intercepts):
+    def counted(q, certificate):
+        assert certificate is plan[0]
         calls.append(len(q))
-        return best_response(q, slopes, intercepts)
+        return _select(q, certificate)
 
-    monkeypatch.setattr(evaluation, "best_response", counted)
+    monkeypatch.setattr(evaluation, "_select", counted)
     monkeypatch.setattr(evaluation, "_SELECT_ROWS", rows)
     blocked = _simulate_chunk(plan, population, GM1, size, child, False, _workspace(size))
     assert calls == [min(rows, size - start) for start in range(0, size, rows)]
