@@ -77,9 +77,9 @@ COMMANDS = (
 )
 BUILDER_METHODS = ("potential", "varying_reward", "fixed_reward", "finite")
 SCHEMA_VERSION = 1
-# The largest grid a config or ``--grid`` may ask for: population and menu
-# grids and sensitivity sweeps are held whole in memory. Up to this size a
-# utility block (``contracts._BLOCK_ELEMENTS``) still bounds selection's memory.
+# The largest grid a config or ``--grid`` may ask for. Population and menu
+# grids and sensitivity sweeps are held whole in memory, so a size past what
+# any run needs would fail to allocate; the cap makes it a config error.
 MAX_GRID = 1 << 20
 
 EXIT_OK = 0
@@ -540,14 +540,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--grid", type=int, default=None, help="override grid/sweep resolution")
     args = parser.parse_args(argv)
 
-    floors = {"--jobs": (args.jobs, 1), "--seed": (args.seed, 0), "--grid": (args.grid, 1)}
-    for flag, (value, least) in floors.items():
+    ranges = {
+        "--jobs": (args.jobs, 1, math.inf),
+        "--seed": (args.seed, 0, math.inf),
+        "--grid": (args.grid, 1, MAX_GRID),
+    }
+    for flag, (value, least, most) in ranges.items():
         if value is not None and value < least:
             print(f"error: {flag} must be >= {least}", file=sys.stderr)
             return EXIT_CONFIG
-    if args.grid is not None and args.grid > MAX_GRID:
-        print(f"error: --grid must be <= {MAX_GRID}", file=sys.stderr)
-        return EXIT_CONFIG
+        if value is not None and value > most:
+            print(f"error: {flag} must be <= {most}", file=sys.stderr)
+            return EXIT_CONFIG
 
     try:
         config = parse_config(args.config)

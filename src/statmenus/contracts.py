@@ -248,8 +248,8 @@ class _Certificate:
     sentinel lines; both are None on other lines.
 
     ``table``, when built, has an entry for each ``_bucket`` (``1 / scale``
-    wide, from ``lo``, the first break, to ``hi``, the last): the number of
-    breaks that ``_bucket`` places below it. ``_bucket`` is monotone, so a
+    wide, from the first break to the last): the number of breaks that
+    ``_bucket`` places below it. ``_bucket`` is monotone, so a
     type's segment index is at least its bucket's entry and exceeds it by at
     most the number of breaks in its bucket.
     """
@@ -260,8 +260,6 @@ class _Certificate:
     bounds: Optional[np.ndarray] = None
     padded: Optional[Tuple[np.ndarray, np.ndarray]] = None
     table: Optional[np.ndarray] = None
-    lo: float = 0.0
-    hi: float = 0.0
     scale: float = 0.0
 
 
@@ -314,15 +312,17 @@ def _certify(slopes: np.ndarray, intercepts: np.ndarray, table: bool = True) -> 
     if not 0.0 < scale < math.inf:
         return _Certificate(slopes, intercepts, tol, bounds, padded)
     # Types land in buckets 0 to ``buckets`` (the last where hi may round).
-    placed = _bucket(breaks, lo, hi, scale).astype(np.intp)
+    placed = _bucket(breaks, breaks, scale).astype(np.intp)
     counts = np.searchsorted(placed, np.arange(buckets + 1), side="left")
-    return _Certificate(slopes, intercepts, tol, bounds, padded, counts, lo, hi, scale)
+    return _Certificate(slopes, intercepts, tol, bounds, padded, counts, scale)
 
 
-def _bucket(q: np.ndarray, lo: float, hi: float, scale: float) -> np.ndarray:
+def _bucket(q: np.ndarray, breaks: np.ndarray, scale: float) -> np.ndarray:
     """The table bucket of each type as a float, ``(q - lo) * scale``, with q
-    clamped to ``[lo, hi]`` first (NaN to ``lo``), so that no value overflows
-    and its cast to an index does not fail."""
+    clamped to ``[lo, hi]``, the first and last breaks, first (NaN to
+    ``lo``), so that no value overflows and its cast to an index does not
+    fail."""
+    lo, hi = breaks[0], breaks[-1]
     at = np.fmax(q, lo)
     np.fmin(at, hi, out=at)
     at -= lo
@@ -343,7 +343,7 @@ def _segment_index(q: np.ndarray, certificate: _Certificate) -> np.ndarray:
     if certificate.table is None:
         return np.searchsorted(breaks, q, side="right")
     above = bounds[1:]  # above[i] is bounds[i + 1]
-    at = _bucket(q, certificate.lo, certificate.hi, certificate.scale)
+    at = _bucket(q, breaks, certificate.scale)
     index = np.take(certificate.table, at.astype(np.intp), mode="clip")
     # The gathers go into ``at``; mode "clip" (the indices are in range)
     # writes them there without a temporary.
