@@ -25,9 +25,8 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from ._quad import adaptive_simpson
-from .contracts import (
-    PARTICIPATION_SLACK, Contract, Menu, utility, verify_separating, zero_utility_cost
-)
+from .contracts import PARTICIPATION_SLACK, Contract, Menu, _first_violation, utility
+from .contracts import verify_separating, zero_utility_cost
 from .errors import InfeasibleMenuError, InvalidPotentialError
 from .objectives import PrincipalObjective, _bisect, optimal_threshold, type_for_threshold
 from .testmodel import TestModel, _float_or_array, normal_cdf, power, power_derivative
@@ -77,8 +76,8 @@ def tabulated_potential(
     points = tuple(float(p) for p in points)
     if not points:
         raise ValueError("a tabulated potential needs at least one point")
-    if len(set(points)) != len(points):
-        raise ValueError("potential points must be distinct")
+    if len(set(points)) != len(points) or not np.all(np.isfinite(points)):
+        raise ValueError("potential points must be finite and distinct")
     if not len(points) == len(values) == len(subgradients):
         raise ValueError("points, values, and subgradients must align")
     val = dict(zip(points, map(float, values)))
@@ -159,24 +158,21 @@ def _validate_schedule(eps: EpsilonSchedule, q_bar: float) -> None:
 
 
 def _potential_issue(ps, values, subgrads, tol: float) -> Optional[str]:
-    """First violated potential condition on the given support, or None;
-    each supporting line, in support order, meets all other points at once."""
+    """First violated potential condition on the given support, or None.
+    The supporting lines (slope g_j, intercept G(p_j) - g_j p_j) are checked
+    as a menu's lines, at slack ``tol``, and named point-first."""
     ps, values, subgrads = (np.asarray(x, dtype=float) for x in (ps, values, subgrads))
-    ok = subgrads < tol
-    if not ok.all():
-        i = np.argmin(ok)  # first failing point
-        return f"subgradient at {ps[i]:.6g} is {subgrads[i]:.6g}, expected < 0"
+    bad = np.flatnonzero(~(subgrads < tol))
+    if len(bad):
+        return f"subgradient at {ps[bad[0]]:.6g} is {subgrads[bad[0]]:.6g}, expected < 0"
     with np.errstate(all="ignore"):  # inf/nan compare as the scalar floats would
-        for j in range(len(ps)):  # supporting line at ps[j]
-            lines = values[j] + subgrads[j] * (ps - ps[j])
-            ok = values > lines - tol
-            ok[j] = True
-            if not ok.all():
-                i = np.argmin(ok)
-                return (
-                    f"supporting line at {ps[j]:.6g} not strictly below the potential "
-                    f"at {ps[i]:.6g} (gap {values[i] - lines[i]:.3g})"
-                )
+        intercepts = values - subgrads * ps
+        _, v = _first_violation(ps, np.arange(len(ps)), ps, subgrads, intercepts, -tol, -np.inf)
+    if v is not None:
+        return (
+            f"supporting line at {v.p:.6g} not strictly below the potential "
+            f"at {v.q:.6g} (gap {v.gap:.3g})"
+        )
     if not values[-1] >= -tol:
         return f"potential at the worst type {ps[-1]:.6g} is {values[-1]:.6g}, expected >= 0"
     return None
@@ -187,6 +183,8 @@ def _checked_potential(G: GPotential, ps: Sequence[float], tol: float):
     separating-menu condition."""
     if len(ps) == 0:
         raise ValueError("potential support must be nonempty")
+    if not (np.all(np.isfinite(ps)) and np.all(np.diff(ps) > 0.0)):
+        raise ValueError("support must be finite and strictly increasing")
     values, subgrads = G.values(ps), G.subgradient(ps)
     issue = _potential_issue(ps, values, subgrads, tol)
     if issue is not None:
@@ -201,10 +199,7 @@ def validate_potential(G: GPotential, support: Sequence[float], tol: float = 0.0
     pair, and nonnegativity at the largest supported type, all with slack
     ``tol``.
     """
-    ps = np.asarray(support, dtype=float)
-    if np.any(ps[1:] <= ps[:-1]):
-        raise ValueError("support must be strictly increasing")
-    _checked_potential(G, ps, tol)
+    _checked_potential(G, np.asarray(support, dtype=float), tol)
 
 
 def recover_potential(menu: Menu, model: TestModel) -> GPotential:
@@ -216,8 +211,8 @@ def recover_potential(menu: Menu, model: TestModel) -> GPotential:
 
 def _checked_thresholds(thresholds, model) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     ps, taus = np.array(thresholds, dtype=float).reshape(-1, 2).T
-    if np.any(ps[1:] <= ps[:-1]):
-        raise ValueError("threshold support must be strictly increasing in the type")
+    if not (np.all(np.isfinite(ps)) and np.all(np.diff(ps) > 0.0)):
+        raise ValueError("threshold types must be finite and strictly increasing")
     deltas = power(model, taus) - taus
     flat = np.flatnonzero(deltas <= 0.0)
     if len(flat):

@@ -281,13 +281,15 @@ def _leads(
     and every other line's rounded value is at most the larger rounded
     neighbour plus twice ``tol``. On [0, 1] every value is at most
     ``tol / (2 eps)`` in magnitude, so one more ``tol``, and
-    ``4 eps margin``, cover the rounding of ``other + margin`` and of the
-    test itself.
+    ``4 eps |margin|``, cover the rounding of ``other + margin`` and of the
+    test itself. Only the peak bounds the lines past its neighbours, so a
+    negative margin still needs a lead over zero.
     """
     s, b = certificate.padded
     value = q * s[index + 1] + b[index + 1]
     rival = np.maximum(q * s[index] + b[index], q * s[index + 2] + b[index + 2])
-    return value, value - rival > margin + (3.0 * certificate.tol + 4.0 * _EPS * margin)
+    allowance = 3.0 * certificate.tol + 4.0 * _EPS * abs(margin)
+    return value, value - rival > max(margin, 0.0) + allowance
 
 
 def _certify(slopes: np.ndarray, intercepts: np.ndarray, table: bool = True) -> _Certificate:
@@ -413,6 +415,44 @@ class Violation:
     gap: float
 
 
+def _first_violation(
+    qs: np.ndarray, own: np.ndarray, reports: Sequence[float], slopes: np.ndarray,
+    intercepts: np.ndarray, margin: float, floor: float,
+) -> Tuple[int, Optional[Violation]]:
+    """Pairs found to hold and the first violation, or None, of each type
+    ``qs[i]``'s own line ``own[i]``: at least ``floor``, and above every
+    other line (line j is report ``reports[j]``) by more than ``margin``.
+    O(n) when the lines are certified (``_segments``), the types lie in
+    [0, 1] and every own line leads both neighbours (``_leads``) and clears
+    the floor; otherwise every pair is scored in row blocks."""
+    others = len(slopes) - 1
+    certificate = _certify(slopes, intercepts, table=False)
+    if certificate.bounds is not None and np.all((qs >= 0.0) & (qs <= 1.0)):
+        truthful, leads = _leads(qs, own, certificate, margin)
+        if np.all(leads & (truthful >= floor)):
+            return len(qs) * others, None
+    # The first violation in row-major (q, then p) order: within a row the
+    # floor precedes the IC pairs, and a type's own line is not a pair.
+    for start, u in _utility_blocks(qs, slopes, intercepts):
+        rows, cols = np.arange(len(u)), own[start : start + len(u)]
+        truthful = u[rows, cols]
+        bad = ~(truthful[:, None] > u + margin)
+        bad[rows, cols] = False
+        outside = truthful < floor
+        flagged = np.flatnonzero(outside | bad.any(axis=1))
+        if not len(flagged):
+            continue
+        i = int(flagged[0])
+        q = float(qs[start + i])
+        pairs = (start + i) * others
+        if outside[i]:
+            return pairs, Violation(kind="participation", q=q, p=None, gap=float(truthful[i]))
+        j = int(np.argmax(bad[i]))
+        pairs += j + int(j < cols[i])
+        return pairs, Violation(kind="ic", q=q, p=reports[j], gap=float(truthful[i] - u[i, j]))
+    return len(qs) * others, None
+
+
 @dataclass(frozen=True)
 class SeparationReport:
     """Outcome of a separation check over support x support; ``pairs_checked``
@@ -460,11 +500,8 @@ def verify_separating(
     Returns a report carrying the first violating pair rather than raising. A
     negative or NaN ``margin``, which would pass menus that break IC, raises.
 
-    When the lines are certified (``_segments``) and every verified type's
-    own line leads both neighbours by the margin (``_leads``) and
-    participates, the menu passes in O(n): every pair holds, as the pass
-    over all pairs would find. Otherwise every pair is scored, in row blocks
-    (``_utility_blocks``), and the first violation is reported.
+    The pairs are scanned by ``_first_violation``, with participation as
+    its floor: in O(n) when the menu's lines certify that every pair holds.
     """
     if not margin >= 0.0:
         raise ValueError(f"IC margin must be nonnegative, got {margin!r}")
@@ -476,44 +513,10 @@ def verify_separating(
     if missing:
         raise ValueError(f"verified support must be within the menu support; missing {missing[:3]}")
 
-    def report(pairs: int, violation: Optional[Violation] = None) -> SeparationReport:
-        return SeparationReport(
-            passed=violation is None,
-            support=support,
-            margin=margin,
-            pairs_checked=pairs,
-            first_violation=violation,
-        )
-
-    others = len(menu.support) - 1
     own = np.array([position[q] for q in support], dtype=np.intp)
-    qs, (slopes, intercepts) = np.array(support, dtype=float), menu.lines(model)
-    certificate = _certify(slopes, intercepts, table=False)
-    if certificate.bounds is not None:
-        truthful, leads = _leads(qs, own, certificate, margin)
-        if np.all(leads & (truthful >= -PARTICIPATION_SLACK)):
-            return report(len(support) * others)
-    # The first violation in row-major (q, then p) order: within a row the
-    # participation check precedes the IC pairs, and p == q is not a pair.
-    for start, u in _utility_blocks(qs, slopes, intercepts):
-        rows, cols = np.arange(len(u)), own[start : start + len(u)]
-        truthful = u[rows, cols]
-        bad = ~(truthful[:, None] > u + margin)
-        bad[rows, cols] = False
-        outside = truthful < -PARTICIPATION_SLACK
-        flagged = np.flatnonzero(outside | bad.any(axis=1))
-        if not len(flagged):
-            continue
-        i = int(flagged[0])
-        q = support[start + i]
-        pairs = (start + i) * others
-        if outside[i]:
-            return report(pairs, Violation(kind="participation", q=q, p=None, gap=float(truthful[i])))
-        j = int(np.argmax(bad[i]))
-        pairs += j + int(j < cols[i])
-        gap = float(truthful[i] - u[i, j])
-        return report(pairs, Violation(kind="ic", q=q, p=menu.support[j], gap=gap))
-    return report(len(support) * others)
+    qs, lines = np.array(support, dtype=float), menu.lines(model)
+    pairs, violation = _first_violation(qs, own, menu.support, *lines, margin, -PARTICIPATION_SLACK)
+    return SeparationReport(violation is None, support, margin, pairs, violation)
 
 
 def scoring_rule(menu: Menu, p: float, y: int, model: TestModel) -> float:

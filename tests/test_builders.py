@@ -1,12 +1,15 @@
 """Tests for the menu constructions and their verification oracles."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import statmenus as sm
-from statmenus import _quad, builders
+from statmenus import _quad, builders, contracts
 from statmenus.contracts import Contract
 from statmenus.errors import InfeasibleMenuError, InvalidPotentialError
 
@@ -484,7 +487,8 @@ def test_validate_potential_flags_broken_menu(gm1, five_type_menu):
 
 def test_empty_potential_support_is_rejected(gm1, fdr25):
     """No points is a ValueError, for a tabulated potential and for any
-    potential checked on an empty support, not an IndexError."""
+    potential checked on an empty support, not an IndexError; so is a NaN or
+    infinite point, which no tabulated lookup can find (not a KeyError)."""
     with pytest.raises(ValueError, match="at least one point"):
         sm.validate_potential(sm.tabulated_potential([], [], []), [])
     G = sm.fixed_reward_potential(100.0, 0.86, fdr25, gm1)
@@ -492,6 +496,16 @@ def test_empty_potential_support_is_rejected(gm1, fdr25):
         sm.validate_potential(G, [])
     with pytest.raises(ValueError, match="support must be nonempty"):
         sm.build_from_potential(G, [], gm1)
+    tabulated = sm.tabulated_potential([0.2, 0.5], [3.0, 0.0], [-12.0, -6.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            sm.validate_potential(tabulated, [0.2, bad, 0.5])
+        with pytest.raises(ValueError, match="finite and distinct"):
+            sm.tabulated_potential([0.2, bad], [3.0, 0.0], [-12.0, -6.0])
+    with pytest.raises(ValueError, match="finite and strictly increasing"):
+        sm.validate_potential(tabulated, [0.2, 0.5, np.inf])
+    with pytest.raises(ValueError, match="finite and strictly increasing"):
+        sm.build_from_potential(tabulated, [(0.2, 0.3), (np.nan, 0.2), (0.5, 0.1)], gm1)
 
 
 # ---------------------------------------------------------------------------
@@ -523,25 +537,40 @@ def test_fixed_cost_equal_thresholds_rejected(gm1):
 
 
 def scalar_potential_issue(ps, values, subgrads, tol):
-    """Potential check as one comparison per ordered pair, supporting line
-    first (j-major)."""
+    """Potential check as one comparison per ordered pair, each supporting
+    line evaluated as a menu line (slope g_j, intercept G(p_j) - g_j p_j) at
+    every point, point first (row-major)."""
     n = len(ps)
     for i in range(n):
         if not subgrads[i] < tol:
             return f"subgradient at {ps[i]:.6g} is {subgrads[i]:.6g}, expected < 0"
-    for j in range(n):  # supporting line at ps[j]
-        for i in range(n):
-            if i == j:
+    intercepts = [values[j] - subgrads[j] * ps[j] for j in range(n)]
+    for i in range(n):  # the potential at ps[i], read off its own supporting line
+        own = ps[i] * subgrads[i] + intercepts[i]
+        for j in range(n):
+            if j == i:
                 continue
-            line = values[j] + subgrads[j] * (ps[i] - ps[j])
-            if not values[i] > line - tol:
+            line = ps[i] * subgrads[j] + intercepts[j]
+            if not own > line - tol:
                 return (
                     f"supporting line at {ps[j]:.6g} not strictly below the potential "
-                    f"at {ps[i]:.6g} (gap {values[i] - line:.3g})"
+                    f"at {ps[i]:.6g} (gap {own - line:.3g})"
                 )
     if not values[-1] >= -tol:
         return f"potential at the worst type {ps[-1]:.6g} is {values[-1]:.6g}, expected >= 0"
     return None
+
+
+def jmajor_supporting_lines_hold(ps, values, subgrads, tol):
+    """The supporting-line inequality in its point-slope form, G(p_i) >
+    G(p_j) + g_j (p_i - p_j) - tol for every ordered pair, line first."""
+    n = len(ps)
+    return all(
+        values[i] > values[j] + subgrads[j] * (ps[i] - ps[j]) - tol
+        for j in range(n)
+        for i in range(n)
+        if i != j
+    )
 
 
 def scalar_fixed_reward_costs(reward, q_lo, q_bar, objective, model, n):
@@ -590,11 +619,21 @@ def tabulated_gaussian(theta1, knots=257):
 @st.composite
 def potential_cases(draw):
     """Support, values and subgradients: a convex potential built from
-    increasing subgradients, optionally with one value or subgradient moved
-    or some subgradients made nonnegative."""
-    n = draw(st.integers(2, 12))
-    ps = sorted(draw(st.lists(st.floats(0.01, 0.99), min_size=n, max_size=n, unique=True)))
-    subgrads = sorted(draw(st.lists(st.floats(-50.0, -0.01), min_size=n, max_size=n)))
+    increasing subgradients (or barely convex: neighbouring subgradients 0
+    to 4 ulps apart), on a support inside or outside [0, 1], optionally with
+    one value or subgradient moved or some subgradients made nonnegative."""
+    n = draw(st.integers(2, 40))
+    lo, hi = draw(st.sampled_from([(0.01, 0.99), (-3.0, 0.5), (0.5, 4.0), (-10.0, 10.0)]))
+    ps = sorted(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n, unique=True)))
+    if draw(st.booleans()):
+        subgrads = sorted(draw(st.lists(st.floats(-50.0, -0.01), min_size=n, max_size=n)))
+    else:
+        subgrads = [draw(st.floats(-50.0, -0.01))]
+        for ulps in draw(st.lists(st.integers(0, 4), min_size=n - 1, max_size=n - 1)):
+            g = subgrads[-1]
+            for _ in range(ulps):
+                g = math.nextafter(g, 0.0)
+            subgrads.append(g)
     values = [0.0] * n
     values[-1] = draw(st.sampled_from([0.0, 1e-9, 1.0, -1e-9, -1.0]))
     for i in range(n - 2, -1, -1):
@@ -621,6 +660,95 @@ def test_potential_check_matches_scalar_oracle(case):
         assert builders._potential_issue(ps, values, subgrads, tol) == scalar_potential_issue(
             ps, values, subgrads, tol
         )
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=potential_cases())
+def test_menu_line_and_point_slope_forms_agree_beyond_rounding(case):
+    """Evaluating a supporting line as p_i g_j + b_j or as G(p_j) + g_j (p_i
+    - p_j) moves the verdict only where some exact lead G(p_i) - G(p_j) -
+    g_j (p_i - p_j) lies within the rounding of either form of -tol; away
+    from that, both give the exact verdict."""
+    ps, values, subgrads = case
+    assume(all(g < 0.0 for g in subgrads))
+    F = [Fraction(x) for x in ps], [Fraction(x) for x in values], [Fraction(x) for x in subgrads]
+    leads = [
+        F[1][i] - F[1][j] - F[2][j] * (F[0][i] - F[0][j])
+        for j in range(len(ps))
+        for i in range(len(ps))
+        if i != j
+    ]
+    scale = max(map(abs, values)) + max(map(abs, subgrads)) * max(1.0, max(map(abs, ps)))
+    bound = Fraction(4.0 * np.finfo(float).eps * scale)
+    for tol in (0.0, 1e-8):
+        if min(abs(lead + Fraction(tol)) for lead in leads) <= bound:
+            continue
+        exact = all(lead > -Fraction(tol) for lead in leads)
+        lines = scalar_potential_issue(ps, values, subgrads, tol)
+        assert (lines is None or lines.startswith("potential at the worst type")) == exact
+        assert jmajor_supporting_lines_hold(ps, values, subgrads, tol) == exact
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e308, -1e308])
+@pytest.mark.parametrize("entry", ["point", "value", "subgradient"])
+def test_potential_check_on_non_finite_entries_matches_scalar_oracle(bad, entry):
+    """Infinite, NaN and huge entries compare as the scalar floats do, with
+    no floating-point warning (warnings are errors)."""
+    for k in range(3):
+        case = [[0.2, 0.5, 0.8], [3.0, 1.0, 0.0], [-8.0, -5.0, -2.0]]
+        case[["point", "value", "subgradient"].index(entry)][k] = bad
+        for tol in (0.0, 1e-8):
+            assert builders._potential_issue(*case, tol) == scalar_potential_issue(*case, tol)
+
+
+def test_clustered_near_ties_are_not_certified_by_neighbours():
+    """Three points whose neighbouring supporting lines each sit within the
+    slack of the potential (0.9 tol), while the line two points away beats
+    the first point by 1.8 tol. The lines are certified, so ``_leads`` sees
+    them; with a negative margin it still requires each point's own line to
+    be the exact peak, so the pass over all pairs runs and names the pair."""
+    tol = 1e-3
+    ps = [0.5, 0.501, 0.502]
+    slopes = np.array([-1.0, -1.0 + 4.5 * tol, -1.0 + 13.5 * tol])
+    intercepts = np.array([1.0, 1.0 - 0.3 * 4.5 * tol, 1.0 - 0.3 * 4.5 * tol - 0.4 * 9 * tol])
+    assert contracts._segments(slopes, intercepts)[0] is not None
+    values, subgrads = (slopes * ps + intercepts).tolist(), slopes.tolist()
+    issue = builders._potential_issue(ps, values, subgrads, tol)
+    assert issue == scalar_potential_issue(ps, values, subgrads, tol)
+    assert issue.startswith("supporting line at 0.502 not strictly below the potential at 0.5")
+
+
+@pytest.fixture(scope="module")
+def finest_recovered(gm1, fdr25):
+    """The recovered potential of the 16,385-contract fixed-reward menu."""
+    menu = sm.build_fixed_reward(100.0, 0.43, 0.86, fdr25, gm1, n=16_385)
+    return sm.recover_potential(menu, gm1), menu.support
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-8])
+def test_fine_potential_is_checked_on_adjacent_lines(finest_recovered, tol, monkeypatch):
+    """The 16,385-point potential passes on the certificate alone."""
+
+    def refuse(*args):
+        raise AssertionError("the pass over all pairs ran")
+
+    monkeypatch.setattr(contracts, "_utility_blocks", refuse)
+    sm.validate_potential(*finest_recovered, tol=tol)
+
+
+def test_potential_check_on_uncertified_lines_matches(fixed_menu, gm1, monkeypatch):
+    """With no certificate, the pass over all pairs gives the same verdicts
+    and messages, on a valid potential and on one with a value moved."""
+    ps = np.array(fixed_menu.support)
+    slopes, intercepts = fixed_menu.lines(gm1)
+    values = slopes * ps + intercepts
+    moved = values.copy()
+    moved[60] -= 1e-2
+    cases = [(values, slopes, tol) for tol in (0.0, 1e-8)] + [(moved, slopes, 0.0)]
+    certified = [builders._potential_issue(ps, v, g, tol) for v, g, tol in cases]
+    assert certified[0] is None and certified[1] is None and certified[2] is not None
+    monkeypatch.setattr(contracts, "_segments", lambda slopes, intercepts: (None, 0.0))
+    assert [builders._potential_issue(ps, v, g, tol) for v, g, tol in cases] == certified
 
 
 @pytest.mark.parametrize("n", [2, 33, 129])
