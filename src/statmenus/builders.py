@@ -28,7 +28,8 @@ from ._quad import adaptive_simpson
 from .contracts import PARTICIPATION_SLACK, Contract, Menu, _first_violation, utility
 from .contracts import verify_separating, zero_utility_cost
 from .errors import InfeasibleMenuError, InvalidPotentialError
-from .objectives import PrincipalObjective, _bisect, optimal_threshold, type_for_threshold
+from .objectives import _FLOOR, PrincipalObjective, _bisect, _fdr_odds, optimal_threshold
+from .objectives import type_for_threshold
 from .testmodel import TestModel, _float_or_array, normal_cdf, power, power_derivative
 
 __all__ = [
@@ -49,7 +50,11 @@ __all__ = [
     "fixed_cost_feasible",
 ]
 
-INTEGRAL_TOL = 1e-10  # cost integrals must sit well below the IC margin
+# Absolute tolerance of each adaptive Simpson piece of a cost integral, well
+# below the IC margin. A constant-reward segment on a tabulated curve sums one
+# piece per stretch between the curve's knots; the tests hold every segment
+# within this tolerance of a reference integral.
+INTEGRAL_TOL = 1e-10
 PARTICIPATION_TOL = 1e-8
 
 
@@ -306,11 +311,80 @@ def elicitable_range(objective: PrincipalObjective, model: TestModel) -> Tuple[f
     return type_for_threshold(tau_bar, objective, model), tau_bar
 
 
+def _piecewise_integrals(f, knots: np.ndarray, breaks: np.ndarray) -> np.ndarray:
+    """Signed integral of the elementwise ``f`` over each segment of ``knots``,
+    split at the sorted ``breaks`` strictly inside it so that every piece is
+    smooth; each segment's pieces are summed in its own direction."""
+    lo, hi = np.minimum(knots[:-1], knots[1:]), np.maximum(knots[:-1], knots[1:])
+    first = np.searchsorted(breaks, lo, side="right")
+    counts = np.maximum(np.searchsorted(breaks, hi, side="left") - first, 0)
+    segment = np.repeat(np.arange(len(lo)), counts)
+    starts = np.arange(len(lo)) + np.cumsum(counts) - counts  # each segment's first piece
+    inside = np.arange(len(segment)) - (starts - np.arange(len(lo)))[segment]
+    falling = knots[segment] > knots[segment + 1]
+    pieces = np.empty(len(knots) + len(segment))
+    pieces[starts], pieces[-1] = knots[:-1], knots[-1]
+    pieces[starts[segment] + 1 + inside] = breaks[
+        first[segment] + np.where(falling, counts[segment] - 1 - inside, inside)
+    ]
+    integrals = adaptive_simpson(f, pieces, INTEGRAL_TOL)
+    totals = integrals[starts]
+    for k in range(1, counts.max(initial=0) + 1):  # left to right, as one recursion per piece
+        more = counts >= k
+        totals[more] += integrals[starts[more] + k]
+    return totals
+
+
+def _fdr_margin_integrals(taus, alpha: float, model: TestModel) -> np.ndarray:
+    """Integral of the power margin beta1(tau(z)) - tau(z) over the types z
+    between consecutive FDR thresholds ``taus``, signed in their order.
+
+    Where the budget binds, beta1(tau) = c tau z / (1 - z) with
+    c = (1 - alpha) / alpha, and the threshold map has the closed-form
+    inverse Q (``type_for_threshold``). With W(z) = -z - log1p(-z), whose
+    derivative is z / (1 - z), integrating by parts gives
+
+        integral of the margin dz = [tau (c W(z) - z)] - integral of (c W(Q(t)) - Q(t)) dt
+
+    between the segment's ends, so no type inside a segment is bisected.
+    Each end is taken on the binding curve, at (Q(tau), tau) with tau
+    clipped to [_FLOOR, 1]: Q(tau_i) is z_i to rounding where the budget
+    binds. Where it does not, the margin is 0, and the clip moves the end
+    to the binding range's: Q(1) = alpha for a type given threshold 1, and
+    Q(_FLOOR) for a type over budget even at the floor. The t-integral is
+    split at a tabulated curve's knots, where Q has kinks. Assumes power
+    concave, as the threshold map's bisection does.
+    """
+    c = (1.0 - alpha) / alpha
+
+    def along(t):  # c W(Q(t)) - Q(t); with r the odds of Q, W(Q) = log1p(r) - Q
+        r = _fdr_odds(t, alpha, model)
+        q = r / (1.0 + r)
+        return c * (np.log1p(r) - q) - q
+
+    ts = np.clip(taus, _FLOOR, 1.0)
+    breaks = model.taus if model.kind == "tabulated" else np.empty(0)
+    return np.diff(ts * along(ts)) - _piecewise_integrals(along, ts, breaks)
+
+
+def _fixed_reward_values(reward: float, taus, alpha: float, model: TestModel) -> np.ndarray:
+    """Constant-reward potential at the types with FDR thresholds ``taus[:-1]``:
+    reward times the margin integral up to the type with ``taus[-1]``."""
+    segments = _fdr_margin_integrals(taus, alpha, model)
+    return reward * np.cumsum(segments[::-1])[::-1]
+
+
 def fixed_reward_potential(
     reward: float, q_bar: float, objective: PrincipalObjective, model: TestModel
 ) -> GPotential:
     """Potential of the unique constant-reward menu: R * integral of the
-    power margin along the threshold map, vanishing at the worst type."""
+    power margin along the threshold map, vanishing at the worst type.
+
+    Under an FDR budget the integral is taken in threshold space by parts
+    (``_fdr_margin_integrals``), so only the support's thresholds are
+    bisected; under error costs the thresholds are closed form and the
+    margin is integrated over the types.
+    """
     if reward <= 0.0:
         raise ValueError(f"reward must be positive, got {reward!r}")
 
@@ -318,7 +392,14 @@ def fixed_reward_potential(
         tau = optimal_threshold(z, objective, model)
         return power(model, tau) - tau
 
-    return _integral_potential(reward, margin, q_bar)
+    if objective.kind == "bayes":
+        return _integral_potential(reward, margin, q_bar)
+
+    def values(ps: Sequence[float]) -> np.ndarray:
+        taus = optimal_threshold(np.append(ps, q_bar), objective, model)
+        return _fixed_reward_values(reward, taus, objective.alpha, model)
+
+    return GPotential(values=values, subgradient=lambda q: -reward * margin(q))
 
 
 def varying_reward_potential(
@@ -378,7 +459,10 @@ def build_fixed_reward(
             f"power slope at tau={taus[i]:.6g} (type {support[i]:.6g}) must exceed 1", bound=bound
         )
     # The reward is passed as given: -g / delta can differ from it in the last bit.
-    values = fixed_reward_potential(reward, q_bar, objective, model).values(support)
+    if objective.kind == "fdr":  # the support's thresholds are the integrals' ends
+        values = _fixed_reward_values(reward, np.append(taus, taus[-1]), objective.alpha, model)
+    else:
+        values = fixed_reward_potential(reward, q_bar, objective, model).values(support)
     return _separating(_menu(support, taus, np.full(n, float(reward)), values, model), model)
 
 

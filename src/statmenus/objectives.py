@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import StatMenusError
 from .rates import _fdr, bayes_risk, fdr, tdr
-from .testmodel import TestModel, _float_or_array, _power, _types, inverse_likelihood_ratio
-from .testmodel import likelihood_ratio, power
+from .testmodel import TestModel, _float_or_array, _power, _types, _unit_interval
+from .testmodel import inverse_likelihood_ratio, likelihood_ratio
 
 __all__ = [
     "PrincipalObjective",
@@ -225,19 +225,24 @@ def optimal_threshold(q, objective: PrincipalObjective, model: TestModel):
     return fdr_threshold(q, objective, model)
 
 
-def type_for_threshold(tau: float, objective: PrincipalObjective, model: TestModel) -> float:
-    """Inverse of the threshold map: the type assigned threshold ``tau``.
+def _fdr_odds(tau, alpha, model: TestModel):
+    """Odds q / (1 - q) of the type whose FDR budget ``alpha`` binds at
+    thresholds ``tau`` in (0, 1], elementwise: alpha beta1(tau) / ((1 - alpha) tau).
+    The type itself is r / (1 + r)."""
+    return alpha * _power(model, tau) / ((1.0 - alpha) * tau)
+
+
+def type_for_threshold(tau, objective: PrincipalObjective, model: TestModel):
+    """Inverse of the threshold map: the type assigned threshold ``tau``, elementwise.
 
     Closed form in both cases; only defined for interior tau.
     """
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"inverse map defined for tau in (0, 1), got {tau!r}")
+    tau = _unit_interval(tau, "inverse map defined for tau in (0, 1)", interior=True)
     if objective.kind == "fdr":
-        alpha = objective.alpha
-        r = alpha * power(model, tau) / ((1.0 - alpha) * tau)
-        return r / (1.0 + r)
+        r = _fdr_odds(tau, objective.alpha, model)
+        return _float_or_array(r / (1.0 + r))
     lr = likelihood_ratio(model, tau)
-    return objective.omega1 * lr / (objective.omega0 + objective.omega1 * lr)
+    return _float_or_array(objective.omega1 * lr / (objective.omega0 + objective.omega1 * lr))
 
 
 def threshold_map(

@@ -84,13 +84,17 @@ def implied_true_type(p, scenario: MisspecScenario):
     that report.
     """
     p = _unit_interval(p, "implied type defined for interior reports only", interior=True)
-    tau = scenario.threshold_at(p)
+    return _float_or_array(_implied_true_type(p, scenario.threshold_at(p), scenario))
+
+
+def _implied_true_type(p, tau, scenario: MisspecScenario):
+    """``implied_true_type`` at interior reports ``p`` with thresholds ``tau``."""
     slope = power_derivative(scenario.designed, tau)
     slope_actual = power_derivative(scenario.actual, tau)
     denom = 1.0 - slope_actual
     singular = np.abs(denom) < _SLOPE_SINGULARITY_TOL
     _require(p, ~singular, "implied type undefined: actual slope is 1 at report", StatMenusError)
-    return _float_or_array((p + (1.0 - p) * slope - slope_actual) / denom)
+    return (p + (1.0 - p) * slope - slope_actual) / denom
 
 
 @dataclass(frozen=True)
@@ -160,14 +164,18 @@ def fdr_gap_fixed_reward(p, scenario: MisspecScenario):
     (inside the elicitable range); the slope-1 boundary is rejected.
     """
     p = _unit_interval(p, "gap defined for interior reports only", interior=True)
-    tau = scenario.threshold_at(p)
+    return _float_or_array(_fdr_gap_fixed_reward(p, scenario.threshold_at(p), scenario))
+
+
+def _fdr_gap_fixed_reward(p, tau, scenario: MisspecScenario):
+    """``fdr_gap_fixed_reward`` at interior reports ``p`` with thresholds ``tau``."""
     slope = power_derivative(scenario.designed, tau)
     singular = np.abs(slope - 1.0) < _SLOPE_SINGULARITY_TOL
     _require(p, ~singular, "report outside the elicitable range (designed slope 1)", StatMenusError)
     correction = 1.0 + (power_derivative(scenario.actual, tau) - slope) / (p * (slope - 1.0))
     designed_term = (1.0 - p) / p * power(scenario.designed, tau)
     actual_term = (1.0 - p) / (p * correction) * power(scenario.actual, tau)
-    return _float_or_array(designed_term - actual_term)
+    return designed_term - actual_term
 
 
 @dataclass(frozen=True)
@@ -191,11 +199,12 @@ def sensitivity_sweep(
         lo = scenario.menu.support[0] + SWEEP_EDGE_BAND
         hi = scenario.menu.support[-1] - SWEEP_EDGE_BAND
         p_grid = np.linspace(lo, hi, DEFAULT_SWEEP_POINTS)
-    p = np.asarray(p_grid, dtype=float)
-    implied = implied_true_type(p, scenario)
+    p = _unit_interval(p_grid, "implied type defined for interior reports only", interior=True)
+    tau = scenario.threshold_at(p)  # bisected once for both closed forms
+    implied = _implied_true_type(p, tau, scenario)
     made = (0.0 < implied) & (implied < 1.0)
-    p, implied = p[made], implied[made]
-    gaps = fdr_gap_fixed_reward(p, scenario)
+    p, tau, implied = p[made], tau[made], implied[made]
+    gaps = _fdr_gap_fixed_reward(p, tau, scenario)
     return [
         SweepRow(report=r, gap=g, implied_q=q)
         for r, g, q in zip(p.tolist(), gaps.tolist(), implied.tolist())

@@ -171,6 +171,25 @@ def test_elicitable_range_matches_scalar_bisection(model, alpha):
     )
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    model=st.one_of(st.floats(0.3, 8.0).map(sm.gaussian_model), concave_tabulated_models()),
+    alpha=st.sampled_from([0.05, 0.25, 0.4]),
+    qs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+)
+def test_type_for_threshold_inverts_the_binding_fdr_threshold(model, alpha, qs):
+    """On the binding range (interior thresholds) the inverse map returns the
+    type to 1e-12, and its array form equals its scalar form bit for bit."""
+    objective = sm.fdr_objective(alpha)
+    taus = sm.fdr_threshold(np.array(qs), objective, model)
+    binding = (0.0 < taus) & (taus < 1.0)
+    assume(binding.any())
+    types = sm.type_for_threshold(taus[binding], objective, model)
+    assert np.abs(types - np.array(qs)[binding]).max() <= 1e-12
+    scalars = [sm.type_for_threshold(t, objective, model) for t in taus[binding].tolist()]
+    assert types.tolist() == scalars
+
+
 @pytest.mark.parametrize(
     "taus, betas, tau_bar",
     [
@@ -323,6 +342,10 @@ CALLS = {
     "bayes_risk": lambda m, x: sm.bayes_risk(x, 0.3, 1.0, 2.0, m),
     "fdr_threshold": lambda m, x: sm.fdr_threshold(x, sm.fdr_objective(0.25), m),
     "optimal_threshold": lambda m, x: sm.optimal_threshold(x, sm.bayes_objective(1.0, 2.0), m),
+    "type_for_threshold.fdr": lambda m, x: sm.type_for_threshold(x, sm.fdr_objective(0.25), m),
+    "type_for_threshold.bayes": lambda m, x: sm.type_for_threshold(
+        x, sm.bayes_objective(1.0, 2.0), m
+    ),
     "utility": lambda m, x: sm.utility(x, sm.Contract(0.2, 100.0, 3.0), m),
     "principal_return": lambda m, x: sm.principal_return(MENU, MENU.contracts[-1], x, m),
     "fixed_reward_potential.subgradient": lambda m, x: sm.fixed_reward_potential(

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import statmenus as sm
-from statmenus import _quad, builders, contracts
+from statmenus import _quad, builders, contracts, objectives
 from statmenus.contracts import Contract
 from statmenus.errors import InfeasibleMenuError, InvalidPotentialError
 
@@ -573,28 +573,84 @@ def jmajor_supporting_lines_hold(ps, values, subgrads, tol):
     )
 
 
+def scalar_margin_integral(tau_a, tau_b, alpha, model):
+    """Integral of the FDR power margin over the types between thresholds
+    tau_a and tau_b, by parts in threshold space: [t along(t)] minus one
+    recursive Simpson per piece of [tau_a, tau_b] between the curve's knots,
+    summed from tau_a's end."""
+    c = (1.0 - alpha) / alpha
+
+    def along(t):  # c W(Q(t)) - Q(t) for the type Q(t) whose budget binds at t
+        r = alpha * sm.power(model, t) / ((1.0 - alpha) * t)
+        q = r / (1.0 + r)
+        return c * (np.log1p(r) - q) - q
+
+    a, b = (min(max(t, objectives._FLOOR), 1.0) for t in (tau_a, tau_b))
+    knots = model.taus.tolist() if model.kind == "tabulated" else []
+    inside = [t for t in knots if min(a, b) < t < max(a, b)]
+    ends = [a] + (inside if a < b else inside[::-1]) + [b]
+    total = recursive_simpson(along, ends[0], ends[1], tol=builders.INTEGRAL_TOL)
+    for lo, hi in zip(ends[1:-1], ends[2:]):
+        total += recursive_simpson(along, lo, hi, tol=builders.INTEGRAL_TOL)
+    return (b * along(b) - a * along(a)) - total
+
+
 def scalar_fixed_reward_costs(reward, q_lo, q_bar, objective, model, n):
     """Constant-reward costs from segment integrals of the power margin,
-    accumulated from the top down, and one contract formula per type."""
+    accumulated from the top down, and one contract formula per type. Under
+    an FDR budget each segment is integrated by parts in threshold space;
+    under error costs, over the types."""
     support = np.linspace(q_lo, q_bar, n)
     taus = [scalar_optimal_threshold(float(q), objective, model) for q in support]
-    thresholds = {}  # each type's threshold, computed once per quadrature node
 
     def margin(z):
-        if z not in thresholds:
-            thresholds[z] = scalar_optimal_threshold(float(z), objective, model)
-        tau = thresholds[z]
+        tau = scalar_optimal_threshold(float(z), objective, model)
         return sm.power(model, tau) - tau
+
+    def segment(i):
+        if objective.kind == "fdr":
+            return scalar_margin_integral(taus[i], taus[i + 1], objective.alpha, model)
+        a, b = float(support[i]), float(support[i + 1])
+        return recursive_simpson(margin, a, b, tol=builders.INTEGRAL_TOL)
 
     integrals = [0.0] * n
     for i in range(n - 2, -1, -1):
-        integrals[i] = integrals[i + 1] + recursive_simpson(
-            margin, float(support[i]), float(support[i + 1]), tol=builders.INTEGRAL_TOL
-        )
+        integrals[i] = integrals[i + 1] + segment(i)
     return [
         reward * (q * tau + (1.0 - q) * sm.power(model, tau)) - reward * integral
         for q, tau, integral in zip(support, taus, integrals)
     ]
+
+
+def z_space_segments(zs, objective, model, tol=1e-14):
+    """Reference margin integrals over the types, at ``tol``, with each
+    segment split where the margin has a kink or a jump: at alpha (threshold
+    1 below it), at the last type approving anything, and at the types
+    whose thresholds are the curve's knots."""
+    cuts = [objective.alpha, sm.type_for_threshold(objectives._FLOOR, objective, model)]
+    if model.kind == "tabulated":
+        cuts += sm.type_for_threshold(model.taus[1:-1], objective, model).tolist()
+    cuts = sorted(set(cuts))
+    chain, owner = [float(zs[0])], []
+    for i, (a, b) in enumerate(zip(zs[:-1].tolist(), zs[1:].tolist())):
+        inside = [z for z in cuts if min(a, b) < z < max(a, b)]
+        chain += (inside if a < b else inside[::-1]) + [b]
+        owner += [i] * (len(inside) + 1)
+
+    def margin(z):
+        tau = sm.optimal_threshold(z, objective, model)
+        return sm.power(model, tau) - tau
+
+    pieces = _quad.adaptive_simpson(margin, chain, tol)
+    return np.bincount(owner, weights=pieces, minlength=len(zs) - 1)
+
+
+def log_linear_curve(theta1=1.5):
+    """The Gaussian power curve on 64 log-spaced knots in [1e-6, 0.05) and 193
+    linear knots on [0.05, 1], as the tabulated benchmark workload's curve."""
+    logs = np.exp(np.linspace(np.log(1e-6), np.log(0.05), 65)[:-1])
+    taus = np.concatenate([[0.0], logs, np.linspace(0.05, 1.0, 193)])
+    return sm.tabulated_model(taus, sm.power(sm.gaussian_model(theta1), taus))
 
 
 def bisection_q_lo(tau_bar, objective, model):
@@ -752,14 +808,75 @@ def test_potential_check_on_uncertified_lines_matches(fixed_menu, gm1, monkeypat
 
 
 @pytest.mark.parametrize("n", [2, 33, 129])
-@pytest.mark.parametrize("curve", ["gaussian", "tabulated"])
+@pytest.mark.parametrize("curve", ["gaussian", "tabulated", "bayes"])
 def test_fixed_reward_costs_match_scalar_oracle(fdr25, n, curve):
-    model = sm.gaussian_model(1.0) if curve == "gaussian" else tabulated_gaussian(1.5)
-    q_lo = sm.elicitable_range(fdr25, model)[0] + 0.02
-    menu = sm.build_fixed_reward(100.0, q_lo, 0.86, fdr25, model, n=n)
-    expected = scalar_fixed_reward_costs(100.0, q_lo, 0.86, fdr25, model, n)
+    """Bit for bit: under an FDR budget, the scalar rule in threshold space;
+    under error costs (``bayes``), the z-space rule the builder has always
+    used for them."""
+    model = tabulated_gaussian(1.5) if curve == "tabulated" else sm.gaussian_model(1.0)
+    objective = sm.bayes_objective(1.0, 2.0) if curve == "bayes" else fdr25
+    q_lo = sm.elicitable_range(objective, model)[0] + 0.02
+    menu = sm.build_fixed_reward(100.0, q_lo, 0.86, objective, model, n=n)
+    expected = scalar_fixed_reward_costs(100.0, q_lo, 0.86, objective, model, n)
     assert [c.cost for c in menu.contracts] == expected
     assert all(c.reward == 100.0 for c in menu.contracts)
+
+
+ACCURACY_MODELS = {
+    "gaussian-1": (sm.gaussian_model(1.0), 0.86),
+    "gaussian-2.5": (sm.gaussian_model(2.5), 0.86),
+    "tabulated-1.5": (tabulated_gaussian(1.5), 0.86),
+    "log-linear-curve": (log_linear_curve(), 0.9),
+}
+
+
+@pytest.mark.parametrize("n", [2, 33, 129, 1025])
+@pytest.mark.parametrize("name", sorted(ACCURACY_MODELS))
+def test_fdr_margin_integrals_within_tolerance(fdr25, name, n):
+    """Every segment integral of a constant-reward menu is within
+    INTEGRAL_TOL of the margin integrated over the types at 1e-14, split at
+    the curve's kinks."""
+    model, q_bar = ACCURACY_MODELS[name]
+    support = np.linspace(sm.elicitable_range(fdr25, model)[0] + 0.02, q_bar, n)
+    segments = builders._fdr_margin_integrals(sm.fdr_threshold(support, fdr25, model), 0.25, model)
+    reference = z_space_segments(support, fdr25, model)
+    assert np.abs(segments - reference).max() <= builders.INTEGRAL_TOL
+
+
+@pytest.mark.parametrize(
+    "model, ps, q_bar",
+    [
+        (sm.gaussian_model(1.0), [0.05, 0.2, 0.25, 0.3, 0.6, 0.86], 0.86),  # 1 up to alpha
+        (tabulated_gaussian(1.5), [0.1, 0.3, 0.6, 0.9, 0.92, 0.95], 0.97),  # 0 above about 0.913
+        (sm.gaussian_model(0.3), [0.3, 0.9, 0.99, 0.9999, 0.99999, 0.999999], 1.0),
+    ],
+    ids=["straddles-alpha", "tabulated-approves-nothing", "over-budget-at-the-floor"],
+)
+def test_fdr_potential_off_the_binding_range_matches_z_space(fdr25, model, ps, q_bar):
+    """Types given threshold 1 or 0 have no margin: the potential integrates
+    the binding range only, as the margin over the types does."""
+    values = sm.fixed_reward_potential(100.0, q_bar, fdr25, model).values(ps)
+    segments = z_space_segments(np.append(ps, q_bar), fdr25, model)
+    expected = 100.0 * np.cumsum(segments[::-1])[::-1]
+    assert np.abs(values - expected).max() <= 100.0 * builders.INTEGRAL_TOL * len(ps)
+    assert values[0] > 0.0
+
+
+def test_fixed_reward_build_bisects_its_support_once(fdr25, monkeypatch):
+    """Under an FDR budget only the support's thresholds are bisected."""
+    calls = []
+    bisection = objectives._fdr_bisection
+
+    def counted(q, alpha, model):
+        calls.append(np.size(q))
+        return bisection(q, alpha, model)
+
+    monkeypatch.setattr(objectives, "_fdr_bisection", counted)
+    cases = [(sm.gaussian_model(1.0), 0.43, 0.86, 1025), (log_linear_curve(), 0.54, 0.9, 129)]
+    for model, q_lo, q_bar, n in cases:
+        calls.clear()
+        sm.build_fixed_reward(100.0, q_lo, q_bar, fdr25, model, n=n)
+        assert calls == [n]
 
 
 QLO_CASES = (
