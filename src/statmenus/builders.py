@@ -51,9 +51,9 @@ __all__ = [
 ]
 
 # Absolute tolerance of each adaptive Simpson piece of a cost integral, well
-# below the IC margin. A constant-reward segment on a tabulated curve sums one
-# piece per stretch between the curve's knots; the tests hold every segment
-# within this tolerance of a reference integral.
+# below the IC margin. The pieces end at the support's points and at the
+# integrand's kinks (a tabulated curve's or schedule's knots); the tests hold
+# every segment between support points within this tolerance of a reference.
 INTEGRAL_TOL = 1e-10
 PARTICIPATION_TOL = 1e-8
 
@@ -100,16 +100,26 @@ def tabulated_potential(
     return GPotential(values=lambda ps: lookup(val, ps), subgradient=lambda qs: lookup(sub, qs))
 
 
+def _antiderivative(f, points, kinks) -> np.ndarray:
+    """F(points) - F(min(points)) for an antiderivative F of the elementwise
+    ``f``: one adaptive Simpson pass over the sorted points and the ``kinks``
+    strictly between them, so that every piece is smooth, summed from the
+    left."""
+    kinks = np.asarray(kinks, dtype=float)
+    nodes = np.union1d(points, kinks[(points.min() < kinks) & (kinks < points.max())])
+    F = np.cumsum(np.append(0.0, adaptive_simpson(f, nodes, INTEGRAL_TOL)))
+    return F[np.searchsorted(nodes, points)]
+
+
 def _integral_potential(
-    scale: float, density: Callable[[np.ndarray], np.ndarray], q_bar: float
+    scale: float, density: Callable[[np.ndarray], np.ndarray], q_bar: float, kinks
 ) -> GPotential:
     """G(q) = scale * integral of the elementwise ``density`` from q to the
-    worst type q_bar, accumulated over the segments between support points
-    from the top down."""
+    worst type q_bar, split at the density's ``kinks``."""
 
     def values(ps: Sequence[float]) -> np.ndarray:
-        segments = adaptive_simpson(density, np.append(ps, q_bar), INTEGRAL_TOL)
-        return scale * np.cumsum(segments[::-1])[::-1]
+        F = _antiderivative(density, np.append(ps, q_bar), kinks)
+        return scale * (F[-1] - F[:-1])
 
     return GPotential(values=values, subgradient=lambda q: -scale * density(q))
 
@@ -148,11 +158,15 @@ def tabulated_schedule(zs: Sequence[float], values: Sequence[float]) -> EpsilonS
     zs, values = tuple(map(float, zs)), tuple(map(float, values))
     if not np.all(np.isfinite(zs + values)):
         raise ValueError("schedule knots must be finite")
+    if not np.all(np.diff(zs) > 0.0):
+        raise ValueError("schedule knots must be strictly increasing")
     return EpsilonSchedule(kind="tabulated", zs=zs, values=values)
 
 
 def _validate_schedule(eps: EpsilonSchedule, q_bar: float) -> None:
     grid = np.linspace(0.0, q_bar, 129)
+    if eps.kind == "tabulated":  # a piecewise-linear schedule turns at its knots
+        grid = np.union1d(grid, [z for z in eps.zs if 0.0 < z < q_bar])
     vals = eps.value(grid)
     if not np.all(vals[:-1] > 0.0):
         raise ValueError("slack schedule must be strictly positive below the worst type")
@@ -311,49 +325,25 @@ def elicitable_range(objective: PrincipalObjective, model: TestModel) -> Tuple[f
     return type_for_threshold(tau_bar, objective, model), tau_bar
 
 
-def _piecewise_integrals(f, knots: np.ndarray, breaks: np.ndarray) -> np.ndarray:
-    """Signed integral of the elementwise ``f`` over each segment of ``knots``,
-    split at the sorted ``breaks`` strictly inside it so that every piece is
-    smooth; each segment's pieces are summed in its own direction."""
-    lo, hi = np.minimum(knots[:-1], knots[1:]), np.maximum(knots[:-1], knots[1:])
-    first = np.searchsorted(breaks, lo, side="right")
-    counts = np.maximum(np.searchsorted(breaks, hi, side="left") - first, 0)
-    segment = np.repeat(np.arange(len(lo)), counts)
-    starts = np.arange(len(lo)) + np.cumsum(counts) - counts  # each segment's first piece
-    inside = np.arange(len(segment)) - (starts - np.arange(len(lo)))[segment]
-    falling = knots[segment] > knots[segment + 1]
-    pieces = np.empty(len(knots) + len(segment))
-    pieces[starts], pieces[-1] = knots[:-1], knots[-1]
-    pieces[starts[segment] + 1 + inside] = breaks[
-        first[segment] + np.where(falling, counts[segment] - 1 - inside, inside)
-    ]
-    integrals = adaptive_simpson(f, pieces, INTEGRAL_TOL)
-    totals = integrals[starts]
-    for k in range(1, counts.max(initial=0) + 1):  # left to right, as one recursion per piece
-        more = counts >= k
-        totals[more] += integrals[starts[more] + k]
-    return totals
-
-
-def _fdr_margin_integrals(taus, alpha: float, model: TestModel) -> np.ndarray:
-    """Integral of the power margin beta1(tau(z)) - tau(z) over the types z
-    between consecutive FDR thresholds ``taus``, signed in their order.
+def _fdr_potential(reward: float, taus, alpha: float, model: TestModel) -> np.ndarray:
+    """Constant-reward potential at the types with FDR thresholds ``taus``,
+    vanishing at the last: ``reward`` times the integral of the power margin
+    beta1(tau(z)) - tau(z) over the types up to the last one.
 
     Where the budget binds, beta1(tau) = c tau z / (1 - z) with
     c = (1 - alpha) / alpha, and the threshold map has the closed-form
     inverse Q (``type_for_threshold``). With W(z) = -z - log1p(-z), whose
-    derivative is z / (1 - z), integrating by parts gives
-
-        integral of the margin dz = [tau (c W(z) - z)] - integral of (c W(Q(t)) - Q(t)) dt
-
-    between the segment's ends, so no type inside a segment is bisected.
-    Each end is taken on the binding curve, at (Q(tau), tau) with tau
-    clipped to [_FLOOR, 1]: Q(tau_i) is z_i to rounding where the budget
-    binds. Where it does not, the margin is 0, and the clip moves the end
-    to the binding range's: Q(1) = alpha for a type given threshold 1, and
-    Q(_FLOOR) for a type over budget even at the floor. The t-integral is
-    split at a tabulated curve's knots, where Q has kinks. Assumes power
-    concave, as the threshold map's bisection does.
+    derivative is z / (1 - z), integrating by parts makes the margin
+    integral between two types the difference of H(t) = t A(t) - integral
+    of A, with A(t) = c W(Q(t)) - Q(t), at their thresholds, so no type in
+    between is bisected. Each end is taken on the binding curve, at
+    (Q(tau), tau) with tau clipped to [_FLOOR, 1]: Q(tau_i) is z_i to
+    rounding where the budget binds. Where it does not, the margin is 0, and
+    the clip moves the end to the binding range's: Q(1) = alpha for a type
+    given threshold 1, and Q(_FLOOR) for a type over budget even at the
+    floor. The integral of A is split at a tabulated curve's knots, where Q
+    has kinks. Assumes beta1(tau) / tau nonincreasing, as the threshold
+    map's bisection does.
     """
     c = (1.0 - alpha) / alpha
 
@@ -363,15 +353,9 @@ def _fdr_margin_integrals(taus, alpha: float, model: TestModel) -> np.ndarray:
         return c * (np.log1p(r) - q) - q
 
     ts = np.clip(taus, _FLOOR, 1.0)
-    breaks = model.taus if model.kind == "tabulated" else np.empty(0)
-    return np.diff(ts * along(ts)) - _piecewise_integrals(along, ts, breaks)
-
-
-def _fixed_reward_values(reward: float, taus, alpha: float, model: TestModel) -> np.ndarray:
-    """Constant-reward potential at the types with FDR thresholds ``taus[:-1]``:
-    reward times the margin integral up to the type with ``taus[-1]``."""
-    segments = _fdr_margin_integrals(taus, alpha, model)
-    return reward * np.cumsum(segments[::-1])[::-1]
+    kinks = model.taus if model.kind == "tabulated" else ()
+    H = ts * along(ts) - _antiderivative(along, ts, kinks)
+    return reward * (H[-1] - H)
 
 
 def fixed_reward_potential(
@@ -381,9 +365,9 @@ def fixed_reward_potential(
     power margin along the threshold map, vanishing at the worst type.
 
     Under an FDR budget the integral is taken in threshold space by parts
-    (``_fdr_margin_integrals``), so only the support's thresholds are
-    bisected; under error costs the thresholds are closed form and the
-    margin is integrated over the types.
+    (``_fdr_potential``), so only the support's thresholds are bisected;
+    under error costs the thresholds are closed form and the margin is
+    integrated over the types.
     """
     if reward <= 0.0:
         raise ValueError(f"reward must be positive, got {reward!r}")
@@ -393,11 +377,11 @@ def fixed_reward_potential(
         return power(model, tau) - tau
 
     if objective.kind == "bayes":
-        return _integral_potential(reward, margin, q_bar)
+        return _integral_potential(reward, margin, q_bar, ())
 
     def values(ps: Sequence[float]) -> np.ndarray:
         taus = optimal_threshold(np.append(ps, q_bar), objective, model)
-        return _fixed_reward_values(reward, taus, objective.alpha, model)
+        return _fdr_potential(reward, taus, objective.alpha, model)[:-1]
 
     return GPotential(values=values, subgradient=lambda q: -reward * margin(q))
 
@@ -410,7 +394,8 @@ def varying_reward_potential(
     scale = base.reward * (power(model, base.tau) - base.tau)
     if scale <= 0.0:
         raise ValueError("base contract must have a positive power margin")
-    return _integral_potential(scale, lambda z: 1.0 + eps.value(z), q_bar)
+    kinks = eps.zs if eps.kind == "tabulated" else ()
+    return _integral_potential(scale, lambda z: 1.0 + eps.value(z), q_bar, kinks)
 
 
 def build_fixed_reward(
@@ -460,7 +445,7 @@ def build_fixed_reward(
         )
     # The reward is passed as given: -g / delta can differ from it in the last bit.
     if objective.kind == "fdr":  # the support's thresholds are the integrals' ends
-        values = _fixed_reward_values(reward, np.append(taus, taus[-1]), objective.alpha, model)
+        values = _fdr_potential(reward, taus, objective.alpha, model)
     else:
         values = fixed_reward_potential(reward, q_bar, objective, model).values(support)
     return _separating(_menu(support, taus, np.full(n, float(reward)), values, model), model)

@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import StatMenusError
+from .errors import StatMenusError, UnsupportedModelError
 from .rates import _fdr, bayes_risk, fdr, tdr
 from .testmodel import TestModel, _float_or_array, _power, _types, _unit_interval
 from .testmodel import inverse_likelihood_ratio, likelihood_ratio
@@ -43,6 +43,8 @@ _FLOOR = float(np.finfo(float).tiny)
 # most 1,074 steps (1,022 halvings of its width, then 52 mantissa bits).
 _BISECT_MAX_ITER = 1100
 _SMALLEST_LEVEL = np.nextafter(0.0, 1.0)
+# A power-to-size ratio that rises by no more than this, relative, is rounding.
+_RATIO_ROUNDING = 16 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -193,8 +195,19 @@ def _fdr_bisection(q, alpha, model: TestModel) -> np.ndarray:
     """Largest tau with FDR(q, tau) <= alpha, for types ``q`` broadcast
     against budgets ``alpha``: bisected on [1e-12, 1], or on [_FLOOR, 1e-12]
     for a type over budget at 1e-12; a type over budget at ``_FLOOR`` gets 0
-    (approve nothing). FDR is strictly increasing in tau for concave
-    nontrivial power, so bisection is globally safe."""
+    (approve nothing). FDR(q, tau) = 1 / (1 + (1 - q) beta1(tau) / (q tau)),
+    so it is nondecreasing in tau, and bisection globally safe, exactly when
+    beta1(tau) / tau is nonincreasing, as for concave power; a tabulated
+    curve whose ratio rises raises ``UnsupportedModelError``."""
+    if model.kind == "tabulated":  # the ratio is monotone on each segment: check the knots
+        ratios = model.betas[1:] / model.taus[1:]
+        rising = np.flatnonzero(ratios[1:] > ratios[:-1] * (1.0 + _RATIO_ROUNDING))
+        if len(rising):
+            lo, hi = model.taus[rising[0] + 1 : rising[0] + 3].tolist()
+            raise UnsupportedModelError(
+                f"FDR thresholds need beta1(tau) / tau nonincreasing; the tabulated "
+                f"curve's ratio rises from tau={lo!r} to tau={hi!r}"
+            )
     q, alpha = np.broadcast_arrays(_types(q), np.asarray(alpha, dtype=float))
     shape, q, alpha = q.shape, q.ravel(), alpha.ravel()
     tau = np.where(q == 1.0, 0.0, 1.0)  # q = 0 and FDR(q, 1) <= alpha also give 1

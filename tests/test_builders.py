@@ -164,6 +164,48 @@ def test_varying_reward_rejects_bad_schedule(gm1, fdr25):
         sm.quadratic_schedule(0.0)
 
 
+def test_tabulated_schedule_menu_within_tolerance_per_segment(gm1, fdr25):
+    """The integral of 1 + eps is split at a tabulated schedule's knots, its
+    kinks: each segment of the menu's potential is within INTEGRAL_TOL of the
+    exact piecewise-linear integral (one Simpson per support segment missed
+    it by 1.3e-7 here)."""
+    q_bar = 0.86
+    eps = anchored_schedule(0.5, q_bar, knots=76)
+    support = np.linspace(0.43, q_bar, 9)
+    tau_bar = sm.fdr_threshold(q_bar, fdr25, gm1)
+    base = Contract(tau_bar, 100.0, sm.zero_utility_cost(q_bar, tau_bar, 100.0, gm1))
+    menu = sm.build_varying_reward(base, eps, fdr_thresholds_on(support, fdr25, gm1), gm1)
+    slopes, intercepts = menu.lines(gm1)
+    scale = base.reward * (sm.power(gm1, tau_bar) - tau_bar)
+    segments = -np.diff(slopes * support + intercepts) / scale
+    zs, values = np.array(eps.zs), np.array(eps.values)
+    exact = []
+    for a, b in zip(support[:-1], support[1:]):
+        x = np.union1d([a, b], zs[(a < zs) & (zs < b)])
+        y = 1.0 + np.interp(x, zs, values)
+        exact.append(np.sum(np.diff(x) * (y[:-1] + y[1:]) / 2.0))
+    assert np.abs(segments - exact).max() <= builders.INTEGRAL_TOL
+
+
+def test_tabulated_schedule_rejects_unordered_knots():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        sm.tabulated_schedule([0.0, 0.5, 0.3, 1.0], [0.4, 0.3, 0.2, 0.0])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        sm.tabulated_schedule([0.0, 0.5, 0.5, 1.0], [0.4, 0.3, 0.2, 0.0])
+
+
+def test_schedule_validation_checks_the_knots(gm1, fdr25):
+    """A rise between knots 0.001 apart falls between the validation grid's
+    points; the knots themselves are checked too."""
+    q_bar = 0.86
+    tau_bar = sm.fdr_threshold(q_bar, fdr25, gm1)
+    base = Contract(tau_bar, 100.0, sm.zero_utility_cost(q_bar, tau_bar, 100.0, gm1))
+    thresholds = fdr_thresholds_on([0.5, q_bar], fdr25, gm1)
+    bumpy = sm.tabulated_schedule([0.0, 0.3, 0.301, 0.302, 1.0], [1.0, 0.5, 0.6, 0.4, 0.0])
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        sm.build_varying_reward(base, bumpy, thresholds, gm1)
+
+
 @pytest.mark.parametrize(
     "schedule, message",
     [
@@ -573,11 +615,12 @@ def jmajor_supporting_lines_hold(ps, values, subgrads, tol):
     )
 
 
-def scalar_margin_integral(tau_a, tau_b, alpha, model):
-    """Integral of the FDR power margin over the types between thresholds
-    tau_a and tau_b, by parts in threshold space: [t along(t)] minus one
-    recursive Simpson per piece of [tau_a, tau_b] between the curve's knots,
-    summed from tau_a's end."""
+def scalar_fdr_potential(reward, taus, alpha, model):
+    """Constant-reward potential at the types with FDR thresholds ``taus``,
+    vanishing at the last, by parts in threshold space: reward times
+    H(taus[-1]) - H(tau), with H(t) = t along(t) minus the integral of along.
+    The integral is one recursive Simpson per piece between the sorted
+    thresholds and the curve's knots inside them, summed from the left."""
     c = (1.0 - alpha) / alpha
 
     def along(t):  # c W(Q(t)) - Q(t) for the type Q(t) whose budget binds at t
@@ -585,21 +628,21 @@ def scalar_margin_integral(tau_a, tau_b, alpha, model):
         q = r / (1.0 + r)
         return c * (np.log1p(r) - q) - q
 
-    a, b = (min(max(t, objectives._FLOOR), 1.0) for t in (tau_a, tau_b))
+    ts = [min(max(t, objectives._FLOOR), 1.0) for t in taus]
     knots = model.taus.tolist() if model.kind == "tabulated" else []
-    inside = [t for t in knots if min(a, b) < t < max(a, b)]
-    ends = [a] + (inside if a < b else inside[::-1]) + [b]
-    total = recursive_simpson(along, ends[0], ends[1], tol=builders.INTEGRAL_TOL)
-    for lo, hi in zip(ends[1:-1], ends[2:]):
-        total += recursive_simpson(along, lo, hi, tol=builders.INTEGRAL_TOL)
-    return (b * along(b) - a * along(a)) - total
+    nodes = sorted(set(ts) | {t for t in knots if min(ts) < t < max(ts)})
+    integral = {nodes[0]: 0.0}
+    for lo, hi in zip(nodes[:-1], nodes[1:]):
+        integral[hi] = integral[lo] + recursive_simpson(along, lo, hi, tol=builders.INTEGRAL_TOL)
+    H = [t * along(t) - integral[t] for t in ts]
+    return [reward * (H[-1] - h) for h in H]
 
 
 def scalar_fixed_reward_costs(reward, q_lo, q_bar, objective, model, n):
-    """Constant-reward costs from segment integrals of the power margin,
-    accumulated from the top down, and one contract formula per type. Under
-    an FDR budget each segment is integrated by parts in threshold space;
-    under error costs, over the types."""
+    """Constant-reward costs from the potential and one contract formula per
+    type. Under an FDR budget the potential is an H difference in threshold
+    space; under error costs, the margin integrated over the types from the
+    first, one segment at a time, and read as the total minus the running sum."""
     support = np.linspace(q_lo, q_bar, n)
     taus = [scalar_optimal_threshold(float(q), objective, model) for q in support]
 
@@ -607,18 +650,16 @@ def scalar_fixed_reward_costs(reward, q_lo, q_bar, objective, model, n):
         tau = scalar_optimal_threshold(float(z), objective, model)
         return sm.power(model, tau) - tau
 
-    def segment(i):
-        if objective.kind == "fdr":
-            return scalar_margin_integral(taus[i], taus[i + 1], objective.alpha, model)
-        a, b = float(support[i]), float(support[i + 1])
-        return recursive_simpson(margin, a, b, tol=builders.INTEGRAL_TOL)
-
-    integrals = [0.0] * n
-    for i in range(n - 2, -1, -1):
-        integrals[i] = integrals[i + 1] + segment(i)
+    if objective.kind == "fdr":
+        values = scalar_fdr_potential(reward, taus, objective.alpha, model)
+    else:
+        running = [0.0]
+        for a, b in zip(support[:-1].tolist(), support[1:].tolist()):
+            running.append(running[-1] + recursive_simpson(margin, a, b, tol=builders.INTEGRAL_TOL))
+        values = [reward * (running[-1] - f) for f in running]
     return [
-        reward * (q * tau + (1.0 - q) * sm.power(model, tau)) - reward * integral
-        for q, tau, integral in zip(support, taus, integrals)
+        reward * (q * tau + (1.0 - q) * sm.power(model, tau)) - value
+        for q, tau, value in zip(support, taus, values)
     ]
 
 
@@ -810,9 +851,9 @@ def test_potential_check_on_uncertified_lines_matches(fixed_menu, gm1, monkeypat
 @pytest.mark.parametrize("n", [2, 33, 129])
 @pytest.mark.parametrize("curve", ["gaussian", "tabulated", "bayes"])
 def test_fixed_reward_costs_match_scalar_oracle(fdr25, n, curve):
-    """Bit for bit: under an FDR budget, the scalar rule in threshold space;
-    under error costs (``bayes``), the z-space rule the builder has always
-    used for them."""
+    """Bit for bit: under an FDR budget, the scalar H difference in threshold
+    space; under error costs (``bayes``), the scalar z-space integral read
+    from its running sum."""
     model = tabulated_gaussian(1.5) if curve == "tabulated" else sm.gaussian_model(1.0)
     objective = sm.bayes_objective(1.0, 2.0) if curve == "bayes" else fdr25
     q_lo = sm.elicitable_range(objective, model)[0] + 0.02
@@ -838,7 +879,8 @@ def test_fdr_margin_integrals_within_tolerance(fdr25, name, n):
     the curve's kinks."""
     model, q_bar = ACCURACY_MODELS[name]
     support = np.linspace(sm.elicitable_range(fdr25, model)[0] + 0.02, q_bar, n)
-    segments = builders._fdr_margin_integrals(sm.fdr_threshold(support, fdr25, model), 0.25, model)
+    taus = sm.fdr_threshold(support, fdr25, model)
+    segments = -np.diff(builders._fdr_potential(1.0, taus, 0.25, model))  # H differences
     reference = z_space_segments(support, fdr25, model)
     assert np.abs(segments - reference).max() <= builders.INTEGRAL_TOL
 

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,6 +61,20 @@ def read_csv(path):
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
+
+
+def test_cli_import_loads_no_scipy_integrate_or_optimize():
+    """Every command pays its imports: either module adds 0.3-0.4 s to a
+    command's start-up (2-vCPU host). A fresh interpreter, since this one's
+    tests import scipy.optimize themselves."""
+    code = (
+        "import sys, statmenus.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.integrate', 'scipy.optimize'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(sm.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 def test_parse_minimal_config(tmp_path):

@@ -311,7 +311,7 @@ def _five_type_counts(*rows):
             (14001, 14001, 4181, 3072, 9346), (14000, 14000, 5504, 2088, 6394),
             (14000, 14000, 6938, 1177, 3736), (14000, 14000, 8444, 586, 1798),
             (13999, 13999, 9810, 221, 643))),
-        ("uniform_grid", (70_000, 11_629, 2_944), "-0x1.914e4661419fep+17", None),
+        ("uniform_grid", (70_000, 11_629, 2_944), "-0x1.914e4661419ffp+17", None),
     ],
     ids=["discrete", "stratified", "uniform_grid"],  # so that a re-pin keeps the names
 )

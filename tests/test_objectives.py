@@ -6,6 +6,8 @@ from scipy import optimize, stats
 
 import statmenus as sm
 
+from oracles import scalar_fdr_threshold
+
 FIVE_TYPE_TARGETS = {0.3: 0.74, 0.4: 0.38, 0.5: 0.18, 0.6: 0.07, 0.7: 0.02}
 
 
@@ -141,6 +143,28 @@ def test_fdr_threshold_monotone_in_type(gm1, fdr25):
     assert all(b <= a for a, b in zip(taus, taus[1:]))
     interior = [(q, t) for q, t in zip(qs, taus) if 0 < t < 1]
     assert all(b < a for (_, a), (_, b) in zip(interior, interior[1:]))
+
+
+@pytest.mark.parametrize("q", [0.4, 0.45])
+def test_fdr_threshold_rejects_a_rising_power_ratio(fdr25, q):
+    """FDR(q, tau) is monotone in tau exactly when beta1(tau) / tau is
+    nonincreasing. This curve's ratio rises from 1.5 at 0.1 to 3 at 0.2, so
+    bisection has no answer (it returned 0, approve nothing, for these types,
+    whose FDR stays within budget up to thresholds 0.333 and 0.256)."""
+    model = sm.tabulated_model([0, 0.1, 0.2, 1], [0, 0.15, 0.6, 1])
+    with pytest.raises(sm.UnsupportedModelError, match=r"rises from tau=0\.1 to tau=0\.2"):
+        sm.fdr_threshold(q, fdr25, model)
+
+
+def test_fdr_threshold_accepts_collinear_knots(fdr25):
+    """Knots on a line through the origin have equal ratios up to rounding
+    (here the last one is 2 ulps above the others), and bisect as usual."""
+    model = sm.tabulated_model([0, 0.1, 0.2, 0.3, 1], [0, 0.3, 0.6, 0.9, 1])
+    ratios = model.betas[1:-1] / model.taus[1:-1]
+    assert ratios[2] > ratios[1]
+    qs = np.linspace(0.05, 0.95, 19)
+    expected = [scalar_fdr_threshold(float(q), 0.25, model) for q in qs]
+    assert sm.fdr_threshold(qs, fdr25, model).tolist() == expected
 
 
 # ---------------------------------------------------------------------------
