@@ -39,6 +39,7 @@ from .builders import (
 from .contracts import DEFAULT_IC_MARGIN, Contract, Menu, verify_separating, zero_utility_cost
 from .errors import ConfigError, StatMenusError
 from .evaluation import (
+    MAX_AGENTS,
     frontier,
     information_rent,
     principal_return,
@@ -126,7 +127,6 @@ _NUMBER = (_is_num, "must be a number")
 _NUMBERS = (_is_nums, "must be a list of numbers")
 _NONEMPTY_NUMBERS = (lambda x: _is_nums(x) and len(x) > 0, "must be a nonempty list of numbers")
 _STRING = (lambda x: isinstance(x, str), "must be a string")
-_COUNT = (lambda x: _is_int(x) and x >= 1, "must be a positive integer")
 _GRID = (lambda x: _is_int(x) and 1 <= x <= MAX_GRID, f"must be an integer in [1, {MAX_GRID}]")
 _NONNEGATIVE = (lambda x: _is_num(x) and x >= 0, "must be a nonnegative number")
 # The constructor of each kind of test, objective and population, from its
@@ -193,7 +193,10 @@ _SCHEMA = {
         "margin": _NONNEGATIVE,
     },
     "simulation": {
-        "n": _COUNT,
+        "n": (
+            lambda x: _is_int(x) and 1 <= x <= MAX_AGENTS,
+            f"must be an integer in [1, {MAX_AGENTS}]",
+        ),
         "seed": (lambda x: _is_int(x) and x >= 0, "must be a nonnegative integer"),
         "stratified": (lambda x: isinstance(x, bool), "must be true or false"),
     },
@@ -220,6 +223,8 @@ _NEEDS = {
     "varying_reward": ("menu/q_lo", "menu/q_bar"),
     "potential": ("menu/points", "menu/values", "menu/subgradients"),
 }
+# The commands that compute type-optimal thresholds from the objective.
+_READS_OBJECTIVE = ("thresholds", "menu-build", "evaluate", "sensitivity")
 
 
 def parse_config(path) -> RunConfig:
@@ -387,6 +392,14 @@ def run(
 ) -> int:
     """Execute one subcommand; returns the process exit code."""
     _require(config, command)
+    if command in _READS_OBJECTIVE and (config.objective.kind, config.model.kind) == (
+        "bayes", "tabulated"
+    ):
+        msg = (
+            "a bayes objective is not supported with a tabulated test: its "
+            "threshold map needs the gaussian_mean likelihood ratio"
+        )
+        raise ConfigError([("/objective", msg)])
     out_dir.mkdir(parents=True, exist_ok=True)
     stamp = _config_hash(config, seed, grid)
 
@@ -535,7 +548,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--out", default=None, help="output directory (default: config or '.')")
     parser.add_argument("--seed", type=int, default=None, help="override the simulation seed")
     parser.add_argument(
-        "--jobs", type=int, default=1, help="worker count for simulate; never affects output values"
+        "--jobs", type=int, default=1, help="accepted; never affects output values or threads"
     )
     parser.add_argument("--grid", type=int, default=None, help="override grid/sweep resolution")
     args = parser.parse_args(argv)

@@ -215,7 +215,8 @@ def _blocked_response(
 def _segments(slopes: np.ndarray, intercepts: np.ndarray) -> Tuple[Optional[np.ndarray], float]:
     """Breakpoints of the lines ``q * slopes + intercepts`` as their own upper
     envelope, each line winning on a segment in the order given, and the
-    rounding bound of one ``q * slope + intercept`` for q in [0, 1].
+    rounding bound of one ``q * slope + intercept`` for q in [0, 1]. For
+    ``|q| <= reach``, ``reach >= 1``, that bound times ``reach`` holds.
 
     A separating menu's lines are such an envelope, in support order. The
     breakpoints (``breaks[k]`` hands line k over to line k + 1) are certified
@@ -224,7 +225,7 @@ def _segments(slopes: np.ndarray, intercepts: np.ndarray) -> Tuple[Optional[np.n
     increase too and no line is dropped; otherwise they are None.
     """
     with np.errstate(all="ignore"):
-        # |fl(fl(q s) + b) - (q s + b)| <= 3u (|s| + |b|) for |q| <= 1, u = eps / 2
+        # |fl(fl(q s) + b) - (q s + b)| <= 3u (|q| |s| + |b|), u = eps / 2
         tol = 2.0 * _EPS * float(np.max(np.abs(slopes)) + np.max(np.abs(intercepts))) + _TINY
         breaks = (intercepts[:-1] - intercepts[1:]) / (slopes[1:] - slopes[:-1])
         # Each break is within 4u |break| of the exact one (three roundings);
@@ -239,19 +240,44 @@ def _segments(slopes: np.ndarray, intercepts: np.ndarray) -> Tuple[Optional[np.n
     return (breaks if certified else None), tol
 
 
+def _envelope(slopes: np.ndarray, intercepts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The lines that win on the upper envelope of ``q * slopes +
+    intercepts`` over the real line, in order of increasing q, and the
+    breakpoints between consecutive ones.
+
+    The lines are sorted by slope, then by intercept from the highest, then
+    by index, so that of lines with one slope only the highest is kept, and
+    of identical lines the smallest index (``TIE_BREAK_RULE``). One stack
+    pass then drops each line that wins at one point at most: the next line
+    meets the line below it no later than it does.
+    """
+    order = np.lexsort((np.arange(len(slopes)), -intercepts, slopes))
+    order = order[np.r_[True, slopes[order][1:] != slopes[order][:-1]]]
+    s, b = slopes.tolist(), intercepts.tolist()
+    hull = []
+    for j in order.tolist():
+        while len(hull) > 1:
+            i, k = hull[-2], hull[-1]
+            # k goes when j meets i at or below where k does:
+            # (b_i - b_j) / (s_j - s_i) <= (b_i - b_k) / (s_k - s_i)
+            if (b[i] - b[j]) * (s[k] - s[i]) > (b[i] - b[k]) * (s[j] - s[i]):
+                break
+            hull.pop()
+        hull.append(j)
+    hull = np.array(hull)
+    s, b = slopes[hull], intercepts[hull]
+    with np.errstate(over="ignore"):  # lines of nearly one slope meet far off, at +-inf
+        return hull, (b[:-1] - b[1:]) / (s[1:] - s[:-1])
+
+
 @dataclass(frozen=True)
 class _Certificate:
-    """A menu's lines as ``_select`` reads them, made once for any number of
-    types. On lines that ``_segments`` certifies, ``bounds`` is
-    ``[-inf, *breaks, inf]`` (line i wins on ``[bounds[i], bounds[i + 1])``)
-    and ``padded`` holds the slopes and intercepts between ``_leads``'
-    sentinel lines; both are None on other lines.
-
-    ``table``, when built, has an entry for each ``_bucket`` (``1 / scale``
-    wide, from the first break to the last): the number of breaks that
-    ``_bucket`` places below it. ``_bucket`` is monotone, so a
-    type's segment index is at least its bucket's entry and exceeds it by at
-    most the number of breaks in its bucket.
+    """A menu's lines as ``_select`` and ``_first_violation`` read them. On
+    lines that ``_segments`` certifies, ``bounds`` is ``[-inf, *breaks, inf]``
+    (line i wins on ``[bounds[i], bounds[i + 1])``) and ``padded`` holds the
+    slopes and intercepts between ``_leads``' sentinel lines; both are None
+    on other lines. ``tol`` bounds the rounding of one ``q * slope +
+    intercept`` for the types that the certificate serves.
     """
 
     slopes: np.ndarray
@@ -259,8 +285,6 @@ class _Certificate:
     tol: float
     bounds: Optional[np.ndarray] = None
     padded: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    table: Optional[np.ndarray] = None
-    scale: float = 0.0
 
 
 def _leads(
@@ -271,16 +295,17 @@ def _leads(
     ``margin``, both exactly and as ``value > other + margin`` is rounded.
 
     Only for certified lines (``certificate.bounds`` is not None) and types
-    in [0, 1]. The line and its two neighbours (sentinel lines at -inf past
-    the ends) are scored. Line k + 1 exceeds line k exactly when q is above
-    their breakpoint, and the exact breakpoints increase, so at any q the
-    exact values rise to one peak and then fall: a line that beats both
-    neighbours is the peak, and every other line is at most the larger
-    neighbour. Each rounded value is within ``tol`` of the exact one (with
-    room to spare), so a rounded lead above twice ``tol`` is an exact lead,
-    and every other line's rounded value is at most the larger rounded
-    neighbour plus twice ``tol``. On [0, 1] every value is at most
-    ``tol / (2 eps)`` in magnitude, so one more ``tol``, and
+    with ``|q| <= reach``, the reach the certificate was made for. The line
+    and its two neighbours (sentinel lines at -inf past the ends) are
+    scored. Line k + 1 exceeds line k exactly when q is above their
+    breakpoint, and the exact breakpoints increase, so at any q the exact
+    values rise to one peak and then fall: a line that beats both neighbours
+    is the peak, and every other line is at most the larger neighbour. Each
+    rounded value is within ``tol`` of the exact one (with room to spare),
+    so a rounded lead above twice ``tol`` is an exact lead, and every other
+    line's rounded value is at most the larger rounded neighbour plus twice
+    ``tol``. For ``|q| <= reach`` every value is at most ``reach max|s| +
+    max|b| <= tol / (2 eps)`` in magnitude, so one more ``tol``, and
     ``4 eps |margin|``, cover the rounding of ``other + margin`` and of the
     test itself. Only the peak bounds the lines past its neighbours, so a
     negative margin still needs a lead over zero.
@@ -292,11 +317,11 @@ def _leads(
     return value, value - rival > max(margin, 0.0) + allowance
 
 
-def _certify(slopes: np.ndarray, intercepts: np.ndarray, table: bool = True) -> _Certificate:
-    """``_select``'s certificate of the lines. When ``table`` is true and the
-    lines are certified with at least two breaks, it holds a bucket table of
-    two buckets per break, unless their width does not scale finitely."""
+def _certify(slopes: np.ndarray, intercepts: np.ndarray, reach: float = 1.0) -> _Certificate:
+    """The certificate of the lines for types with ``|q| <= reach`` (at
+    least 1): ``_segments``' rounding bound is scaled by ``reach``."""
     breaks, tol = _segments(slopes, intercepts)
+    tol *= reach
     if breaks is None:
         return _Certificate(slopes, intercepts, tol)
     bounds = np.concatenate(([-np.inf], breaks, [np.inf]))
@@ -305,62 +330,18 @@ def _certify(slopes: np.ndarray, intercepts: np.ndarray, table: bool = True) -> 
         np.concatenate(([-np.inf], intercepts, [-np.inf])),
     )
     slopes, intercepts = padded[0][1:-1], padded[1][1:-1]  # no second copy
-    if not (table and len(breaks) > 1):
-        return _Certificate(slopes, intercepts, tol, bounds, padded)
-    buckets = 2 * len(breaks)
-    lo, hi = float(breaks[0]), float(breaks[-1])
-    with np.errstate(over="ignore"):
-        scale = float(np.float64(buckets) / (hi - lo))
-    if not 0.0 < scale < math.inf:
-        return _Certificate(slopes, intercepts, tol, bounds, padded)
-    # Types land in buckets 0 to ``buckets`` (the last where hi may round).
-    placed = _bucket(breaks, breaks, scale).astype(np.intp)
-    counts = np.searchsorted(placed, np.arange(buckets + 1), side="left")
-    return _Certificate(slopes, intercepts, tol, bounds, padded, counts, scale)
-
-
-def _bucket(q: np.ndarray, breaks: np.ndarray, scale: float) -> np.ndarray:
-    """The table bucket of each type as a float, ``(q - lo) * scale``, with q
-    clamped to ``[lo, hi]``, the first and last breaks, first (NaN to
-    ``lo``), so that no value overflows and its cast to an index does not
-    fail."""
-    lo, hi = breaks[0], breaks[-1]
-    at = np.fmax(q, lo)
-    np.fmin(at, hi, out=at)
-    at -= lo
-    at *= scale
-    return at
+    return _Certificate(slopes, intercepts, tol, bounds, padded)
 
 
 def _segment_index(q: np.ndarray, certificate: _Certificate) -> np.ndarray:
-    """``np.searchsorted(breaks, q, side="right")`` on certified lines.
-
-    With a table, each type takes its bucket's entry, steps up once past a
-    break at or below it, and keeps that index where ``bounds[i] <= q <
-    bounds[i + 1]`` proves it; the breaks strictly increase, so that index
-    is the search's. Every other type (NaN, +inf, a type in a bucket of more
-    than one break) is searched."""
-    bounds = certificate.bounds
-    breaks = bounds[1:-1]
-    if certificate.table is None:
-        return np.searchsorted(breaks, q, side="right")
-    above = bounds[1:]  # above[i] is bounds[i + 1]
-    at = _bucket(q, breaks, certificate.scale)
-    index = np.take(certificate.table, at.astype(np.intp), mode="clip")
-    # The gathers go into ``at``; mode "clip" (the indices are in range)
-    # writes them there without a temporary.
-    index += q >= np.take(above, index, out=at, mode="clip")
-    found = np.take(bounds, index, out=at, mode="clip") <= q
-    found &= q < np.take(above, index, out=at, mode="clip")
-    miss = np.flatnonzero(~found)
-    if len(miss):
-        index[miss] = np.searchsorted(breaks, q[miss], side="right")
-    return index
+    """Each type's segment on certified lines, ``searchsorted(breaks, q,
+    side="right")``."""
+    return np.searchsorted(certificate.bounds[1:-1], q, side="right")
 
 
 def _select(q: np.ndarray, certificate: _Certificate) -> Tuple[np.ndarray, np.ndarray]:
     """``best_response`` of the float types ``q`` on a certificate of the
-    lines, which a caller that selects many times makes once."""
+    lines (for types in [0, 1])."""
     if certificate.bounds is None:
         return _blocked_response(q, certificate.slopes, certificate.intercepts)
     index = _segment_index(q, certificate)
@@ -383,15 +364,13 @@ def best_response(
     (a best utility below ``-PARTICIPATION_SLACK``).
 
     When the lines are certified as their own upper envelope (``_segments``),
-    each type finds its segment among the breakpoints (``_segment_index``:
-    by a bucket table when there are at least as many types as breakpoints,
-    else by ``searchsorted``) and keeps that line where ``_leads`` proves it
-    the maximum. Other types (ties included), types outside [0, 1] and every
+    each type finds its segment among the breakpoints by ``searchsorted``
+    (``_segment_index``) and keeps that line where ``_leads`` proves it the
+    maximum. Other types (ties included), types outside [0, 1] and every
     type of uncertified lines go to the argmax over all lines; both routes
     give the same indices and value bits.
     """
-    q = np.asarray(q, dtype=float)
-    return _select(q, _certify(slopes, intercepts, table=len(q) >= len(slopes) - 1))
+    return _select(np.asarray(q, dtype=float), _certify(slopes, intercepts))
 
 
 def select(q: float, menu: Menu, model: TestModel) -> SelectionOutcome:
@@ -422,12 +401,13 @@ def _first_violation(
     """Pairs found to hold and the first violation, or None, of each type
     ``qs[i]``'s own line ``own[i]``: at least ``floor``, and above every
     other line (line j is report ``reports[j]``) by more than ``margin``.
-    O(n) when the lines are certified (``_segments``), the types lie in
-    [0, 1] and every own line leads both neighbours (``_leads``) and clears
-    the floor; otherwise every pair is scored in row blocks."""
+    O(n) when the lines are certified (``_segments``, for types as far from
+    0 as the farthest of ``qs``) and every own line leads both neighbours
+    (``_leads``) and clears the floor; otherwise every pair is scored in row
+    blocks."""
     others = len(slopes) - 1
-    certificate = _certify(slopes, intercepts, table=False)
-    if certificate.bounds is not None and np.all((qs >= 0.0) & (qs <= 1.0)):
+    certificate = _certify(slopes, intercepts, float(np.max(np.abs(qs), initial=1.0)))
+    if certificate.bounds is not None:
         truthful, leads = _leads(qs, own, certificate, margin)
         if np.all(leads & (truthful >= floor)):
             return len(qs) * others, None

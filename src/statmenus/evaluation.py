@@ -3,16 +3,17 @@
 Covers the per-type error rates, FDR/TDR frontier sweeps for two-type
 populations, the screening cost and information rent of a menu relative to
 a single base contract, and a seeded Monte Carlo simulator that checks the
-analytic quantities empirically. The simulator partitions agents into
-fixed-size chunks whose generators are spawned from the root seed, so
-results are reproducible and independent of worker count.
+analytic quantities empirically. The simulator splits the population into
+slots (a discrete population's types, or a uniform population's segments
+of the menu's upper envelope, plus opting out), each with its mass and mean
+type, and draws every slot's tallies from their exact law with one seeded
+generator: the same arguments give the same report, in O(slots) time and
+memory whatever the number of agents.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -22,8 +23,7 @@ from .contracts import (
     PARTICIPATION_SLACK,
     Contract,
     Menu,
-    _certify,
-    _select,
+    _envelope,
     best_response,
     utility,
 )
@@ -32,10 +32,8 @@ from .objectives import TypePopulation, _fdr_bisection
 from .rates import bayes_risk, fdr, tdr
 from .testmodel import (
     TestModel,
-    _critical_values,
     _float_or_array,
     _require,
-    _sample_statistics,
     _types,
     power,
 )
@@ -54,15 +52,11 @@ __all__ = [
     "simulate_population",
 ]
 
-_CHUNK = 1 << 16
-# A continuous population's chunk selects its agents' contracts in row blocks
-# of this many agents, so selection's temporaries take one block, not a chunk.
-_SELECT_ROWS = 1 << 12
-# Rows of a simulation's per-slot count matrix (``_tally``).
+# The most agents a simulation may run: every count up to 2^53 converts to a
+# float exactly, so rates and cash are priced from exact counts.
+MAX_AGENTS = 1 << 53
+# Rows of a simulation's per-slot count matrix (``_tallies``).
 _TALLIES = ("agents", "participating", "null", "approved_null", "approved_nonnull")
-# Up to this many types the type draw compares each uniform with every CDF
-# entry; above it the draw bisects the CDF.
-_DRAW_CUT = 64
 
 
 @dataclass(frozen=True)
@@ -193,7 +187,7 @@ class SimulationReport:
     ``principal_cash`` is what participants pay in costs less what approved
     agents receive in rewards. It is priced once from the run's tallies, as
     the ``math.fsum`` over contracts of participants times cost and approvals
-    times reward, so it does not depend on the chunk layout.
+    times reward.
     """
 
     n_agents: int
@@ -217,137 +211,69 @@ class SimulationReport:
 
 
 def _stratified_counts(weights: np.ndarray, size: int) -> np.ndarray:
-    # Largest-remainder allocation keeps per-chunk counts deterministic.
-    raw = weights * size
-    counts = np.floor(raw).astype(int)
-    short = size - counts.sum()
-    if short > 0:
-        order = np.argsort(-(raw - counts), kind="stable")
-        counts[order[:short]] += 1
-    return counts
-
-
-def _draw_types(
-    weights: np.ndarray, rng: np.random.Generator, u: np.ndarray, masks: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Type indices of ``out.size`` agents into the intp row ``out``:
-    ``Generator.choice(len(weights), out.size, p=weights)``'s inverse-CDF
-    draw, so the same indices and generator state. Each index counts the CDF
-    entries at or below a uniform draw (into the float64 row ``u``): by one
-    comparison per entry, counted in a byte row (``_DRAW_CUT`` < 256, so it
-    cannot wrap) and copied once into the indices, up to ``_DRAW_CUT`` types,
-    by bisection above. The comparisons and counts go into the two bool rows
-    of ``masks``."""
+    """``size`` agents allocated over ``weights`` by the floor of their
+    cumulative share: each count is within one agent of its share, and the
+    counts add up to ``size`` whatever the weights' rounding."""
     cdf = np.cumsum(weights)
-    cdf /= cdf[-1]
-    rng.random(out=u)
-    if cdf.size > _DRAW_CUT:
-        out[:] = cdf.searchsorted(u, side="right")
-        return out
-    above, count = masks
-    count = count.view(np.uint8)
-    count.fill(0)
-    for edge in cdf[:-1]:  # the last entry is 1.0, above every draw
-        count += np.greater_equal(u, edge, out=above)
-    np.copyto(out, count)
-    return out
+    cdf /= cdf[-1]  # nondecreasing up to exactly 1, so no count is negative
+    return np.diff(np.floor(cdf * size).astype(np.int64), prepend=0)
 
 
-def _uniform_types(lo: float, hi: float, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """``Generator.uniform(lo, hi, out.size)``'s draw, ``lo + (hi - lo) * u``
-    bit for bit, into the float64 row ``out``."""
-    rng.random(out=out)
-    out *= hi - lo
-    out += lo
-    return out
+def _slot_table(menu: Menu, population: TypePopulation, model: TestModel):
+    """Each slot's menu contract (``len(menu.taus)`` for opting out), its
+    population mass and its mean type.
 
-
-def _workspace(size: int):
-    """Per-agent buffers for simulation chunks of up to ``size`` agents: two
-    float64 rows, an intp row (the slot, then the key, then the tally code)
-    and two bool rows (the null and approval masks)."""
-    return np.empty((2, size)), np.empty(size, dtype=np.intp), np.empty((2, size), dtype=bool)
-
-
-def _chunk_plan(menu, population, model):
-    """What every simulation chunk of a run reads, made once per run: the
-    ``_certify`` certificate of the menu's lines (with its bucket table),
-    each slot's menu contract (``len(menu.taus)`` for opting out) and the
-    ``_chunk_tables`` cutoffs of those contracts. A discrete population's
-    slot is its type, whose contract is its ``best_response``; a continuous
-    population's slot is the contract, with one last slot for opting out."""
-    certificate = _certify(*menu.lines(model))
+    A discrete population's slot is its type, whose contract is its
+    ``best_response`` (opting out below ``-PARTICIPATION_SLACK``). A uniform
+    population on [lo, hi] has a slot per contract and one last slot for
+    opting out: each line of the exact upper envelope (``_envelope``) serves
+    its segment clipped to [lo, hi], except for the part where the line is
+    below ``-PARTICIPATION_SLACK``, which lies at one end of the segment,
+    past the root of a linear function, and opts out. Each piece adds its
+    length and first moment to its slot."""
+    slopes, intercepts = menu.lines(model)
     n = len(menu.taus)
     if population.kind == "discrete":
-        choice, best = _select(np.array(population.types, dtype=float), certificate)
+        types = np.array(population.types, dtype=float)
+        choice, best = best_response(types, slopes, intercepts)
         contract = np.where(best >= -PARTICIPATION_SLACK, choice, n)
-    else:
-        contract = np.arange(n + 1)
-    return certificate, contract, _chunk_tables(menu, model, contract)
+        return contract, np.array(population.weights, dtype=float), types
+    lo, hi = population.lo, population.hi
+    winners, breaks = _envelope(slopes, intercepts)
+    breaks = np.clip(np.maximum.accumulate(breaks), lo, hi)  # rounding cannot reverse a segment
+    a, z = np.append(lo, breaks), np.append(breaks, hi)
+    s, b = slopes[winners], intercepts[winners]
+    in_a, in_z = s * a + b >= -PARTICIPATION_SLACK, s * z + b >= -PARTICIPATION_SLACK
+    with np.errstate(all="ignore"):  # read only where the ends differ, so s is not 0
+        root = np.clip((-PARTICIPATION_SLACK - b) / s, a, z)
+    start = np.where(in_a, a, np.where(in_z, root, z))  # the participating piece
+    stop = np.where(in_z, z, np.where(in_a, root, z))
+    slot = np.concatenate([winners, np.full(2 * len(a), n)])
+    left, right = np.concatenate([start, a, stop]), np.concatenate([stop, start, z])
+    length = np.bincount(slot, weights=right - left, minlength=n + 1)
+    moment = np.bincount(slot, weights=(right - left) * (right + left) / 2.0, minlength=n + 1)
+    mean = np.divide(moment, length, out=np.full(n + 1, lo), where=length > 0.0)
+    return np.arange(n + 1), length / (hi - lo), np.clip(mean, lo, hi)
 
 
-def _chunk_tables(menu, model, contract):
-    """A simulation chunk's cutoffs over its slots, from each slot's menu
-    contract (``contract``; ``len(menu.taus)`` for opting out, whose
-    threshold -1 approves no one): by key ``slot * 2 + null``, the largest
-    statistic approved, which is the threshold for a null agent and its
-    ``_critical_values`` entry for an alternative one."""
-    taus = np.append(menu.taus, -1.0)[contract]
-    return np.stack([_critical_values(model, taus), taus], axis=1).ravel()
-
-
-def _simulate_chunk(plan, population, model, size, seed_child, stratified, work):
-    """One chunk of agents through the menu, by the run's ``_chunk_plan``.
-    Returns the chunk's count of each tally code ``slot * 4 + null * 2 +
-    approved`` over the run's slots, which ``_tally`` reads.
-
-    Each agent gets a slot (its type, or for a continuous population its
-    contract) and a statistic from ``_sample_statistics``, and is approved
-    when the statistic does not exceed its cutoff, looked up by the key
-    ``slot * 2 + null``: one gather and one comparison per agent.
-
-    The per-agent rows are written into ``work``, a ``_workspace`` of at
-    least ``size`` agents that a thread reuses for every chunk it runs.
-    Every row is written before it is read, so what the workspace held
-    before does not matter. Gathers index by intp and pass ``mode="clip"``:
-    the indices are in range, and the default "raise" would gather into a
-    temporary and copy it into ``out``."""
-    certificate, contract, cutoff = plan
-    floats, slot, masks = work
-    (u, x), slot, masks = floats[:, :size], slot[:size], masks[:, :size]
-    is_null, approve = masks
-    rng = np.random.default_rng(seed_child)
-    if population.kind == "discrete":
-        weights = np.array(population.weights)
-        if stratified:
-            slot[:] = np.repeat(np.arange(weights.size), _stratified_counts(weights, size))
-        else:
-            _draw_types(weights, rng, u, masks, slot)
-        q = np.take(population.types, slot, out=u, mode="clip")
-    else:
-        q = _uniform_types(population.lo, population.hi, rng, u)
-        slot.fill(contract.size - 1)  # the opt-out slot
-        for start in range(0, size, _SELECT_ROWS):
-            rows = slice(start, start + _SELECT_ROWS)
-            choice, best = _select(q[rows], certificate)
-            np.copyto(slot[rows], choice, where=best >= -PARTICIPATION_SLACK)
-
-    np.less(rng.random(out=x), q, out=is_null)
-    _sample_statistics(model, is_null, rng, u, x)  # q, held in u, is spent
-    key = np.left_shift(slot, 1, out=slot)
-    key |= is_null
-    np.less_equal(u, np.take(cutoff, key, out=x, mode="clip"), out=approve)
-    code = np.left_shift(key, 1, out=key)  # the tally code, over the spent key
-    code |= approve
-    return np.bincount(code, minlength=4 * contract.size)
-
-
-def _tally(by_code: np.ndarray, participates: np.ndarray) -> np.ndarray:
-    """The ``_TALLIES`` x slots count matrix of the tally codes' counts."""
-    by_code = by_code.reshape(-1, 4)
-    agents = by_code.sum(axis=1)
-    null = by_code[:, 2] + by_code[:, 3]
-    return np.array([agents, agents * participates, null, by_code[:, 3], by_code[:, 1]])
+def _tallies(menu, population, model, n, seed, stratified):
+    """Each slot's menu contract (``_slot_table``) and the ``_TALLIES`` x
+    slots count matrix of ``n`` agents, drawn from its exact law by one
+    generator seeded with ``seed``: agents multinomial over the slots'
+    masses (or ``_stratified_counts``), the null among them binomial in the
+    slot's mean type, and approvals binomial in the contract's threshold for
+    the null and in its power for the rest. Agents are independent, so this
+    is the law of running them one by one."""
+    contract, mass, mean = _slot_table(menu, population, model)
+    taus = np.append(menu.taus, 0.0)[contract]  # the opt-out slot's 0 approves no one
+    rng = np.random.default_rng(seed)
+    weights = mass / mass.sum()
+    agents = _stratified_counts(weights, n) if stratified else rng.multinomial(n, weights)
+    null = rng.binomial(agents, mean)
+    approved_null = rng.binomial(null, taus)
+    approved_alt = rng.binomial(agents - null, power(model, taus))
+    participating = np.where(contract < len(menu.taus), agents, 0)
+    return contract, np.array([agents, participating, null, approved_null, approved_alt])
 
 
 def simulate_population(
@@ -363,43 +289,20 @@ def simulate_population(
 
     Each agent draws a type, selects a contract (or opts out), runs a trial
     if participating, and is approved when the p-value clears the chosen
-    threshold. Types are drawn i.i.d. unless ``stratified`` allocates them
-    proportionally per chunk (discrete populations only). The chunk layout
-    and per-chunk generators depend only on ``seed`` and ``n``, so reports
-    are identical for any ``jobs``. At most ``min(jobs, chunks, CPUs)``
-    worker threads run.
+    threshold. A run draws each slot's tallies from their exact joint law
+    (``_tallies``) in O(slots), not agent by agent. Types are drawn i.i.d.
+    unless ``stratified`` allocates them proportionally (discrete
+    populations only). The report depends only on the arguments other than
+    ``jobs``, which is accepted (at least 1) and starts no thread. ``n`` is
+    at most ``MAX_AGENTS``.
     """
-    if n < 1:
-        raise ValueError("need at least one agent")
+    if not 1 <= n <= MAX_AGENTS:
+        raise ValueError(f"need between 1 and {MAX_AGENTS} agents, got {n!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs!r}")
     if stratified and population.kind != "discrete":
         raise ValueError("stratified sampling requires a discrete population")
-    chunks = -(-n // _CHUNK)
-    plan = _chunk_plan(menu, population, model)
-    workers = min(jobs, chunks, os.cpu_count() or 1)
-
-    def run(first):
-        """The summed counts of chunks ``first``, ``first + workers``, ...,
-        run in one workspace. Chunk i's generator is the root seed's i-th
-        spawned child."""
-        work = _workspace(min(n, _CHUNK))  # the first chunk is the largest
-        total = 0
-        for i in range(first, chunks, workers):
-            size = min(_CHUNK, n - i * _CHUNK)
-            child = np.random.SeedSequence(seed, spawn_key=(i,))
-            total += _simulate_chunk(plan, population, model, size, child, stratified, work)
-        return total
-
-    # Each worker thread keeps a running total; integer sums in any order.
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            by_code = sum(pool.map(run, range(workers)))
-    else:
-        by_code = run(0)
-
-    _, contract, _ = plan
-    counts = _tally(by_code, contract < len(menu.taus))
+    contract, counts = _tallies(menu, population, model, n, seed, stratified)
     # Participants pay their contract's cost, approved agents receive its
     # reward; the opt-out slot costs and pays nothing.
     costs, rewards = (np.append(column, 0.0)[contract] for column in (menu.costs, menu.rewards))

@@ -215,74 +215,26 @@ def inverse_likelihood_ratio(model: TestModel, y):
     return _float_or_array(0.5 * erfc(z / _SQRT2))  # 1 - Phi(z), no cancellation
 
 
-def _sample_statistics(
-    model: TestModel,
-    is_null: np.ndarray,
-    rng: np.random.Generator,
-    out: np.ndarray,
-    scratch: np.ndarray,
-) -> np.ndarray:
-    """Fill the flat float64 row ``out`` with one test statistic per entry of
-    the flat boolean mask ``is_null``, each in the p-value's order (smaller
-    is more significant), and return the alternative entries' indices.
-
-    A null entry gets its uniform p-value and a tabulated alternative its
-    p-value from the inverted power table; a Gaussian alternative gets
-    ``w = -(z + theta1)``, whose p-value is ``ndtr(w)`` and which is
-    approved at ``tau`` when ``w <= ndtri(tau)`` (``_critical_values``).
-    Uniforms are drawn first, then the alternatives' draws, each with
-    ``out=`` into the front of ``scratch`` (a float64 row of the mask's size)
-    and scattered by index arrays.
-    """
-    null = np.flatnonzero(is_null)
-    out[null] = rng.random(out=scratch[: null.size])
-    if null.size == out.size:
-        return null[:0]
-    alt = np.flatnonzero(~is_null)
-    draws = scratch[: alt.size]
-    if model.kind == "gaussian_mean":
-        rng.standard_normal(out=draws)
-        draws += model.theta1
-        out[alt] = np.negative(draws, out=draws)
-    else:
-        out[alt] = np.interp(rng.random(out=draws), model.betas, model.taus)
-    return alt
-
-
 def sample_pvalues(model: TestModel, is_null: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draw one p-value per entry of the boolean mask ``is_null``.
 
     Null entries are uniform draws; alternative entries are 1 - Phi(Z) with
-    Z centered at the alternative. Uniforms are drawn first, then normals,
-    so output is deterministic given the mask and generator state. These
-    are ``_sample_statistics``' draws with ``ndtr`` applied to the Gaussian
-    statistics.
+    Z centered at the alternative for the Gaussian model, and a uniform
+    through the inverted power table for a tabulated one. Uniforms are
+    drawn first, then the alternatives' draws, so output is deterministic
+    given the mask and generator state.
     """
     is_null = np.asarray(is_null, dtype=bool)
     out = np.empty(is_null.shape)
-    flat = out.reshape(-1)
-    alt = _sample_statistics(model, is_null.reshape(-1), rng, flat, np.empty(flat.size))
-    if model.kind == "gaussian_mean":
-        flat[alt] = ndtr(flat[alt])  # ndtr(-(z + theta1)) is 1 - Phi(z + theta1), no cancellation
+    out[is_null] = rng.random(np.count_nonzero(is_null))
+    alt = ~is_null
+    n_alt = np.count_nonzero(alt)
+    if n_alt and model.kind == "gaussian_mean":
+        # ndtr(-(z + theta1)) is 1 - Phi(z + theta1), no cancellation
+        out[alt] = ndtr(-(rng.standard_normal(n_alt) + model.theta1))
+    elif n_alt:
+        out[alt] = np.interp(rng.random(n_alt), model.betas, model.taus)
     return out
-
-
-def _critical_values(model: TestModel, taus: np.ndarray) -> np.ndarray:
-    """Per threshold ``tau``, the largest statistic (as ``_sample_statistics``
-    draws it) that the test approves at ``tau``: for the Gaussian model
-    ``ndtri(tau)``, which is ``-inf`` at 0 and below (an opted-out agent's
-    -1) and ``+inf`` at 1; for a tabulated model, whose statistic is its
-    p-value, ``tau`` itself.
-
-    Comparing ``w <= ndtri(tau)`` decides as ``ndtr(w) <= tau`` wherever the
-    p-value lies more than ``ndtr``'s error (1e-9 relative) from ``tau``;
-    within it, the comparison stays monotone in ``w``, where ``ndtr``'s last
-    bit is not.
-    """
-    taus = np.asarray(taus, dtype=float)
-    if model.kind != "gaussian_mean":
-        return taus
-    return ndtri(np.clip(taus, 0.0, 1.0))  # a negative tau clips to 0: -inf
 
 
 def sample_pvalue(model: TestModel, is_null: bool, rng: np.random.Generator) -> float:

@@ -234,14 +234,14 @@ def masked_sample_pvalues(model, is_null, rng):
 
 
 def masked_simulate_chunk(menu, selection, population, model, size, seed_child, stratified):
-    """One simulation chunk as boolean masks over the agents: types by
-    ``Generator.choice``, per-agent contract, threshold and cash columns, and
+    """A simulation of ``size`` agents one by one, as boolean masks over the
+    agents: types by ``Generator.choice`` (a discrete population's weights,
+    allocated by ``_stratified_counts`` when stratified) or
+    ``Generator.uniform``, each agent's contract, p-value and approval, and
     one masked ``bincount`` per tally. Returns the (agents, participating,
-    null, approved null, approved non-null) x types count matrix and the
-    principal's cash. It approves by comparing each p-value with its
-    threshold; the simulator's critical values decide alike except within
-    ``ndtr``'s rounding of a threshold (3e-13 relative), a band a random
-    p-value falls in with a probability of order 1e-13."""
+    null, approved null, approved non-null) x slots count matrix and the
+    principal's cash. A discrete population's slots are its types; a
+    continuous one's are the menu's contracts, then opting out."""
     rng = np.random.default_rng(seed_child)
 
     if population.kind == "discrete":
@@ -254,12 +254,13 @@ def masked_simulate_chunk(menu, selection, population, model, size, seed_child, 
         q = np.array(population.types)[type_idx]
         choice, best = (per_type[type_idx] for per_type in selection)
     else:
-        n_types = 1  # a continuous population is tallied as one type
-        type_idx = np.zeros(size, dtype=np.intp)
+        n_types = len(menu.taus) + 1
         q = rng.uniform(population.lo, population.hi, size=size)
         choice, best = best_response(q, *selection)
 
     participate = best >= -PARTICIPATION_SLACK
+    if population.kind != "discrete":
+        type_idx = np.where(participate, choice, len(menu.taus))
 
     is_null = rng.random(size) < q
     pvals = masked_sample_pvalues(model, is_null, rng)

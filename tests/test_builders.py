@@ -833,6 +833,46 @@ def test_fine_potential_is_checked_on_adjacent_lines(finest_recovered, tol, monk
     sm.validate_potential(*finest_recovered, tol=tol)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    shift=st.floats(-50.0, 50.0),
+    moved=st.sampled_from([None, 3, 60, 127]),
+    tol=st.sampled_from([0.0, 1e-8]),
+)
+def test_shifted_potential_check_matches_the_pass_over_all_pairs(
+    fixed_menu, gm1, shift, moved, tol
+):
+    """The recovered 129-point potential with its points shifted off [0, 1]
+    (and a value moved down, or none) gets the verdict and message of the
+    pass over all pairs: the certificate's rounding bound scales with the
+    farthest point."""
+    potential = sm.recover_potential(fixed_menu, gm1)
+    ps = np.array(fixed_menu.support)
+    values, subgrads = potential.values(ps), potential.subgradient(ps)
+    if moved is not None:
+        values[moved] -= 1e-2
+    issue = builders._potential_issue(ps + shift, values, subgrads, tol)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(contracts, "_segments", lambda slopes, intercepts: (None, 0.0))
+        assert builders._potential_issue(ps + shift, values, subgrads, tol) == issue
+    assert (issue is None) == (moved is None)
+
+
+@pytest.mark.parametrize("shift", [1.0, -1.5, 20.0])
+def test_shifted_fine_potential_is_checked_on_adjacent_lines(finest_recovered, shift, monkeypatch):
+    """The 16,385-point potential shifted off [0, 1] passes on the
+    certificate alone, as it does on [0, 1]."""
+    potential, support = finest_recovered
+    ps = np.array(support)
+    values, subgrads = potential.values(ps), potential.subgradient(ps)
+
+    def refuse(*args):
+        raise AssertionError("the pass over all pairs ran")
+
+    monkeypatch.setattr(contracts, "_utility_blocks", refuse)
+    assert builders._potential_issue(ps + shift, values, subgrads, 0.0) is None
+
+
 def test_potential_check_on_uncertified_lines_matches(fixed_menu, gm1, monkeypatch):
     """With no certificate, the pass over all pairs gives the same verdicts
     and messages, on a valid potential and on one with a value moved."""

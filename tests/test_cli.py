@@ -183,14 +183,18 @@ NAN = float("nan")  # json.dumps writes the literal NaN, which json.loads reads 
          "thresholds.csv"),
         ("menu-build", {"/menu/n": 10**12}, "/menu/n", "menu.json"),
         ("sensitivity", {"/sensitivity/points": 10**12}, "/sensitivity/points", "sensitivity.csv"),
+        ("simulate", {"/simulation/n": 10**23}, "/simulation/n", "simulation.json"),
+        ("simulate", {"/simulation/n": sm.evaluation.MAX_AGENTS + 1}, "/simulation/n",
+         "simulation.json"),
     ],
 )
 def test_mistyped_config_value_is_config_error(
     tmp_path, capsys, command, overrides, pointer, artifact
 ):
     """Each value has the wrong type, is no positive count, is a grid size
-    above ``cli.MAX_GRID`` or is not finite: exit 2 with its pointer before
-    any artifact is written (a valid menu.json is in place)."""
+    above ``cli.MAX_GRID``, an agent count above ``MAX_AGENTS`` (2^53) or is
+    not finite: exit 2 with its pointer before any artifact is written (a
+    valid menu.json is in place)."""
     menu = {**FIXED_MENU, "path": "menu.json"}
     good = write_config(tmp_path, {"/menu": menu})
     assert main(["menu-build", "--config", str(good), "--out", str(tmp_path)]) == 0
@@ -269,6 +273,50 @@ def test_config_value_out_of_range_is_config_error(
     err = capsys.readouterr().err
     assert f"config error at {pointer}:" in err and message in err
     assert not (out / artifact).exists()
+
+
+# The 5-knot curve whose Bayes threshold map is a step function.
+KNOTTED_TEST = {
+    "kind": "tabulated", "taus": [0, 0.01, 0.05, 0.2, 1], "betas": [0, 0.2, 0.45, 0.75, 1],
+}
+BAYES = {"kind": "bayes", "omega0": 1.0, "omega1": 1.0}
+
+
+@pytest.mark.parametrize(
+    "command, artifact",
+    [
+        ("thresholds", "thresholds.csv"),
+        ("menu-build", "menu.json"),
+        ("evaluate", "evaluate.json"),
+        ("sensitivity", "sensitivity.csv"),
+    ],
+)
+def test_bayes_objective_on_a_tabulated_test_is_config_error(tmp_path, capsys, command, artifact):
+    """Every command that computes thresholds from the objective exits 2 at
+    /objective, naming the unsupported pair, before writing an artifact: the
+    config is unsupported, not infeasible (exit 3)."""
+    menu = {**FIXED_MENU, "path": "menu.json"}
+    good = write_config(tmp_path, {"/menu": menu})
+    assert main(["menu-build", "--config", str(good), "--out", str(tmp_path)]) == 0
+    overrides = {"/menu": menu, "/test": KNOTTED_TEST, "/objective": BAYES}
+    path = write_config(tmp_path, overrides, name="bad.json")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error at /objective: a bayes objective is not supported with a tabulated" in err
+    assert not (out / artifact).exists()
+
+
+def test_bayes_objective_on_a_tabulated_test_runs_without_thresholds(tmp_path):
+    """``frontier`` and ``simulate`` read no objective, so the same config
+    runs them."""
+    menu = {**FIXED_MENU, "path": "menu.json"}
+    assert main(["menu-build", "--config", str(write_config(tmp_path, {"/menu": menu})),
+                 "--out", str(tmp_path)]) == 0
+    overrides = {"/menu": menu, "/test": KNOTTED_TEST, "/objective": BAYES}
+    path = write_config(tmp_path, {**overrides, "/population/types": [0.3, 0.7]}, name="bad.json")
+    assert main(["frontier", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
 
 
 def test_overflowing_slack_is_config_error(tmp_path, capsys, monkeypatch):

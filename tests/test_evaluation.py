@@ -1,17 +1,16 @@
 """Tests for rates, frontier sweeps, cost metrics, and the simulator."""
 
 import math
-import os
 import sys
+import threading
 import tracemalloc
-from types import SimpleNamespace
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import ndtr, ndtri
 
 import statmenus as sm
 from statmenus import evaluation
@@ -282,7 +281,7 @@ def test_simulation_deterministic(gm1, five_type_menu, five_types):
 
 @pytest.mark.parametrize("draws", ["discrete", "stratified", "uniform_grid"])
 def test_simulation_worker_count_invariant(gm1, five_type_menu, five_types, draws):
-    """n = 150,000 is two full chunks and a partial one."""
+    """``jobs`` never changes the report."""
     if draws == "uniform_grid":
         pop = sm.uniform_population(0.2, 0.8, 64)
     else:
@@ -303,23 +302,23 @@ def _five_type_counts(*rows):
 @pytest.mark.parametrize(
     "draws, totals, cash, per_type",
     [
-        ("discrete", (70_000, 28_921, 7_285), "-0x1.121f651420450p+19", _five_type_counts(
-            (14102, 14102, 4219, 3093, 9337), (13692, 13692, 5508, 2049, 6144),
-            (14213, 14213, 7106, 1319, 3761), (14091, 14091, 8510, 612, 1731),
-            (13902, 13902, 9705, 212, 663))),
-        ("stratified", (70_000, 29_061, 7_144), "-0x1.241dccc636b66p+19", _five_type_counts(
-            (14001, 14001, 4181, 3072, 9346), (14000, 14000, 5504, 2088, 6394),
-            (14000, 14000, 6938, 1177, 3736), (14000, 14000, 8444, 586, 1798),
-            (13999, 13999, 9810, 221, 643))),
-        ("uniform_grid", (70_000, 11_629, 2_944), "-0x1.914e4661419ffp+17", None),
+        ("discrete", (70_000, 29_038, 7_243), "-0x1.19fa6d5ce7032p+19", _five_type_counts(
+            (14091, 14091, 4301, 3153, 9282), (13908, 13908, 5514, 2082, 6331),
+            (14104, 14104, 7056, 1201, 3753), (13778, 13778, 8163, 600, 1761),
+            (14119, 14119, 9828, 207, 668))),
+        ("stratified", (70_000, 29_237, 7_424), "-0x1.2d6b3ad86560dp+19", _five_type_counts(
+            (14000, 14000, 4247, 3158, 9254), (14000, 14000, 5561, 2099, 6410),
+            (14000, 14000, 7064, 1299, 3638), (14000, 14000, 8516, 630, 1825),
+            (14000, 14000, 9726, 238, 686))),
+        ("uniform_grid", (70_000, 11_611, 2_897), "-0x1.8c2be66a663e9p+17", None),
     ],
     ids=["discrete", "stratified", "uniform_grid"],  # so that a re-pin keeps the names
 )
 def test_simulation_output_is_pinned(
     gm1, five_type_menu, fixed_menu, five_types, draws, totals, cash, per_type
 ):
-    """Every count and the cash's bits at one seed, over a full chunk and a
-    partial one: a refactor of the simulator must reproduce them exactly."""
+    """Every count and the cash's bits at one seed: a refactor of the
+    simulator must reproduce them exactly."""
     if draws == "uniform_grid":
         menu, pop = fixed_menu, sm.uniform_population(0.43, 0.86, 64)
     else:
@@ -340,18 +339,16 @@ def test_simulation_output_is_pinned(
     seed=st.integers(0, 2**32 - 1),
 )
 def test_simulation_chunks_add_up(gm1, five_type_menu, five_types, n, jobs, draws, seed):
-    """With 97-agent chunks, boundaries fall anywhere: the report is the same
-    for any worker count, the per-type columns add up to the totals, and the
-    totals nest (approved <= participating <= n)."""
+    """For any number of agents the report is the same for any worker count,
+    the per-type columns add up to the totals, and the totals nest
+    (approved <= participating <= n)."""
     if draws == "uniform_grid":
         pop = sm.uniform_population(0.2, 0.8, 64)  # types above about 0.797 opt out
     else:
         pop = sm.discrete_population(five_types, [0.1, 0.3, 0.2, 0.15, 0.25])
     kwargs = dict(n=n, seed=seed, stratified=draws == "stratified")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evaluation, "_CHUNK", 97)
-        report = sm.simulate_population(five_type_menu, pop, gm1, jobs=1, **kwargs)
-        assert sm.simulate_population(five_type_menu, pop, gm1, jobs=jobs, **kwargs) == report
+    report = sm.simulate_population(five_type_menu, pop, gm1, jobs=1, **kwargs)
+    assert sm.simulate_population(five_type_menu, pop, gm1, jobs=jobs, **kwargs) == report
     approved_nonnull = round(report.empirical_tdr * n)
     assert report.approved_null + approved_nonnull == report.approved
     assert 0 <= report.approved <= report.participating <= n
@@ -372,272 +369,240 @@ GM1 = sm.gaussian_model(1.0)
 TABULATED = sm.tabulated_model(
     np.linspace(0.0, 1.0, 258), [sm.power(GM1, t) for t in np.linspace(0.0, 1.0, 258)]
 )
+# Five types, the last of which (above about 0.797) opts out of the five-type menu.
+WITH_OPT_OUT = sm.discrete_population([0.3, 0.4, 0.5, 0.6, 0.9], [0.1, 0.3, 0.2, 0.15, 0.25])
+# (draws, population, model) of the runs set against the per-agent oracle;
+# types above about 0.797 opt out of the five-type menu.
+ORACLE_CASES = [
+    ("discrete", WITH_OPT_OUT, GM1),
+    ("discrete", sm.discrete_population(np.linspace(0.3, 0.75, 10), [0.1] * 10), TABULATED),
+    ("stratified", WITH_OPT_OUT, TABULATED),
+    ("uniform_grid", sm.uniform_population(0.2, 0.9, 64), GM1),
+    ("uniform_grid", sm.uniform_population(0.2, 0.9, 64), TABULATED),
+]
 
 
-@st.composite
-def chunk_cases(draw):
-    """How a chunk's types are drawn, its population, model, size and seed.
-    Discrete populations have up to 80 types, some of them opting out of the
-    five-type menu (above about 0.797), and weights with zeros."""
-    draws = draw(st.sampled_from(["discrete", "stratified", "uniform_grid"]))
-    if draws == "uniform_grid":
-        population = sm.uniform_population(0.2, 0.8, 64)  # types above about 0.797 opt out
-    else:
-        k = draw(st.integers(1, 80))
-        types = draw(st.lists(st.floats(0.05, 0.95), min_size=k, max_size=k, unique=True))
-        raw = draw(st.lists(st.just(0.0) | st.floats(1e-3, 1.0), min_size=k, max_size=k))
-        raw[draw(st.integers(0, k - 1))] += 1.0  # some weight is positive
-        population = sm.discrete_population(sorted(types), np.array(raw) / sum(raw))
-    model = draw(st.sampled_from([GM1, TABULATED]))
-    return draws, population, model, draw(st.integers(1, 2_000)), draw(st.integers(0, 2**32 - 1))
-
-
-@settings(max_examples=60, deadline=None)
-@given(case=chunk_cases())
-@example(case=("discrete", sm.discrete_population(np.linspace(0.3, 0.75, 10), [0.1] * 10), GM1, 2_000, 1))
-@example(case=("stratified", sm.discrete_population([0.3, 0.9], [0.0, 1.0]), TABULATED, 1, 2))
-def test_simulate_chunk_matches_masked_oracle(five_type_menu, case):
-    """The tally-code chunk's counts give the masked chunk's count matrix,
-    for any weights (``[0.1] * 10`` sums to 0.9999999999999999), chunk size,
-    draw, model and opted-out types."""
-    draws, population, model, size, seed = case
-    selection = five_type_menu.lines(model)
+def _oracle_runs(menu, population, model, n, seeds, stratified):
+    """Count matrices and cash of the per-agent oracle, one run per seed."""
+    selection = menu.lines(model)
     if population.kind == "discrete":
         selection = best_response(np.array(population.types), *selection)
-    child = np.random.SeedSequence(seed)
-    args = (population, model, size, child, draws == "stratified")
-    plan = evaluation._chunk_plan(five_type_menu, population, model)
-    by_code = evaluation._simulate_chunk(plan, *args, evaluation._workspace(size))
-    expected_counts, _ = masked_simulate_chunk(five_type_menu, selection, *args)
-    counts = _chunk_counts(five_type_menu, population, plan, by_code)
-    assert counts.dtype == expected_counts.dtype
-    assert counts.tolist() == expected_counts.tolist()
+    runs = [
+        masked_simulate_chunk(
+            menu, selection, population, model, n, np.random.SeedSequence(seed), stratified
+        )
+        for seed in seeds
+    ]
+    return np.array([counts for counts, _ in runs]), np.array([cash for _, cash in runs])
 
 
-def _chunk_counts(menu, population, plan, by_code):
-    """The ``_tally`` of a chunk's tally-code counts as the masked chunk
-    gives it: per type, or summed over a continuous population's slots."""
-    _, contract, _ = plan
-    counts = evaluation._tally(by_code, contract < len(menu.taus))
-    return counts if population.kind == "discrete" else counts.sum(axis=1, keepdims=True)
+def _agree(drawn, reference, limit=5.0):
+    """Whether each entry's mean over two stacks of independent runs agrees
+    within ``limit`` standard errors of their difference; an entry that
+    varies in neither stack must be equal."""
+    gap = np.abs(drawn.mean(axis=0) - reference.mean(axis=0))
+    se = np.sqrt(drawn.var(axis=0) / len(drawn) + reference.var(axis=0) / len(reference))
+    return np.all(gap <= limit * se)
+
+
+def test_simulate_chunk_matches_masked_oracle(five_type_menu):
+    """Over 400 seeds of 2,000 agents, every slot's mean tallies (agents,
+    participating, null, approved null, approved non-null) on the count
+    path are within 5 SE of the per-agent oracle's, which draws each
+    agent's type, p-value and approval: for i.i.d. and stratified discrete
+    populations (with an opted-out type, and weights that sum to
+    0.9999999999999999) and a uniform population with an opt-out tail, on
+    the Gaussian and the tabulated test. Stratified agent counts are equal."""
+    n, seeds = 2_000, range(400)
+    for draws, population, model in ORACLE_CASES:
+        stratified = draws == "stratified"
+        ours = np.array([
+            evaluation._tallies(five_type_menu, population, model, n, seed, stratified)[1]
+            for seed in seeds
+        ])
+        oracle, _ = _oracle_runs(five_type_menu, population, model, n, seeds, stratified)
+        assert ours.shape == oracle.shape
+        assert _agree(ours, oracle), (draws, population, model)
+        if stratified:
+            assert np.array_equal(ours[:, 0], oracle[:, 0])
 
 
 def test_reused_workspace_leaks_no_state(five_type_menu):
-    """Chunks of 65,536, 97, 1 and 65,536 agents run one after another in
-    one workspace that starts full of garbage (NaN, -1, True) give the
-    counts of chunks in fresh workspaces and of the masked chunk, for
-    i.i.d., stratified and ``uniform_grid`` draws. A report whose four
-    chunks run on two threads, each reusing its workspace, equals the report
-    whose chunks run in turn."""
-    work = evaluation._workspace(1 << 16)
-    for buffer, garbage in zip(work, (np.nan, -1, True)):
-        buffer.fill(garbage)
-    discrete = sm.discrete_population([0.3, 0.4, 0.5, 0.6, 0.9], [0.1, 0.3, 0.2, 0.15, 0.25])
+    """No state carries over from one run to another: runs of 65,536, 97, 1
+    and 65,536 agents over i.i.d., stratified and ``uniform_grid`` draws
+    give the same reports made in turn, in reverse and on two threads at
+    once."""
+    runs = []
     for draws in ("discrete", "stratified", "uniform_grid"):
-        population = sm.uniform_population(0.2, 0.8, 64) if draws == "uniform_grid" else discrete
-        selection = five_type_menu.lines(GM1)
-        if population.kind == "discrete":
-            selection = best_response(np.array(population.types), *selection)
-        plan = evaluation._chunk_plan(five_type_menu, population, GM1)
+        population = WITH_OPT_OUT
+        if draws == "uniform_grid":
+            population = sm.uniform_population(0.2, 0.8, 64)
         for seed, size in enumerate((1 << 16, 97, 1, 1 << 16)):
-            args = (population, GM1, size, np.random.SeedSequence(seed), draws == "stratified")
-            expected_counts, _ = masked_simulate_chunk(five_type_menu, selection, *args)
-            for chunk_work in (work, evaluation._workspace(size)):
-                by_code = evaluation._simulate_chunk(plan, *args, chunk_work)
-                counts = _chunk_counts(five_type_menu, population, plan, by_code)
-                assert counts.tolist() == expected_counts.tolist()
-        kwargs = dict(n=3 * (1 << 16) + 11, seed=8, stratified=draws == "stratified")
-        serial = sm.simulate_population(five_type_menu, population, GM1, jobs=1, **kwargs)
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # threads interleave within chunks
-        try:
-            threaded = sm.simulate_population(five_type_menu, population, GM1, jobs=2, **kwargs)
-        finally:
-            sys.setswitchinterval(switch)
-        assert threaded == serial
+            runs.append((population, dict(n=size, seed=seed, stratified=draws == "stratified")))
+
+    def run(case):
+        population, kwargs = case
+        return sm.simulate_population(five_type_menu, population, GM1, **kwargs)
+
+    in_turn = [run(case) for case in runs]
+    assert [run(case) for case in runs[::-1]][::-1] == in_turn
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads interleave within runs
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            assert list(pool.map(run, runs)) == in_turn
+    finally:
+        sys.setswitchinterval(switch)
 
 
-class PlantedDraws:
-    """Stands in for a chunk's generator: hands out the given uniform rows,
-    then the given normals, one row per draw, as ``Generator`` would
-    (``size=`` or ``out=``)."""
+class RecordingDraws:
+    """A run's generator that records each draw's name, arguments and
+    result."""
 
-    def __init__(self, uniforms, normals):
-        self.rows = {"random": list(uniforms), "standard_normal": [normals]}
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), []
 
-    def _draw(self, kind, size, out):
-        row = self.rows[kind].pop(0)
-        assert row.size == (size if out is None else out.size)
-        if out is None:
-            return row.copy()
-        out[...] = row
-        return out
+    def __getattr__(self, name):
+        def draw(*args):
+            out = getattr(self.rng, name)(*args)
+            self.calls.append((name, *args, out))
+            return out
 
-    def random(self, size=None, out=None):
-        return self._draw("random", size, out)
-
-    def standard_normal(self, size=None, out=None):
-        return self._draw("standard_normal", size, out)
+        return draw
 
 
-def _ndtr_reversal():
-    """Adjacent doubles ``w1 < w2`` near -2.5 with ``ndtr(w1) > ndtr(w2)``."""
-    start = np.float64(-2.5).view(np.int64)
-    ws = np.sort((start + np.arange(-20_000, 20_000)).view(np.float64))
-    i = np.flatnonzero(np.diff(ndtr(ws)) < 0.0)[0]
-    return ws[i], ws[i + 1]
+def test_count_draw_takes_each_slots_law(gm1, five_type_menu, monkeypatch):
+    """A run makes one multinomial draw of its agents over the slots' masses,
+    then three binomial draws over the slots: the null among the agents at
+    the slot's mean type, approvals among the null at its contract's
+    threshold and among the rest at the test's power there. An opted-out
+    slot and a contract at threshold 0 approve no one; threshold 1 approves
+    every agent. The report holds the drawn counts."""
+    sloped = Contract(0.0225, 100.0, 10.0)  # above a flat line at 1 below about 0.35
+    cases = [
+        (five_type_menu, WITH_OPT_OUT),
+        (Menu((0.2, 0.6), (sloped, Contract(1.0, 100.0, 99.0))), None),
+        (Menu((0.2, 0.6), (sloped, Contract(0.0, 100.0, -1.0))), None),
+    ]
+    seen = set()
+    for menu, population in cases:
+        population = population or sm.discrete_population([0.1, 0.5], [0.4, 0.6])
+        types, weights = np.array(population.types), np.array(population.weights)
+        choice, best = best_response(types, *menu.lines(gm1))
+        contract = np.where(best >= -PARTICIPATION_SLACK, choice, len(menu.taus))
+        taus = np.append(menu.taus, 0.0)[contract]
+        draws = RecordingDraws(3)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "default_rng", lambda seed: draws)
+            report = sm.simulate_population(menu, population, gm1, n=5_000, seed=3)
+        multinomial, null, approved_null, approved_alt = draws.calls
+        assert multinomial[:2] == ("multinomial", 5_000)
+        assert multinomial[2].tolist() == (weights / weights.sum()).tolist()
+        agents = multinomial[3]
+        assert null[0] == "binomial" and null[1] is agents and null[2].tolist() == types.tolist()
+        assert approved_null[0] == "binomial" and approved_null[1] is null[3]
+        assert approved_null[2].tolist() == taus.tolist()
+        assert approved_alt[0] == "binomial"
+        assert approved_alt[1].tolist() == (agents - null[3]).tolist()
+        assert approved_alt[2].tolist() == sm.power(gm1, taus).tolist()
+        out = contract == len(menu.taus)
+        participating = np.where(out, 0, agents)
+        rows = np.array([agents, participating, null[3], approved_null[3], approved_alt[3]])
+        assert [list(c.values()) for c in report.per_type.values()] == rows.T.tolist()
+        for edge, kind in ((out | (taus == 0.0), "none"), (~out & (taus == 1.0), "all")):
+            if edge.any():
+                seen.add(kind)
+                assert approved_null[2][edge].tolist() == approved_alt[2][edge].tolist()
+                assert set(approved_alt[2][edge].tolist()) == {0.0 if kind == "none" else 1.0}
+        if out.any():
+            seen.add("opt_out")
+    assert seen == {"none", "all", "opt_out"}
 
 
-def test_planted_ndtr_reversal_follows_critical_value(gm1, monkeypatch):
-    """Alternative statistics planted at an ``ndtr`` reversal, at every
-    contract's critical value and its float neighbours and at +-40, and null
-    p-values at every threshold and its neighbours, are approved by the
-    explicit rule: an alternative when ``w <= ndtri(tau)``, a null agent when
-    ``p <= tau``. One threshold is ``ndtr(w2)`` of a reversal ``w1 < w2``:
-    the p-value rule approves ``w2`` and rejects ``w1``, the critical value
-    ``w1`` and not ``w2``. At ``tau = 0`` no alternative is approved, though
-    ``ndtr(-40)`` underflows to 0."""
-    w1, w2 = _ndtr_reversal()
-    assert ndtr(w1) > ndtr(w2)
-    taus = [ndtr(w2), 0.0225, 0.0, 5e-324, 1e-310, 1 - 2**-53, 0.99999, 1.0]
-    k = len(taus)
-    menu = Menu(
-        tuple(np.linspace(0.1, 0.9, k)), tuple(Contract(t, 100.0, 1.0 + t) for t in taus)
-    )
-    critical = ndtri(taus)
-    assert w1 <= critical[0] < w2  # contract 0 approves w1 and rejects w2
-    statistics = []
-    for j, c in enumerate(critical):
-        points = [w1, w2] if j == 0 else []
-        for base in (c, -40.0, 40.0):
-            if np.isfinite(base):
-                points += [np.nextafter(base, -np.inf), base, np.nextafter(base, np.inf)]
-        statistics.append(points)
-    per_slot = max(map(len, statistics))
-    alts = np.array([points + points[:1] * (per_slot - len(points)) for points in statistics])
-    nulls = np.array([[np.nextafter(t, 0.0), t, np.nextafter(t, 1.0)] for t in taus])
-    flags = np.hstack([np.ones_like(alts), np.zeros_like(nulls)])  # 1: not below q, alternative
-    normals = -alts.ravel() - gm1.theta1
-    assert (-(normals + gm1.theta1)).tolist() == alts.ravel().tolist()  # the planted statistics
-    approved_alt = (alts <= critical[:, None]).sum(axis=1).tolist()
-    approved_null = (nulls <= np.array(taus)[:, None]).sum(axis=1).tolist()
-    assert approved_alt == [6, 7, 0, 7, 7, 7, 7, 11]
-    assert approved_null == [2, 2, 2, 2, 2, 2, 2, 3]
-
-    population = sm.discrete_population(menu.support)
-    plan = (menu.lines(gm1), np.arange(k), evaluation._chunk_tables(menu, gm1, np.arange(k)))
-    monkeypatch.setattr(np.random, "default_rng", lambda draws: draws)
-    by_code = evaluation._simulate_chunk(
-        plan,
-        population,
-        gm1,
-        flags.size,
-        PlantedDraws([flags.ravel(), nulls.ravel()], normals),
-        True,
-        evaluation._workspace(flags.size),
-    )
-    counts = _chunk_counts(menu, population, plan, by_code)
-    agents = [flags.shape[1]] * k
-    assert counts.tolist() == [agents, agents, [3] * k, approved_null, approved_alt]
-
-
-def _draw_buffers(size):
-    """``_draw_types``' uniform row, comparison and count rows and indices,
-    filled with garbage."""
-    return np.full(size, np.nan), np.ones((2, size), dtype=bool), np.full(size, -1, dtype=np.intp)
-
-
-@pytest.mark.parametrize(
-    "k", [1, 2, 5, 10, evaluation._DRAW_CUT, evaluation._DRAW_CUT + 1, 5 * evaluation._DRAW_CUT]
-)
-def test_type_draw_matches_generator_choice(k):
-    """The simulator's own inverse-CDF type draw gives ``Generator.choice``'s
-    indices and leaves the generator in the same state, by comparisons up to
-    ``_DRAW_CUT`` types and by bisection above, so the pinned simulation
-    values do not rest on numpy's ``choice``."""
-    vectors = np.random.default_rng(k).random((40, k))
+@pytest.mark.parametrize("k", [1, 2, 5, 10, 64, 65, 320])
+def test_type_draw_matches_generator_choice(five_type_menu, gm1, k):
+    """A discrete run's per-type agent counts are ``Generator.multinomial``'s
+    draw of ``n`` over the normalised weights, the run generator's first
+    draw, which has the law of ``Generator.choice``'s counts: for 1 to 320
+    types, with zero weights (also first and last) and weights that sum to
+    0.9999999999999999. A type of zero weight gets no agent."""
+    vectors = np.random.default_rng(k).random((10, k))
     vectors[vectors < 0.3] = 0.0  # zero weights, also first and last
     vectors[:, 0] += vectors.sum(axis=1) == 0.0
     weights = [np.full(k, 1.0 / k)] + [v / v.sum() for v in vectors]
     if k == 10:
-        weights.append(np.full(10, 0.1))  # its cumulative sum ends at 0.9999999999999999
+        weights.append(np.full(10, 0.1))  # its sum is 0.9999999999999999
     for seed, w in enumerate(weights):
-        ours, numpy_s = np.random.default_rng(seed), np.random.default_rng(seed)
-        drawn = evaluation._draw_types(w, ours, *_draw_buffers(3_000))
-        assert drawn.tolist() == numpy_s.choice(k, size=3_000, p=w).tolist()
-        assert ours.bit_generator.state == numpy_s.bit_generator.state
-        # Draws on a CDF entry or just below it count that entry as numpy's
-        # searchsorted does (a uniform draw is below 1).
-        cdf = np.cumsum(w) / np.cumsum(w)[-1]
-        ties = np.concatenate([cdf, np.nextafter(cdf, 0.0), [0.0]])
-        ties = ties[ties < 1.0]
-        stub = SimpleNamespace(random=lambda out: np.copyto(out, ties))
-        drawn = evaluation._draw_types(w, stub, *_draw_buffers(ties.size))
-        assert drawn.tolist() == cdf.searchsorted(ties, side="right").tolist()
+        population = sm.discrete_population(np.linspace(0.05, 0.95, k), w)
+        report = sm.simulate_population(five_type_menu, population, gm1, n=3_000, seed=seed)
+        agents = [column["agents"] for column in report.per_type.values()]
+        expected = np.random.default_rng(seed).multinomial(3_000, w / w.sum())
+        assert agents == expected.tolist()
+        assert all(a == 0 for a, x in zip(agents, w) if x == 0.0)
 
 
 @pytest.mark.parametrize("lo, hi", [(0.43, 0.86), (0.2, 0.8), (0.0, 1.0)])
-def test_uniform_type_draw_matches_generator_uniform(lo, hi):
-    """A continuous population's types, drawn into a given row, have the bits
-    of ``Generator.uniform`` and leave the generator in the same state."""
-    ours, numpy_s = np.random.default_rng(4), np.random.default_rng(4)
-    row = np.full(70_001, np.nan)
-    drawn = evaluation._uniform_types(lo, hi, ours, row)
-    assert drawn is row
-    assert drawn.tobytes() == numpy_s.uniform(lo, hi, size=row.size).tobytes()
-    assert ours.bit_generator.state == numpy_s.bit_generator.state
+def test_uniform_type_draw_matches_generator_uniform(fixed_menu, gm1, lo, hi):
+    """A uniform population's slot masses and mean types are those of
+    ``Generator.uniform`` types through ``best_response``: 400,000 drawn
+    types' share and mean type per slot (each contract, then opting out
+    above 0.86) are within 5 SE of the slot table's, and an empty slot
+    gets no drawn type."""
+    contract, mass, mean = evaluation._slot_table(fixed_menu, sm.uniform_population(lo, hi), gm1)
+    assert contract.tolist() == list(range(len(fixed_menu.taus) + 1))
+    q = np.random.default_rng(4).uniform(lo, hi, 400_000)
+    choice, best = best_response(q, *fixed_menu.lines(gm1))
+    slot = np.where(best >= -PARTICIPATION_SLACK, choice, len(fixed_menu.taus))
+    count = np.bincount(slot, minlength=mass.size)
+    assert np.all(np.abs(count / q.size - mass) <= 5.0 * np.sqrt(mass * (1.0 - mass) / q.size))
+    drawn = count > 1
+    sums = [np.bincount(slot, weights=q**power, minlength=mass.size)[drawn] for power in (1, 2)]
+    seen_mean = sums[0] / count[drawn]
+    se = np.sqrt(np.maximum(sums[1] / count[drawn] - seen_mean**2, 0.0) / count[drawn])
+    assert np.all(np.abs(seen_mean - mean[drawn]) <= 5.0 * se + 1e-12)
+    assert (mass[-1] > 0.0) == (hi > 0.86)
 
 
 def test_simulation_threads_are_bounded(gm1, five_type_menu, five_types, monkeypatch):
-    """``simulate_population`` starts at most min(jobs, chunks, CPUs) workers
-    however large ``jobs`` is. A stand-in pool records its size and runs the
-    chunks inline, so no thread starts."""
-    pools = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(evaluation, "ThreadPoolExecutor", InlinePool)
-    monkeypatch.setattr(evaluation, "_CHUNK", 97)  # 1,000 agents are 11 chunks
+    """``simulate_population`` starts no thread however large ``jobs`` is,
+    and gives the serial report."""
     pop = sm.discrete_population(five_types)
     serial = sm.simulate_population(five_type_menu, pop, gm1, n=1_000, seed=4)
-    assert pools == []
-    cpus = os.cpu_count() or 1
-    for cpu_count, jobs in ((cpus, 10**6), (4, 10**6), (64, 10**6), (64, 3), (None, 10**6)):
-        monkeypatch.setattr(evaluation.os, "cpu_count", lambda: cpu_count)
+
+    def refuse(self):
+        raise AssertionError("a thread started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for jobs in (2, 4, 64, 10**6):
         report = sm.simulate_population(five_type_menu, pop, gm1, n=1_000, seed=4, jobs=jobs)
         assert report == serial
-    # one CPU, or none reported, runs the chunks serially without a pool
-    assert pools == ([min(11, cpus)] if cpus > 1 else []) + [4, 11, 3]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_simulation_memory_does_not_grow_with_the_chunks(fine_fixed_menu, gm1, monkeypatch, jobs):
-    """A run keeps a running total of its chunks' counts. With 256-agent
-    chunks on the 1,025-contract menu, 400 chunks trace no more than 25 do,
-    where holding every chunk's 33 KiB count row until the end took 12 MiB
-    more."""
-    monkeypatch.setattr(evaluation, "_CHUNK", 256)
+def test_simulation_memory_does_not_grow_with_the_chunks(fine_fixed_menu, gm1, jobs):
+    """A run's memory does not grow with its agents: on the 1,025-contract
+    menu, 2^40 agents trace no more than 6,400 do."""
     population = sm.uniform_population(0.43, 0.86)
     peaks = []
-    for chunks in (25, 400):
+    for n in (6_400, 1 << 40):
         tracemalloc.start()
         try:
-            sm.simulate_population(fine_fixed_menu, population, gm1, 256 * chunks, 1, jobs=jobs)
+            sm.simulate_population(fine_fixed_menu, population, gm1, n, 1, jobs=jobs)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert peaks[1] < peaks[0] + 2**16
+
+
+@pytest.mark.parametrize("n", [0, -5, evaluation.MAX_AGENTS + 1, 10**23])
+def test_simulation_agent_count_is_bounded(gm1, five_type_menu, five_types, n):
+    """A run needs 1 to ``MAX_AGENTS`` (2^53) agents; any other count raises
+    at once."""
+    pop = sm.discrete_population(five_types)
+    with pytest.raises(ValueError, match="agents"):
+        sm.simulate_population(five_type_menu, pop, gm1, n=n, seed=1)
+    report = sm.simulate_population(five_type_menu, pop, gm1, n=evaluation.MAX_AGENTS, seed=1)
+    assert sum(c["agents"] for c in report.per_type.values()) == evaluation.MAX_AGENTS
 
 
 def test_simulation_matches_oracle(gm1, fdr25, five_type_menu, five_types):
@@ -703,27 +668,43 @@ def test_simulation_principal_cash_consistency(gm1, five_type_menu, five_types):
     assert report.principal_cash == math.fsum(terms)
 
 
+def _expected_cash(menu, population, model):
+    """The principal's cash per agent: each type's contract cost less its
+    reward times its approval probability, 0 for a type that opts out,
+    averaged over the types (a uniform population on 2^16 midpoints)."""
+    if population.kind == "discrete":
+        q, w = np.array(population.types), np.array(population.weights)
+    else:
+        grid = 1 << 16
+        q = population.lo + (population.hi - population.lo) * (np.arange(grid) + 0.5) / grid
+        w = np.full(grid, 1.0 / grid)
+    choice, best = best_response(q, *menu.lines(model))
+    tau, reward = menu.taus[choice], menu.rewards[choice]
+    cash = menu.costs[choice] - reward * (q * tau + (1.0 - q) * sm.power(model, tau))
+    return float(np.sum(w * np.where(best >= -PARTICIPATION_SLACK, cash, 0.0)))
+
+
 @pytest.mark.parametrize("draws", ["discrete", "stratified", "uniform_grid"])
 def test_simulation_cash_matches_per_agent_cash(gm1, five_type_menu, draws):
-    """A run's cash, priced once from its tallies, is within 1e-12 relative
-    of the masked chunks' per-agent cash summed over the run's chunks, with
-    opted-out types (above about 0.797) in the population."""
+    """Over 400 seeds of 2,000 agents, a run's mean cash, priced from its
+    tallies, and the per-agent oracle's mean cash are each within 4 SE of
+    the expected cash, with opted-out types (above about 0.797) in the
+    population."""
     if draws == "uniform_grid":
         population = sm.uniform_population(0.2, 0.9, 64)
-        selection = five_type_menu.lines(gm1)
     else:
-        population = sm.discrete_population([0.3, 0.4, 0.5, 0.6, 0.9], [0.1, 0.3, 0.2, 0.15, 0.25])
-        selection = best_response(np.array(population.types), *five_type_menu.lines(gm1))
-    sizes = (evaluation._CHUNK, evaluation._CHUNK, 1_234)
-    n, seed, stratified = sum(sizes), 6, draws == "stratified"
-    report = sm.simulate_population(five_type_menu, population, gm1, n, seed, stratified)
-    children = np.random.SeedSequence(seed).spawn(len(sizes))
-    per_agent = sum(
-        masked_simulate_chunk(five_type_menu, selection, population, gm1, *chunk, stratified)[1]
-        for chunk in zip(sizes, children)
-    )
-    assert report.participating < n
-    assert report.principal_cash == pytest.approx(per_agent, rel=1e-12, abs=0.0)
+        population = WITH_OPT_OUT
+    n, seeds, stratified = 2_000, range(400), draws == "stratified"
+    reports = [
+        sm.simulate_population(five_type_menu, population, gm1, n, seed, stratified)
+        for seed in seeds
+    ]
+    assert all(report.participating < n for report in reports)
+    ours = np.array([report.principal_cash for report in reports])
+    _, oracle = _oracle_runs(five_type_menu, population, gm1, n, seeds, stratified)
+    expected = n * _expected_cash(five_type_menu, population, gm1)
+    for cash in (ours, oracle):
+        assert abs(cash.mean() - expected) <= 4.0 * cash.std() / math.sqrt(len(cash))
 
 
 def test_rounding_below_zero_utility_still_participates(gm1, fdr25):
@@ -740,4 +721,4 @@ def test_rounding_below_zero_utility_still_participates(gm1, fdr25):
     assert sm.principal_return(menu, menu.contracts[-1], 0.8, gm1) == 0.0
     report = sm.simulate_population(menu, sm.discrete_population(types), gm1, n=10_000, seed=1)
     assert report.participating == report.n_agents
-    assert report.per_type[0.8]["participating"] == report.per_type[0.8]["agents"] == 4909
+    assert report.per_type[0.8]["participating"] == report.per_type[0.8]["agents"] == 5029

@@ -2,6 +2,7 @@
 the scalar loops they replaced, which live on here as exact oracles."""
 
 import functools
+import math
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import statmenus as sm
-from statmenus import contracts, evaluation
+from statmenus import contracts
 from statmenus.contracts import (
     DEFAULT_IC_MARGIN,
     PARTICIPATION_SLACK,
@@ -23,13 +24,14 @@ from statmenus.contracts import (
     Violation,
     _blocked_response,
     _certify,
+    _envelope,
     _segment_index,
     _segments,
     _select,
     _utility_blocks,
     best_response,
 )
-from statmenus.evaluation import _chunk_plan, _simulate_chunk, _tally, _workspace
+from statmenus.evaluation import _slot_table
 
 # ---------------------------------------------------------------------------
 # scalar oracles
@@ -341,17 +343,37 @@ menu_lines = cases.map(lambda case: (*case[0].lines(case[1]), np.array(case[0].s
 
 @settings(max_examples=300, deadline=None)
 @given(case=st.one_of(menu_lines, pencils()))
-def test_selection_with_and_without_the_table_matches_best_response(case):
-    """``_select`` on a certificate made once, with a bucket table and
-    without one, returns ``best_response``'s indices and value bits, at the
-    breakpoints, beside them, at NaN and at types outside [0, 1]."""
+def test_selection_on_a_certificate_matches_best_response(case):
+    """``_select`` on a certificate made once returns ``best_response``'s
+    indices and value bits, at the breakpoints, beside them, at NaN and at
+    types outside [0, 1]."""
     slopes, intercepts, q = case
     q = _types_at_the_breaks(slopes, intercepts, q)
     expected_index, expected_value = best_response(q, slopes, intercepts)
-    for table in (True, False):
-        index, value = _select(q, _certify(slopes, intercepts, table=table))
-        assert np.array_equal(index, expected_index)
-        assert value.tobytes() == expected_value.tobytes()
+    index, value = _select(q, _certify(slopes, intercepts))
+    assert np.array_equal(index, expected_index)
+    assert value.tobytes() == expected_value.tobytes()
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=st.one_of(menu_lines, pencils()))
+def test_envelope_matches_the_blocked_route(case):
+    """``_envelope``'s lines have increasing slopes, and of identical lines
+    it keeps the smallest index. At the drawn types and at every breakpoint
+    and its neighbours in [0, 1], the envelope's line is the best line to
+    rounding (four times ``_segments``' bound)."""
+    slopes, intercepts, q = case
+    winners, breaks = _envelope(slopes, intercepts)
+    assert len(winners) == len(breaks) + 1 and np.all(np.diff(slopes[winners]) > 0.0)
+    for w in winners.tolist():
+        same = (slopes[:w] == slopes[w]) & (intercepts[:w] == intercepts[w])
+        assert not same.any()
+    q = _types_at_the_breaks(slopes, intercepts, np.concatenate([q, breaks]))
+    q = q[(q >= 0.0) & (q <= 1.0)]
+    line = winners[np.searchsorted(breaks, q, side="right")]
+    _, best = _blocked_response(q, slopes, intercepts)
+    _, tol = _segments(slopes, intercepts)
+    assert np.all(q * slopes[line] + intercepts[line] >= best - 4.0 * tol)
 
 
 @st.composite
@@ -377,9 +399,9 @@ def sorted_breaks(draw):
 @settings(max_examples=500, deadline=None)
 @given(breaks=sorted_breaks(), data=st.data())
 def test_segment_index_matches_searchsorted(breaks, data):
-    """The bucket table's segment index is ``np.searchsorted(breaks, q,
-    side="right")`` for every type, NaN and +-inf included, and casting
-    those to a bucket does not warn (warnings are errors here)."""
+    """A certificate's segment index is ``np.searchsorted(breaks, q,
+    side="right")`` for every type, NaN and +-inf included, without a
+    warning (warnings are errors here)."""
     drawn = data.draw(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=20))
     q = np.concatenate(
         [
@@ -392,11 +414,9 @@ def test_segment_index_matches_searchsorted(breaks, data):
     )
     lines = np.zeros(len(breaks) + 1), np.zeros(len(breaks) + 1)
     with mock.patch.object(contracts, "_segments", return_value=(breaks, 0.0)):
-        certificate = _certify(*lines, table=True)
+        certificate = _certify(*lines)
     expected = np.searchsorted(breaks, q, side="right")
     assert np.array_equal(_segment_index(q, certificate), expected)
-    if len(breaks) > 1 and 1e-300 < float(breaks[-1]) - float(breaks[0]) < 1e300:
-        assert certificate.table is not None
 
 
 def test_ties_and_uncertified_lines_take_the_blocked_route(monkeypatch):
@@ -507,40 +527,29 @@ def test_evaluators_on_the_envelope_match_the_blocked_route(fine_fixed_menu, gm1
     assert evaluate() == on_envelope
 
 
-def test_simulation_on_the_envelope_matches_the_blocked_route(fine_fixed_menu, gm1, monkeypatch):
-    """A continuous population's simulation on the fine menu, whose plan
-    holds a certificate with a bucket table, counts what the blocked route
-    counts. With ``_segments`` patched, the plan holds no certificate and
-    every agent takes the blocked route."""
+def test_simulation_on_the_envelope_matches_the_blocked_route(fine_fixed_menu, gm1):
+    """The stack pass keeps each of the fine menu's certified lines, which
+    are their own envelope, with ``_segments``' breakpoints bit for bit, so
+    a continuous population's slot table gives each contract the mass
+    between the breaks that ``best_response`` uses."""
     population = sm.uniform_population(0.43, 0.86)
-    assert _chunk_plan(fine_fixed_menu, population, gm1)[0].table is not None
-    n = 20_000
-    on_envelope = sm.simulate_population(fine_fixed_menu, population, gm1, n=n, seed=3)
-    _without_certification(monkeypatch)
-    assert _chunk_plan(fine_fixed_menu, population, gm1)[0].bounds is None
-    blocked = []
-
-    def recording(q, slopes, intercepts):
-        blocked.append(len(q))
-        return _blocked_response(q, slopes, intercepts)
-
-    monkeypatch.setattr(contracts, "_blocked_response", recording)
-    assert sm.simulate_population(fine_fixed_menu, population, gm1, n=n, seed=3) == on_envelope
-    assert sum(blocked) == n
-
-
-def test_fine_menu_table_holds_a_break_per_bucket_at_most(fine_fixed_menu, gm1):
-    """The 1,025-contract menu's table has two buckets per break and at most
-    one break in a bucket, so one step up finds every type's segment."""
-    certificate = _certify(*fine_fixed_menu.lines(gm1))
-    assert len(certificate.table) == 2 * 1024 + 1
-    assert np.diff(certificate.table).max() == 1
+    lines = fine_fixed_menu.lines(gm1)
+    winners, breaks = _envelope(*lines)
+    certified, _ = _segments(*lines)
+    assert winners.tolist() == list(range(1025))
+    assert breaks.tobytes() == certified.tobytes()
+    contract, mass, mean = _slot_table(fine_fixed_menu, population, gm1)
+    edges = np.clip(np.r_[0.43, certified, 0.86], 0.43, 0.86)
+    assert contract[:-1].tolist() == list(range(1025))
+    assert np.allclose(mass[:-1], np.diff(edges) / 0.43, rtol=0.0, atol=1e-15)
+    assert mass[-1] == 0.0
 
 
 def test_non_separating_menu_simulates_on_the_blocked_route(fixed_menu, gm1, monkeypatch):
     """A continuous population on a menu with two costs swapped, which is not
-    separating and whose lines are not certified, gets the blocked route's
-    result; so does the separating menu, whose lines are."""
+    separating and whose lines are not certified, gets the same report
+    whether or not certification is tried; so does the separating menu,
+    whose lines are."""
     costs = [c.cost for c in fixed_menu.contracts]
     costs[40], costs[80] = costs[80], costs[40]
     swapped = Menu(
@@ -557,31 +566,25 @@ def test_non_separating_menu_simulates_on_the_blocked_route(fixed_menu, gm1, mon
     assert [sm.simulate_population(m, population, gm1, n=70_000, seed=5) for m in menus] == reports
 
 
-def _chunk_peak(menu, population, model, work=None):
-    """Count matrix and traced peak bytes of one full simulation chunk, in
-    ``work`` or in a workspace allocated while tracing."""
-    child = np.random.SeedSequence(3).spawn(1)[0]
-    plan = _chunk_plan(menu, population, model)
+def _run_peak(menu, population, model, n=1 << 16):
+    """Report and traced peak bytes of one simulation run."""
     tracemalloc.start()
     try:
-        work = _workspace(1 << 16) if work is None else work
-        by_code = _simulate_chunk(plan, population, model, 1 << 16, child, False, work)
+        report = sm.simulate_population(menu, population, model, n=n, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    _, contract, _ = plan
-    return _tally(by_code, contract < len(menu.taus)), peak
+    return report, peak
 
 
 def test_simulate_chunk_memory_is_bounded(fine_fixed_menu, gm1):
-    """A full chunk on a 1025-contract menu stays far below the (chunk x
-    contracts) utility matrix, which alone would take 537 MB, and below the
-    8 MiB of one block of ``_blocked_response`` (about 10.7 MiB when every
-    agent takes that route)."""
+    """A run of 2^53 agents on a 1,025-contract menu traces below 1 MiB: a
+    few arrays of the menu's length, not a (types x contracts) utility
+    matrix or a row per agent."""
     population = sm.uniform_population(0.43, 0.86)
-    counts, peak = _chunk_peak(fine_fixed_menu, population, gm1)
-    assert counts[:2].sum(axis=1).tolist() == [1 << 16, 1 << 16]  # agents, participating
-    assert peak < 8 * 2**20
+    report, peak = _run_peak(fine_fixed_menu, population, gm1, n=1 << 53)
+    assert report.participating == 1 << 53
+    assert peak < 2**20
 
 
 def test_verification_memory_does_not_grow_with_the_menu(gm1, fdr25):
@@ -671,64 +674,108 @@ def test_certified_verification_memory_is_linear():
 
 
 def test_simulate_chunk_memory_is_bounded_per_type(five_type_menu, five_types, gm1):
+    """A run of 2^53 agents over five types traces below 256 KiB."""
     population = sm.discrete_population(five_types)
-    counts, peak = _chunk_peak(five_type_menu, population, gm1)
-    assert counts[0].sum() == 1 << 16
-    assert peak < 24 * 2**20
+    report, peak = _run_peak(five_type_menu, population, gm1, n=1 << 53)
+    assert sum(column["agents"] for column in report.per_type.values()) == 1 << 53
+    assert peak < 2**18
 
 
 def test_simulate_chunk_in_a_workspace_allocates_little(five_type_menu, five_types, gm1):
-    """Given a workspace, a full five-type chunk allocates little beyond the
-    p-value sampler's draws and index arrays: below 1 MiB, where the
-    workspace's per-agent rows take 1.6 MiB."""
+    """A five-type run of 65,536 agents, i.i.d. or stratified, allocates
+    below 256 KiB: nothing per agent."""
     population = sm.discrete_population(five_types)
-    work = _workspace(1 << 16)
-    counts, peak = _chunk_peak(five_type_menu, population, gm1, work)
-    assert counts[0].sum() == 1 << 16
-    assert peak < 2**20
+    for stratified in (False, True):
+        tracemalloc.start()
+        try:
+            sm.simulate_population(five_type_menu, population, gm1, 1 << 16, 3, stratified)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**18
 
 
 def test_continuous_chunk_in_a_workspace_allocates_little(fine_fixed_menu, gm1):
-    """Given a workspace, a full chunk of a continuous population on the
-    1,025-contract menu selects its contracts in row blocks: below 1 MiB
-    traced, where one ``best_response`` over the whole chunk took 3.03 MiB."""
-    population = sm.uniform_population(0.43, 0.86)
-    counts, peak = _chunk_peak(fine_fixed_menu, population, gm1, _workspace(1 << 16))
-    assert counts[:2].sum(axis=1).tolist() == [1 << 16, 1 << 16]  # agents, participating
+    """A run of 65,536 agents of a continuous population on the
+    1,025-contract menu, with an opt-out tail, traces below 1 MiB."""
+    population = sm.uniform_population(0.2, 0.95)
+    report, peak = _run_peak(fine_fixed_menu, population, gm1)
+    assert 0 < report.participating < 1 << 16
     assert peak < 2**20
 
 
-@pytest.mark.parametrize(
-    "menu, population",
-    [
-        (_fixed_reward_menu(129), sm.uniform_population(0.43, 0.86)),
-        (_broken_menu(), sm.uniform_population(0.43, 0.86)),
-        (_fixed_reward_menu(129), sm.uniform_population(0.2, 0.95)),  # above 0.86 opts out
-    ],
-    ids=["certified", "broken", "opt_out_tail"],
-)
+SLOT_MENUS = {
+    "certified": (_fixed_reward_menu(129), sm.uniform_population(0.43, 0.86)),
+    "broken": (_broken_menu(), sm.uniform_population(0.43, 0.86)),
+    "opt_out_tail": (_fixed_reward_menu(129), sm.uniform_population(0.2, 0.95)),  # above 0.86
+}
+
+
+@pytest.mark.parametrize("menu, population", SLOT_MENUS.values(), ids=SLOT_MENUS.keys())
 @pytest.mark.parametrize("rows", [1, 3, 7, 1_000])
-def test_chunk_selection_does_not_depend_on_the_row_block(monkeypatch, menu, population, rows):
-    """A continuous population's 500-agent chunk, selected in blocks of
-    ``rows`` agents, one selection call each on the plan's certificate,
-    counts what one selection over the whole chunk counts, on certified
-    lines, on lines that take the blocked route and with types that opt
-    out."""
-    size, child = 500, np.random.SeedSequence(8)
-    plan = _chunk_plan(menu, population, GM1)
-    monkeypatch.setattr(evaluation, "_SELECT_ROWS", size)
-    whole = _simulate_chunk(plan, population, GM1, size, child, False, _workspace(size))
-    calls = []
+def test_chunk_selection_does_not_depend_on_the_row_block(menu, population, rows):
+    """A uniform population's slot masses and first moments are the sums of
+    those of ``rows`` equal blocks of its range, each a uniform population
+    of its own, to 1e-12: on certified lines, on lines that take the stack
+    pass and with types that opt out."""
+    lo, hi = population.lo, population.hi
+    contract, mass, mean = _slot_table(menu, population, GM1)
+    edges = np.linspace(lo, hi, rows + 1)
+    total_mass, total_moment = np.zeros(mass.size), np.zeros(mass.size)
+    for a, b in zip(edges[:-1], edges[1:]):
+        part = _slot_table(menu, sm.uniform_population(a, b), GM1)
+        assert part[0].tolist() == contract.tolist()
+        share = (b - a) / (hi - lo)
+        total_mass += share * part[1]
+        total_moment += share * part[1] * part[2]
+    np.testing.assert_allclose(total_mass, mass, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(total_moment, mass * mean, rtol=0.0, atol=1e-12)
+    assert (mass[-1] > 0.0) == (hi > 0.86)
 
-    def counted(q, certificate):
-        assert certificate is plan[0]
-        calls.append(len(q))
-        return _select(q, certificate)
 
-    monkeypatch.setattr(evaluation, "_select", counted)
-    monkeypatch.setattr(evaluation, "_SELECT_ROWS", rows)
-    blocked = _simulate_chunk(plan, population, GM1, size, child, False, _workspace(size))
-    assert calls == [min(rows, size - start) for start in range(0, size, rows)]
-    assert blocked.tolist() == whole.tolist()
-    participating = _tally(whole, plan[1] < len(menu.taus))[1].sum()
-    assert (participating < size) == (population.hi > 0.86)
+# The tabulated test on which the lines of (0.125, 100, 10) and (0.25, 50, 10)
+# are the same line (slope -25, intercept 27.5), exactly.
+KINKED = sm.tabulated_model([0.0, 0.25, 1.0], [0.0, 0.75, 1.0])
+SHARED_LINES = Menu(
+    (0.1, 0.2, 0.3, 0.4),
+    (
+        Contract(0.125, 100.0, 10.0),
+        Contract(0.25, 50.0, 10.0),  # the same line as contract 0
+        Contract(0.125, 100.0, 12.0),  # below contract 0 everywhere
+        Contract(0.5, 30.0, 5.0),  # meets contract 0 at q = 0.5
+    ),
+)
+GRID_CASES = {
+    **SLOT_MENUS,
+    "shared_lines": (SHARED_LINES, sm.uniform_population(0.0, 1.0)),
+    "five_type_opt_out": (None, sm.uniform_population(0.2, 0.9)),
+}
+
+
+@pytest.mark.parametrize("menu, population", GRID_CASES.values(), ids=GRID_CASES.keys())
+def test_slot_table_matches_a_dense_grid(five_type_menu, menu, population):
+    """Each slot's mass and first moment are those of ``best_response`` on
+    2^18 midpoints of the range, to two grid cells (a segment's ends): on
+    certified lines, on uncertified ones (a broken menu whose cut contract
+    dominates its neighbours; identical lines, one of them a different
+    contract, where the smallest index wins; a line below another
+    everywhere) and with opt-out regions."""
+    menu = menu or five_type_menu
+    model = KINKED if menu is SHARED_LINES else GM1
+    lo, hi = population.lo, population.hi
+    contract, mass, mean = _slot_table(menu, population, model)
+    cells = 1 << 18
+    q = lo + (hi - lo) * (np.arange(cells) + 0.5) / cells
+    choice, best = best_response(q, *menu.lines(model))
+    slot = np.where(best >= -PARTICIPATION_SLACK, choice, len(menu.taus))
+    grid_mass = np.bincount(slot, minlength=mass.size) / cells
+    grid_moment = np.bincount(slot, weights=q, minlength=mass.size) / cells
+    np.testing.assert_allclose(mass, grid_mass, rtol=0.0, atol=2.0 / cells)
+    np.testing.assert_allclose(mass * mean, grid_moment, rtol=0.0, atol=2.0 / cells)
+    assert math.isclose(math.fsum(mass), 1.0, rel_tol=1e-14)
+    if menu is SHARED_LINES:
+        assert _segments(*menu.lines(model))[0] is None
+        assert mass[1:3].tolist() == [0.0, 0.0]
+        np.testing.assert_allclose(mass[[0, 3]], 0.5, rtol=0.0, atol=1e-12)
+    if menu is five_type_menu:
+        assert mass[-1] > 0.1  # types above about 0.797 opt out

@@ -5,15 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 from scipy import stats
-from scipy.special import ndtr, ndtri
 
 import statmenus as sm
 from statmenus.errors import InvalidModelError, UnsupportedModelError
-from statmenus.testmodel import _critical_values
 
 from oracles import masked_sample_pvalues
 
@@ -328,7 +326,7 @@ TABULATED = sm.tabulated_model(
     seed=st.integers(0, 2**32 - 1),
 )
 def test_sample_pvalues_matches_masked_oracle(shape, null_share, transposed, model, seed):
-    """The index-scatter sampler gives the boolean-mask sampler's p-values
+    """The sampler gives the boolean-mask sampler's p-values
     bit for bit and leaves the generator in the same state, for empty,
     all-null, all-alternative and mixed masks, 1-D and 2-D (also not
     C-contiguous)."""
@@ -342,49 +340,3 @@ def test_sample_pvalues_matches_masked_oracle(shape, null_share, transposed, mod
     assert drawn.shape == expected.shape and drawn.dtype == expected.dtype
     assert drawn.tobytes() == expected.tobytes()
     assert ours.bit_generator.state == oracle.bit_generator.state
-
-
-def _doubles_around(x: float, n: int) -> np.ndarray:
-    """The 2n + 1 consecutive doubles centred on ``x``, in increasing order."""
-    bits = int(np.float64(x).view(np.int64))
-    key = bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)  # ordered like the doubles
-    keys = key + np.arange(-n, n + 1)
-    magnitudes = np.abs(keys).view(np.float64)
-    return np.where(keys < 0, -magnitudes, magnitudes)
-
-
-@settings(max_examples=200, deadline=None)
-@given(tau=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-@example(tau=0.0)
-@example(tau=5e-324)
-@example(tau=np.finfo(float).tiny)
-@example(tau=1e-300)
-@example(tau=0.5)
-@example(tau=1 - 2**-53)
-@example(tau=1.0)
-@example(tau=-1.0)
-def test_critical_value_decides_as_ndtr_off_its_rounding(tau):
-    """Approving a statistic ``w <= c``, with ``c`` the threshold's critical
-    value, is monotone in ``w`` and decides as ``ndtr(w) <= tau`` on 2,001
-    consecutive doubles around ``c`` wherever the p-value lies more than
-    ``ndtr``'s error from ``tau``: 1e-9 relative, plus the smallest normal
-    double, below which ``ndtr`` flushes to 0 (it gives 0 around
-    ``ndtri(5e-324)``). A threshold of 0 or below gets ``-inf`` and approves
-    nothing (though ``ndtr(-40)`` underflows to 0), one of 1 gets ``+inf``,
-    and a tabulated model's critical value is ``tau`` itself, its statistic
-    being its p-value."""
-    (c,) = _critical_values(GM1, np.array([tau]))
-    if tau <= 0.0:
-        assert c == -np.inf
-    elif tau >= 1.0:
-        assert c == np.inf
-    else:
-        assert c == ndtri(tau)
-    ws = _doubles_around(c, 1000) if np.isfinite(c) else np.array([-40.0, 0.0, 40.0])
-    assert (np.diff(ws) > 0.0).all()
-    approved = ws <= c
-    assert (np.diff(approved.astype(int)) <= 0).all()  # approved up to c, rejected above
-    p = ndtr(ws)
-    clear = np.abs(p - tau) > 1e-9 * tau + np.finfo(float).tiny
-    assert approved[clear].tolist() == (p <= tau)[clear].tolist()
-    assert _critical_values(TABULATED, np.array([tau])).tolist() == [tau]
