@@ -30,11 +30,8 @@ from .builders import (
 from .contracts import (
     Contract,
     Menu,
-    SelectionOutcome,
     SeparationReport,
-    expected_score,
     scoring_rule,
-    select,
     utility,
     verify_separating,
     zero_utility_cost,
@@ -55,7 +52,6 @@ from .evaluation import (
     fdr,
     frontier,
     information_rent,
-    matched_tdr,
     principal_return,
     screening_cost,
     simulate_population,
@@ -78,11 +74,8 @@ from .objectives import (
 )
 from .sensitivity import (
     MisspecScenario,
-    MisreportResult,
-    fdr_gap,
     fdr_gap_fixed_reward,
     implied_true_type,
-    misspecified_report,
     sensitivity_sweep,
 )
 from .testmodel import (
@@ -94,8 +87,6 @@ from .testmodel import (
     normal_quantile,
     power,
     power_derivative,
-    sample_pvalue,
-    sample_pvalues,
     tabulated_from_csv,
     tabulated_model,
 )

@@ -58,7 +58,7 @@ from .objectives import (
     threshold_map,
     uniform_population,
 )
-from .sensitivity import DEFAULT_SWEEP_POINTS, SWEEP_EDGE_BAND, MisspecScenario, sensitivity_sweep
+from .sensitivity import DEFAULT_SWEEP_POINTS, MisspecScenario, _sweep_range, sensitivity_sweep
 from .testmodel import (
     MAX_EFFECT_SIZE,
     TestModel,
@@ -387,7 +387,6 @@ def run(
     config: RunConfig,
     out_dir: Path,
     seed: Optional[int] = None,
-    jobs: int = 1,
     grid: Optional[int] = None,
 ) -> int:
     """Execute one subcommand; returns the process exit code."""
@@ -506,7 +505,6 @@ def run(
             n=n,
             seed=run_seed,
             stratified=stratified,
-            jobs=jobs,
         )
         doc = dataclasses.asdict(report)
         if doc["per_type"] is not None:
@@ -523,8 +521,11 @@ def run(
     if np.any(menu.rewards != menu.rewards[0]):
         msg = "sensitivity needs a constant-reward menu; the closed-form gap assumes one reward"
         raise ConfigError([("/menu/path", msg)])
+    try:
+        lo, hi = _sweep_range(menu.support)
+    except ValueError as exc:
+        raise ConfigError([("/menu/path", str(exc))]) from None
     n_points = grid or config.sensitivity.get("points", DEFAULT_SWEEP_POINTS)
-    lo, hi = menu.support[0] + SWEEP_EDGE_BAND, menu.support[-1] - SWEEP_EDGE_BAND
     rows = []
     for theta in config.sensitivity["actual_theta1"]:
         scenario = MisspecScenario(config.model, gaussian_model(theta), menu, config.objective)
@@ -548,7 +549,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--out", default=None, help="output directory (default: config or '.')")
     parser.add_argument("--seed", type=int, default=None, help="override the simulation seed")
     parser.add_argument(
-        "--jobs", type=int, default=1, help="accepted; never affects output values or threads"
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted and ignored; kept because existing scripts pass it",
     )
     parser.add_argument("--grid", type=int, default=None, help="override grid/sweep resolution")
     args = parser.parse_args(argv)
@@ -569,9 +573,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = parse_config(args.config)
         out_dir = Path(args.out) if args.out else Path(config.output_dir or ".")
-        return run(
-            args.command, config, out_dir, seed=args.seed, jobs=args.jobs, grid=args.grid
-        )
+        return run(args.command, config, out_dir, seed=args.seed, grid=args.grid)
     except ConfigError as exc:
         for pointer, message in exc.errors:
             print(f"config error at {pointer}: {message}", file=sys.stderr)

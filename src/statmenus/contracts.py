@@ -27,16 +27,13 @@ from .testmodel import TestModel, _float_or_array, _types, power
 __all__ = [
     "Contract",
     "Menu",
-    "SelectionOutcome",
     "SeparationReport",
     "Violation",
     "utility",
     "zero_utility_cost",
     "best_response",
-    "select",
     "verify_separating",
     "scoring_rule",
-    "expected_score",
 ]
 
 DEFAULT_IC_MARGIN = 1e-9
@@ -155,18 +152,6 @@ class Menu:
             return Menu.from_json(fh.read())
 
 
-@dataclass(frozen=True)
-class SelectionOutcome:
-    """Report chosen by an agent (None means opt out) and the best utility found."""
-
-    report: Optional[float]
-    utility: float
-
-    @property
-    def opted_out(self) -> bool:
-        return self.report is None
-
-
 def utility(q, contract: Contract, model: TestModel):
     """Expected utility of type-q agents under ``contract``, elementwise in q."""
     q = _types(q)
@@ -270,34 +255,18 @@ def _envelope(slopes: np.ndarray, intercepts: np.ndarray) -> Tuple[np.ndarray, n
         return hull, (b[:-1] - b[1:]) / (s[1:] - s[:-1])
 
 
-@dataclass(frozen=True)
-class _Certificate:
-    """A menu's lines as ``_select`` and ``_first_violation`` read them. On
-    lines that ``_segments`` certifies, ``bounds`` is ``[-inf, *breaks, inf]``
-    (line i wins on ``[bounds[i], bounds[i + 1])``) and ``padded`` holds the
-    slopes and intercepts between ``_leads``' sentinel lines; both are None
-    on other lines. ``tol`` bounds the rounding of one ``q * slope +
-    intercept`` for the types that the certificate serves.
-    """
-
-    slopes: np.ndarray
-    intercepts: np.ndarray
-    tol: float
-    bounds: Optional[np.ndarray] = None
-    padded: Optional[Tuple[np.ndarray, np.ndarray]] = None
-
-
 def _leads(
-    q: np.ndarray, index: np.ndarray, certificate: _Certificate, margin: float = 0.0
+    q: np.ndarray, index: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray,
+    tol: float, margin: float = 0.0,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Value of line ``index`` at each type in ``q``, by ``q * slope +
     intercept``, and whether it beats every other line by more than
     ``margin``, both exactly and as ``value > other + margin`` is rounded.
 
-    Only for certified lines (``certificate.bounds`` is not None) and types
-    with ``|q| <= reach``, the reach the certificate was made for. The line
-    and its two neighbours (sentinel lines at -inf past the ends) are
-    scored. Line k + 1 exceeds line k exactly when q is above their
+    Only for lines that ``_segments`` certifies and types with ``|q| <=
+    reach``, where ``tol`` is ``_segments``' rounding bound times ``reach``.
+    The line and its two neighbours (sentinel lines at -inf past the ends)
+    are scored. Line k + 1 exceeds line k exactly when q is above their
     breakpoint, and the exact breakpoints increase, so at any q the exact
     values rise to one peak and then fall: a line that beats both neighbours
     is the peak, and every other line is at most the larger neighbour. Each
@@ -310,48 +279,12 @@ def _leads(
     test itself. Only the peak bounds the lines past its neighbours, so a
     negative margin still needs a lead over zero.
     """
-    s, b = certificate.padded
+    s = np.concatenate(([0.0], slopes, [0.0]))
+    b = np.concatenate(([-np.inf], intercepts, [-np.inf]))
     value = q * s[index + 1] + b[index + 1]
     rival = np.maximum(q * s[index] + b[index], q * s[index + 2] + b[index + 2])
-    allowance = 3.0 * certificate.tol + 4.0 * _EPS * abs(margin)
+    allowance = 3.0 * tol + 4.0 * _EPS * abs(margin)
     return value, value - rival > max(margin, 0.0) + allowance
-
-
-def _certify(slopes: np.ndarray, intercepts: np.ndarray, reach: float = 1.0) -> _Certificate:
-    """The certificate of the lines for types with ``|q| <= reach`` (at
-    least 1): ``_segments``' rounding bound is scaled by ``reach``."""
-    breaks, tol = _segments(slopes, intercepts)
-    tol *= reach
-    if breaks is None:
-        return _Certificate(slopes, intercepts, tol)
-    bounds = np.concatenate(([-np.inf], breaks, [np.inf]))
-    padded = (
-        np.concatenate(([0.0], slopes, [0.0])),
-        np.concatenate(([-np.inf], intercepts, [-np.inf])),
-    )
-    slopes, intercepts = padded[0][1:-1], padded[1][1:-1]  # no second copy
-    return _Certificate(slopes, intercepts, tol, bounds, padded)
-
-
-def _segment_index(q: np.ndarray, certificate: _Certificate) -> np.ndarray:
-    """Each type's segment on certified lines, ``searchsorted(breaks, q,
-    side="right")``."""
-    return np.searchsorted(certificate.bounds[1:-1], q, side="right")
-
-
-def _select(q: np.ndarray, certificate: _Certificate) -> Tuple[np.ndarray, np.ndarray]:
-    """``best_response`` of the float types ``q`` on a certificate of the
-    lines (for types in [0, 1])."""
-    if certificate.bounds is None:
-        return _blocked_response(q, certificate.slopes, certificate.intercepts)
-    index = _segment_index(q, certificate)
-    value, leads = _leads(q, index, certificate)
-    redo = np.flatnonzero(~(leads & (q >= 0.0) & (q <= 1.0)))
-    if len(redo):
-        index[redo], value[redo] = _blocked_response(
-            q[redo], certificate.slopes, certificate.intercepts
-        )
-    return index, value
 
 
 def best_response(
@@ -365,25 +298,21 @@ def best_response(
 
     When the lines are certified as their own upper envelope (``_segments``),
     each type finds its segment among the breakpoints by ``searchsorted``
-    (``_segment_index``) and keeps that line where ``_leads`` proves it the
-    maximum. Other types (ties included), types outside [0, 1] and every
-    type of uncertified lines go to the argmax over all lines; both routes
-    give the same indices and value bits.
+    and keeps that line where ``_leads`` proves it the maximum. Other types
+    (ties included), types outside [0, 1] and every type of uncertified
+    lines go to the argmax over all lines; both routes give the same indices
+    and value bits.
     """
-    return _select(np.asarray(q, dtype=float), _certify(slopes, intercepts))
-
-
-def select(q: float, menu: Menu, model: TestModel) -> SelectionOutcome:
-    """Utility-maximizing report for a type-q agent, or opt-out.
-
-    Ties break toward the smallest reported type; an agent opts out only
-    when its best utility is below ``-PARTICIPATION_SLACK``.
-    """
-    index, value = best_response(_types([q]), *menu.lines(model))
-    best_u = float(value[0])
-    if best_u < -PARTICIPATION_SLACK:
-        return SelectionOutcome(report=None, utility=best_u)
-    return SelectionOutcome(report=menu.support[index[0]], utility=best_u)
+    q = np.asarray(q, dtype=float)
+    breaks, tol = _segments(slopes, intercepts)
+    if breaks is None:
+        return _blocked_response(q, slopes, intercepts)
+    index = np.searchsorted(breaks, q, side="right")
+    value, leads = _leads(q, index, slopes, intercepts, tol)
+    redo = np.flatnonzero(~(leads & (q >= 0.0) & (q <= 1.0)))
+    if len(redo):
+        index[redo], value[redo] = _blocked_response(q[redo], slopes, intercepts)
+    return index, value
 
 
 @dataclass(frozen=True)
@@ -406,9 +335,10 @@ def _first_violation(
     (``_leads``) and clears the floor; otherwise every pair is scored in row
     blocks."""
     others = len(slopes) - 1
-    certificate = _certify(slopes, intercepts, float(np.max(np.abs(qs), initial=1.0)))
-    if certificate.bounds is not None:
-        truthful, leads = _leads(qs, own, certificate, margin)
+    breaks, tol = _segments(slopes, intercepts)
+    if breaks is not None:
+        reach = float(np.max(np.abs(qs), initial=1.0))
+        truthful, leads = _leads(qs, own, slopes, intercepts, tol * reach, margin)
         if np.all(leads & (truthful >= floor)):
             return len(qs) * others, None
     # The first violation in row-major (q, then p) order: within a row the
@@ -511,8 +441,3 @@ def scoring_rule(menu: Menu, p: float, y: int, model: TestModel) -> float:
     c = menu.contract_for(p)
     slope, intercept = _line(c.tau, c.reward, c.cost, model)
     return float(slope + intercept if y == 1 else intercept)
-
-
-def expected_score(menu: Menu, p: float, q: float, model: TestModel) -> float:
-    """Expected payoff q * S(p, 1) + (1-q) * S(p, 0); equals utility(q, contract_p)."""
-    return q * scoring_rule(menu, p, 1, model) + (1.0 - q) * scoring_rule(menu, p, 0, model)

@@ -14,6 +14,7 @@ memory whatever the number of agents.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -44,7 +45,6 @@ __all__ = [
     "bayes_risk",
     "FrontierPoint",
     "frontier",
-    "matched_tdr",
     "screening_cost",
     "information_rent",
     "principal_return",
@@ -126,20 +126,6 @@ def frontier(
     approve_mass = approve_mass + w_bad * (1 - q_bad) * power(model, bad)
     mix_tdr = w_good * tdr(q_good, good, model) + w_bad * tdr(q_bad, bad, model)
     return points + _labelled("oracle", alphas, _mix_fdr(null_mass, approve_mass), mix_tdr)
-
-
-def matched_tdr(points: Sequence[FrontierPoint], fdr_values: np.ndarray) -> np.ndarray:
-    """TDR of a curve at given FDR abscissae by monotone linear interpolation.
-
-    Queries outside the curve's FDR range return NaN so comparisons skip
-    unmatched regions.
-    """
-    order = np.argsort([p.fdr for p in points])
-    f = np.array([points[i].fdr for i in order])
-    t = np.array([points[i].tdr for i in order])
-    out = np.interp(fdr_values, f, t)
-    out = np.where((fdr_values < f[0]) | (fdr_values > f[-1]), np.nan, out)
-    return out
 
 
 def screening_cost(
@@ -276,6 +262,17 @@ def _tallies(menu, population, model, n, seed, stratified):
     return contract, np.array([agents, participating, null, approved_null, approved_alt])
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an ``int`` by ``operator.index``; a bool, a float, None or
+    any other non-integer raises ``ValueError``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def simulate_population(
     menu: Menu,
     population: TypePopulation,
@@ -283,7 +280,6 @@ def simulate_population(
     n: int,
     seed: int,
     stratified: bool = False,
-    jobs: int = 1,
 ) -> SimulationReport:
     """Run ``n`` synthetic agents through the menu and tally outcomes.
 
@@ -292,14 +288,15 @@ def simulate_population(
     threshold. A run draws each slot's tallies from their exact joint law
     (``_tallies``) in O(slots), not agent by agent. Types are drawn i.i.d.
     unless ``stratified`` allocates them proportionally (discrete
-    populations only). The report depends only on the arguments other than
-    ``jobs``, which is accepted (at least 1) and starts no thread. ``n`` is
-    at most ``MAX_AGENTS``.
+    populations only). The report depends only on the arguments. ``n`` is an
+    integer in [1, ``MAX_AGENTS``] and ``seed`` a nonnegative integer (not a
+    bool); anything else raises ``ValueError``.
     """
+    n, seed = _integer(n, "agent count"), _integer(seed, "seed")
     if not 1 <= n <= MAX_AGENTS:
         raise ValueError(f"need between 1 and {MAX_AGENTS} agents, got {n!r}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed!r}")
     if stratified and population.kind != "discrete":
         raise ValueError("stratified sampling requires a discrete population")
     contract, counts = _tallies(menu, population, model, n, seed, stratified)

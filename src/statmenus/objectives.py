@@ -167,18 +167,16 @@ def bayes_threshold(q, objective: PrincipalObjective, model: TestModel):
     return _float_or_array(tau)
 
 
-def _bisect(below, lo, hi, *data, tol: float = 0.0):
+def _bisect(below, lo, hi, *data):
     """Final ``(lo, hi)`` of brackets with ``below(lo)`` true and ``below(hi)``
     false. ``below(mid, *data)`` sees the live brackets' midpoints and ``data``
-    only. A bracket stops once its midpoint is not strictly inside it, it is no
-    wider than a positive ``tol``, or after ``_BISECT_MAX_ITER`` steps."""
+    only. A bracket stops once its midpoint is not strictly inside it, or after
+    ``_BISECT_MAX_ITER`` steps."""
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     out_lo, out_hi, idx = lo.copy(), hi.copy(), np.arange(len(lo))
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         live = (lo < mid) & (mid < hi)
-        if tol > 0.0:
-            live &= hi - lo > tol
         if not live.all():
             out_lo[idx[~live]], out_hi[idx[~live]] = lo[~live], hi[~live]
             idx, lo, hi, mid = idx[live], lo[live], hi[live], mid[live]

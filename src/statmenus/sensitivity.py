@@ -17,22 +17,19 @@ and are excluded from sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .contracts import Menu
 from .errors import StatMenusError
-from .objectives import PrincipalObjective, _bisect, optimal_threshold
+from .objectives import PrincipalObjective, optimal_threshold
 from .testmodel import TestModel, _float_or_array, _require, _unit_interval, power, power_derivative
 
 __all__ = [
     "MisspecScenario",
-    "MisreportResult",
     "SweepRow",
-    "fdr_gap",
     "implied_true_type",
-    "misspecified_report",
     "fdr_gap_fixed_reward",
     "sensitivity_sweep",
 ]
@@ -66,16 +63,6 @@ class MisspecScenario:
         return _float_or_array(tau)
 
 
-def fdr_gap(q: float, p: float, scenario: MisspecScenario) -> float:
-    """Signed FDR violation for a true type ``q`` reporting ``p``."""
-    if not 0.0 < p < 1.0 or not 0.0 < q < 1.0:
-        raise ValueError("gap defined for interior types and reports only")
-    tau = scenario.threshold_at(p)
-    designed_term = (1.0 - p) / p * power(scenario.designed, tau)
-    actual_term = (1.0 - q) / q * power(scenario.actual, tau)
-    return designed_term - actual_term
-
-
 def implied_true_type(p, scenario: MisspecScenario):
     """True type whose first-order misreport lands on ``p``, elementwise.
 
@@ -95,66 +82,6 @@ def _implied_true_type(p, tau, scenario: MisspecScenario):
     singular = np.abs(denom) < _SLOPE_SINGULARITY_TOL
     _require(p, ~singular, "implied type undefined: actual slope is 1 at report", StatMenusError)
     return (p + (1.0 - p) * slope - slope_actual) / denom
-
-
-@dataclass(frozen=True)
-class MisreportResult:
-    """Report chosen under misspecification; ``interior`` is False when the
-    solver fell back to the best supported boundary report."""
-
-    report: float
-    interior: bool
-
-
-def misspecified_report(
-    q: float, scenario: MisspecScenario, tol: float = 1e-8, scan: int = 129
-) -> MisreportResult:
-    """Report an agent of true type ``q`` makes when its power curve differs.
-
-    Solves the stationarity condition by one bisection over the sign changes
-    of a ``scan``-point grid on the menu's type range. Stationary points are
-    only candidates (the condition is not sufficient), so each is arbitrated
-    against the boundary reports by the misspecified utility of the nearest
-    supported contract; when no interior stationary point exists or a
-    boundary wins, the result is the best supported report, flagged as
-    non-interior.
-    """
-    if not 0.0 < q < 1.0:
-        raise ValueError("misreport defined for interior types only")
-    lo, hi = scenario.menu.support[0], scenario.menu.support[-1]
-
-    def residual(p):
-        tau = scenario.threshold_at(p)
-        return (
-            q
-            + (1.0 - q) * power_derivative(scenario.actual, tau)
-            - p
-            - (1.0 - p) * power_derivative(scenario.designed, tau)
-        )
-
-    grid = np.linspace(lo, hi, scan)
-    vals = residual(grid)
-    neg = vals < 0.0
-    i = np.flatnonzero((vals[:-1] == 0.0) | (neg[:-1] != neg[1:]))
-    roots, crossing = grid[i], vals[i] != 0.0  # a zero scan value is itself a root
-    j = i[crossing]  # all sign-change brackets are bisected together
-    a, b = _bisect(
-        lambda mid, neg: (residual(mid) < 0.0) == neg, grid[j], grid[j + 1], neg[j], tol=tol
-    )
-    roots[crossing] = 0.5 * (a + b)
-
-    support = np.array(scenario.menu.support)
-    slopes, intercepts = scenario.menu.lines(scenario.actual)
-    utilities = q * slopes + intercepts  # misspecified utility of each supported report
-    if not len(roots):
-        return MisreportResult(report=float(support[np.argmax(utilities)]), interior=False)
-    # each root is judged by its nearest supported report; ties keep the first
-    near = utilities[np.argmin(np.abs(support - roots[:, None]), axis=1)]
-    best = int(np.argmax(near))
-    if max(utilities[0], utilities[-1]) > near[best]:
-        boundary = lo if utilities[0] >= utilities[-1] else hi
-        return MisreportResult(report=float(boundary), interior=False)
-    return MisreportResult(report=float(roots[best]), interior=True)
 
 
 def fdr_gap_fixed_reward(p, scenario: MisspecScenario):
@@ -178,6 +105,18 @@ def _fdr_gap_fixed_reward(p, tau, scenario: MisspecScenario):
     return designed_term - actual_term
 
 
+def _sweep_range(support: Sequence[float]) -> Tuple[float, float]:
+    """Lowest and highest report of a default sweep: the support's range less
+    ``SWEEP_EDGE_BAND`` at each end. A support no wider than twice the band
+    leaves no such report and raises ``ValueError``."""
+    if support[-1] - support[0] <= 2 * SWEEP_EDGE_BAND:
+        raise ValueError(
+            f"menu support [{support[0]:g}, {support[-1]:g}] is no wider than twice the "
+            f"sweep's edge band {SWEEP_EDGE_BAND:g}, so no report lies inside it"
+        )
+    return support[0] + SWEEP_EDGE_BAND, support[-1] - SWEEP_EDGE_BAND
+
+
 @dataclass(frozen=True)
 class SweepRow:
     report: float
@@ -191,14 +130,12 @@ def sensitivity_sweep(
     """Closed-form gap across the menu's report range.
 
     The default grid spans the support interior minus a small boundary
-    band. Rows whose implied true type falls outside (0, 1) are dropped:
+    band (``_sweep_range``; a narrower support raises ``ValueError``). Rows whose implied true type falls outside (0, 1) are dropped:
     no agent makes those reports, and the closed form passes through a
     pole there.
     """
     if p_grid is None:
-        lo = scenario.menu.support[0] + SWEEP_EDGE_BAND
-        hi = scenario.menu.support[-1] - SWEEP_EDGE_BAND
-        p_grid = np.linspace(lo, hi, DEFAULT_SWEEP_POINTS)
+        p_grid = np.linspace(*_sweep_range(scenario.menu.support), DEFAULT_SWEEP_POINTS)
     p = _unit_interval(p_grid, "implied type defined for interior reports only", interior=True)
     tau = scenario.threshold_at(p)  # bisected once for both closed forms
     implied = _implied_true_type(p, tau, scenario)

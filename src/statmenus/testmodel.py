@@ -3,8 +3,7 @@
 A test is summarized by its rejection curves: the null rejection rate is
 ``beta0(tau) = tau`` (p-values are uniform under the null) and the power
 ``beta1(tau)`` is either the Gaussian-mean closed form or a monotone
-tabulated curve. All operations are pure; sampling takes an explicit
-``numpy.random.Generator`` so concurrent callers can use disjoint streams.
+tabulated curve. All operations are pure.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ __all__ = [
     "power_derivative",
     "likelihood_ratio",
     "inverse_likelihood_ratio",
-    "sample_pvalue",
-    "sample_pvalues",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -213,30 +210,3 @@ def inverse_likelihood_ratio(model: TestModel, y):
     _require(y, levels > 0.0, "likelihood-ratio level must be positive")
     z = np.log(levels) / model.theta1 + 0.5 * model.theta1
     return _float_or_array(0.5 * erfc(z / _SQRT2))  # 1 - Phi(z), no cancellation
-
-
-def sample_pvalues(model: TestModel, is_null: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw one p-value per entry of the boolean mask ``is_null``.
-
-    Null entries are uniform draws; alternative entries are 1 - Phi(Z) with
-    Z centered at the alternative for the Gaussian model, and a uniform
-    through the inverted power table for a tabulated one. Uniforms are
-    drawn first, then the alternatives' draws, so output is deterministic
-    given the mask and generator state.
-    """
-    is_null = np.asarray(is_null, dtype=bool)
-    out = np.empty(is_null.shape)
-    out[is_null] = rng.random(np.count_nonzero(is_null))
-    alt = ~is_null
-    n_alt = np.count_nonzero(alt)
-    if n_alt and model.kind == "gaussian_mean":
-        # ndtr(-(z + theta1)) is 1 - Phi(z + theta1), no cancellation
-        out[alt] = ndtr(-(rng.standard_normal(n_alt) + model.theta1))
-    elif n_alt:
-        out[alt] = np.interp(rng.random(n_alt), model.betas, model.taus)
-    return out
-
-
-def sample_pvalue(model: TestModel, is_null: bool, rng: np.random.Generator) -> float:
-    """Draw a single p-value under the null or the alternative."""
-    return float(sample_pvalues(model, np.array([is_null]), rng)[0])

@@ -3,10 +3,13 @@
 Each is the former library code, kept verbatim in spirit: one type, one
 threshold or one interval at a time, or for the simulator and its p-value
 sampler boolean masks. The array paths must reproduce them (bit for bit
-where both evaluate the same library functions).
+where both evaluate the same library functions). ``matched_tdr`` and
+``fdr_gap`` are former library helpers that only tests read.
 """
 
 import math
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.special import ndtr
@@ -83,10 +86,33 @@ def scalar_fdr_threshold(q, alpha, model):
     return lo
 
 
+@dataclass(frozen=True)
+class SelectionOutcome:
+    """Report chosen by an agent (None means opt out) and the best utility found."""
+
+    report: Optional[float]
+    utility: float
+
+
+def scalar_select(q, menu, model):
+    """One utility call per contract; the first strict improvement wins, and
+    the agent opts out below ``-PARTICIPATION_SLACK``."""
+    best_p = None
+    best_u = -float("inf")
+    for p, contract in zip(menu.support, menu.contracts):
+        u = sm.utility(q, contract, model)
+        if u > best_u:
+            best_u = u
+            best_p = p
+    if best_u < -PARTICIPATION_SLACK:
+        return SelectionOutcome(report=None, utility=best_u)
+    return SelectionOutcome(report=best_p, utility=best_u)
+
+
 def bracket_principal_return(menu, base, q, model):
     """Principal's return at one type as the difference of its (cost - reward
     * approval) brackets under the type's best contract and the base."""
-    contract = menu.contract_for(sm.select(q, menu, model).report)
+    contract = menu.contract_for(scalar_select(q, menu, model).report)
 
     def cash(c):
         return c.cost - sm.zero_utility_cost(q, c.tau, c.reward, model)
@@ -121,6 +147,36 @@ def scalar_gaussian_power(theta1, tau):
     else:
         z = sm.normal_quantile(1.0 - tau)
     return 0.5 * math.erfc(-(theta1 - z) / math.sqrt(2.0))
+
+
+def matched_tdr(points, fdr_values):
+    """TDR of a frontier curve at given FDR abscissae by monotone linear
+    interpolation; NaN outside the curve's FDR range, so comparisons skip
+    unmatched regions."""
+    order = np.argsort([p.fdr for p in points])
+    f = np.array([points[i].fdr for i in order])
+    t = np.array([points[i].tdr for i in order])
+    out = np.interp(fdr_values, f, t)
+    return np.where((fdr_values < f[0]) | (fdr_values > f[-1]), np.nan, out)
+
+
+def fdr_gap(q, p, scenario):
+    """Signed FDR violation for a true type ``q`` reporting ``p``."""
+    if not 0.0 < p < 1.0 or not 0.0 < q < 1.0:
+        raise ValueError("gap defined for interior types and reports only")
+    tau = scenario.threshold_at(p)
+    designed_term = (1.0 - p) / p * sm.power(scenario.designed, tau)
+    actual_term = (1.0 - q) / q * sm.power(scenario.actual, tau)
+    return designed_term - actual_term
+
+
+@dataclass(frozen=True)
+class MisreportResult:
+    """Report chosen under misspecification; ``interior`` is False when the
+    solver fell back to the best supported boundary report."""
+
+    report: float
+    interior: bool
 
 
 def scalar_misspecified_report(q, scenario, tol=1e-8, scan=129):
@@ -166,12 +222,12 @@ def scalar_misspecified_report(q, scenario, tol=1e-8, scan=129):
         return utilities[np.argmin(np.abs(support - r))]
 
     if not roots:
-        return sm.MisreportResult(report=float(support[np.argmax(utilities)]), interior=False)
+        return MisreportResult(report=float(support[np.argmax(utilities)]), interior=False)
     best_root = max(roots, key=nearest_utility)
     if max(utilities[0], utilities[-1]) > nearest_utility(best_root):
         boundary = lo if utilities[0] >= utilities[-1] else hi
-        return sm.MisreportResult(report=float(boundary), interior=False)
-    return sm.MisreportResult(report=best_root, interior=True)
+        return MisreportResult(report=float(boundary), interior=False)
+    return MisreportResult(report=best_root, interior=True)
 
 
 def scalar_tau_bar(model):

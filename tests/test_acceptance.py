@@ -12,6 +12,8 @@ import pytest
 import statmenus as sm
 from statmenus.contracts import Contract
 
+from oracles import matched_tdr
+
 
 def criterion(number, description):
     def decorate(fn):
@@ -254,7 +256,7 @@ def test_criterion_10_frontier_geometry(gm1):
     points = sm.frontier(population, gm1, resolution=512)
     oracle = [p for p in points if p.label == "oracle"]
     uniform = [p for p in points if p.label == "uniform"]
-    matched = sm.matched_tdr(uniform, np.array([p.fdr for p in oracle]))
+    matched = matched_tdr(uniform, np.array([p.fdr for p in oracle]))
     compared = 0
     for p, u in zip(oracle, matched):
         if np.isnan(u):
@@ -267,7 +269,7 @@ def test_criterion_10_frontier_geometry(gm1):
     points = sm.frontier(degenerate, gm1, resolution=512)
     oracle = [p for p in points if p.label == "oracle"]
     uniform = [p for p in points if p.label == "uniform"]
-    matched = sm.matched_tdr(uniform, np.array([p.fdr for p in oracle]))
+    matched = matched_tdr(uniform, np.array([p.fdr for p in oracle]))
     for p, u in zip(oracle, matched):
         if not np.isnan(u):
             assert p.tdr == pytest.approx(u, abs=1e-4)

@@ -1,7 +1,7 @@
 """The array numerics, checked against the scalar code they replaced (kept in
-``oracles.py``): the FDR bisection, the Bayes threshold, the misreport and
-elicitable-bound bisections, the level-wise adaptive Simpson and the Gaussian
-power curve, plus the array readers."""
+``oracles.py``): the FDR bisection, the Bayes threshold, the elicitable-bound
+bisection, the level-wise adaptive Simpson and the Gaussian power curve, plus
+the array readers."""
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from oracles import (
     scalar_bayes_threshold,
     scalar_fdr_threshold,
     scalar_gaussian_power,
-    scalar_misspecified_report,
     scalar_tau_bar,
 )
 
@@ -127,28 +126,8 @@ def test_threshold_map_matches_scalar_bisection(gm1, fdr25):
 
 
 # ---------------------------------------------------------------------------
-# bracketed roots: misreports and the elicitable bound
+# bracketed roots: the elicitable bound
 # ---------------------------------------------------------------------------
-
-MISREPORT_TYPES = np.linspace(0.43, 0.86, 15).tolist()  # the middle one, 0.645, is a scan point
-
-
-@pytest.fixture(scope="module", params=[65, 257])
-def misreport_menu(request, gm1, fdr25):
-    return sm.build_fixed_reward(100.0, 0.43, 0.86, fdr25, gm1, n=request.param)
-
-
-@pytest.mark.parametrize("theta", [0.6, 0.8, 0.95, 1.0, 1.05, 1.3, 2.0])
-def test_misspecified_report_matches_scalar_bisection(gm1, fdr25, misreport_menu, theta):
-    """Scans with one or two sign-change brackets and, at theta 1 for the type
-    on the scan grid, an exact zero scan point."""
-    scenario = sm.MisspecScenario(gm1, sm.gaussian_model(theta), misreport_menu, fdr25)
-    for q in MISREPORT_TYPES:
-        result = sm.misspecified_report(q, scenario)
-        assert result == scalar_misspecified_report(q, scenario)
-        assert type(result.report) is float
-    # On the scan grid, so at theta 1 its residual is exactly 0 at the report q.
-    assert MISREPORT_TYPES[7] in np.linspace(0.43, 0.86, 129)
 
 
 @st.composite

@@ -624,6 +624,20 @@ def test_sensitivity_refuses_varying_rewards(tmp_path, capsys):
     assert not (tmp_path / "sensitivity.csv").exists()
 
 
+def test_sensitivity_refuses_a_support_inside_the_edge_bands(tmp_path, capsys):
+    """A one-contract menu at 0.5 leaves the sweep only reports from 0.501
+    down to 0.499, off the menu: an error at the menu, with nothing written."""
+    gm1 = sm.gaussian_model(1.0)
+    tau = sm.fdr_threshold(0.5, sm.fdr_objective(0.25), gm1)
+    contract = sm.Contract(tau, 100.0, sm.zero_utility_cost(0.5, tau, 100.0, gm1))
+    sm.Menu((0.5,), (contract,)).save(tmp_path / "menu.json")
+    path = write_config(tmp_path, {"/sensitivity/points": 5})
+    assert main(["sensitivity", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error at /menu/path:" in err and "edge band" in err
+    assert not (tmp_path / "sensitivity.csv").exists()
+
+
 def test_effect_size_bound_is_the_models():
     """The schema bounds ``theta1`` and ``actual_theta1`` by the test model's
     ``MAX_EFFECT_SIZE`` and names it in its messages."""

@@ -5,7 +5,21 @@ import numpy as np
 import pytest
 
 import statmenus as sm
-from statmenus.contracts import Contract, Menu
+from statmenus.contracts import PARTICIPATION_SLACK, Contract, Menu, best_response
+
+
+def chosen(q, menu, model):
+    """Report (None to opt out, below ``-PARTICIPATION_SLACK``) and utility of
+    a type-q agent by ``best_response`` over the menu's lines."""
+    index, value = best_response(np.array([q]), *menu.lines(model))
+    utility = float(value[0])
+    return (None if utility < -PARTICIPATION_SLACK else menu.support[index[0]]), utility
+
+
+def expected_score(menu, p, q, model):
+    """q S(p, 1) + (1 - q) S(p, 0): the expected payoff of report p under the
+    menu's scoring rule."""
+    return q * sm.scoring_rule(menu, p, 1, model) + (1.0 - q) * sm.scoring_rule(menu, p, 0, model)
 
 
 def brute_force_best(q, menu, model):
@@ -81,30 +95,30 @@ def test_contract_validation():
 
 def test_select_singleton(gm1):
     menu = Menu(support=(0.5,), contracts=(Contract(0.3, 10.0, 1.0),))
-    out = sm.select(0.4, menu, gm1)
-    assert out.report == 0.5 and not out.opted_out
+    report, _ = chosen(0.4, menu, gm1)
+    assert report == 0.5
 
 
 def test_select_five_type_menu_truthful(gm1, five_type_menu):
     """q = 0.5 picks its own contract; cross-checked against brute force."""
-    out = sm.select(0.5, five_type_menu, gm1)
-    assert out.report == 0.5
+    report, utility = chosen(0.5, five_type_menu, gm1)
+    assert report == 0.5
     assert five_type_menu.contract_for(0.5).tau == pytest.approx(0.18, abs=0.005)
     bp, bu = brute_force_best(0.5, five_type_menu, gm1)
-    assert (out.report, out.utility) == (bp, pytest.approx(bu))
+    assert (report, utility) == (bp, pytest.approx(bu))
 
 
 def test_select_opt_out(gm1):
     menu = Menu(support=(0.5,), contracts=(Contract(0.2, 1.0, 50.0),))
-    out = sm.select(0.9, menu, gm1)
-    assert out.opted_out and out.report is None and out.utility < 0
+    report, utility = chosen(0.9, menu, gm1)
+    assert report is None and utility < 0
 
 
 def test_select_zero_utility_participates(gm1):
     cost = sm.zero_utility_cost(0.8, 0.004, 100.0, gm1)
     menu = Menu(support=(0.8,), contracts=(Contract(0.004, 100.0, cost),))
-    out = sm.select(0.8, menu, gm1)
-    assert not out.opted_out and out.utility == pytest.approx(0.0, abs=1e-12)
+    report, utility = chosen(0.8, menu, gm1)
+    assert report == 0.8 and utility == pytest.approx(0.0, abs=1e-12)
 
 
 def test_select_invariant_to_dominated_contract(gm1, five_type_menu):
@@ -114,13 +128,13 @@ def test_select_invariant_to_dominated_contract(gm1, five_type_menu):
     contracts = five_type_menu.contracts + (dominated,)
     bigger = Menu(support=support, contracts=contracts)
     for q in np.linspace(0.05, 0.95, 19):
-        assert sm.select(float(q), bigger, gm1) == sm.select(float(q), five_type_menu, gm1)
+        assert chosen(float(q), bigger, gm1) == chosen(float(q), five_type_menu, gm1)
 
 
 def test_select_tie_break_smallest_report(gm1):
     c = Contract(tau=0.3, reward=10.0, cost=1.0)
     menu = Menu(support=(0.2, 0.7), contracts=(c, c))
-    assert sm.select(0.5, menu, gm1).report == 0.2
+    assert chosen(0.5, menu, gm1)[0] == 0.2
 
 
 def test_select_empty_menu_rejected():
@@ -204,7 +218,7 @@ def test_expected_score_is_utility(gm1, five_type_menu):
     for _ in range(20):
         q = float(rng.uniform(0, 1))
         p = float(rng.choice(five_type_menu.support))
-        assert sm.expected_score(five_type_menu, p, q, gm1) == pytest.approx(
+        assert expected_score(five_type_menu, p, q, gm1) == pytest.approx(
             sm.utility(q, five_type_menu.contract_for(p), gm1), abs=1e-12
         )
 
@@ -212,10 +226,10 @@ def test_expected_score_is_utility(gm1, five_type_menu):
 def test_separating_menu_is_strictly_proper(gm1, five_type_menu):
     """Separation and strict propriety of the induced score coincide."""
     for q in five_type_menu.support:
-        own = sm.expected_score(five_type_menu, q, q, gm1)
+        own = expected_score(five_type_menu, q, q, gm1)
         for p in five_type_menu.support:
             if p != q:
-                assert own > sm.expected_score(five_type_menu, p, q, gm1)
+                assert own > expected_score(five_type_menu, p, q, gm1)
 
 
 def test_propriety_fails_exactly_when_verification_fails(gm1, five_type_menu):
@@ -226,7 +240,7 @@ def test_propriety_fails_exactly_when_verification_fails(gm1, five_type_menu):
     broken = Menu(support=five_type_menu.support, contracts=tuple(contracts))
     assert not sm.verify_separating(broken, model=gm1).passed
     proper = all(
-        sm.expected_score(broken, q, q, gm1) > sm.expected_score(broken, p, q, gm1)
+        expected_score(broken, q, q, gm1) > expected_score(broken, p, q, gm1)
         for q in broken.support
         for p in broken.support
         if p != q

@@ -16,7 +16,7 @@ import statmenus as sm
 from statmenus import evaluation
 from statmenus.contracts import PARTICIPATION_SLACK, Contract, Menu, best_response
 
-from oracles import bracket_principal_return, masked_simulate_chunk
+from oracles import bracket_principal_return, masked_simulate_chunk, matched_tdr
 
 
 def figure_family(gm1, fdr25, etas, n_support=65):
@@ -105,7 +105,7 @@ def test_frontier_degenerate_curves_coincide(gm1):
     points = sm.frontier(pop, gm1, resolution=512)
     oracle = [p for p in points if p.label == "oracle"]
     uniform = [p for p in points if p.label == "uniform"]
-    matched = sm.matched_tdr(uniform, np.array([p.fdr for p in oracle]))
+    matched = matched_tdr(uniform, np.array([p.fdr for p in oracle]))
     checked = 0
     for p, u in zip(oracle, matched):
         if np.isnan(u):
@@ -120,7 +120,7 @@ def test_frontier_oracle_dominates_uniform(gm1):
     points = sm.frontier(pop, gm1, resolution=512)
     oracle = [p for p in points if p.label == "oracle"]
     uniform = [p for p in points if p.label == "uniform"]
-    matched = sm.matched_tdr(uniform, np.array([p.fdr for p in oracle]))
+    matched = matched_tdr(uniform, np.array([p.fdr for p in oracle]))
     for p, u in zip(oracle, matched):
         if not np.isnan(u):
             assert p.tdr >= u - 1e-9
@@ -131,7 +131,7 @@ def test_frontier_bad_only_below_good_only(gm1):
     points = sm.frontier(pop, gm1, resolution=512)
     good = [p for p in points if p.label == "good_only"]
     bad = [p for p in points if p.label == "bad_only"]
-    matched = sm.matched_tdr(bad, np.array([p.fdr for p in good]))
+    matched = matched_tdr(bad, np.array([p.fdr for p in good]))
     for p, b in zip(good, matched):
         if not np.isnan(b):
             assert p.tdr >= b - 1e-9
@@ -262,14 +262,6 @@ def test_principal_return_requires_participation(gm1, five_type_menu):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("jobs", [0, -3])
-def test_simulation_rejects_fewer_than_one_worker(gm1, five_type_menu, five_types, jobs):
-    """A worker count below 1 is an error, not a serial run."""
-    pop = sm.discrete_population(five_types)
-    with pytest.raises(ValueError, match="jobs must be at least 1"):
-        sm.simulate_population(five_type_menu, pop, gm1, n=100, seed=1, jobs=jobs)
-
-
 def test_simulation_deterministic(gm1, five_type_menu, five_types):
     pop = sm.discrete_population(five_types)
     a = sm.simulate_population(five_type_menu, pop, gm1, n=20_000, seed=77)
@@ -280,16 +272,15 @@ def test_simulation_deterministic(gm1, five_type_menu, five_types):
 
 
 @pytest.mark.parametrize("draws", ["discrete", "stratified", "uniform_grid"])
-def test_simulation_worker_count_invariant(gm1, five_type_menu, five_types, draws):
-    """``jobs`` never changes the report."""
+def test_simulation_repeats_its_report(gm1, five_type_menu, five_types, draws):
+    """The same arguments give the same report, for every way of drawing types."""
     if draws == "uniform_grid":
         pop = sm.uniform_population(0.2, 0.8, 64)
     else:
         pop = sm.discrete_population(five_types)
     kwargs = dict(n=150_000, seed=5, stratified=draws == "stratified")
-    a = sm.simulate_population(five_type_menu, pop, gm1, jobs=1, **kwargs)
-    for jobs in (2, 3):
-        assert sm.simulate_population(five_type_menu, pop, gm1, jobs=jobs, **kwargs) == a
+    a = sm.simulate_population(five_type_menu, pop, gm1, **kwargs)
+    assert sm.simulate_population(five_type_menu, pop, gm1, **kwargs) == a
 
 
 def _five_type_counts(*rows):
@@ -334,21 +325,18 @@ def test_simulation_output_is_pinned(
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(1, 2_000),
-    jobs=st.sampled_from([2, 3]),
     draws=st.sampled_from(["discrete", "stratified", "uniform_grid"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_simulation_chunks_add_up(gm1, five_type_menu, five_types, n, jobs, draws, seed):
-    """For any number of agents the report is the same for any worker count,
-    the per-type columns add up to the totals, and the totals nest
-    (approved <= participating <= n)."""
+def test_simulation_chunks_add_up(gm1, five_type_menu, five_types, n, draws, seed):
+    """For any number of agents the per-type columns add up to the totals,
+    and the totals nest (approved <= participating <= n)."""
     if draws == "uniform_grid":
         pop = sm.uniform_population(0.2, 0.8, 64)  # types above about 0.797 opt out
     else:
         pop = sm.discrete_population(five_types, [0.1, 0.3, 0.2, 0.15, 0.25])
     kwargs = dict(n=n, seed=seed, stratified=draws == "stratified")
-    report = sm.simulate_population(five_type_menu, pop, gm1, jobs=1, **kwargs)
-    assert sm.simulate_population(five_type_menu, pop, gm1, jobs=jobs, **kwargs) == report
+    report = sm.simulate_population(five_type_menu, pop, gm1, **kwargs)
     approved_nonnull = round(report.empirical_tdr * n)
     assert report.approved_null + approved_nonnull == report.approved
     assert 0 <= report.approved <= report.participating <= n
@@ -564,8 +552,7 @@ def test_uniform_type_draw_matches_generator_uniform(fixed_menu, gm1, lo, hi):
 
 
 def test_simulation_threads_are_bounded(gm1, five_type_menu, five_types, monkeypatch):
-    """``simulate_population`` starts no thread however large ``jobs`` is,
-    and gives the serial report."""
+    """``simulate_population`` starts no thread."""
     pop = sm.discrete_population(five_types)
     serial = sm.simulate_population(five_type_menu, pop, gm1, n=1_000, seed=4)
 
@@ -573,13 +560,10 @@ def test_simulation_threads_are_bounded(gm1, five_type_menu, five_types, monkeyp
         raise AssertionError("a thread started")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    for jobs in (2, 4, 64, 10**6):
-        report = sm.simulate_population(five_type_menu, pop, gm1, n=1_000, seed=4, jobs=jobs)
-        assert report == serial
+    assert sm.simulate_population(five_type_menu, pop, gm1, n=1_000, seed=4) == serial
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_simulation_memory_does_not_grow_with_the_chunks(fine_fixed_menu, gm1, jobs):
+def test_simulation_memory_does_not_grow_with_the_chunks(fine_fixed_menu, gm1):
     """A run's memory does not grow with its agents: on the 1,025-contract
     menu, 2^40 agents trace no more than 6,400 do."""
     population = sm.uniform_population(0.43, 0.86)
@@ -587,7 +571,7 @@ def test_simulation_memory_does_not_grow_with_the_chunks(fine_fixed_menu, gm1, j
     for n in (6_400, 1 << 40):
         tracemalloc.start()
         try:
-            sm.simulate_population(fine_fixed_menu, population, gm1, n, 1, jobs=jobs)
+            sm.simulate_population(fine_fixed_menu, population, gm1, n, 1)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -603,6 +587,18 @@ def test_simulation_agent_count_is_bounded(gm1, five_type_menu, five_types, n):
         sm.simulate_population(five_type_menu, pop, gm1, n=n, seed=1)
     report = sm.simulate_population(five_type_menu, pop, gm1, n=evaluation.MAX_AGENTS, seed=1)
     assert sum(c["agents"] for c in report.per_type.values()) == evaluation.MAX_AGENTS
+
+
+def test_simulation_takes_integer_agents_and_seed(gm1, five_type_menu, five_types):
+    """A bool, float or None agent count or seed, or a negative seed, raises
+    at once; numpy integers are taken as the ints they hold."""
+    pop = sm.discrete_population(five_types)
+    for n, seed in ((100.5, 1), (True, 1), (100.0, 1), (100, None), (100, 1.0), (100, False), (100, -1)):
+        with pytest.raises(ValueError, match="integer|nonnegative"):
+            sm.simulate_population(five_type_menu, pop, gm1, n=n, seed=seed)
+    report = sm.simulate_population(five_type_menu, pop, gm1, n=np.int64(100), seed=np.uint32(3))
+    assert type(report.n_agents) is int and type(report.seed) is int
+    assert report == sm.simulate_population(five_type_menu, pop, gm1, n=100, seed=3)
 
 
 def test_simulation_matches_oracle(gm1, fdr25, five_type_menu, five_types):
@@ -717,7 +713,8 @@ def test_rounding_below_zero_utility_still_participates(gm1, fdr25):
     menu = sm.build_finite_menu(types, taus, (100.0, cost), 50.0, lam=0.5, model=gm1)
     assert -PARTICIPATION_SLACK < sm.utility(0.8, menu.contracts[-1], gm1) < 0.0
     assert sm.verify_separating(menu, model=gm1).passed
-    assert sm.select(0.8, menu, gm1).report == 0.8
+    index, value = best_response(np.array([0.8]), *menu.lines(gm1))
+    assert index[0] == 1 and value[0] >= -PARTICIPATION_SLACK
     assert sm.principal_return(menu, menu.contracts[-1], 0.8, gm1) == 0.0
     report = sm.simulate_population(menu, sm.discrete_population(types), gm1, n=10_000, seed=1)
     assert report.participating == report.n_agents

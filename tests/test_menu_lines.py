@@ -5,7 +5,6 @@ import functools
 import math
 import tracemalloc
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,37 +18,21 @@ from statmenus.contracts import (
     PARTICIPATION_SLACK,
     Contract,
     Menu,
-    SelectionOutcome,
     SeparationReport,
     Violation,
     _blocked_response,
-    _certify,
     _envelope,
-    _segment_index,
     _segments,
-    _select,
     _utility_blocks,
     best_response,
 )
 from statmenus.evaluation import _slot_table
 
+from oracles import scalar_select
+
 # ---------------------------------------------------------------------------
 # scalar oracles
 # ---------------------------------------------------------------------------
-
-
-def scalar_select(q, menu, model):
-    """One utility call per contract; the first strict improvement wins."""
-    best_p = None
-    best_u = -float("inf")
-    for p, contract in zip(menu.support, menu.contracts):
-        u = sm.utility(q, contract, model)
-        if u > best_u:
-            best_u = u
-            best_p = p
-    if best_u < -PARTICIPATION_SLACK:
-        return SelectionOutcome(report=None, utility=best_u)
-    return SelectionOutcome(report=best_p, utility=best_u)
 
 
 def scalar_verify(menu, support=None, *, model, margin=DEFAULT_IC_MARGIN):
@@ -222,9 +205,12 @@ def _bits(x):
 def test_select_matches_scalar_oracle(case, data):
     menu, model = case
     q = data.draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from(menu.support)))
-    new, old = sm.select(q, menu, model), scalar_select(q, menu, model)
-    assert new.report == old.report
-    assert _bits(new.utility) == _bits(old.utility)
+    index, value = best_response(np.array([q]), *menu.lines(model))
+    utility = float(value[0])
+    report = None if utility < -PARTICIPATION_SLACK else menu.support[index[0]]
+    old = scalar_select(q, menu, model)
+    assert report == old.report
+    assert _bits(utility) == _bits(old.utility)
 
 
 @settings(max_examples=300, deadline=None)
@@ -341,20 +327,6 @@ def _types_at_the_breaks(slopes, intercepts, q):
 menu_lines = cases.map(lambda case: (*case[0].lines(case[1]), np.array(case[0].support)))
 
 
-@settings(max_examples=300, deadline=None)
-@given(case=st.one_of(menu_lines, pencils()))
-def test_selection_on_a_certificate_matches_best_response(case):
-    """``_select`` on a certificate made once returns ``best_response``'s
-    indices and value bits, at the breakpoints, beside them, at NaN and at
-    types outside [0, 1]."""
-    slopes, intercepts, q = case
-    q = _types_at_the_breaks(slopes, intercepts, q)
-    expected_index, expected_value = best_response(q, slopes, intercepts)
-    index, value = _select(q, _certify(slopes, intercepts))
-    assert np.array_equal(index, expected_index)
-    assert value.tobytes() == expected_value.tobytes()
-
-
 @settings(max_examples=500, deadline=None)
 @given(case=st.one_of(menu_lines, pencils()))
 def test_envelope_matches_the_blocked_route(case):
@@ -374,49 +346,6 @@ def test_envelope_matches_the_blocked_route(case):
     _, best = _blocked_response(q, slopes, intercepts)
     _, tol = _segments(slopes, intercepts)
     assert np.all(q * slopes[line] + intercepts[line] >= best - 4.0 * tol)
-
-
-@st.composite
-def sorted_breaks(draw):
-    """Strictly increasing finite breakpoints: none (a one-line menu), one,
-    spread over [0, 1] and beyond, or clustered a few units in the last place
-    apart around points of [0, 1], with far outliers."""
-    shape = draw(st.sampled_from(["none", "one", "spread", "clustered"]))
-    if shape == "none":
-        return np.empty(0)
-    if shape == "one":
-        return np.array([draw(st.floats(-2.0, 2.0))])
-    if shape == "spread":
-        return np.unique(draw(st.lists(st.floats(-0.5, 1.5), min_size=2, max_size=60)))
-    groups = []
-    for x in draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)):
-        steps = draw(st.lists(st.integers(0, 40), min_size=1, max_size=12, unique=True))
-        groups.append(x + np.spacing(x if x else 1.0) * np.array(steps, dtype=float))
-    outliers = draw(st.lists(st.sampled_from([-1e308, -3.0, 5.0, 1e308, 5e-324]), max_size=2))
-    return np.unique(np.concatenate([*groups, outliers]))
-
-
-@settings(max_examples=500, deadline=None)
-@given(breaks=sorted_breaks(), data=st.data())
-def test_segment_index_matches_searchsorted(breaks, data):
-    """A certificate's segment index is ``np.searchsorted(breaks, q,
-    side="right")`` for every type, NaN and +-inf included, without a
-    warning (warnings are errors here)."""
-    drawn = data.draw(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=20))
-    q = np.concatenate(
-        [
-            [0.0, -0.0, 1.0, np.nan, np.inf, -np.inf, -1e308, -0.5, 1.5, 1e308, 5e-324],
-            drawn,
-            breaks,
-            np.nextafter(breaks, -np.inf),
-            np.nextafter(breaks, np.inf),
-        ]
-    )
-    lines = np.zeros(len(breaks) + 1), np.zeros(len(breaks) + 1)
-    with mock.patch.object(contracts, "_segments", return_value=(breaks, 0.0)):
-        certificate = _certify(*lines)
-    expected = np.searchsorted(breaks, q, side="right")
-    assert np.array_equal(_segment_index(q, certificate), expected)
 
 
 def test_ties_and_uncertified_lines_take_the_blocked_route(monkeypatch):

@@ -1,10 +1,13 @@
-"""Tests for misspecification analysis: FDR gaps, misreports, and sweeps."""
+"""Tests for misspecification analysis: FDR gaps, misreports (by the scalar
+oracle), and sweeps."""
 
 import numpy as np
 import pytest
 
 import statmenus as sm
 from statmenus.errors import StatMenusError
+
+from oracles import fdr_gap, scalar_misspecified_report
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +31,7 @@ def scenarios(gm1, fdr25, fixed_menu):
 def test_gap_zero_when_correctly_specified(gm1, fdr25, fixed_menu):
     scenario = sm.MisspecScenario(designed=gm1, actual=gm1, menu=fixed_menu, objective=fdr25)
     for p in (0.45, 0.6, 0.8):
-        assert sm.fdr_gap(p, p, scenario) == pytest.approx(0.0, abs=1e-14)
+        assert fdr_gap(p, p, scenario) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_gap_matches_denominator_difference(scenarios):
@@ -42,7 +45,7 @@ def test_gap_matches_denominator_difference(scenarios):
         tau = sm.fdr_threshold(p, scenario.objective, scenario.designed)
         designed_denominator = (1 - p) / p * sm.power(scenario.designed, tau)
         actual_denominator = (1 - q) / q * sm.power(scenario.actual, tau)
-        assert sm.fdr_gap(q, p, scenario) == pytest.approx(
+        assert fdr_gap(q, p, scenario) == pytest.approx(
             designed_denominator - actual_denominator, abs=1e-13
         )
 
@@ -57,7 +60,7 @@ def test_gap_sign_decides_budget_violation(scenarios, gm1):
             continue
         tau = sm.fdr_threshold(p, scenario.objective, gm1)
         realized = q * tau / (q * tau + (1 - q) * sm.power(scenario.actual, tau))
-        gap = sm.fdr_gap(q, p, scenario)
+        gap = fdr_gap(q, p, scenario)
         if gap <= 0:
             assert realized <= 0.25 + 1e-8
         else:
@@ -67,9 +70,9 @@ def test_gap_sign_decides_budget_violation(scenarios, gm1):
 def test_gap_rejects_boundary_types(scenarios):
     scenario = scenarios(1.1)
     with pytest.raises(ValueError):
-        sm.fdr_gap(0.0, 0.5, scenario)
+        fdr_gap(0.0, 0.5, scenario)
     with pytest.raises(ValueError):
-        sm.fdr_gap(0.5, 1.0, scenario)
+        fdr_gap(0.5, 1.0, scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +83,7 @@ def test_gap_rejects_boundary_types(scenarios):
 def test_misreport_truthful_without_misspecification(gm1, fdr25, fine_fixed_menu):
     scenario = sm.MisspecScenario(designed=gm1, actual=gm1, menu=fine_fixed_menu, objective=fdr25)
     for q in (0.5, 0.6, 0.75):
-        result = sm.misspecified_report(q, scenario)
+        result = scalar_misspecified_report(q, scenario)
         assert result.interior
         assert result.report == pytest.approx(q, abs=1e-6)
 
@@ -92,7 +95,7 @@ def test_misreport_matches_grid_argmax(gm1, fdr25, fine_fixed_menu):
     scenario = sm.MisspecScenario(designed=gm1, actual=actual, menu=fine_fixed_menu, objective=fdr25)
     cell = fine_fixed_menu.support[1] - fine_fixed_menu.support[0]
     for q in (0.55, 0.7, 0.8):
-        result = sm.misspecified_report(q, scenario)
+        result = scalar_misspecified_report(q, scenario)
         best = max(
             fine_fixed_menu.support,
             key=lambda p: sm.utility(q, fine_fixed_menu.contract_for(p), actual),
@@ -106,7 +109,7 @@ def test_misreport_underpowered_reports_lower(gm1, fdr25, fine_fixed_menu):
     actual = sm.gaussian_model(0.9)
     scenario = sm.MisspecScenario(designed=gm1, actual=actual, menu=fine_fixed_menu, objective=fdr25)
     q = 0.44
-    result = sm.misspecified_report(q, scenario)
+    result = scalar_misspecified_report(q, scenario)
     assert result.report < q
     best = max(
         fine_fixed_menu.support,
@@ -122,7 +125,7 @@ def test_misreport_boundary_fallback_is_flagged(gm1, fdr25, fine_fixed_menu):
     the solver returns the best supported report, flagged."""
     actual = sm.gaussian_model(0.9)
     scenario = sm.MisspecScenario(designed=gm1, actual=actual, menu=fine_fixed_menu, objective=fdr25)
-    result = sm.misspecified_report(0.44, scenario)
+    result = scalar_misspecified_report(0.44, scenario)
     assert not result.interior
     assert result.report == fine_fixed_menu.support[0]
     best = max(
@@ -137,7 +140,7 @@ def test_misreport_strong_overpowering_interior_argmax(gm1, fdr25, fine_fixed_me
     brute-force argmax when the optimum is interior."""
     actual = sm.gaussian_model(3.0)
     scenario = sm.MisspecScenario(designed=gm1, actual=actual, menu=fine_fixed_menu, objective=fdr25)
-    result = sm.misspecified_report(0.45, scenario)
+    result = scalar_misspecified_report(0.45, scenario)
     best = max(
         fine_fixed_menu.support,
         key=lambda p: sm.utility(0.45, fine_fixed_menu.contract_for(p), actual),
@@ -168,7 +171,7 @@ def test_closed_form_consistent_with_definitional(scenarios):
             if not 0 < q < 1:
                 continue
             assert sm.fdr_gap_fixed_reward(p, scenario) == pytest.approx(
-                sm.fdr_gap(q, p, scenario), abs=1e-6
+                fdr_gap(q, p, scenario), abs=1e-6
             )
 
 
@@ -185,7 +188,7 @@ def test_implied_type_inverts_misreport(gm1, fdr25, fine_fixed_menu):
     actual = sm.gaussian_model(1.1)
     scenario = sm.MisspecScenario(designed=gm1, actual=actual, menu=fine_fixed_menu, objective=fdr25)
     for q in (0.6, 0.7, 0.8):
-        result = sm.misspecified_report(q, scenario)
+        result = scalar_misspecified_report(q, scenario)
         assert result.interior
         assert sm.implied_true_type(result.report, scenario) == pytest.approx(q, abs=1e-6)
 
@@ -232,6 +235,19 @@ def test_sweep_custom_grid(scenarios):
     grid = [0.5, 0.6, 0.7]
     rows = sm.sensitivity_sweep(scenarios(1.1), p_grid=grid)
     assert [r.report for r in rows] == grid
+
+
+def test_default_sweep_refuses_a_support_inside_its_edge_bands(gm1, fdr25):
+    """A support no wider than twice ``SWEEP_EDGE_BAND`` leaves the default
+    grid no report inside it (0.501 down to 0.499 around a one-contract menu
+    at 0.5); a grid given on such a menu still runs."""
+    tau = sm.fdr_threshold(0.5, fdr25, gm1)
+    contract = sm.Contract(tau, 100.0, sm.zero_utility_cost(0.5, tau, 100.0, gm1))
+    menu = sm.Menu((0.5,), (contract,))
+    scenario = sm.MisspecScenario(gm1, sm.gaussian_model(1.1), menu, fdr25)
+    with pytest.raises(ValueError, match="edge band"):
+        sm.sensitivity_sweep(scenario)
+    assert [r.report for r in sm.sensitivity_sweep(scenario, p_grid=[0.5])] == [0.5]
 
 
 def test_designing_at_weakest_alternative_is_robust(fdr25):

