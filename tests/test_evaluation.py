@@ -563,15 +563,16 @@ def test_simulation_threads_are_bounded(gm1, five_type_menu, five_types, monkeyp
     assert sm.simulate_population(five_type_menu, pop, gm1, n=1_000, seed=4) == serial
 
 
-def test_simulation_memory_does_not_grow_with_the_chunks(fine_fixed_menu, gm1):
+@pytest.mark.parametrize("seed", [1, 2])
+def test_simulation_memory_does_not_grow_with_the_chunks(fine_fixed_menu, gm1, seed):
     """A run's memory does not grow with its agents: on the 1,025-contract
-    menu, 2^40 agents trace no more than 6,400 do."""
+    menu, 2^40 agents trace no more than 6,400 do, whatever the seed."""
     population = sm.uniform_population(0.43, 0.86)
     peaks = []
     for n in (6_400, 1 << 40):
         tracemalloc.start()
         try:
-            sm.simulate_population(fine_fixed_menu, population, gm1, n, 1)
+            sm.simulate_population(fine_fixed_menu, population, gm1, n, seed)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
