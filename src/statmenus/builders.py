@@ -242,16 +242,16 @@ def _checked_thresholds(thresholds, model) -> Tuple[np.ndarray, np.ndarray, np.n
     return ps, taus, deltas
 
 
-def _menu(ps, taus, rewards, values, model: TestModel) -> Menu:
+def _menu(ps, taus, rewards, values, model: TestModel, terminal: Optional[Contract] = None) -> Menu:
     """Contracts whose truthful utilities are the potential values: type p
     rejects with probability p tau + (1 - p) beta1(tau), so
-    c_p = R_p [p tau + (1 - p) beta1(tau)] - G(p)."""
+    c_p = R_p [p tau + (1 - p) beta1(tau)] - G(p). A ``terminal`` contract's
+    reward and cost replace the last contract's as given."""
     costs = zero_utility_cost(ps, taus, rewards, model) - values
-    contracts = tuple(
-        Contract(tau=tau, reward=r, cost=c)
-        for tau, r, c in zip(taus.tolist(), rewards.tolist(), costs.tolist())
-    )
-    return Menu(support=tuple(ps.tolist()), contracts=contracts)
+    if terminal is not None:
+        rewards = np.append(rewards[:-1], terminal.reward)
+        costs = np.append(costs[:-1], terminal.cost)
+    return Menu._from_columns(ps, taus, rewards, costs)
 
 
 def _separating(menu: Menu, model: TestModel) -> Menu:
@@ -509,8 +509,7 @@ def build_finite_menu(
         raise InfeasibleMenuError(f"empty cost interval above type {types[stuck[0]]:.6g}")
     chords = (1.0 - lam) * subgrads[:-1] + lam * subgrads[1:]
     values = _backward(terminal_utility, np.diff(types) * chords)
-    menu = _menu(types, taus, -subgrads / deltas, values, model)
-    menu = Menu(menu.support, menu.contracts[:-1] + (last,))
+    menu = _menu(types, taus, -subgrads / deltas, values, model, terminal=last)
     return menu if lam in (0.0, 1.0) else _separating(menu, model)
 
 

@@ -294,6 +294,7 @@ def _fmt(x: Any) -> str:
 
 
 def _write_csv(path: Path, stamp: str, header: Sequence[str], rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"# config_sha256={stamp} artifact_version={__version__}"]
     lines.append(",".join(header))
     for row in rows:
@@ -305,6 +306,7 @@ def _write_json(path: Path, stamp: str, doc: Dict[str, Any]) -> None:
     doc = dict(doc)
     doc["config_sha256"] = stamp
     doc["artifact_version"] = __version__
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -389,7 +391,8 @@ def run(
     seed: Optional[int] = None,
     grid: Optional[int] = None,
 ) -> int:
-    """Execute one subcommand; returns the process exit code."""
+    """Execute one subcommand; returns the process exit code. ``out_dir`` is
+    made when the first artifact is written, so a refused run leaves none."""
     _require(config, command)
     if command in _READS_OBJECTIVE and (config.objective.kind, config.model.kind) == (
         "bayes", "tabulated"
@@ -399,7 +402,6 @@ def run(
             "threshold map needs the gaussian_mean likelihood ratio"
         )
         raise ConfigError([("/objective", msg)])
-    out_dir.mkdir(parents=True, exist_ok=True)
     stamp = _config_hash(config, seed, grid)
 
     if command == "thresholds":
@@ -410,6 +412,7 @@ def run(
 
     if command == "menu-build":
         menu = _build_menu(config, grid)
+        out_dir.mkdir(parents=True, exist_ok=True)
         menu.save(out_dir / "menu.json")
         print(
             f"menu-build[{config.menu['method']}]: wrote {len(menu.support)} contracts "
@@ -467,7 +470,7 @@ def run(
                 spec = dict(config.menu)
                 spec["eta"] = eta
                 menu = _build_menu(dataclasses.replace(config, menu=spec), grid)
-                base = menu.contracts[-1]
+                base = menu.contract_for(menu.support[-1])
                 doc["family"][_fmt(float(eta))] = {
                     "screening_cost": screening_cost(menu, base, config.population, config.model),
                     "information_rent": information_rent(menu, config.population, config.model),
@@ -477,7 +480,7 @@ def run(
             _write_csv(out_dir / "return_curve.csv", stamp, header, np.transpose(columns).tolist())
         elif config.menu.get("path"):
             menu = _load_menu(config)
-            base = menu.contracts[-1]
+            base = menu.contract_for(menu.support[-1])
             doc["screening_cost"] = screening_cost(menu, base, config.population, config.model)
             doc["information_rent"] = information_rent(menu, config.population, config.model)
             returns = principal_return(menu, base, points, config.model)

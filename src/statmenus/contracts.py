@@ -17,7 +17,9 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -74,30 +76,99 @@ def _line(tau, reward, cost, model: TestModel):
     return reward * (tau - beta1), reward * beta1 - cost
 
 
-@dataclass(frozen=True)
+# ``json.dumps(..., indent=2)``'s layout of a menu document and of one of its
+# contracts; ``%r`` writes a float as json does, by ``float.__repr__``.
+_MENU_JSON = '{\n  "support": [\n    %s\n  ],\n  "contracts": [\n    %s\n  ]\n}'
+_CONTRACT_JSON = '{\n      "tau": %r,\n      "reward": %r,\n      "cost": %r\n    }'
+
+
+def _numbers(name: str, values: list) -> list:
+    """``values``, unless one of them is not a number: ``json.loads`` also
+    reads true/false as bools and integers of any size."""
+    if not set(map(type, values)) <= {float}:
+        bad = [
+            x for x in values
+            if not (type(x) is float or type(x) is int and abs(x) <= sys.float_info.max)
+        ]
+        if bad:
+            raise ValueError(f"menu {name} must be numbers, got {bad[0]!r}")
+    return values
+
+
 class Menu:
-    """Contracts indexed by a strictly increasing support of reported types."""
+    """Contracts indexed by a strictly increasing support of reported types.
 
-    support: Tuple[float, ...]
-    contracts: Tuple[Contract, ...]
-    # Read-only contract columns in support order, built once from ``contracts``.
-    taus: np.ndarray = field(init=False, repr=False, compare=False)
-    rewards: np.ndarray = field(init=False, repr=False, compare=False)
-    costs: np.ndarray = field(init=False, repr=False, compare=False)
+    The state is the ``support`` tuple and three read-only float64 columns
+    in support order, ``taus``, ``rewards`` and ``costs``. ``contracts`` is a
+    view of the columns, built on each access. Menus are equal when their
+    supports are and their columns agree bit for bit.
+    """
 
-    def __post_init__(self):
-        if not self.support:
+    __slots__ = ("support", "taus", "rewards", "costs")
+
+    def __init__(self, support: Sequence[float], contracts: Sequence[Contract]):
+        rows = np.array([(c.tau, c.reward, c.cost) for c in contracts], dtype=float)
+        self._set(support, *rows.reshape(-1, 3).T)
+
+    @classmethod
+    def _from_columns(cls, support, taus, rewards, costs) -> "Menu":
+        """The menu on ``support`` whose contracts have the given columns,
+        built without per-contract objects."""
+        menu = cls.__new__(cls)
+        menu._set(support, taus, rewards, costs)
+        return menu
+
+    def _set(self, support, taus, rewards, costs) -> None:
+        """Check and store the state. ``Contract``'s checks run on the columns
+        at once; the first bad row, if any, raises its own message. Then the
+        support must lie in [0, 1] and strictly increase."""
+        support = np.array(support, dtype=float)
+        if not len(support):
             raise ValueError("menu support must be nonempty")
-        if len(self.support) != len(self.contracts):
+        if not len(taus) == len(rewards) == len(costs) == len(support):
             raise ValueError("support and contracts must align")
-        if any(not 0.0 <= p <= 1.0 for p in self.support):
-            raise ValueError("support must lie in [0, 1]")
-        if any(b <= a for a, b in zip(self.support, self.support[1:])):
-            raise ValueError("support must be strictly increasing")
-        columns = np.array([(c.tau, c.reward, c.cost) for c in self.contracts]).T.copy()
+        columns = np.array((taus, rewards, costs), dtype=float)
+        taus, rewards, costs = columns
+        bad = np.flatnonzero(
+            ~((taus >= 0.0) & (taus <= 1.0) & np.isfinite(rewards) & (rewards >= 0.0)
+              & np.isfinite(costs))
+        )
+        if len(bad):
+            Contract(*columns[:, bad[0]].tolist())  # raises that row's message
+        outside = np.flatnonzero(~((support >= 0.0) & (support <= 1.0)))
+        if len(outside):
+            raise ValueError(f"support must lie in [0, 1], got {support[outside[0]].item()!r}")
+        unordered = np.flatnonzero(~(support[1:] > support[:-1]))
+        if len(unordered):
+            a, b = support[unordered[0] : unordered[0] + 2].tolist()
+            raise ValueError(f"support must be strictly increasing, got {b!r} after {a!r}")
         columns.flags.writeable = False
-        for name, column in zip(("taus", "rewards", "costs"), columns):
-            object.__setattr__(self, name, column)
+        for name, value in zip(self.__slots__, (tuple(support.tolist()), *columns)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Menu is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return Menu._from_columns, (self.support, self.taus, self.rewards, self.costs)
+
+    def _bits(self) -> bytes:
+        return self.taus.tobytes() + self.rewards.tobytes() + self.costs.tobytes()
+
+    def __eq__(self, other):
+        if not isinstance(other, Menu):
+            return NotImplemented
+        return self.support == other.support and self._bits() == other._bits()
+
+    def __hash__(self):
+        return hash((self.support, self._bits()))
+
+    def __repr__(self):
+        return f"Menu(support={self.support!r}, contracts={self.contracts!r})"
+
+    @property
+    def contracts(self) -> Tuple[Contract, ...]:
+        return tuple(map(Contract, self.taus.tolist(), self.rewards.tolist(), self.costs.tolist()))
 
     def lines(self, model: TestModel) -> Tuple[np.ndarray, np.ndarray]:
         """Slope and intercept arrays of the contracts' utility lines under
@@ -106,18 +177,20 @@ class Menu:
 
     def contract_for(self, p: float) -> Contract:
         try:
-            return self.contracts[self.support.index(p)]
+            i = self.support.index(p)
         except ValueError:
             raise KeyError(f"report {p!r} is not in the menu support") from None
+        return Contract(self.taus[i].item(), self.rewards[i].item(), self.costs[i].item())
 
     def to_json(self) -> str:
-        doc = {
-            "support": list(self.support),
-            "contracts": [
-                {"tau": c.tau, "reward": c.reward, "cost": c.cost} for c in self.contracts
-            ],
-        }
-        return json.dumps(doc, indent=2)
+        """The bytes of ``json.dumps(doc, indent=2)`` for ``doc = {"support":
+        [...], "contracts": [{"tau": ..., "reward": ..., "cost": ...}, ...]}``.
+        The layout is written here: with an indent, ``json`` falls back to its
+        pure-Python encoder. Every number is a finite float."""
+        cells = np.column_stack((self.taus, self.rewards, self.costs)).ravel().tolist()
+        contracts = ",\n    ".join([_CONTRACT_JSON] * len(self.taus)) % tuple(cells)
+        support = ",\n    ".join(map(repr, self.support))
+        return _MENU_JSON % (support, contracts)
 
     @staticmethod
     def from_json(text: str) -> "Menu":
@@ -125,21 +198,10 @@ class Menu:
         range or any other non-number in ``support``, ``tau``, ``reward`` or
         ``cost`` raises ``ValueError``."""
         doc = json.loads(text)
-
-        def numbers(name, values):
-            bad = [  # json.loads reads true/false as bools and integers of any size
-                x for x in values
-                if not (isinstance(x, float) or type(x) is int and abs(x) <= sys.float_info.max)
-            ]
-            if bad:
-                raise ValueError(f"menu {name} must be numbers, got {bad[0]!r}")
-            return tuple(values)
-
-        contracts = tuple(
-            Contract(*numbers("contracts", (c["tau"], c["reward"], c["cost"])))
-            for c in doc["contracts"]
-        )
-        return Menu(support=numbers("support", doc["support"]), contracts=contracts)
+        rows = map(itemgetter("tau", "reward", "cost"), doc["contracts"])
+        cells = list(chain.from_iterable(rows))
+        columns = np.array(_numbers("contracts", cells), dtype=float).reshape(-1, 3).T
+        return Menu._from_columns(_numbers("support", doc["support"]), *columns)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

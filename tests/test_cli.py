@@ -77,6 +77,43 @@ def test_cli_import_loads_no_scipy_integrate_or_optimize():
     assert run.stdout.strip() == "[]"
 
 
+def test_commands_load_no_module_after_start_up(tmp_path):
+    """``import statmenus.cli`` loads every module a command needs, so that no
+    set-up time hides in a command's own time: one interpreter runs all seven
+    commands, on a constant-reward, a finite and a tabulated config, and
+    ``sys.modules`` does not grow. (``np.unique``, for one, imports
+    ``numpy.ma`` lazily; ``scipy.special`` loads it first.)"""
+    grid = {"kind": "uniform_grid", "lo": 0.43, "hi": 0.86, "n": 64}
+    fixed = write_config(
+        tmp_path, {"/population": grid, "/menu": {**FIXED_MENU, "path": "fixed/menu.json"},
+                   "/simulation/n": 1000, "/sensitivity/points": 16}, name="fixed.json"
+    )
+    finite = write_config(tmp_path, {"/menu/path": "finite/menu.json"}, name="finite.json")
+    pair = write_config(
+        tmp_path, {"/test": KNOTTED_TEST, "/population/types": [0.3, 0.7]}, name="pair.json"
+    )
+    runs = [(command, fixed, "fixed") for command in cli.COMMANDS if command != "frontier"]
+    runs += [(command, finite, "finite") for command in ("menu-build", "menu-verify", "simulate")]
+    runs += [(command, pair, "pair") for command in ("thresholds", "frontier")]
+    argvs = [[c, "--config", str(path), "--out", str(tmp_path / out)] for c, path, out in runs]
+    code = (
+        "import io, json, sys, contextlib, statmenus.cli as cli\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted(set(sys.modules) - before)]))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(sm.__file__).resolve().parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs)], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    codes, added = json.loads(run.stdout)
+    assert set(cli.COMMANDS) == {argv[0] for argv in argvs}
+    assert codes == [0] * len(argvs), run.stderr
+    assert added == []
+
+
 def test_parse_minimal_config(tmp_path):
     path = write_config(tmp_path)
     config = parse_config(path)
@@ -273,6 +310,25 @@ def test_config_value_out_of_range_is_config_error(
     err = capsys.readouterr().err
     assert f"config error at {pointer}:" in err and message in err
     assert not (out / artifact).exists()
+
+
+def test_refused_run_leaves_no_output_directory(tmp_path, capsys):
+    """The output directory is made when the first artifact is written: a
+    command refused at its checks leaves no directory behind."""
+    gm1 = sm.gaussian_model(1.0)
+    tau = sm.fdr_threshold(0.5, sm.fdr_objective(0.25), gm1)
+    contract = sm.Contract(tau, 100.0, sm.zero_utility_cost(0.5, tau, 100.0, gm1))
+    sm.Menu((0.5,), (contract,)).save(tmp_path / "menu.json")
+    cases = [
+        ("sensitivity", {"/sensitivity/points": 5}, "newdir/sub", "/menu/path"),
+        ("simulate", {"/population": GRID, "/simulation/stratified": True}, "other/dir",
+         "/simulation/stratified"),
+    ]
+    for command, overrides, out, pointer in cases:
+        path = write_config(tmp_path, overrides)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / out)]) == 2
+        assert f"config error at {pointer}:" in capsys.readouterr().err
+        assert not (tmp_path / out.split("/")[0]).exists()
 
 
 # The 5-knot curve whose Bayes threshold map is a step function.
@@ -697,6 +753,21 @@ def test_non_number_menu_entry_is_config_error(tmp_path, capsys, edit):
     assert main(["menu-verify", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "/menu/path" in capsys.readouterr().err
     assert not (tmp_path / "verify_report.json").exists()
+
+
+def test_unordered_menu_support_is_config_error(tmp_path, capsys):
+    """A menu file whose support decreases fails at its path, with the two
+    values named, before the menu is verified."""
+    path = write_config(tmp_path)
+    assert main(["menu-build", "--config", str(path), "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "menu.json").read_text())
+    doc["support"][1:3] = doc["support"][2:0:-1]
+    (tmp_path / "menu.json").write_text(json.dumps(doc))
+    assert main(["menu-verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error at /menu/path:" in err
+    assert "support must be strictly increasing, got 0.4 after 0.5" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_builder_key_is_config_error(tmp_path, capsys):

@@ -1,8 +1,12 @@
 """Tests for contracts, menus, selection, separation checks, and the
 scoring-rule view."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import statmenus as sm
 from statmenus.contracts import PARTICIPATION_SLACK, Contract, Menu, best_response
@@ -295,3 +299,96 @@ def test_menu_validation():
         Menu(support=(0.5, 0.4), contracts=(Contract(0.1, 1, 0), Contract(0.2, 1, 0)))
     with pytest.raises(ValueError):
         Menu(support=(0.5,), contracts=(Contract(0.1, 1, 0), Contract(0.2, 1, 0)))
+
+
+# Contract numbers with the edge cases of float formatting: signed zeros,
+# subnormals, integral floats and magnitudes near the float range.
+_edge_floats = st.sampled_from([-0.0, 0.0, 5e-324, 2.2e-308, 1.0, 100.0, 1e300])
+unit_floats = _edge_floats.filter(lambda x: x <= 1.0) | st.floats(0.0, 1.0)
+rewards = _edge_floats | st.floats(0.0, 1e300)
+costs = (
+    _edge_floats.map(lambda x: -x) | _edge_floats | st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def column_menus(draw):
+    """Support, taus, rewards and costs of a valid menu of 1 to 12 contracts."""
+    support = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12, unique=True)))
+    n = len(support)
+    columns = (draw(st.lists(x, min_size=n, max_size=n)) for x in (unit_floats, rewards, costs))
+    return (support, *columns)
+
+
+def _bits(menu):
+    columns = (menu.support, menu.taus, menu.rewards, menu.costs)
+    return [np.asarray(x, dtype=float).tobytes() for x in columns]
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=column_menus())
+@example(columns=([0.5], [1.0], [100.0], [-0.0]))
+@example(columns=([0.0, 1.0], [-0.0, 5e-324], [1e300, 0.0], [5e-324, -1e300]))
+def test_menu_json_matches_json_dumps_and_round_trips(columns):
+    """``to_json`` writes ``json.dumps(doc, indent=2)``'s bytes, ``from_json``
+    reads back every bit of the support and columns, and a menu built from
+    ``Contract``s equals the one built from the same columns."""
+    support, taus, rewards, costs = columns
+    contracts = tuple(map(Contract, taus, rewards, costs))
+    menu = Menu(support, contracts)
+    assert menu == Menu._from_columns(support, taus, rewards, costs)
+    assert hash(menu) == hash(Menu._from_columns(support, taus, rewards, costs))
+    assert menu.contracts == contracts
+    doc = {
+        "support": list(support),
+        "contracts": [{"tau": c.tau, "reward": c.reward, "cost": c.cost} for c in contracts],
+    }
+    assert menu.to_json() == json.dumps(doc, indent=2)
+    loaded = Menu.from_json(menu.to_json())
+    assert loaded == menu and _bits(loaded) == _bits(menu)
+
+
+def test_menu_from_contracts_equals_menu_from_columns(five_type_menu):
+    columns = (five_type_menu.taus, five_type_menu.rewards, five_type_menu.costs)
+    rebuilt = Menu._from_columns(five_type_menu.support, *columns)
+    assert rebuilt == five_type_menu == Menu(five_type_menu.support, five_type_menu.contracts)
+    moved = Menu._from_columns(five_type_menu.support, columns[0], columns[1], columns[2] + 1e-12)
+    assert moved != five_type_menu
+    signed = Menu._from_columns((0.5,), [0.0], [1.0], [0.0])
+    assert signed != Menu._from_columns((0.5,), [0.0], [1.0], [-0.0])  # the bits differ
+    assert five_type_menu.contract_for(0.7) == five_type_menu.contracts[-1]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda doc: doc["contracts"][1].update(tau=True),
+            "menu contracts must be numbers, got True",
+        ),
+        (
+            lambda doc: doc["contracts"][2].update(reward=2**1100),
+            f"menu contracts must be numbers, got {2**1100!r}",
+        ),
+        (lambda doc: doc["contracts"][3].update(cost=float("nan")), "cost must be finite, got nan"),
+        (lambda doc: doc["contracts"][0].update(tau=1.5), "threshold must lie in [0, 1], got 1.5"),
+        (
+            lambda doc: doc["contracts"][4].update(reward=-1.0),
+            "reward must be finite and nonnegative, got -1.0",
+        ),
+        (
+            lambda doc: doc["support"].__setitem__(slice(1, 3), [0.5, 0.4]),
+            "support must be strictly increasing, got 0.4 after 0.5",
+        ),
+        (lambda doc: doc["support"].__setitem__(4, 1.25), "support must lie in [0, 1], got 1.25"),
+        (lambda doc: doc["support"].pop(), "support and contracts must align"),
+    ],
+    ids=["bool-tau", "huge-int-reward", "nan-cost", "tau-1.5", "negative-reward",
+         "decreasing-support", "support-1.25", "short-support"],
+)
+def test_malformed_menu_document_message(five_type_menu, edit, message):
+    doc = json.loads(five_type_menu.to_json())
+    edit(doc)
+    with pytest.raises(ValueError) as exc:
+        Menu.from_json(json.dumps(doc))
+    assert str(exc.value) == message
