@@ -186,7 +186,7 @@ def _potential_issue(ps, values, subgrads, tol: float) -> Optional[str]:
         return f"subgradient at {ps[bad[0]]:.6g} is {subgrads[bad[0]]:.6g}, expected < 0"
     with np.errstate(all="ignore"):  # inf/nan compare as the scalar floats would
         intercepts = values - subgrads * ps
-        _, v = _first_violation(ps, np.arange(len(ps)), ps, subgrads, intercepts, -tol, -np.inf)
+        _, v = _first_violation(ps, subgrads, intercepts, -tol, -np.inf)
     if v is not None:
         return (
             f"supporting line at {v.p:.6g} not strictly below the potential "

@@ -310,6 +310,17 @@ def _write_json(path: Path, stamp: str, doc: Dict[str, Any]) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _finite(doc: Dict[str, Any], prefix: str = "") -> Dict[str, Any]:
+    """``doc``, unless a number in it or in a nested object is not finite, which
+    ``json`` would write as Infinity or NaN; the error names its key."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            _finite(value, f"{prefix}{key}/")
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise StatMenusError(f"{prefix}{key} is {value!r}, not a finite number")
+    return doc
+
+
 def _require(config: RunConfig, name: str) -> None:
     """Fail at once for every key that command or builder method ``name`` reads
     and the config leaves out."""
@@ -355,13 +366,15 @@ def _build_menu(config: RunConfig, grid: Optional[int]) -> Menu:
                 lam=spec.get("lambda", 0.5),
                 model=model,
             )
+        n = grid or spec.get("n", 129 if method == "fixed_reward" else 65)
+        if n < 2 and method != "potential":  # a fixed- or varying-reward support
+            msg = "support needs at least two points"
+            raise ConfigError([("--grid" if grid else "/menu/n", msg)])
         if method == "fixed_reward":
-            n = grid or spec.get("n", 129)
             return build_fixed_reward(
                 spec.get("reward", 100.0), spec["q_lo"], spec["q_bar"], objective, model, n=n
             )
         if method == "varying_reward":
-            n = grid or spec.get("n", 65)
             q_bar = spec["q_bar"]
             support = np.linspace(spec["q_lo"], q_bar, n)
             taus = optimal_threshold(support, objective, model)
@@ -461,6 +474,7 @@ def run(
         else:
             doc["oracle_tdr"] = oracle_tdr(config.population, config.objective, config.model)
         points = config.population.points()
+        curve = None  # the header and rows of return_curve.csv
         if config.menu.get("method") == "varying_reward" and config.menu.get("etas"):
             # one return-curve column per slack level of the family
             etas = config.menu["etas"]
@@ -476,17 +490,17 @@ def run(
                     "information_rent": information_rent(menu, config.population, config.model),
                 }
                 columns.append(principal_return(menu, base, points, config.model))
-            header = ["q"] + [f"return_eta_{eta:g}" for eta in etas]
-            _write_csv(out_dir / "return_curve.csv", stamp, header, np.transpose(columns).tolist())
+            curve = ["q"] + [f"return_eta_{eta:g}" for eta in etas], np.transpose(columns).tolist()
         elif config.menu.get("path"):
             menu = _load_menu(config)
             base = menu.contract_for(menu.support[-1])
             doc["screening_cost"] = screening_cost(menu, base, config.population, config.model)
             doc["information_rent"] = information_rent(menu, config.population, config.model)
             returns = principal_return(menu, base, points, config.model)
-            rows = zip(points.tolist(), returns.tolist())
-            _write_csv(out_dir / "return_curve.csv", stamp, ("q", "return"), rows)
-        _write_json(out_dir / "evaluate.json", stamp, doc)
+            curve = ("q", "return"), zip(points.tolist(), returns.tolist())
+        _write_json(out_dir / "evaluate.json", stamp, _finite(doc))
+        if curve is not None:
+            _write_csv(out_dir / "return_curve.csv", stamp, *curve)
         metrics = ", ".join(
             f"{k}={v:.6g}" for k, v in doc.items() if isinstance(v, (int, float))
         )
@@ -512,7 +526,7 @@ def run(
         doc = dataclasses.asdict(report)
         if doc["per_type"] is not None:
             doc["per_type"] = {_fmt(k): v for k, v in doc["per_type"].items()}
-        _write_json(out_dir / "simulation.json", stamp, doc)
+        _write_json(out_dir / "simulation.json", stamp, _finite(doc))
         print(
             f"simulate: n={n} seed={run_seed} fdr={report.empirical_fdr:.4f} "
             f"tdr={report.empirical_tdr:.4f} -> {out_dir / 'simulation.json'}"

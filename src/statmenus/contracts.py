@@ -386,30 +386,29 @@ class Violation:
 
 
 def _first_violation(
-    qs: np.ndarray, own: np.ndarray, reports: Sequence[float], slopes: np.ndarray,
-    intercepts: np.ndarray, margin: float, floor: float,
+    qs: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray, margin: float, floor: float
 ) -> Tuple[int, Optional[Violation]]:
     """Pairs found to hold and the first violation, or None, of each type
-    ``qs[i]``'s own line ``own[i]``: at least ``floor``, and above every
-    other line (line j is report ``reports[j]``) by more than ``margin``.
-    O(n) when the lines are certified (``_segments``, for types as far from
-    0 as the farthest of ``qs``) and every own line leads both neighbours
+    ``qs[i]``'s own line i: at least ``floor``, and above every other line
+    (line j is report ``qs[j]``) by more than ``margin``. O(n) when the
+    lines are certified (``_segments``, for types as far from 0 as the
+    farthest of ``qs``) and every own line leads both neighbours
     (``_leads``) and clears the floor; otherwise every pair is scored in row
     blocks."""
     others = len(slopes) - 1
     breaks, tol = _segments(slopes, intercepts)
     if breaks is not None:
         reach = float(np.max(np.abs(qs), initial=1.0))
-        truthful, leads = _leads(qs, own, slopes, intercepts, tol * reach, margin)
+        truthful, leads = _leads(qs, np.arange(len(qs)), slopes, intercepts, tol * reach, margin)
         if np.all(leads & (truthful >= floor)):
             return len(qs) * others, None
     # The first violation in row-major (q, then p) order: within a row the
     # floor precedes the IC pairs, and a type's own line is not a pair.
     for start, u in _utility_blocks(qs, slopes, intercepts):
-        rows, cols = np.arange(len(u)), own[start : start + len(u)]
-        truthful = u[rows, cols]
+        own = np.arange(len(u)), np.arange(start, start + len(u))  # the block's diagonal
+        truthful = u[own]
         bad = ~(truthful[:, None] > u + margin)
-        bad[rows, cols] = False
+        bad[own] = False
         outside = truthful < floor
         flagged = np.flatnonzero(outside | bad.any(axis=1))
         if not len(flagged):
@@ -420,8 +419,8 @@ def _first_violation(
         if outside[i]:
             return pairs, Violation(kind="participation", q=q, p=None, gap=float(truthful[i]))
         j = int(np.argmax(bad[i]))
-        pairs += j + int(j < cols[i])
-        return pairs, Violation(kind="ic", q=q, p=reports[j], gap=float(truthful[i] - u[i, j]))
+        pairs += j + int(j < start + i)
+        return pairs, Violation(kind="ic", q=q, p=float(qs[j]), gap=float(truthful[i] - u[i, j]))
     return len(qs) * others, None
 
 
@@ -458,17 +457,12 @@ class SeparationReport:
 
 
 def verify_separating(
-    menu: Menu,
-    support: Optional[Sequence[float]] = None,
-    *,
-    model: TestModel,
-    margin: float = DEFAULT_IC_MARGIN,
+    menu: Menu, *, model: TestModel, margin: float = DEFAULT_IC_MARGIN
 ) -> SeparationReport:
     """Check that every supported type strictly prefers its own contract.
 
-    For each q in ``support`` (default: the full menu support) requires
-    psi(q; q) > psi(q; p) + margin for p != q and psi(q; q) >= 0, the latter
-    up to ``PARTICIPATION_SLACK``.
+    For each q in the support requires psi(q; q) > psi(q; p) + margin for
+    p != q and psi(q; q) >= 0, the latter up to ``PARTICIPATION_SLACK``.
     Returns a report carrying the first violating pair rather than raising. A
     negative or NaN ``margin``, which would pass menus that break IC, raises.
 
@@ -477,18 +471,9 @@ def verify_separating(
     """
     if not margin >= 0.0:
         raise ValueError(f"IC margin must be nonnegative, got {margin!r}")
-    if support is None:
-        support = menu.support
-    support = tuple(float(q) for q in support)
-    position = {p: j for j, p in enumerate(menu.support)}
-    missing = [q for q in support if q not in position]
-    if missing:
-        raise ValueError(f"verified support must be within the menu support; missing {missing[:3]}")
-
-    own = np.array([position[q] for q in support], dtype=np.intp)
-    qs, lines = np.array(support, dtype=float), menu.lines(model)
-    pairs, violation = _first_violation(qs, own, menu.support, *lines, margin, -PARTICIPATION_SLACK)
-    return SeparationReport(violation is None, support, margin, pairs, violation)
+    qs = np.array(menu.support)
+    pairs, violation = _first_violation(qs, *menu.lines(model), margin, -PARTICIPATION_SLACK)
+    return SeparationReport(violation is None, menu.support, margin, pairs, violation)
 
 
 def scoring_rule(menu: Menu, p: float, y: int, model: TestModel) -> float:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import statmenus as sm
@@ -413,6 +414,29 @@ def test_opted_out_type_in_evaluate_is_infeasible(tmp_path, capsys):
     assert "opts out" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, key",
+    [("evaluate", "screening_cost is inf"), ("simulate", "principal_cash is -inf")],
+    ids=["evaluate", "simulate"],
+)
+def test_non_finite_result_is_infeasible(tmp_path, capsys, command, key):
+    """A menu whose utilities overflow gives infinite costs: the command exits
+    3 naming the key and writes no artifact, instead of an Infinity in its
+    JSON (and evaluate's return curve before it)."""
+    menu = sm.Menu((0.3, 0.6), (sm.Contract(0.1, 1e308, -1e308), sm.Contract(0.05, 1.0, 0.0)))
+    menu.save(tmp_path / "menu.json")
+    path = write_config(
+        tmp_path,
+        {"/population": {"kind": "uniform_grid", "lo": 0.3, "hi": 0.6, "n": 16},
+         "/simulation/n": 1000},
+    )
+    out = tmp_path / "out"
+    with np.errstate(over="ignore"):
+        assert main([command, "--config", str(path), "--out", str(out)]) == 3
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unexpected_value_error_is_not_infeasible(tmp_path, monkeypatch):
     """Only package errors exit 3; a plain ValueError is a fault and propagates."""
 
@@ -512,6 +536,21 @@ def test_varying_reward_build_command(tmp_path):
     )
     assert main(["menu-build", "--config", str(path), "--out", str(tmp_path)]) == 0
     assert main(["menu-verify", "--config", str(path), "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("source", ["--grid", "/menu/n"])
+@pytest.mark.parametrize("method", ["fixed_reward", "varying_reward"])
+def test_one_point_support_is_config_error(tmp_path, capsys, method, source):
+    """A fixed- or varying-reward support of one point is refused where its
+    size was set (a one-point varying-reward grid used to drop q_bar and fail
+    on the base contract at /menu)."""
+    spec = {"method": method, "q_lo": 0.43, "q_bar": 0.86, "n": 1 if source == "/menu/n" else 9}
+    path = write_config(tmp_path, {"/menu": spec})
+    flags = ["--grid", "1"] if source == "--grid" else []
+    assert main(["menu-build", "--config", str(path), "--out", str(tmp_path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert f"config error at {source}: support needs at least two points" in err
+    assert not (tmp_path / "menu.json").exists()
 
 
 def test_potential_build_command(tmp_path):

@@ -207,11 +207,6 @@ def test_verify_rejects_negative_margin(gm1, fdr25):
     assert sm.verify_separating(menu, model=gm1, margin=0.0).passed
 
 
-def test_verify_support_must_be_subset(gm1, five_type_menu):
-    with pytest.raises(ValueError):
-        sm.verify_separating(five_type_menu, support=[0.33], model=gm1)
-
-
 # ---------------------------------------------------------------------------
 # scoring-rule view
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""The package's public names: every ``__all__`` entry resolves, and names
-that only tests used are not exported."""
+"""The package's public names: every ``__all__`` entry resolves, names
+that only tests used are not exported, and removed parameters stay gone."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -22,6 +23,12 @@ REMOVED = (
     "matched_tdr",
     "fdr_gap",
 )
+# Parameters that were removed because no caller needed them.
+REMOVED_PARAMETERS = [
+    ("contracts.verify_separating", "support"),
+    ("evaluation.simulate_population", "jobs"),
+    ("cli.run", "jobs"),
+]
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -36,3 +43,10 @@ def test_star_import_resolves_every_name(module):
 def test_test_only_names_are_not_exported():
     for name in REMOVED:
         assert not hasattr(sm, name), name
+
+
+@pytest.mark.parametrize("function, parameter", REMOVED_PARAMETERS)
+def test_removed_parameters_stay_removed(function, parameter):
+    module, _, name = function.partition(".")
+    fn = getattr(importlib.import_module(f"statmenus.{module}"), name)
+    assert parameter not in inspect.signature(fn).parameters
