@@ -294,11 +294,20 @@ def _fmt(x: Any) -> str:
 
 
 def _write_csv(path: Path, stamp: str, header: Sequence[str], rows) -> None:
+    """Write ``rows`` under a provenance line and ``header``, each row by one
+    ``%`` template for its cells' types: ``%.17g`` for a float, which writes
+    what ``_fmt``'s ``format(x, ".17g")`` does for every double, and ``%s``
+    for any other cell."""
+    templates: Dict[tuple, str] = {}
+    lines = [f"# config_sha256={stamp} artifact_version={__version__}", ",".join(header)]
+    for row in map(tuple, rows):
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            cells = ("%.17g" if issubclass(kind, float) else "%s" for kind in kinds)
+            template = templates[kinds] = ",".join(cells)
+        lines.append(template % row)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"# config_sha256={stamp} artifact_version={__version__}"]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -494,9 +503,10 @@ def run(
         elif config.menu.get("path"):
             menu = _load_menu(config)
             base = menu.contract_for(menu.support[-1])
-            doc["screening_cost"] = screening_cost(menu, base, config.population, config.model)
-            doc["information_rent"] = information_rent(menu, config.population, config.model)
-            returns = principal_return(menu, base, points, config.model)
+            with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses what overflows
+                doc["screening_cost"] = screening_cost(menu, base, config.population, config.model)
+                doc["information_rent"] = information_rent(menu, config.population, config.model)
+                returns = principal_return(menu, base, points, config.model)
             curve = ("q", "return"), zip(points.tolist(), returns.tolist())
         _write_json(out_dir / "evaluate.json", stamp, _finite(doc))
         if curve is not None:
@@ -515,14 +525,10 @@ def run(
         menu = _load_menu(config)
         n = config.simulation["n"]
         run_seed = seed if seed is not None else config.simulation.get("seed", 0)
-        report = simulate_population(
-            menu,
-            config.population,
-            config.model,
-            n=n,
-            seed=run_seed,
-            stratified=stratified,
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses what overflows
+            report = simulate_population(
+                menu, config.population, config.model, n=n, seed=run_seed, stratified=stratified
+            )
         doc = dataclasses.asdict(report)
         if doc["per_type"] is not None:
             doc["per_type"] = {_fmt(k): v for k, v in doc["per_type"].items()}

@@ -24,6 +24,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .errors import InfeasibleMenuError
 from .testmodel import TestModel, _float_or_array, _types, power
 
 __all__ = [
@@ -71,9 +72,24 @@ class Contract:
 
 def _line(tau, reward, cost, model: TestModel):
     """Slope R (tau - beta1(tau)) and intercept R beta1(tau) - c of the utility
-    in q, elementwise."""
+    in q, elementwise. A slope or intercept past the float range (a reward and
+    cost near its ends) raises ``InfeasibleMenuError`` naming the first such
+    contract."""
     beta1 = power(model, tau)
-    return reward * (tau - beta1), reward * beta1 - cost
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope, intercept = reward * (tau - beta1), reward * beta1 - cost
+    finite = np.isfinite(slope) & np.isfinite(intercept)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        t, r, c, s, b = (
+            float(np.broadcast_to(x, finite.shape).flat[i])
+            for x in (tau, reward, cost, slope, intercept)
+        )
+        raise InfeasibleMenuError(
+            f"contract (tau={t!r}, reward={r!r}, cost={c!r}) has a utility line past "
+            f"the float range: slope {s!r}, intercept {b!r}"
+        )
+    return slope, intercept
 
 
 # ``json.dumps(..., indent=2)``'s layout of a menu document and of one of its

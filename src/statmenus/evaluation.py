@@ -254,7 +254,15 @@ def _tallies(menu, population, model, n, seed, stratified):
     taus = np.append(menu.taus, 0.0)[contract]  # the opt-out slot's 0 approves no one
     rng = np.random.default_rng(seed)
     weights = mass / mass.sum()
-    agents = _stratified_counts(weights, n) if stratified else rng.multinomial(n, weights)
+    if stratified:
+        agents = _stratified_counts(weights, n)
+    else:
+        agents = rng.multinomial(n, weights)
+        # numpy gives its last slot what rounding leaves over, even a slot
+        # without mass (an empty opt-out slot): it goes to the last with mass
+        last = np.flatnonzero(weights)[-1]
+        agents[last] += agents[last + 1 :].sum()
+        agents[last + 1 :] = 0
     null = rng.binomial(agents, mean)
     approved_null = rng.binomial(null, taus)
     approved_alt = rng.binomial(agents - null, power(model, taus))

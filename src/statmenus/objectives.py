@@ -15,8 +15,15 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import StatMenusError, UnsupportedModelError
-from .rates import _fdr, bayes_risk, fdr, tdr
-from .testmodel import TestModel, _float_or_array, _power, _types, _unit_interval
+from .rates import _fdr, bayes_risk, tdr
+from .testmodel import (
+    TestModel,
+    _float_or_array,
+    _inverse_power_ratio,
+    _power,
+    _types,
+    _unit_interval,
+)
 from .testmodel import inverse_likelihood_ratio, likelihood_ratio
 
 __all__ = [
@@ -36,12 +43,14 @@ __all__ = [
 ]
 
 WEIGHT_SUM_TOL = 1e-12
-_BISECT_LO = 1e-12
-# Smallest normal double: the floor of a threshold over budget at 1e-12.
+# An FDR threshold is searched on [_LOW, 1], or on [_FLOOR, _LOW] for a type
+# over budget at _LOW; _FLOOR is the smallest normal double.
+_LOW = 1e-12
 _FLOOR = float(np.finfo(float).tiny)
-# A bracket of normal doubles in [_FLOOR, 1] reaches adjacent doubles in at
-# most 1,074 steps (1,022 halvings of its width, then 52 mantissa bits).
-_BISECT_MAX_ITER = 1100
+# The bracket checked around a threshold's start is the start +- this many
+# ulps, widened by the factor until its ends check.
+_BRACKET_ULPS = 64.0
+_BRACKET_WIDEN = 16.0
 _SMALLEST_LEVEL = np.nextafter(0.0, 1.0)
 # A power-to-size ratio that rises by no more than this, relative, is rounding.
 _RATIO_ROUNDING = 16 * np.finfo(float).eps
@@ -167,34 +176,86 @@ def bayes_threshold(q, objective: PrincipalObjective, model: TestModel):
     return _float_or_array(tau)
 
 
-def _bisect(below, lo, hi, *data):
-    """Final ``(lo, hi)`` of brackets with ``below(lo)`` true and ``below(hi)``
-    false. ``below(mid, *data)`` sees the live brackets' midpoints and ``data``
-    only. A bracket stops once its midpoint is not strictly inside it, or after
-    ``_BISECT_MAX_ITER`` steps."""
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    out_lo, out_hi, idx = lo.copy(), hi.copy(), np.arange(len(lo))
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        live = (lo < mid) & (mid < hi)
+def _descend(ends, inner) -> np.ndarray:
+    """Halve brackets ``ends = [lo, hi]`` (a 2 x n array) in place, toward
+    their hi at a midpoint under ``inner[0]`` and toward their lo at one over
+    ``inner[1]``, until each midpoint lies in ``inner``; returns the
+    midpoints. A bracket that holds ``inner``, or has an end inside it,
+    shrinks at each halving, so the loop ends."""
+    mid, outside = np.empty(ends.shape[1]), np.empty(ends.shape, bool)
+    while True:
+        np.multiply(np.add(ends[0], ends[1], out=mid), 0.5, out=mid)
+        np.less(mid, inner[0], out=outside[0])
+        np.greater(mid, inner[1], out=outside[1])
+        if not outside.any():
+            return mid
+        np.putmask(ends, outside, mid)  # flat index i takes mid[i % n]: lo or hi of column i
+
+
+def _bisect(below, lo, hi, *data, inner=None):
+    """Final ``(lo, hi)`` of halving brackets with ``below(lo)`` true and
+    ``below(hi)`` false at ``0.5 * (lo + hi)``, until the midpoint is not
+    strictly inside. ``below(mid, *data)`` sees the midpoints, and ``data``,
+    of the brackets that need it. With ``inner = (a, b)``, inside the
+    brackets, with ``below(a)`` true and ``below(b)`` false, ``below`` is
+    taken as true at a midpoint under a and false at one over b, and called
+    only on [a, b]: the halving is the same wherever ``below`` is monotone
+    outside [a, b], and ``below`` holds at each final lo and fails at each
+    final hi anyway."""
+    ends = np.array([lo, hi], dtype=float)
+    inner = ends.copy() if inner is None else np.asarray(inner, dtype=float)
+    out, idx = ends.copy(), np.arange(ends.shape[1])
+    while len(idx):
+        mid = _descend(ends, inner)
+        live = (ends[0] < mid) & (mid < ends[1])
         if not live.all():
-            out_lo[idx[~live]], out_hi[idx[~live]] = lo[~live], hi[~live]
-            idx, lo, hi, mid = idx[live], lo[live], hi[live], mid[live]
+            out[:, idx[~live]] = ends[:, ~live]
+            idx, ends, inner, mid = idx[live], ends[:, live], inner[:, live], mid[live]
             data = tuple(d[live] for d in data)
-        if not len(idx):
-            break
+            if not len(idx):
+                break
         go = below(mid, *data)
-        lo, hi = np.where(go, mid, lo), np.where(go, hi, mid)
-    out_lo[idx], out_hi[idx] = lo, hi
-    return out_lo, out_hi
+        np.putmask(ends, np.array([go, ~go]), mid)
+    return out[0], out[1]
+
+
+def _verified_bracket(below, start, lo, hi, *data) -> np.ndarray:
+    """Brackets ``[a, b]`` (a 2 x n array) inside ``[lo, hi]`` with
+    ``below(a, *data)`` true and ``below(b, *data)`` false, around each
+    ``start``: start +- 64 ulps, widened x16 until both ends check, and
+    [lo, hi] once the half-width passes the start. Assumes ``below(lo)``
+    true and ``below(hi)`` false; ``below`` sees both ends at once, as a
+    2 x n array."""
+    bracket = np.array([lo, hi], dtype=float)
+    width, idx = _BRACKET_ULPS * np.spacing(start), np.arange(len(start))
+    while len(idx):
+        s, w = start[idx], width[idx]
+        ends = [lo[idx], hi[idx]]
+        bracket[:, idx] = np.where(w < s, np.clip([s - w, s + w], *ends), ends)
+        ok = below(bracket[:, idx], *(d[idx] for d in data))
+        idx = idx[~(ok[0] & ~ok[1])]
+        width[idx] *= _BRACKET_WIDEN
+    return bracket
 
 
 def _fdr_bisection(q, alpha, model: TestModel) -> np.ndarray:
     """Largest tau with FDR(q, tau) <= alpha, for types ``q`` broadcast
-    against budgets ``alpha``: bisected on [1e-12, 1], or on [_FLOOR, 1e-12]
-    for a type over budget at 1e-12; a type over budget at ``_FLOOR`` gets 0
-    (approve nothing). FDR(q, tau) = 1 / (1 + (1 - q) beta1(tau) / (q tau)),
-    so it is nondecreasing in tau, and bisection globally safe, exactly when
+    against budgets ``alpha``: the predicate holds at tau and fails at the
+    next double up. A type within budget at 1 gets 1, and one over budget at
+    both ``_LOW`` and ``_FLOOR`` gets 0 (approve nothing). The rest are
+    searched on [_LOW, 1], or on [_FLOOR, _LOW] if over budget at _LOW.
+
+    FDR(q, tau) <= alpha exactly when beta1(tau) / tau >= k = q (1 - alpha)
+    / ((1 - q) alpha), which ``_inverse_power_ratio`` solves for a start, in
+    closed form or by Newton's method; ``_verified_bracket`` checks a
+    bracket around it. A Gaussian type bisects that bracket. A tabulated
+    type halves its whole search bracket but calls the predicate only
+    inside the checked one, so its threshold is the full bisection's double
+    wherever the predicate is monotone outside it: a tabulated curve's
+    ``power_derivative`` is a forward difference that moves by about 1e-9
+    per ulp of tau, and a sensitivity sweep turns that into 2e-8 of a gap.
+
+    The FDR is nondecreasing in tau, and the start unique, exactly when
     beta1(tau) / tau is nonincreasing, as for concave power; a tabulated
     curve whose ratio rises raises ``UnsupportedModelError``."""
     if model.kind == "tabulated":  # the ratio is monotone on each segment: check the knots
@@ -210,15 +271,22 @@ def _fdr_bisection(q, alpha, model: TestModel) -> np.ndarray:
     shape, q, alpha = q.shape, q.ravel(), alpha.ravel()
     tau = np.where(q == 1.0, 0.0, 1.0)  # q = 0 and FDR(q, 1) <= alpha also give 1
     idx = np.flatnonzero((0.0 < q) & (q < 1.0))
-    idx = idx[fdr(q[idx], 1.0, model) > alpha[idx]]
-    over = fdr(q[idx, None], np.array([_BISECT_LO, _FLOOR]), model) > alpha[idx, None]
-    stuck = over.all(axis=1)
-    tau[idx[stuck]] = 0.0  # over budget at the floor too: approve nothing
-    over, idx = over[~stuck, 0], idx[~stuck]
-    tau[idx], _ = _bisect(
-        lambda mid, q, alpha: _fdr(q, mid, _power(model, mid)) <= alpha,
-        np.where(over, _FLOOR, _BISECT_LO), np.where(over, _BISECT_LO, 1.0), q[idx], alpha[idx],
-    )
+    ends = np.array([1.0, _LOW, _FLOOR])  # one power call, then a column per end
+    qi, ai = q[idx], alpha[idx]
+    over = np.column_stack([_fdr(qi, t, b) > ai for t, b in zip(ends, _power(model, ends))])
+    tau[idx[over.all(axis=1)]] = 0.0  # over budget at _LOW and the floor too: approve nothing
+    solve = over[:, 0] & ~over.all(axis=1)
+    idx, low = idx[solve], over[solve, 1]
+    lo, hi, q, alpha = np.where(low, _FLOOR, _LOW), np.where(low, _LOW, 1.0), q[idx], alpha[idx]
+
+    def below(t, q, alpha):
+        return _fdr(q, t, _power(model, t)) <= alpha
+
+    start = _inverse_power_ratio(model, q * (1.0 - alpha) / ((1.0 - q) * alpha))
+    inner = _verified_bracket(below, start, lo, hi, q, alpha)
+    if model.kind == "gaussian_mean":
+        lo, hi = inner  # bisect the checked bracket alone
+    tau[idx], _ = _bisect(below, lo, hi, q, alpha, inner=inner)
     return tau.reshape(shape)
 
 

@@ -32,6 +32,12 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_EPS = float(np.finfo(float).eps)
+# Phi^-1 of the smallest normal double, and a z whose Phi rounds to 1.
+_Z_FLOOR = float(ndtri(np.finfo(float).tiny))
+_Z_CEIL = 9.0
+_NEWTON_MAX_ITER = 64
 
 MAX_EFFECT_SIZE = 10.0  # larger effects saturate the power curve
 
@@ -178,6 +184,54 @@ def _power(model: TestModel, tau):
         # -ndtri(tau) is Phi^-1(1 - tau) to full precision: ndtri uses 1 - tau near 1
         return ndtr(model.theta1 + ndtri(tau))
     return np.interp(tau, model.taus, model.betas)
+
+
+def _inverse_power_ratio(model: TestModel, k) -> np.ndarray:
+    """Approximately the largest tau with beta1(tau) / tau >= k, for levels
+    ``k > 1`` met at some tau >= ``np.finfo(float).tiny``, elementwise, given
+    beta1(tau) / tau nonincreasing: a start for an exact search, a few dozen
+    ulps off (more in the Gaussian tail, where rounding is amplified).
+
+    Tabulated: on segment j, beta1 = a_j + b_j tau, so the ratio is k at
+    a_j / (k - b_j); one search over the knot ratios finds j. Gaussian: with
+    z = Phi^-1(tau), safeguarded Newton on log(Phi(z + theta) / Phi(z)) =
+    log k, whose left side falls in z with slope m(z + theta) - m(z), m the
+    inverse Mills ratio phi / Phi. It starts where beta1'(tau) = k, below the
+    root as beta1 is concave, and stops once the residual is at rounding; the
+    last step is taken in tau, as Phi(z) (1 + m(z) dz), since rounding
+    z + dz would move tau by up to |z| m(z) ulps.
+    """
+    k = np.asarray(k, dtype=float)
+    if model.kind == "tabulated":
+        taus, betas = model.taus, model.betas
+        j = np.searchsorted(-betas[1:] / taus[1:], -k) + 1  # first knot with ratio <= k
+        j = np.minimum(j, len(taus) - 1)  # k <= 1 by rounding: the last segment
+        slope = (betas[j] - betas[j - 1]) / (taus[j] - taus[j - 1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau = (betas[j - 1] - slope * taus[j - 1]) / (k - slope)
+        # clipped to the segment; nan (a ratio equal to k all along it) gives its end
+        return np.fmax(np.fmin(tau, taus[j]), taus[j - 1])
+    theta, log_k = model.theta1, np.log(k)
+    z = np.maximum(-log_k / theta - 0.5 * theta, _Z_FLOOR)
+    lo, hi = np.full_like(z, _Z_FLOOR), np.full_like(z, _Z_CEIL)
+    tau, idx = np.empty_like(z), np.arange(len(z))
+    for _ in range(_NEWTON_MAX_ITER):
+        upper, lower = ndtr(z + theta), ndtr(z)
+        residual = np.log(upper / lower) - log_k[idx]
+        lo, hi = np.where(residual > 0.0, z, lo), np.where(residual < 0.0, z, hi)
+        mills = np.exp(-0.5 * z * z) / (_SQRT_2PI * lower)
+        slope = np.exp(-0.5 * (z + theta) ** 2) / (_SQRT_2PI * upper) - mills
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -residual / slope
+        # Phi(z) carries a relative rounding of about z^2 eps in the lower tail
+        done = np.abs(residual) <= 4.0 * _EPS * (1.0 + log_k[idx] + z * z)
+        tau[idx[done]] = (lower * (1.0 + mills * step))[done]
+        idx, z, lo, hi, step = idx[~done], z[~done], lo[~done], hi[~done], step[~done]
+        if not len(idx):
+            break
+        z = np.where((lo < z + step) & (z + step < hi), z + step, 0.5 * (lo + hi))
+    tau[idx] = ndtr(z)
+    return tau
 
 
 def power(model: TestModel, tau):

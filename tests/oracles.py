@@ -19,6 +19,10 @@ from statmenus import evaluation, objectives
 from statmenus.contracts import PARTICIPATION_SLACK, best_response
 
 _MAX_DEPTH = 48
+# The scalar FDR bisection's first bracket is [_BISECT_LO, 1], and it halves
+# a bracket at most _BISECT_MAX_ITER times.
+_BISECT_LO = 1e-12
+_BISECT_MAX_ITER = 1100
 
 
 def _simpson(f_a, f_m, f_b, h):
@@ -70,12 +74,12 @@ def scalar_fdr_threshold(q, alpha, model):
         return 0.0
     if sm.fdr(q, 1.0, model) <= alpha:
         return 1.0
-    lo, hi = objectives._BISECT_LO, 1.0
+    lo, hi = _BISECT_LO, 1.0
     if sm.fdr(q, lo, model) > alpha:
         lo, hi = float(np.finfo(float).tiny), lo
         if sm.fdr(q, lo, model) > alpha:
             return 0.0
-    for _ in range(objectives._BISECT_MAX_ITER):
+    for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -84,6 +88,37 @@ def scalar_fdr_threshold(q, alpha, model):
         else:
             hi = mid
     return lo
+
+
+def log_linear_curve(theta1=1.5):
+    """The Gaussian power curve on 64 log-spaced knots in [1e-6, 0.05) and 193
+    linear knots on [0.05, 1], as the tabulated benchmark workload's curve."""
+    logs = np.exp(np.linspace(np.log(1e-6), np.log(0.05), 65)[:-1])
+    taus = np.concatenate([[0.0], logs, np.linspace(0.05, 1.0, 193)])
+    return sm.tabulated_model(taus, sm.power(sm.gaussian_model(theta1), taus))
+
+
+# The library's FDR thresholds and the scalar bisection's both meet the
+# contract below, but the predicate FDR(q, tau) <= alpha flips back and forth
+# near its root, and they may stop at different flips: Gaussian thresholds
+# differ by up to 1e-14 relative at effect 1, and by up to 3.2e-10 in the deep
+# tail (tau near 1e-300) at effect 0.05; tabulated ones agree bit for bit
+# wherever the predicate is monotone outside a few ulps.
+FDR_THRESHOLD_RTOL = 1e-9
+
+
+def meets_fdr_threshold_contract(q, alpha, model, tau):
+    """Elementwise: is ``tau`` the largest threshold keeping FDR(q, tau) within
+    ``alpha``, as far as doubles go? FDR(q, tau) <= alpha holds at an interior
+    tau (at least the smallest normal double) and fails at the next double up;
+    tau = 1 only where FDR(q, 1) <= alpha, and tau = 0 only for q = 1 or where
+    both 1e-12 and the smallest normal double are over budget."""
+    q, tau = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(tau, dtype=float))
+    floor = np.finfo(float).tiny
+    within = sm.fdr(q, tau, model) <= alpha
+    interior = within & (sm.fdr(q, np.nextafter(tau, 1.0), model) > alpha) & (tau >= floor)
+    over = (sm.fdr(q, _BISECT_LO, model) > alpha) & (sm.fdr(q, floor, model) > alpha)
+    return np.where(tau == 1.0, within, np.where(tau == 0.0, (q == 1.0) | over, interior))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,9 @@ from statmenus import _quad, objectives
 from statmenus._quad import _MAX_DEPTH, adaptive_simpson
 
 from oracles import (
+    FDR_THRESHOLD_RTOL,
+    log_linear_curve,
+    meets_fdr_threshold_contract,
     recursive_simpson,
     scalar_bayes_threshold,
     scalar_fdr_threshold,
@@ -39,7 +42,26 @@ def tabulated_models(draw):
     return sm.tabulated_model([0.0] + taus + [1.0], [0.0] + betas + [1.0])
 
 
-models = st.one_of(st.floats(0.05, 10.0).map(sm.gaussian_model), tabulated_models())
+@st.composite
+def concave_tabulated_models(draw):
+    """Concave power curves: decreasing segment slopes scaled to end at (1, 1)."""
+    n = draw(st.integers(2, 10))
+    widths = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    slopes = np.array(
+        sorted(draw(st.lists(st.floats(0.01, 50.0), min_size=n, max_size=n, unique=True)))[::-1]
+    )
+    taus = np.concatenate([[0.0], np.cumsum(widths) / widths.sum()])
+    betas = np.concatenate([[0.0], np.cumsum(widths * slopes) / np.dot(widths, slopes)])
+    taus[-1] = betas[-1] = 1.0
+    try:
+        return sm.tabulated_model(taus, betas)
+    except sm.InvalidModelError:  # rounding put an interior knot on the diagonal
+        assume(False)
+
+
+models = st.one_of(
+    st.floats(0.05, 10.0).map(sm.gaussian_model), tabulated_models(), concave_tabulated_models()
+)
 
 
 @st.composite
@@ -56,11 +78,24 @@ def type_arrays(draw):
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=150, deadline=None)
+def assert_matches_scalar_bisection(qs, alpha, model, taus):
+    """``taus`` meet the threshold contract exactly and are within
+    ``FDR_THRESHOLD_RTOL`` of the scalar bisection (equal at 0 and 1)."""
+    qs, taus = np.asarray(qs, dtype=float), np.asarray(taus, dtype=float)
+    assert meets_fdr_threshold_contract(qs, alpha, model, taus).all()
+    expected = np.array([scalar_fdr_threshold(float(q), alpha, model) for q in qs.ravel()])
+    expected = expected.reshape(qs.shape)
+    assert np.all((taus == expected) | (np.abs(taus - expected) <= FDR_THRESHOLD_RTOL * expected))
+    assert np.array_equal(np.isin(taus, (0.0, 1.0)), np.isin(expected, (0.0, 1.0)))
+
+
+@settings(max_examples=300, deadline=None)
 @given(model=models, alpha=st.floats(0.001, 0.999), qs=type_arrays())
 def test_fdr_threshold_matches_scalar_bisection(model, alpha, qs):
     """Random curves whose power-to-size ratio rises by more than rounding
-    raise; the rest match the scalar bisection bit for bit."""
+    raise; for the rest, Gaussian or tabulated, concave or not, every
+    threshold meets the contract and is within rounding of the scalar
+    bisection, the same through every entry point."""
     objective = sm.fdr_objective(alpha)
     if model.kind == "tabulated":
         ratios = model.betas[1:] / model.taus[1:]
@@ -68,12 +103,12 @@ def test_fdr_threshold_matches_scalar_bisection(model, alpha, qs):
             with pytest.raises(sm.UnsupportedModelError):
                 sm.fdr_threshold(qs, objective, model)
             return
-    expected = [scalar_fdr_threshold(float(q), alpha, model) for q in qs]
     taus = sm.fdr_threshold(qs, objective, model)
-    assert taus.tolist() == expected
-    assert np.all((sm.fdr(qs, taus, model) <= alpha) | (taus == 0.0))
-    assert sm.optimal_threshold(qs, objective, model).tolist() == expected
-    assert objectives._fdr_bisection(qs[:, None], [alpha, alpha], model)[:, 1].tolist() == expected
+    assert_matches_scalar_bisection(qs, alpha, model, taus)
+    assert sm.optimal_threshold(qs, objective, model).tolist() == taus.tolist()
+    columns = objectives._fdr_bisection(qs[:, None], [alpha, alpha], model)
+    assert columns[:, 1].tolist() == taus.tolist()
+    assert [sm.fdr_threshold(float(q), objective, model) for q in qs] == taus.tolist()
 
 
 def test_fdr_threshold_boundary_cases_and_clamp():
@@ -81,20 +116,20 @@ def test_fdr_threshold_boundary_cases_and_clamp():
     objective = sm.fdr_objective(0.25)
     qs = np.array([0.0, 0.1, 0.25, 0.5, 0.7, 0.9, 1.0])
     taus = sm.fdr_threshold(qs, objective, steep)
-    assert taus.tolist() == [scalar_fdr_threshold(q, 0.25, steep) for q in qs.tolist()]
+    assert_matches_scalar_bisection(qs, 0.25, steep, taus)
     assert taus[0] == taus[1] == taus[2] == 1.0  # q = 0 and FDR(q, 1) = q <= alpha
     assert taus[-1] == 0.0
     # FDR(q, tau) = q / (q + 5 (1 - q)) > alpha for every tau below 0.01: approve nothing
     assert taus[4] == taus[5] == 0.0
-    assert objectives._BISECT_LO < taus[3] < 1.0
-    assert np.all((sm.fdr(qs, taus, steep) <= 0.25) | (taus == 0.0))
-    # Gaussian types over budget at 1e-12 bisect on [smallest normal, 1e-12]
+    assert 0.01 < taus[3] < 1.0
+    # Gaussian types over budget at 1e-12 are solved below it, down to the
+    # smallest normal double; past that they approve nothing
     weak = sm.gaussian_model(0.25)
-    qs = np.array([0.5, 0.7, 0.75, 0.9])
+    qs = np.array([0.5, 0.7, 0.75, 0.9, 0.9999])
     taus = sm.fdr_threshold(qs, objective, weak)
-    assert taus.tolist() == [scalar_fdr_threshold(q, 0.25, weak) for q in qs.tolist()]
-    assert np.all(sm.fdr(qs, taus, weak) <= 0.25)
-    assert np.finfo(float).tiny < taus[3] < taus[2] < taus[1] < objectives._BISECT_LO < taus[0]
+    assert_matches_scalar_bisection(qs, 0.25, weak, taus)
+    assert np.finfo(float).tiny < taus[3] < taus[2] < taus[1] < 1e-12 < taus[0]
+    assert taus[4] == 0.0
 
 
 @settings(max_examples=100, deadline=None)
@@ -121,30 +156,41 @@ def test_bayes_threshold_matches_scalar_rule(theta, weights, qs):
 def test_threshold_map_matches_scalar_bisection(gm1, fdr25):
     population = sm.uniform_population(0.2, 0.9, n=64)
     pairs = sm.threshold_map(population, fdr25, gm1)
-    assert pairs == [(q, scalar_fdr_threshold(q, 0.25, gm1)) for q in population.points().tolist()]
+    qs, taus = zip(*pairs)
+    assert list(qs) == population.points().tolist()
+    assert_matches_scalar_bisection(qs, 0.25, gm1, taus)
     assert all(type(q) is float and type(t) is float for q, t in pairs)
+
+
+@pytest.mark.parametrize(
+    "model, qs",
+    [
+        (sm.gaussian_model(1.0), np.linspace(0.43, 0.86, 1024)),  # the fine_menu benchmark's types
+        (sm.gaussian_model(1.0), np.linspace(0.0, 1.0, 1024)),
+        (log_linear_curve(), np.linspace(0.0, 1.0, 1024)),
+    ],
+    ids=["gaussian-fine-menu", "gaussian", "log-linear-curve"],
+)
+def test_fdr_threshold_makes_few_power_calls(fdr25, monkeypatch, model, qs):
+    """A solve of 1,024 types evaluates the power curve on at most 16 arrays
+    (the full bisection took about 65): one check at 1, 1e-12 and the
+    smallest normal double, the bracket check and a short bisection."""
+    calls = []
+
+    def counted(model, tau):
+        calls.append(np.size(tau))
+        return power(model, tau)
+
+    power = objectives._power
+    monkeypatch.setattr(objectives, "_power", counted)
+    taus = sm.fdr_threshold(qs, fdr25, model)
+    assert len(calls) <= 16
+    assert meets_fdr_threshold_contract(qs, 0.25, model, taus).all()
 
 
 # ---------------------------------------------------------------------------
 # bracketed roots: the elicitable bound
 # ---------------------------------------------------------------------------
-
-
-@st.composite
-def concave_tabulated_models(draw):
-    """Concave power curves: decreasing segment slopes scaled to end at (1, 1)."""
-    n = draw(st.integers(2, 10))
-    widths = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
-    slopes = np.array(
-        sorted(draw(st.lists(st.floats(0.01, 50.0), min_size=n, max_size=n, unique=True)))[::-1]
-    )
-    taus = np.concatenate([[0.0], np.cumsum(widths) / widths.sum()])
-    betas = np.concatenate([[0.0], np.cumsum(widths * slopes) / np.dot(widths, slopes)])
-    taus[-1] = betas[-1] = 1.0
-    try:
-        return sm.tabulated_model(taus, betas)
-    except sm.InvalidModelError:  # rounding put an interior knot on the diagonal
-        assume(False)
 
 
 @settings(max_examples=150, deadline=None)
@@ -394,7 +440,7 @@ def test_frontier_matches_per_point_loop():
     for alpha in sm.evaluation._sweep_grid(64, lo=1e-4).tolist():
         if alpha >= 1.0:
             continue
-        good, bad = (scalar_fdr_threshold(q, alpha, model) for q in (q_good, q_bad))
+        good, bad = (sm.fdr_threshold(q, sm.fdr_objective(alpha), model) for q in (q_good, q_bad))
         null = w_good * q_good * good + w_bad * q_bad * bad
         approve = null + w_good * (1 - q_good) * sm.power(model, good) + w_bad * (
             1 - q_bad
@@ -416,7 +462,7 @@ def test_sensitivity_sweep_matches_per_report_calls(gm1, fdr25, fixed_menu):
     assert [(r.report, r.gap, r.implied_q) for r in rows] == expected
     taus = scenario.threshold_at(np.array(fixed_menu.support[5:8] + (0.5,)))
     assert taus.tolist() == [c.tau for c in fixed_menu.contracts[5:8]] + [
-        scalar_fdr_threshold(0.5, 0.25, gm1)
+        sm.fdr_threshold(0.5, fdr25, gm1)
     ]
 
 

@@ -13,7 +13,12 @@ from statmenus import _quad, builders, contracts, objectives
 from statmenus.contracts import Contract
 from statmenus.errors import InfeasibleMenuError, InvalidPotentialError
 
-from oracles import recursive_simpson, scalar_finite_menu, scalar_optimal_threshold
+from oracles import (
+    log_linear_curve,
+    recursive_simpson,
+    scalar_finite_menu,
+    scalar_optimal_threshold,
+)
 
 ALPHA = 0.25
 
@@ -644,7 +649,9 @@ def scalar_fixed_reward_costs(reward, q_lo, q_bar, objective, model, n):
     space; under error costs, the margin integrated over the types from the
     first, one segment at a time, and read as the total minus the running sum."""
     support = np.linspace(q_lo, q_bar, n)
-    taus = [scalar_optimal_threshold(float(q), objective, model) for q in support]
+    # FDR thresholds are inputs here, checked against their own oracle elsewhere
+    threshold = sm.fdr_threshold if objective.kind == "fdr" else scalar_optimal_threshold
+    taus = [threshold(float(q), objective, model) for q in support]
 
     def margin(z):
         tau = scalar_optimal_threshold(float(z), objective, model)
@@ -684,14 +691,6 @@ def z_space_segments(zs, objective, model, tol=1e-14):
 
     pieces = _quad.adaptive_simpson(margin, chain, tol)
     return np.bincount(owner, weights=pieces, minlength=len(zs) - 1)
-
-
-def log_linear_curve(theta1=1.5):
-    """The Gaussian power curve on 64 log-spaced knots in [1e-6, 0.05) and 193
-    linear knots on [0.05, 1], as the tabulated benchmark workload's curve."""
-    logs = np.exp(np.linspace(np.log(1e-6), np.log(0.05), 65)[:-1])
-    taus = np.concatenate([[0.0], logs, np.linspace(0.05, 1.0, 193)])
-    return sm.tabulated_model(taus, sm.power(sm.gaussian_model(theta1), taus))
 
 
 def bisection_q_lo(tau_bar, objective, model):

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import statmenus as sm
 from statmenus import _quad, cli
@@ -422,7 +424,8 @@ def test_opted_out_type_in_evaluate_is_infeasible(tmp_path, capsys):
 def test_non_finite_result_is_infeasible(tmp_path, capsys, command, key):
     """A menu whose utilities overflow gives infinite costs: the command exits
     3 naming the key and writes no artifact, instead of an Infinity in its
-    JSON (and evaluate's return curve before it)."""
+    JSON (and evaluate's return curve before it). The overflow raises no
+    numpy warning, which the test session would turn into an error."""
     menu = sm.Menu((0.3, 0.6), (sm.Contract(0.1, 1e308, -1e308), sm.Contract(0.05, 1.0, 0.0)))
     menu.save(tmp_path / "menu.json")
     path = write_config(
@@ -431,10 +434,51 @@ def test_non_finite_result_is_infeasible(tmp_path, capsys, command, key):
          "/simulation/n": 1000},
     )
     out = tmp_path / "out"
-    with np.errstate(over="ignore"):
-        assert main([command, "--config", str(path), "--out", str(out)]) == 3
+    assert main([command, "--config", str(path), "--out", str(out)]) == 3
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["menu-verify", "evaluate", "simulate"])
+def test_menu_lines_past_the_float_range_are_infeasible(tmp_path, capsys, command):
+    """Finite contracts whose utility lines overflow (intercept R beta1 - c =
+    1.7e308 beta1 + 1.7e308): every command that reads the lines exits 3
+    naming the first such contract, with no numpy warning and no artifact,
+    rather than a verify report with gap NaN (exit 4) or a crash."""
+    contracts = (sm.Contract(0.9, 1.7e308, -1.7e308), sm.Contract(0.8, 1.7e308, -1.7e308))
+    sm.Menu((0.3, 0.6), contracts).save(tmp_path / "menu.json")
+    path = write_config(
+        tmp_path,
+        {"/population": {"kind": "uniform_grid", "lo": 0.3, "hi": 0.6, "n": 16},
+         "/simulation/n": 1000},
+    )
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 3
+    assert "contract (tau=0.9, reward=1.7e+308, cost=-1.7e+308)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_CSV_CELLS = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.225073858507201e-308]),
+    st.integers(),
+    st.booleans(),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126)),  # commas and % too
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.lists(_CSV_CELLS, max_size=5), max_size=8))
+def test_csv_rows_match_the_per_cell_format(tmp_path_factory, rows):
+    """``_write_csv``'s per-row templates write the bytes of joining ``_fmt``
+    of each cell: ``%.17g`` is ``format(x, ".17g")`` for every double,
+    signed zeros, infinities, NaN and subnormals included."""
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    cli._write_csv(path, "stamp", ("a", "b"), rows)
+    expected = [f"# config_sha256=stamp artifact_version={sm.__version__}", "a,b"]
+    expected += [",".join(cli._fmt(x) for x in row) for row in rows]
+    assert path.read_text() == "\n".join(expected) + "\n"
 
 
 def test_unexpected_value_error_is_not_infeasible(tmp_path, monkeypatch):

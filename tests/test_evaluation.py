@@ -297,7 +297,7 @@ def _five_type_counts(*rows):
             (14091, 14091, 4301, 3153, 9282), (13908, 13908, 5514, 2082, 6331),
             (14104, 14104, 7056, 1201, 3753), (13778, 13778, 8163, 600, 1761),
             (14119, 14119, 9828, 207, 668))),
-        ("stratified", (70_000, 29_237, 7_424), "-0x1.2d6b3ad86560dp+19", _five_type_counts(
+        ("stratified", (70_000, 29_237, 7_424), "-0x1.2d6b3ad86560ep+19", _five_type_counts(
             (14000, 14000, 4247, 3158, 9254), (14000, 14000, 5561, 2099, 6410),
             (14000, 14000, 7064, 1299, 3638), (14000, 14000, 8516, 630, 1825),
             (14000, 14000, 9726, 238, 686))),
@@ -320,6 +320,16 @@ def test_simulation_output_is_pinned(
     assert (report.participating, report.approved, report.approved_null) == totals
     assert report.principal_cash.hex() == cash
     assert report.per_type == per_type
+
+
+def test_an_empty_opt_out_slot_draws_no_agent(gm1, fixed_menu):
+    """No type of [0.43, 0.86] opts out of the menu, so its opt-out slot has
+    no mass; numpy's multinomial still gives its last slot the agents that
+    rounding leaves over (4 of 2^53 at this seed), which go to the last slot
+    with mass instead."""
+    population = sm.uniform_population(0.43, 0.86)
+    report = sm.simulate_population(fixed_menu, population, gm1, n=1 << 53, seed=1)
+    assert report.participating == 1 << 53
 
 
 @settings(max_examples=40, deadline=None)
