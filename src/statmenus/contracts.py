@@ -231,7 +231,9 @@ class Menu:
 
 
 def utility(q, contract: Contract, model: TestModel):
-    """Expected utility of type-q agents under ``contract``, elementwise in q."""
+    """Expected utility of type-q agents under ``contract``, elementwise in q.
+    A contract whose utility line's slope or intercept is past the float range
+    raises ``InfeasibleMenuError``."""
     q = _types(q)
     slope, intercept = _line(contract.tau, contract.reward, contract.cost, model)
     return _float_or_array(q * slope + intercept)
@@ -497,7 +499,9 @@ def scoring_rule(menu: Menu, p: float, y: int, model: TestModel) -> float:
 
     ``y = 1`` means the proposal is null (ineffective), ``y = 0`` effective.
     The payoffs are the ends of the report's utility line: S(p, 1) = slope +
-    intercept at q = 1 and S(p, 0) = intercept at q = 0.
+    intercept at q = 1 and S(p, 0) = intercept at q = 0. A contract whose
+    line's slope or intercept is past the float range raises
+    ``InfeasibleMenuError``.
     """
     if y not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {y!r}")

@@ -176,47 +176,25 @@ def bayes_threshold(q, objective: PrincipalObjective, model: TestModel):
     return _float_or_array(tau)
 
 
-def _descend(ends, inner) -> np.ndarray:
-    """Halve brackets ``ends = [lo, hi]`` (a 2 x n array) in place, toward
-    their hi at a midpoint under ``inner[0]`` and toward their lo at one over
-    ``inner[1]``, until each midpoint lies in ``inner``; returns the
-    midpoints. A bracket that holds ``inner``, or has an end inside it,
-    shrinks at each halving, so the loop ends."""
-    mid, outside = np.empty(ends.shape[1]), np.empty(ends.shape, bool)
-    while True:
-        np.multiply(np.add(ends[0], ends[1], out=mid), 0.5, out=mid)
-        np.less(mid, inner[0], out=outside[0])
-        np.greater(mid, inner[1], out=outside[1])
-        if not outside.any():
-            return mid
-        np.putmask(ends, outside, mid)  # flat index i takes mid[i % n]: lo or hi of column i
-
-
-def _bisect(below, lo, hi, *data, inner=None):
-    """Final ``(lo, hi)`` of halving brackets with ``below(lo)`` true and
-    ``below(hi)`` false at ``0.5 * (lo + hi)``, until the midpoint is not
-    strictly inside. ``below(mid, *data)`` sees the midpoints, and ``data``,
-    of the brackets that need it. With ``inner = (a, b)``, inside the
-    brackets, with ``below(a)`` true and ``below(b)`` false, ``below`` is
-    taken as true at a midpoint under a and false at one over b, and called
-    only on [a, b]: the halving is the same wherever ``below`` is monotone
-    outside [a, b], and ``below`` holds at each final lo and fails at each
-    final hi anyway."""
-    ends = np.array([lo, hi], dtype=float)
-    inner = ends.copy() if inner is None else np.asarray(inner, dtype=float)
-    out, idx = ends.copy(), np.arange(ends.shape[1])
+def _bisect(below, lo, hi, *data):
+    """Final ``(lo, hi)`` of brackets with ``below(lo)`` true and ``below(hi)``
+    false. ``below(mid, *data)`` sees the live brackets' midpoints and ``data``
+    only. A bracket stops once its midpoint is not strictly inside it, which
+    halving a bracket of doubles always reaches."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    out_lo, out_hi, idx = lo.copy(), hi.copy(), np.arange(len(lo))
     while len(idx):
-        mid = _descend(ends, inner)
-        live = (ends[0] < mid) & (mid < ends[1])
+        mid = 0.5 * (lo + hi)
+        live = (lo < mid) & (mid < hi)
         if not live.all():
-            out[:, idx[~live]] = ends[:, ~live]
-            idx, ends, inner, mid = idx[live], ends[:, live], inner[:, live], mid[live]
+            out_lo[idx[~live]], out_hi[idx[~live]] = lo[~live], hi[~live]
+            idx, lo, hi, mid = idx[live], lo[live], hi[live], mid[live]
             data = tuple(d[live] for d in data)
             if not len(idx):
                 break
         go = below(mid, *data)
-        np.putmask(ends, np.array([go, ~go]), mid)
-    return out[0], out[1]
+        lo, hi = np.where(go, mid, lo), np.where(go, hi, mid)
+    return out_lo, out_hi
 
 
 def _verified_bracket(below, start, lo, hi, *data) -> np.ndarray:
@@ -245,15 +223,14 @@ def _fdr_bisection(q, alpha, model: TestModel) -> np.ndarray:
     both ``_LOW`` and ``_FLOOR`` gets 0 (approve nothing). The rest are
     searched on [_LOW, 1], or on [_FLOOR, _LOW] if over budget at _LOW.
 
-    FDR(q, tau) <= alpha exactly when beta1(tau) / tau >= k = q (1 - alpha)
-    / ((1 - q) alpha), which ``_inverse_power_ratio`` solves for a start, in
-    closed form or by Newton's method; ``_verified_bracket`` checks a
-    bracket around it. A Gaussian type bisects that bracket. A tabulated
-    type halves its whole search bracket but calls the predicate only
-    inside the checked one, so its threshold is the full bisection's double
-    wherever the predicate is monotone outside it: a tabulated curve's
-    ``power_derivative`` is a forward difference that moves by about 1e-9
-    per ulp of tau, and a sensitivity sweep turns that into 2e-8 of a gap.
+    A Gaussian type bisects a checked bracket around a start: FDR(q, tau)
+    <= alpha exactly when beta1(tau) / tau >= k = q (1 - alpha) / ((1 - q)
+    alpha), which ``_inverse_power_ratio`` solves by Newton's method, and
+    ``_verified_bracket`` checks a bracket around that root. A tabulated type
+    bisects its whole search bracket: its curve's ``power_derivative`` is a
+    forward difference that moves by about 1e-9 per ulp of tau, so a
+    threshold a few ulps off the full bisection's moves a sensitivity gap by
+    up to 2e-8.
 
     The FDR is nondecreasing in tau, and the start unique, exactly when
     beta1(tau) / tau is nonincreasing, as for concave power; a tabulated
@@ -282,11 +259,10 @@ def _fdr_bisection(q, alpha, model: TestModel) -> np.ndarray:
     def below(t, q, alpha):
         return _fdr(q, t, _power(model, t)) <= alpha
 
-    start = _inverse_power_ratio(model, q * (1.0 - alpha) / ((1.0 - q) * alpha))
-    inner = _verified_bracket(below, start, lo, hi, q, alpha)
     if model.kind == "gaussian_mean":
-        lo, hi = inner  # bisect the checked bracket alone
-    tau[idx], _ = _bisect(below, lo, hi, q, alpha, inner=inner)
+        start = _inverse_power_ratio(model, q * (1.0 - alpha) / ((1.0 - q) * alpha))
+        lo, hi = _verified_bracket(below, start, lo, hi, q, alpha)
+    tau[idx], _ = _bisect(below, lo, hi, q, alpha)
     return tau.reshape(shape)
 
 

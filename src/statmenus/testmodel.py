@@ -187,30 +187,19 @@ def _power(model: TestModel, tau):
 
 
 def _inverse_power_ratio(model: TestModel, k) -> np.ndarray:
-    """Approximately the largest tau with beta1(tau) / tau >= k, for levels
-    ``k > 1`` met at some tau >= ``np.finfo(float).tiny``, elementwise, given
-    beta1(tau) / tau nonincreasing: a start for an exact search, a few dozen
-    ulps off (more in the Gaussian tail, where rounding is amplified).
+    """Approximately the largest tau with beta1(tau) / tau >= k on a Gaussian
+    curve, for levels ``k > 1`` met at some tau >= ``np.finfo(float).tiny``,
+    elementwise: a start for an exact search, a few dozen ulps off (more in
+    the deep tail, where rounding is amplified).
 
-    Tabulated: on segment j, beta1 = a_j + b_j tau, so the ratio is k at
-    a_j / (k - b_j); one search over the knot ratios finds j. Gaussian: with
-    z = Phi^-1(tau), safeguarded Newton on log(Phi(z + theta) / Phi(z)) =
-    log k, whose left side falls in z with slope m(z + theta) - m(z), m the
+    With z = Phi^-1(tau), safeguarded Newton on log(Phi(z + theta) / Phi(z))
+    = log k, whose left side falls in z with slope m(z + theta) - m(z), m the
     inverse Mills ratio phi / Phi. It starts where beta1'(tau) = k, below the
     root as beta1 is concave, and stops once the residual is at rounding; the
     last step is taken in tau, as Phi(z) (1 + m(z) dz), since rounding
     z + dz would move tau by up to |z| m(z) ulps.
     """
     k = np.asarray(k, dtype=float)
-    if model.kind == "tabulated":
-        taus, betas = model.taus, model.betas
-        j = np.searchsorted(-betas[1:] / taus[1:], -k) + 1  # first knot with ratio <= k
-        j = np.minimum(j, len(taus) - 1)  # k <= 1 by rounding: the last segment
-        slope = (betas[j] - betas[j - 1]) / (taus[j] - taus[j - 1])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tau = (betas[j - 1] - slope * taus[j - 1]) / (k - slope)
-        # clipped to the segment; nan (a ratio equal to k all along it) gives its end
-        return np.fmax(np.fmin(tau, taus[j]), taus[j - 1])
     theta, log_k = model.theta1, np.log(k)
     z = np.maximum(-log_k / theta - 0.5 * theta, _Z_FLOOR)
     lo, hi = np.full_like(z, _Z_FLOOR), np.full_like(z, _Z_CEIL)

@@ -75,6 +75,17 @@ def test_utility_nondecreasing_in_threshold(gm1):
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
+def test_utility_line_past_the_float_range_raises(gm1):
+    """R beta1 - c = 1.7e308 beta1 + 1.7e308 overflows: ``utility`` and
+    ``scoring_rule`` raise, with no numpy warning, instead of returning inf."""
+    c = Contract(0.9, 1.7e308, -1.7e308)
+    with pytest.raises(sm.InfeasibleMenuError, match=r"contract \(tau=0\.9, reward=1\.7e\+308"):
+        sm.utility(0.5, c, gm1)
+    menu = Menu((0.3, 0.6), (c, Contract(0.8, 1.0, 0.0)))
+    with pytest.raises(sm.InfeasibleMenuError, match="past the float range"):
+        sm.scoring_rule(menu, 0.3, 0, gm1)
+
+
 def test_zero_utility_cost_calibration(gm1):
     cost = sm.zero_utility_cost(0.8, 0.004, 100.0, gm1)
     assert sm.utility(0.8, Contract(0.004, 100.0, cost), gm1) == pytest.approx(0.0, abs=1e-12)

@@ -6,7 +6,7 @@ from scipy import optimize, stats
 
 import statmenus as sm
 
-from oracles import FDR_THRESHOLD_RTOL, meets_fdr_threshold_contract, scalar_fdr_threshold
+from oracles import scalar_fdr_threshold
 
 FIVE_TYPE_TARGETS = {0.3: 0.74, 0.4: 0.38, 0.5: 0.18, 0.6: 0.07, 0.7: 0.02}
 
@@ -158,15 +158,13 @@ def test_fdr_threshold_rejects_a_rising_power_ratio(fdr25, q):
 
 def test_fdr_threshold_accepts_collinear_knots(fdr25):
     """Knots on a line through the origin have equal ratios up to rounding
-    (here the last one is 2 ulps above the others), and are solved as usual."""
+    (here the last one is 2 ulps above the others), and bisect as usual."""
     model = sm.tabulated_model([0, 0.1, 0.2, 0.3, 1], [0, 0.3, 0.6, 0.9, 1])
     ratios = model.betas[1:-1] / model.taus[1:-1]
     assert ratios[2] > ratios[1]
     qs = np.linspace(0.05, 0.95, 19)
-    taus = sm.fdr_threshold(qs, fdr25, model)
-    assert meets_fdr_threshold_contract(qs, 0.25, model, taus).all()
-    expected = np.array([scalar_fdr_threshold(float(q), 0.25, model) for q in qs])
-    assert np.all(np.abs(taus - expected) <= FDR_THRESHOLD_RTOL * expected)
+    expected = [scalar_fdr_threshold(float(q), 0.25, model) for q in qs]
+    assert sm.fdr_threshold(qs, fdr25, model).tolist() == expected
 
 
 # ---------------------------------------------------------------------------
