@@ -30,7 +30,8 @@ from .contracts import verify_separating, zero_utility_cost
 from .errors import InfeasibleMenuError, InvalidPotentialError
 from .objectives import _FLOOR, PrincipalObjective, _bisect, _fdr_odds, optimal_threshold
 from .objectives import type_for_threshold
-from .testmodel import TestModel, _float_or_array, normal_cdf, power, power_derivative
+from .testmodel import TestModel, _float_or_array, _power_derivative, normal_cdf, power
+from .testmodel import power_derivative
 
 __all__ = [
     "GPotential",
@@ -320,7 +321,8 @@ def elicitable_range(objective: PrincipalObjective, model: TestModel) -> Tuple[f
         elif power_derivative(model, hi) > 1.0:
             tau_bar = hi
         else:
-            lo, hi = _bisect(lambda mid: power_derivative(model, mid) > 1.0, [lo], [hi])
+            # the midpoints lie inside (lo, hi), so they skip the range check
+            lo, hi = _bisect(lambda mid: _power_derivative(model, mid) > 1.0, [lo], [hi])
             tau_bar = float(0.5 * (lo[0] + hi[0]))
     return type_for_threshold(tau_bar, objective, model), tau_bar
 

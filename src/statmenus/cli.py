@@ -40,7 +40,7 @@ from .contracts import DEFAULT_IC_MARGIN, Contract, Menu, verify_separating, zer
 from .errors import ConfigError, StatMenusError
 from .evaluation import (
     MAX_AGENTS,
-    frontier,
+    frontier_table,
     information_rent,
     principal_return,
     screening_cost,
@@ -293,20 +293,22 @@ def _fmt(x: Any) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, stamp: str, header: Sequence[str], rows) -> None:
-    """Write ``rows`` under a provenance line and ``header``, each row by one
-    ``%`` template for its cells' types: ``%.17g`` for a float, which writes
-    what ``_fmt``'s ``format(x, ".17g")`` does for every double, and ``%s``
-    for any other cell."""
-    templates: Dict[tuple, str] = {}
+def _write_csv(path: Path, stamp: str, header: Sequence[str], columns) -> None:
+    """Write ``columns``, one equal-length sequence per ``header`` name, as
+    rows under a provenance line and ``header``. Each column's format is
+    picked once from the set of its cells' types: ``%.17g`` for a column of
+    floats, which writes what ``_fmt``'s ``format(x, ".17g")`` does for every
+    double, ``%s`` for a column with no float, and ``_fmt`` of each cell for
+    a column that mixes them. Every row is then one ``%`` of one template."""
+    formats, cells = [], []
+    for column in columns:
+        floats = {issubclass(kind, float) for kind in set(map(type, column))}
+        if floats == {True, False}:
+            column = list(map(_fmt, column))
+        formats.append("%.17g" if floats == {True} else "%s")
+        cells.append(column)
     lines = [f"# config_sha256={stamp} artifact_version={__version__}", ",".join(header)]
-    for row in map(tuple, rows):
-        kinds = tuple(map(type, row))
-        template = templates.get(kinds)
-        if template is None:
-            cells = ("%.17g" if issubclass(kind, float) else "%s" for kind in kinds)
-            template = templates[kinds] = ",".join(cells)
-        lines.append(template % row)
+    lines += map(",".join(formats).__mod__, zip(*cells))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
@@ -428,7 +430,7 @@ def run(
 
     if command == "thresholds":
         pairs = threshold_map(config.population, config.objective, config.model)
-        _write_csv(out_dir / "thresholds.csv", stamp, ("q", "tau"), pairs)
+        _write_csv(out_dir / "thresholds.csv", stamp, ("q", "tau"), zip(*pairs))
         print(f"thresholds: wrote {len(pairs)} rows to {out_dir / 'thresholds.csv'}")
         return EXIT_OK
 
@@ -464,14 +466,9 @@ def run(
         if config.population.kind != "discrete" or len(config.population.types) != 2:
             msg = "frontier needs a discrete population of two types"
             raise ConfigError([("/population", msg)])
-        points = frontier(config.population, config.model, resolution=grid or 512)
-        _write_csv(
-            out_dir / "frontier.csv",
-            stamp,
-            ("label", "parameter", "fdr", "tdr"),
-            ((p.label, p.parameter, p.fdr, p.tdr) for p in points),
-        )
-        print(f"frontier: wrote {len(points)} points to {out_dir / 'frontier.csv'}")
+        columns = frontier_table(config.population, config.model, resolution=grid or 512)
+        _write_csv(out_dir / "frontier.csv", stamp, ("label", "parameter", "fdr", "tdr"), columns)
+        print(f"frontier: wrote {len(columns[0])} points to {out_dir / 'frontier.csv'}")
         return EXIT_OK
 
     if command == "evaluate":
@@ -487,7 +484,7 @@ def run(
         if config.menu.get("method") == "varying_reward" and config.menu.get("etas"):
             # one return-curve column per slack level of the family
             etas = config.menu["etas"]
-            columns = [points]
+            columns = [points.tolist()]
             doc["family"] = {}
             for eta in etas:
                 spec = dict(config.menu)
@@ -498,8 +495,8 @@ def run(
                     "screening_cost": screening_cost(menu, base, config.population, config.model),
                     "information_rent": information_rent(menu, config.population, config.model),
                 }
-                columns.append(principal_return(menu, base, points, config.model))
-            curve = ["q"] + [f"return_eta_{eta:g}" for eta in etas], np.transpose(columns).tolist()
+                columns.append(principal_return(menu, base, points, config.model).tolist())
+            curve = ["q"] + [f"return_eta_{eta:g}" for eta in etas], columns
         elif config.menu.get("path"):
             menu = _load_menu(config)
             base = menu.contract_for(menu.support[-1])
@@ -507,7 +504,7 @@ def run(
                 doc["screening_cost"] = screening_cost(menu, base, config.population, config.model)
                 doc["information_rent"] = information_rent(menu, config.population, config.model)
                 returns = principal_return(menu, base, points, config.model)
-            curve = ("q", "return"), zip(points.tolist(), returns.tolist())
+            curve = ("q", "return"), (points.tolist(), returns.tolist())
         _write_json(out_dir / "evaluate.json", stamp, _finite(doc))
         if curve is not None:
             _write_csv(out_dir / "return_curve.csv", stamp, *curve)
@@ -549,16 +546,18 @@ def run(
     except ValueError as exc:
         raise ConfigError([("/menu/path", str(exc))]) from None
     n_points = grid or config.sensitivity.get("points", DEFAULT_SWEEP_POINTS)
-    rows = []
+    columns = ([], [], [])  # theta_actual, p, gap
     for theta in config.sensitivity["actual_theta1"]:
         scenario = MisspecScenario(config.model, gaussian_model(theta), menu, config.objective)
         sweep = sensitivity_sweep(scenario, np.linspace(lo, hi, n_points))
         if not sweep:  # reports whose implied true type leaves (0, 1) are dropped
             msg = f"{n_points} sweep points leave no report for actual_theta1 {theta:g}"
             raise ConfigError([("--grid" if grid else "/sensitivity/points", msg)])
-        rows += [(theta, row.report, row.gap) for row in sweep]
-    _write_csv(out_dir / "sensitivity.csv", stamp, ("theta_actual", "p", "gap"), rows)
-    print(f"sensitivity: wrote {len(rows)} rows to {out_dir / 'sensitivity.csv'}")
+        columns[0].extend([theta] * len(sweep))
+        columns[1].extend(row.report for row in sweep)
+        columns[2].extend(row.gap for row in sweep)
+    _write_csv(out_dir / "sensitivity.csv", stamp, ("theta_actual", "p", "gap"), columns)
+    print(f"sensitivity: wrote {len(columns[0])} rows to {out_dir / 'sensitivity.csv'}")
     return EXIT_OK
 
 

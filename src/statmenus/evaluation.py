@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,6 +45,7 @@ __all__ = [
     "bayes_risk",
     "FrontierPoint",
     "frontier",
+    "frontier_table",
     "screening_cost",
     "information_rent",
     "principal_return",
@@ -86,21 +87,18 @@ def _mix_fdr(null_mass: np.ndarray, approve_mass: np.ndarray) -> np.ndarray:
         return np.where(approve_mass > 0, null_mass / approve_mass, 0.0)
 
 
-def _labelled(label: str, parameters, fdrs, tdrs) -> List[FrontierPoint]:
-    rows = zip(parameters.tolist(), fdrs.tolist(), tdrs.tolist())
-    return [FrontierPoint(label, *row) for row in rows]
-
-
-def frontier(
+def frontier_table(
     population: TypePopulation, model: TestModel, resolution: int = 512
-) -> List[FrontierPoint]:
-    """FDR/TDR curves for a two-type population.
+) -> Tuple[List[str], List[float], List[float], List[float]]:
+    """FDR/TDR curves for a two-type population, as four columns: labels,
+    parameters, FDRs and TDRs, row for row in ``frontier``'s order.
 
     Four labeled sweeps: a single threshold applied to everyone (uniform),
     a single threshold applied to one type only while the other is never
     tested (good_only / bad_only), and per-type budget-optimal thresholds
     swept over the budget (oracle). "Good" is the type with the smaller
-    prior null probability.
+    prior null probability. The first three sweeps share the threshold grid
+    and take turns at each threshold; the oracle rows follow, one per budget.
     """
     if population.kind != "discrete" or len(population.types) != 2:
         raise ValueError("frontier requires a discrete population with exactly two types")
@@ -111,12 +109,8 @@ def frontier(
     null_mass = (w_good * q_good + w_bad * q_bad) * taus
     approve_mass = null_mass + (w_good * (1 - q_good) + w_bad * (1 - q_bad)) * power(model, taus)
     tdr_good, tdr_bad = w_good * tdr(q_good, taus, model), w_bad * tdr(q_bad, taus, model)
-    sweeps = zip(
-        _labelled("uniform", taus, _mix_fdr(null_mass, approve_mass), tdr_good + tdr_bad),
-        _labelled("good_only", taus, fdr(q_good, taus, model), tdr_good),
-        _labelled("bad_only", taus, fdr(q_bad, taus, model), tdr_bad),
-    )
-    points = [point for same_tau in sweeps for point in same_tau]
+    fdrs = [_mix_fdr(null_mass, approve_mass), fdr(q_good, taus, model), fdr(q_bad, taus, model)]
+    tdrs = [tdr_good + tdr_bad, tdr_good, tdr_bad]
 
     alphas = _sweep_grid(resolution, lo=1e-4)
     alphas = alphas[alphas < 1.0]
@@ -125,7 +119,25 @@ def frontier(
     approve_mass = null_mass + w_good * (1 - q_good) * power(model, good)
     approve_mass = approve_mass + w_bad * (1 - q_bad) * power(model, bad)
     mix_tdr = w_good * tdr(q_good, good, model) + w_bad * tdr(q_bad, bad, model)
-    return points + _labelled("oracle", alphas, _mix_fdr(null_mass, approve_mass), mix_tdr)
+
+    def column(same_tau, oracle):  # the three sweeps interleaved, then the oracle
+        return np.concatenate([np.stack(same_tau, axis=1).ravel(), oracle]).tolist()
+
+    labels = ["uniform", "good_only", "bad_only"] * len(taus) + ["oracle"] * len(alphas)
+    return (
+        labels,
+        column([taus] * 3, alphas),
+        column(fdrs, _mix_fdr(null_mass, approve_mass)),
+        column(tdrs, mix_tdr),
+    )
+
+
+def frontier(
+    population: TypePopulation, model: TestModel, resolution: int = 512
+) -> List[FrontierPoint]:
+    """FDR/TDR curves for a two-type population: one point per row of
+    ``frontier_table``."""
+    return [FrontierPoint(*row) for row in zip(*frontier_table(population, model, resolution))]
 
 
 def screening_cost(

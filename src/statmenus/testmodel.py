@@ -231,10 +231,17 @@ def power(model: TestModel, tau):
 def power_derivative(model: TestModel, tau):
     """Slope beta1'(tau) at interior thresholds, elementwise."""
     tau = _unit_interval(tau, "derivative defined for tau in (0, 1)", interior=True)
+    return _float_or_array(_power_derivative(model, tau))
+
+
+def _power_derivative(model: TestModel, tau):
+    """beta1'(tau) for thresholds already known to lie in (0, 1): a Gaussian
+    curve's likelihood ratio, a tabulated one's forward difference over
+    ``min(1e-7, (1 - tau) / 2)``."""
     if model.kind == "gaussian_mean":
-        return likelihood_ratio(model, tau)
+        return np.exp(-model.theta1 * ndtri(tau) - 0.5 * model.theta1**2)
     h = np.minimum(1e-7, 0.5 * (1.0 - tau))
-    return _float_or_array((power(model, tau + h) - power(model, tau)) / h)
+    return (_power(model, tau + h) - _power(model, tau)) / h
 
 
 def likelihood_ratio(model: TestModel, x):
@@ -242,7 +249,7 @@ def likelihood_ratio(model: TestModel, x):
     if model.kind != "gaussian_mean":
         raise UnsupportedModelError("likelihood ratio is defined for gaussian_mean models only")
     x = _unit_interval(x, "likelihood ratio defined for x in (0, 1)", interior=True)
-    return _float_or_array(np.exp(-model.theta1 * ndtri(x) - 0.5 * model.theta1**2))
+    return _float_or_array(_power_derivative(model, x))
 
 
 def inverse_likelihood_ratio(model: TestModel, y):

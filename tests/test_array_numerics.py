@@ -9,11 +9,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import statmenus as sm
-from statmenus import _quad, objectives
+from statmenus import _quad, builders, objectives
 from statmenus._quad import _MAX_DEPTH, adaptive_simpson
 
 from oracles import (
     fdr_threshold_rtol,
+    log_linear_curve,
     meets_fdr_threshold_contract,
     recursive_simpson,
     scalar_bayes_threshold,
@@ -204,6 +205,30 @@ def test_elicitable_range_matches_scalar_bisection(model, alpha):
         sm.type_for_threshold(tau_bar, objective, model),
         tau_bar,
     )
+
+
+def test_elicitable_bisection_skips_the_public_power_derivative(fdr25, monkeypatch):
+    """On a tabulated curve the bisection's midpoints go to the unchecked
+    ``_power_derivative``: the public ``power_derivative``, with its range
+    check and float wrap, serves only the two end checks."""
+    calls = {"public": 0, "private": 0}
+
+    def counted(name, fn):
+        def wrapper(model, tau):
+            calls[name] += 1
+            return fn(model, tau)
+
+        return wrapper
+
+    monkeypatch.setattr(builders, "power_derivative", counted("public", sm.power_derivative))
+    private = counted("private", builders._power_derivative)
+    monkeypatch.setattr(builders, "_power_derivative", private)
+    model = log_linear_curve()
+    q_lo, tau_bar = sm.elicitable_range(fdr25, model)
+    assert calls["public"] == 2
+    assert calls["private"] >= 50  # halving [1e-6, 1 - 1e-6] down to adjacent doubles
+    assert tau_bar == scalar_tau_bar(model)
+    assert q_lo == sm.type_for_threshold(tau_bar, fdr25, model)
 
 
 @settings(max_examples=150, deadline=None)

@@ -469,16 +469,59 @@ _CSV_CELLS = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(rows=st.lists(st.lists(_CSV_CELLS, max_size=5), max_size=8))
-def test_csv_rows_match_the_per_cell_format(tmp_path_factory, rows):
-    """``_write_csv``'s per-row templates write the bytes of joining ``_fmt``
+@given(
+    columns=st.integers(0, 8).flatmap(
+        lambda rows: st.lists(
+            st.lists(_CSV_CELLS, min_size=rows, max_size=rows), min_size=1, max_size=5
+        )
+    )
+)
+def test_csv_rows_match_the_per_cell_format(tmp_path_factory, columns):
+    """``_write_csv``'s per-column formats write the bytes of joining ``_fmt``
     of each cell: ``%.17g`` is ``format(x, ".17g")`` for every double,
     signed zeros, infinities, NaN and subnormals included."""
     path = tmp_path_factory.mktemp("csv") / "rows.csv"
-    cli._write_csv(path, "stamp", ("a", "b"), rows)
+    cli._write_csv(path, "stamp", ("a", "b"), columns)
     expected = [f"# config_sha256=stamp artifact_version={sm.__version__}", "a,b"]
-    expected += [",".join(cli._fmt(x) for x in row) for row in rows]
+    expected += [",".join(cli._fmt(x) for x in row) for row in zip(*columns)]
     assert path.read_text() == "\n".join(expected) + "\n"
+
+
+def _csv_lines(rows):
+    return [f"# config_sha256=stamp artifact_version={sm.__version__}", "a,b"] + [
+        ",".join(map(cli._fmt, row)) for row in rows
+    ]
+
+
+def test_csv_of_one_cell_pattern_matches_the_per_cell_format(tmp_path):
+    """2,048 rows whose cells keep one type per column (a label, an int, a
+    bool, a float and a numpy float, with signed zeros, infinities, NaN and
+    subnormals among the floats) write the joined ``_fmt`` cells."""
+    rng = np.random.default_rng(5)
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.225073858507201e-308]
+    floats = (rng.standard_normal(2048) * 10.0 ** rng.integers(-300, 300, 2048)).tolist()
+    floats[: len(specials)] = specials
+    columns = [
+        ["uniform", "good_only", "bad_only", "oracle"] * 512,
+        rng.integers(-(10**18), 10**18, 2048).tolist(),
+        [bool(b) for b in rng.integers(0, 2, 2048)],
+        floats,
+        list(np.float64(floats[::-1])),
+    ]
+    cli._write_csv(tmp_path / "rows.csv", "stamp", ("a", "b"), columns)
+    lines = _csv_lines(zip(*columns))
+    assert (tmp_path / "rows.csv").read_text() == "\n".join(lines) + "\n"
+
+
+def test_csv_column_that_mixes_types_is_formatted_per_cell(tmp_path):
+    """A column that mixes ``int``, ``bool``, ``np.float64`` and ``float``
+    formats each cell by ``_fmt``, beside a column of floats and one of text."""
+    mixed = [1, True, np.float64(0.1), 0.1, -0.0, False, np.float64(-math.inf), 10**20, 1e-310]
+    columns = [mixed, [0.5] * len(mixed), list("abcdefghi")]
+    cli._write_csv(tmp_path / "rows.csv", "stamp", ("a", "b"), columns)
+    lines = _csv_lines(zip(*columns))
+    assert (tmp_path / "rows.csv").read_text() == "\n".join(lines) + "\n"
+    assert lines[4].startswith("0.10000000000000001,")  # np.float64 as a float, not str
 
 
 def test_unexpected_value_error_is_not_infeasible(tmp_path, monkeypatch):
@@ -635,6 +678,24 @@ def test_frontier_command(tmp_path):
     assert header == ["label", "parameter", "fdr", "tdr"]
     labels = {row[0] for row in rows}
     assert labels == {"oracle", "uniform", "good_only", "bad_only"}
+
+
+@pytest.mark.parametrize("grid", [None, 1, 2])
+@pytest.mark.parametrize("test", [{"kind": "gaussian_mean", "theta1": 1.3}, KNOTTED_TEST])
+def test_frontier_csv_rows_are_the_frontier_points(tmp_path, test, grid):
+    """``frontier.csv`` and ``sm.frontier`` are two views of one computation:
+    each row is the matching point with every cell formatted by ``_fmt``."""
+    population = {"kind": "discrete", "types": [0.3, 0.7], "weights": [0.4, 0.6]}
+    path = write_config(tmp_path, {"/test": test, "/population": population})
+    flags = [] if grid is None else ["--grid", str(grid)]
+    assert main(["frontier", "--config", str(path), "--out", str(tmp_path), *flags]) == 0
+    config = parse_config(path)
+    points = sm.frontier(config.population, config.model, resolution=grid or 512)
+    lines = (tmp_path / "frontier.csv").read_text().splitlines()
+    assert lines[1:] == ["label,parameter,fdr,tdr"] + [
+        ",".join(map(cli._fmt, (p.label, p.parameter, p.fdr, p.tdr))) for p in points
+    ]
+    assert {p.label for p in points} == {"uniform", "good_only", "bad_only", "oracle"}
 
 
 def test_evaluate_command(tmp_path):
