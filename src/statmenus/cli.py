@@ -9,21 +9,22 @@ metrics), ``simulate`` (seeded Monte Carlo), and ``sensitivity``
 JSON config; outputs are CSV/JSON files stamped with the config hash so
 identical runs produce identical bytes.
 
-Exit codes: 0 success, 2 invalid config, 3 infeasible construction,
-4 verification failure.
+Exit codes: 0 success, 2 malformed arguments or invalid config, 3 infeasible
+construction, 4 verification failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
+import getopt
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,6 +88,38 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_VERIFY = 4
+
+# The options of ``main``, as (name, metavar, help). This one table gives
+# getopt's long options, the usage line and the ``--help`` text; ``--config``
+# is the one that is required.
+OPTIONS = (
+    ("config", "PATH", "path to the JSON run configuration"),
+    ("out", "DIR", "output directory (default: the config's output.directory, else '.')"),
+    ("seed", "N", "override the simulation seed"),
+    ("jobs", "N", "accepted and ignored; kept because existing scripts pass it"),
+    ("grid", "N", "override grid/sweep resolution"),
+)
+# The integer options, each with its least and greatest value.
+_INT_RANGES = {"jobs": (1, math.inf), "seed": (0, math.inf), "grid": (1, MAX_GRID)}
+_LONG_OPTIONS = ["help"] + [f"{name}=" for name, _, _ in OPTIONS]
+USAGE = "usage: statmenus [-h] COMMAND " + " ".join(
+    f"--{name} {metavar}" if name == "config" else f"[--{name} {metavar}]"
+    for name, metavar, _ in OPTIONS
+)
+HELP = "\n".join([
+    USAGE,
+    "",
+    "Construct, verify, and evaluate separating menus of statistical contracts.",
+    "",
+    f"commands: {', '.join(COMMANDS)}",
+    "",
+    "options:",
+    f"  {'-h, --help':<16}show this help message and exit",
+    *(f"  {f'--{name} {metavar}':<16}{text}" for name, metavar, text in OPTIONS),
+    "",
+    "exit codes: 0 success, 2 malformed arguments or invalid config,",
+    "3 infeasible construction, 4 verification failure",
+])
 
 
 @dataclass(frozen=True)
@@ -238,6 +271,9 @@ def parse_config(path) -> RunConfig:
         raw = json.loads(path.read_text())
     except FileNotFoundError:
         raise ConfigError([("/", f"config file not found: {path}")]) from None
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, not UTF-8
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise ConfigError([("/", f"cannot read config file {path}: {reason}")]) from None
     except json.JSONDecodeError as exc:
         raise ConfigError([("/", f"not valid JSON: {exc}")]) from None
     if not isinstance(raw, dict):
@@ -561,41 +597,71 @@ def run(
     return EXIT_OK
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="statmenus",
-        description="Construct, verify, and evaluate separating menus of statistical contracts.",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", required=True, help="path to the JSON run configuration")
-    parser.add_argument("--out", default=None, help="output directory (default: config or '.')")
-    parser.add_argument("--seed", type=int, default=None, help="override the simulation seed")
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="accepted and ignored; kept because existing scripts pass it",
-    )
-    parser.add_argument("--grid", type=int, default=None, help="override grid/sweep resolution")
-    args = parser.parse_args(argv)
-
-    ranges = {
-        "--jobs": (args.jobs, 1, math.inf),
-        "--seed": (args.seed, 0, math.inf),
-        "--grid": (args.grid, 1, MAX_GRID),
-    }
-    for flag, (value, least, most) in ranges.items():
-        if value is not None and value < least:
-            print(f"error: {flag} must be >= {least}", file=sys.stderr)
-            return EXIT_CONFIG
-        if value is not None and value > most:
-            print(f"error: {flag} must be <= {most}", file=sys.stderr)
-            return EXIT_CONFIG
-
+def _parse_argv(argv: Sequence[str]) -> Optional[Tuple[str, Dict[str, Any]]]:
+    """``(command, options)`` from ``argv``, ``options`` keyed by the names of
+    ``OPTIONS`` with the integer ones read and range-checked, or None for
+    ``-h``/``--help``. ``getopt.gnu_getopt`` takes ``--flag value``,
+    ``--flag=value`` and unique prefixes, before or after the command, and
+    ends the options at ``--``. A malformed argv raises ``ValueError`` with
+    the reason."""
     try:
-        config = parse_config(args.config)
-        out_dir = Path(args.out) if args.out else Path(config.output_dir or ".")
-        return run(args.command, config, out_dir, seed=args.seed, grid=args.grid)
+        pairs, commands = getopt.gnu_getopt(argv, "h", _LONG_OPTIONS)
+    except getopt.GetoptError as exc:
+        raise ValueError(exc.msg) from None
+    options = {}
+    for flag, value in pairs:
+        if flag in ("-h", "--help"):
+            return None
+        options[flag[2:]] = value
+    if not commands:
+        raise ValueError(f"no command: choose one of {', '.join(COMMANDS)}")
+    if len(commands) > 1:
+        raise ValueError(f"more than one command: {' '.join(commands)}")
+    if commands[0] not in COMMANDS:
+        raise ValueError(f"unknown command {commands[0]!r}: choose one of {', '.join(COMMANDS)}")
+    if "config" not in options:
+        raise ValueError("--config is required")
+    for name, (least, most) in _INT_RANGES.items():
+        if name not in options:
+            continue
+        try:
+            value = options[name] = int(options[name])
+        except ValueError:
+            raise ValueError(f"--{name}: invalid int value: {options[name]!r}") from None
+        if value < least:
+            raise ValueError(f"--{name} must be >= {least}")
+        if value > most:
+            raise ValueError(f"--{name} must be <= {most}")
+    return commands[0], options
+
+
+def _output_dir(config: RunConfig, out: Optional[str]) -> Path:
+    """The output directory, from ``--out`` when given, else from the config.
+    The nearest of it and its parents that exists must be a directory, so a
+    path that ``mkdir`` would refuse fails before any work."""
+    pointer, path = ("--out", out) if out else ("/output/directory", config.output_dir or ".")
+    path = Path(path)
+    nearest = next((p for p in (path, *path.parents) if os.path.lexists(p)), None)
+    if nearest is not None and not nearest.is_dir():
+        msg = f"cannot make output directory {path}: {nearest} is not a directory"
+        raise ConfigError([(pointer, msg)])
+    return path
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    try:
+        parsed = _parse_argv(sys.argv[1:] if argv is None else argv)
+    except ValueError as exc:
+        print(f"{USAGE}\nstatmenus: error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    if parsed is None:
+        print(HELP)
+        return EXIT_OK
+    command, options = parsed
+    try:
+        config = parse_config(options["config"])
+        out_dir = _output_dir(config, options.get("out"))
+        return run(command, config, out_dir, seed=options.get("seed"), grid=options.get("grid"))
     except ConfigError as exc:
         for pointer, message in exc.errors:
             print(f"config error at {pointer}: {message}", file=sys.stderr)

@@ -99,6 +99,8 @@ def test_commands_load_no_module_after_start_up(tmp_path):
     runs += [(command, finite, "finite") for command in ("menu-build", "menu-verify", "simulate")]
     runs += [(command, pair, "pair") for command in ("thresholds", "frontier")]
     argvs = [[c, "--config", str(path), "--out", str(tmp_path / out)] for c, path, out in runs]
+    # the front door's own two exits: the help text, and a malformed argv
+    argvs += [["--help"], ["thresholds", "--bogus", "--config", str(fixed)]]
     code = (
         "import io, json, sys, contextlib, statmenus.cli as cli\n"
         "before = set(sys.modules)\n"
@@ -112,8 +114,8 @@ def test_commands_load_no_module_after_start_up(tmp_path):
     )
     assert run.returncode == 0, run.stderr
     codes, added = json.loads(run.stdout)
-    assert set(cli.COMMANDS) == {argv[0] for argv in argvs}
-    assert codes == [0] * len(argvs), run.stderr
+    assert set(cli.COMMANDS) == {command for command, _, _ in runs}
+    assert codes == [0] * len(runs) + [0, 2], run.stderr
     assert added == []
 
 
@@ -150,6 +152,23 @@ def test_parse_rejects_schema_version(tmp_path):
 def test_parse_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(tmp_path / "absent.json")
+
+
+@pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+def test_unreadable_config_is_config_error(tmp_path, capsys, kind):
+    """A ``--config`` naming a directory, or a file that is not UTF-8, exits
+    2 at / with the reason, instead of ending in a traceback."""
+    path = tmp_path / "config.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"schema_version": 1, "note": "\xff"}')
+    out = tmp_path / "out"
+    assert main(["thresholds", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error at /: cannot read config file {path}: " in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_parse_tabulated_inline(tmp_path):
@@ -549,6 +568,109 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, {"/objective/alpha": 1.5})
     assert main(["thresholds", "--config", str(path)]) == 2
     assert "/objective/alpha" in capsys.readouterr().err
+
+
+# argv -> exit code, the stream written and a fragment of it; {config} and
+# {out} stand for a valid config and a fresh output directory.
+FRONT_DOOR = [
+    (["-h"], 0, "out", "usage: statmenus [-h] COMMAND --config PATH"),
+    (["--help"], 0, "out", "--grid N"),
+    (["thresholds", "--config={config}", "--out={out}"], 0, "out", "thresholds: wrote 5 rows"),
+    (["thresholds", "--conf", "{config}", "--out", "{out}"], 0, "out", "thresholds: wrote"),
+    (["--config", "{config}", "--out", "{out}", "thresholds"], 0, "out", "thresholds: wrote"),
+    (["--config", "{config}", "--out", "{out}", "--", "thresholds"], 0, "out", "thresholds: wrote"),
+    (["thresholds", "--bogus", "--config", "{config}", "--out", "{out}"], 2, "err",
+     "option --bogus not recognized"),
+    (["thresholds", "--out", "{out}", "--config"], 2, "err", "option --config requires argument"),
+    (["--config", "{config}", "--out", "{out}"], 2, "err", "no command: choose one of thresholds"),
+    (["bogus", "--config", "{config}", "--out", "{out}"], 2, "err", "unknown command 'bogus'"),
+    (["thresholds", "evaluate", "--config", "{config}", "--out", "{out}"], 2, "err",
+     "more than one command: thresholds evaluate"),
+    (["thresholds", "--out", "{out}"], 2, "err", "--config is required"),
+    (["simulate", "--config", "{config}", "--out", "{out}", "--seed", "abc"], 2, "err",
+     "--seed: invalid int value: 'abc'"),
+    (["frontier", "--config", "{config}", "--out", "{out}", "--grid", "1e3"], 2, "err",
+     "--grid: invalid int value: '1e3'"),
+    (["simulate", "--config", "{config}", "--out", "{out}", "--jobs", "x"], 2, "err",
+     "--jobs: invalid int value: 'x'"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stream, fragment", FRONT_DOOR)
+def test_front_door(tmp_path, capsys, argv, code, stream, fragment):
+    """Every form of argv that argparse took still works, ``-h``/``--help``
+    print the help text on stdout and exit 0, and a malformed argv prints the
+    usage line and the reason on stderr and exits 2 with no output
+    directory made."""
+    config, out = write_config(tmp_path), tmp_path / "out"
+    argv = [arg.format(config=config, out=out) for arg in argv]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert fragment in getattr(captured, stream)
+    if code == 2:
+        assert captured.err.startswith(cli.USAGE + "\nstatmenus: error: ")
+        assert captured.out == "" and not out.exists()
+    elif argv[0] in ("-h", "--help"):
+        assert captured.out == cli.HELP + "\n"
+        assert not out.exists()
+    else:
+        assert (out / "thresholds.csv").is_file()
+
+
+def test_help_lists_every_option_and_command():
+    """One table gives getopt's long options, the usage line and the help
+    text, so each of them names every option; the README quotes the help
+    text as it is."""
+    for name, metavar, text in cli.OPTIONS:
+        assert f"--{name} {metavar}" in cli.USAGE
+        assert f"--{name} {metavar}" in cli.HELP and text in cli.HELP
+    assert all(command in cli.HELP for command in cli.COMMANDS)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert f"$ statmenus --help\n{cli.HELP}\n```" in readme
+
+
+@pytest.mark.parametrize("args, code, stream", [(["--help"], 0, "stdout"), ([], 2, "stderr")])
+def test_console_script_reads_sys_argv(args, code, stream):
+    """``main()`` with no argv reads ``sys.argv``, as the ``statmenus``
+    console script calls it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(sm.__file__).resolve().parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "statmenus.cli", *args], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == code, run.stderr
+    assert getattr(run, stream).startswith(cli.USAGE + "\n")
+    assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize(
+    "pointer, under", [("--out", "file"), ("--out", "file/sub"), ("/output/directory", "file/sub")]
+)
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_output_path_that_is_not_a_directory_is_config_error(
+    tmp_path, capsys, command, pointer, under
+):
+    """An output directory that names a file, or a path under one, exits 2
+    at its flag or config key before any work, and writes nothing."""
+    overrides = {"/population/types": [0.3, 0.7], "/menu": {**FIXED_MENU, "path": "menu.json"}}
+    good = write_config(tmp_path, overrides)
+    assert main(["menu-build", "--config", str(good), "--out", str(tmp_path)]) == 0
+    blocker, path = tmp_path / "file", tmp_path / under
+    blocker.write_text("not a directory\n")
+    if pointer == "--out":
+        config, flags = good, ["--out", str(path)]
+    else:
+        config, flags = write_config(tmp_path, {**overrides, pointer: str(path)}, "bad.json"), []
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main([command, "--config", str(config), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"config error at {pointer}: cannot make output directory {path}: "
+        f"{blocker} is not a directory\n"
+    )
+    assert captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+    assert blocker.read_text() == "not a directory\n"
 
 
 # ---------------------------------------------------------------------------
