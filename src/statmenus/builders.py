@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from ._quad import adaptive_simpson
-from .contracts import PARTICIPATION_SLACK, Contract, Menu, _first_violation, utility
+from .contracts import _EPS, PARTICIPATION_SLACK, Contract, Menu, _first_violation, _line, utility
 from .contracts import verify_separating, zero_utility_cost
 from .errors import InfeasibleMenuError, InvalidPotentialError
 from .objectives import _FLOOR, PrincipalObjective, _bisect, _fdr_odds, optimal_threshold
@@ -285,8 +285,8 @@ def build_varying_reward(
 
     ``base`` is the contract intended for the worst type (the largest type
     in ``thresholds``) and must satisfy the worst-case participation
-    condition: the worst type is exactly indifferent to opting out. The
-    menu comes from ``varying_reward_potential`` through
+    condition: the worst type is indifferent to opting out, up to rounding.
+    The menu comes from ``varying_reward_potential`` through
     ``build_from_potential``, which raises ``InvalidPotentialError`` if
     that potential fails the separating-menu conditions on the support.
     """
@@ -296,8 +296,11 @@ def build_varying_reward(
         raise ValueError(
             f"base threshold {base.tau!r} must match the worst type's threshold {tau_bar!r}"
         )
-    slack = utility(q_bar, base, model)
-    if abs(slack) > PARTICIPATION_TOL:
+    slope, intercept = _line(base.tau, base.reward, base.cost, model)
+    slack = q_bar * slope + intercept
+    # a zero utility rounds to a few ulps of the cost, the line's terms and its value
+    rounding = 4.0 * _EPS * (abs(slope) + abs(intercept) + abs(base.cost))
+    if abs(slack) > max(PARTICIPATION_TOL, rounding):
         raise ValueError(
             f"base contract must give the worst type zero utility, got {slack:.3g}"
         )

@@ -134,7 +134,7 @@ class RunConfig:
     menu: Dict[str, Any]
     simulation: Dict[str, Any]
     sensitivity: Dict[str, Any]
-    output_dir: Optional[str]
+    output_dir: Optional[Path]
 
 
 def _is_int(x) -> bool:
@@ -304,6 +304,7 @@ def parse_config(path) -> RunConfig:
 
     if errors:
         raise ConfigError(errors)
+    directory = sections["output"].get("directory")  # relative to the config, as menu.path
     return RunConfig(
         raw=raw,
         base_dir=path.parent,
@@ -313,7 +314,7 @@ def parse_config(path) -> RunConfig:
         menu=sections["menu"],
         simulation=sections["simulation"],
         sensitivity=sections["sensitivity"],
-        output_dir=sections["output"].get("directory"),
+        output_dir=path.parent / directory if directory else None,
     )
 
 

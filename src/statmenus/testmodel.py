@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -77,21 +78,19 @@ def normal_quantile(u: float) -> float:
     return float(ndtri(u))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TestModel:
     """A simple-vs-simple test on the p-value scale.
 
     ``gaussian_mean``: observe Z ~ N(theta, 1) with theta in {0, theta1},
-    p-value X = 1 - Phi(Z). ``tabulated``: power given by a monotone
-    piecewise-linear table of (tau, beta1) knots spanning (0,0) to (1,1).
+    p-value X = 1 - Phi(Z). ``tabulated``: power piecewise linear through the
+    read-only knots ``taus``, ``betas``; equal knot values give equal models.
     """
 
     kind: str
     theta1: Optional[float] = None
-    table: Optional[Tuple[Tuple[float, float], ...]] = None
-    _knots: Optional[Tuple[np.ndarray, np.ndarray]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    taus: Optional[np.ndarray] = None
+    betas: Optional[np.ndarray] = None
 
     __test__ = False  # keep pytest from collecting this as a test class
 
@@ -101,49 +100,52 @@ class TestModel:
                 raise InvalidModelError(
                     f"gaussian_mean requires effect size in (0, {MAX_EFFECT_SIZE}], got {self.theta1!r}"
                 )
-            if self.table is not None:
+            if self.taus is not None or self.betas is not None:
                 raise InvalidModelError("gaussian_mean does not take a table")
         elif self.kind == "tabulated":
             if self.theta1 is not None:
                 raise InvalidModelError("tabulated does not take an effect size")
-            _validate_table(self.table)
-            knots = tuple(np.array(column, dtype=float) for column in zip(*self.table))
-            for column in knots:
-                column.flags.writeable = False
-            object.__setattr__(self, "_knots", knots)
+            for name, knots in zip(("taus", "betas"), _checked_knots(self.taus, self.betas)):
+                object.__setattr__(self, name, knots)
         else:
             raise InvalidModelError(f"unknown model kind {self.kind!r}")
 
-    @property
-    def taus(self) -> np.ndarray:
-        """Read-only tau knots of a tabulated model."""
-        return self._knots[0]
+    def _key(self):
+        # + 0.0 turns -0.0 into 0.0, so equal knot values have equal bytes
+        knots = () if self.taus is None else (self.taus + 0.0, self.betas + 0.0)
+        return (self.kind, self.theta1, *(k.tobytes() for k in knots))
 
-    @property
-    def betas(self) -> np.ndarray:
-        """Read-only beta1 knots of a tabulated model."""
-        return self._knots[1]
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, TestModel) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
-def _validate_table(table) -> None:
-    if table is None or len(table) < 2:
+def _checked_knots(taus, betas) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only float64 copies of a tabulated curve's knots: finite, from (0,0)
+    to (1,1), tau rising, beta1 nondecreasing and above tau inside."""
+    taus, betas = (np.array(() if x is None else x, dtype=float) for x in (taus, betas))
+    if taus.shape != betas.shape:
+        raise InvalidModelError("tau and beta1 sequences must have equal length")
+    if taus.ndim != 1 or len(taus) < 2:
         raise InvalidModelError("tabulated model needs at least the (0,0) and (1,1) knots")
-    if not np.isfinite(np.asarray(table, dtype=float)).all():
+    if not (np.isfinite(taus).all() and np.isfinite(betas).all()):
         raise InvalidModelError("table knots must be finite")
-    taus = [t for t, _ in table]
-    betas = [b for _, b in table]
     if taus[0] != 0.0 or betas[0] != 0.0 or taus[-1] != 1.0 or betas[-1] != 1.0:
         raise InvalidModelError("table must start at (0, 0) and end at (1, 1)")
-    for i in range(1, len(taus)):
-        if taus[i] <= taus[i - 1]:
-            raise InvalidModelError(f"tau grid must be strictly increasing (knot {i})")
-        if betas[i] < betas[i - 1]:
-            raise InvalidModelError(f"beta1 must be nondecreasing (knot {i})")
-    for t, b in list(table)[1:-1]:
-        if not 0.0 <= b <= 1.0:
-            raise InvalidModelError(f"beta1({t}) = {b} outside [0, 1]")
-        if b <= t:
-            raise InvalidModelError(f"nontrivial power violated: beta1({t}) = {b} <= {t}")
+    repeated, falling = np.diff(taus) <= 0.0, np.diff(betas) < 0.0
+    bad = np.flatnonzero(repeated | falling)
+    if len(bad) and repeated[bad[0]]:
+        raise InvalidModelError(f"tau grid must be strictly increasing (knot {bad[0] + 1})")
+    if len(bad):
+        raise InvalidModelError(f"beta1 must be nondecreasing (knot {bad[0] + 1})")
+    trivial = np.flatnonzero(betas[1:-1] <= taus[1:-1]) + 1
+    if len(trivial):
+        t, b = taus[trivial[0]].item(), betas[trivial[0]].item()
+        raise InvalidModelError(f"nontrivial power violated: beta1({t}) = {b} <= {t}")
+    taus.flags.writeable = betas.flags.writeable = False
+    return taus, betas
 
 
 def gaussian_model(theta1: float) -> TestModel:
@@ -153,29 +155,22 @@ def gaussian_model(theta1: float) -> TestModel:
 
 def tabulated_model(taus: Sequence[float], betas: Sequence[float]) -> TestModel:
     """Tabulated test from matching (tau, beta1) sequences."""
-    if len(taus) != len(betas):
-        raise InvalidModelError("tau and beta1 sequences must have equal length")
-    return TestModel(kind="tabulated", table=tuple(zip(map(float, taus), map(float, betas))))
+    return TestModel(kind="tabulated", taus=taus, betas=betas)
 
 
 def tabulated_from_csv(path) -> TestModel:
-    """Load a tabulated model from a two-column CSV ``tau,beta1`` with header."""
-    taus: list[float] = []
-    betas: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    """Load a tabulated model from a CSV with header ``tau,beta1``: each row
+    holds tau and beta1 in its first two cells, and empty lines are skipped."""
+    with open(path) as fh, warnings.catch_warnings():
+        header = next(csv.reader(fh), None)
         if header is None or [h.strip().lower() for h in header[:2]] != ["tau", "beta1"]:
             raise InvalidModelError(f"{path}: expected header 'tau,beta1'")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                taus.append(float(row[0]))
-                betas.append(float(row[1]))
-            except (IndexError, ValueError) as exc:
-                raise InvalidModelError(f"{path}: malformed row {row!r}") from exc
-    return tabulated_model(taus, betas)
+        warnings.simplefilter("ignore", UserWarning)  # no data rows: no knots, refused below
+        try:
+            knots = np.loadtxt(fh, delimiter=",", usecols=(0, 1), ndmin=2, quotechar='"', comments=None)
+        except ValueError as exc:
+            raise InvalidModelError(f"{path}: malformed row: {exc}") from exc
+    return tabulated_model(knots[:, 0], knots[:, 1])
 
 
 def _power(model: TestModel, tau):

@@ -1,12 +1,13 @@
 """Scalar reference implementations that the array code replaced.
 
 Each is the former library code, kept verbatim in spirit: one type, one
-threshold or one interval at a time, or for the simulator and its p-value
-sampler boolean masks. The array paths must reproduce them (bit for bit
+threshold, one interval, one knot or one CSV row at a time, or for the
+simulator and its p-value sampler boolean masks. The array paths must reproduce them (bit for bit
 where both evaluate the same library functions). ``matched_tdr`` and
 ``fdr_gap`` are former library helpers that only tests read.
 """
 
+import csv
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -17,6 +18,7 @@ from scipy.special import ndtr
 import statmenus as sm
 from statmenus import evaluation
 from statmenus.contracts import PARTICIPATION_SLACK, best_response
+from statmenus.errors import InvalidModelError
 
 _MAX_DEPTH = 48
 # The scalar FDR bisection's first bracket is [_BISECT_LO, 1], and it halves
@@ -192,6 +194,55 @@ def scalar_gaussian_power(theta1, tau):
     else:
         z = sm.normal_quantile(1.0 - tau)
     return 0.5 * math.erfc(-(theta1 - z) / math.sqrt(2.0))
+
+
+def scalar_tabulated_knots(taus, betas):
+    """A tabulated curve's knots as two lists of floats, checked one knot at a
+    time, or ``InvalidModelError``: the former ``tabulated_model`` and the loop
+    validator ``_validate_table`` that ``TestModel`` ran on its table."""
+    if len(taus) != len(betas):
+        raise InvalidModelError("tau and beta1 sequences must have equal length")
+    table = tuple(zip(map(float, taus), map(float, betas)))
+    if len(table) < 2:
+        raise InvalidModelError("tabulated model needs at least the (0,0) and (1,1) knots")
+    if not np.isfinite(np.asarray(table, dtype=float)).all():
+        raise InvalidModelError("table knots must be finite")
+    taus = [t for t, _ in table]
+    betas = [b for _, b in table]
+    if taus[0] != 0.0 or betas[0] != 0.0 or taus[-1] != 1.0 or betas[-1] != 1.0:
+        raise InvalidModelError("table must start at (0, 0) and end at (1, 1)")
+    for i in range(1, len(taus)):
+        if taus[i] <= taus[i - 1]:
+            raise InvalidModelError(f"tau grid must be strictly increasing (knot {i})")
+        if betas[i] < betas[i - 1]:
+            raise InvalidModelError(f"beta1 must be nondecreasing (knot {i})")
+    for t, b in table[1:-1]:
+        if not 0.0 <= b <= 1.0:
+            raise InvalidModelError(f"beta1({t}) = {b} outside [0, 1]")
+        if b <= t:
+            raise InvalidModelError(f"nontrivial power violated: beta1({t}) = {b} <= {t}")
+    return taus, betas
+
+
+def scalar_tabulated_from_csv(path):
+    """The former ``tabulated_from_csv``: a ``tau,beta1`` header, then each
+    row through ``csv.reader`` (empty rows skipped) into
+    ``scalar_tabulated_knots``."""
+    taus, betas = [], []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip().lower() for h in header[:2]] != ["tau", "beta1"]:
+            raise InvalidModelError(f"{path}: expected header 'tau,beta1'")
+        for row in reader:
+            if not row:
+                continue
+            try:
+                taus.append(float(row[0]))
+                betas.append(float(row[1]))
+            except (IndexError, ValueError) as exc:
+                raise InvalidModelError(f"{path}: malformed row {row!r}") from exc
+    return scalar_tabulated_knots(taus, betas)
 
 
 def matched_tdr(points, fdr_values):

@@ -154,6 +154,19 @@ def test_varying_reward_rejects_bad_base(gm1, fdr25):
         sm.build_varying_reward(bad_base, sm.quadratic_schedule(0.1), thresholds, gm1)
 
 
+def test_varying_reward_takes_its_zero_utility_base_at_large_rewards(gm1, fdr25):
+    thresholds = fdr_thresholds_on(np.linspace(0.43, 0.86, 9), fdr25, gm1)
+    tau_bar = thresholds[-1][1]
+    base = Contract(tau_bar, 1e12, sm.zero_utility_cost(0.86, tau_bar, 1e12, gm1))
+    # the calibrated cost leaves 1.9e-6 of utility: rounding at this reward
+    assert abs(sm.utility(0.86, base, gm1)) > builders.PARTICIPATION_TOL
+    menu = sm.build_varying_reward(base, sm.quadratic_schedule(0.1), thresholds, gm1)
+    assert sm.verify_separating(menu, model=gm1).passed
+    off = Contract(tau_bar, 100.0, sm.zero_utility_cost(0.86, tau_bar, 100.0, gm1) + 1e-6)
+    with pytest.raises(ValueError, match="zero utility, got -1e-06"):
+        sm.build_varying_reward(off, sm.quadratic_schedule(0.1), thresholds, gm1)
+
+
 def test_varying_reward_rejects_bad_schedule(gm1, fdr25):
     q_bar = 0.8
     tau_bar = sm.fdr_threshold(q_bar, fdr25, gm1)

@@ -334,6 +334,21 @@ def test_config_value_out_of_range_is_config_error(
     assert not (out / artifact).exists()
 
 
+def test_relative_output_directory_resolves_against_the_config(tmp_path, monkeypatch):
+    """A relative ``output.directory`` lies in the config file's directory,
+    as ``menu.path`` does, whatever the working directory."""
+    (tmp_path / "sub").mkdir()
+    overrides = {"/output": {"directory": "out"}, "/menu/path": "out/menu.json"}
+    write_config(tmp_path / "sub", overrides)
+    monkeypatch.chdir(tmp_path)
+    for command in ("menu-build", "menu-verify"):
+        assert main([command, "--config", "sub/config.json"]) == 0
+    written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
+    assert written == [
+        "sub", "sub/config.json", "sub/out", "sub/out/menu.json", "sub/out/verify_report.json"
+    ]
+
+
 def test_refused_run_leaves_no_output_directory(tmp_path, capsys):
     """The output directory is made when the first artifact is written: a
     command refused at its checks leaves no directory behind."""

@@ -1,17 +1,21 @@
 """Tests for the test-model layer: normal CDF/quantile, power curves,
-likelihood ratios, and the law of the oracle's p-value sampler."""
+likelihood ratios, tabulated knots and their CSV loader, and the law of the
+oracle's p-value sampler."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 from scipy import stats
 
 import statmenus as sm
 from statmenus.errors import InvalidModelError, UnsupportedModelError
 
-from oracles import masked_sample_pvalues
+from oracles import masked_sample_pvalues, scalar_tabulated_from_csv, scalar_tabulated_knots
 
 mp.dps = 30
 
@@ -247,12 +251,145 @@ def test_tabulated_knots_stored_once_read_only():
     b = sm.tabulated_model([0.0, 0.2, 0.6, 1.0], [0.0, 0.5, 0.9, 1.0])
     assert a == b and hash(a) == hash(b)
     assert a != sm.tabulated_model([0.0, 0.2, 0.6, 1.0], [0.0, 0.5, 0.8, 1.0])
+    assert a != sm.tabulated_model([0.0, 0.3, 0.6, 1.0], [0.0, 0.5, 0.9, 1.0])
+    assert a != sm.tabulated_model([0.0, 1.0], [0.0, 1.0]) and a != sm.gaussian_model(1.0)
+    assert a != (a.taus, a.betas)
+    # -0.0 == 0.0, so a knot at -0.0 gives an equal model with an equal hash
+    taus, betas = np.array([-0.0, 0.2, 0.6, 1.0]), np.array([-0.0, 0.5, 0.9, 1.0])
+    c = sm.tabulated_model(taus, betas)
+    assert c == a and hash(c) == hash(a)
+    taus[1] = betas[2] = 0.3  # the caller's arrays are copied
+    assert c == a and c.taus.tolist() == [-0.0, 0.2, 0.6, 1.0]
+    assert sm.gaussian_model(1.0) == sm.gaussian_model(1.0) != sm.gaussian_model(2.0)
+    assert hash(sm.gaussian_model(1.0)) == hash(sm.gaussian_model(1.0))
     assert a.taus is a.taus and a.betas is a.betas
+    assert a.taus.dtype == a.betas.dtype == np.float64
     assert a.taus.tolist() == [0.0, 0.2, 0.6, 1.0] and a.betas.tolist() == [0.0, 0.5, 0.9, 1.0]
     for knots in (a.taus, a.betas):
         with pytest.raises(ValueError):
             knots[1] = 0.3
     assert sm.power(a, 0.2) == 0.5
+
+
+@pytest.mark.parametrize(
+    "taus, betas, message",
+    [
+        ([0.0, 0.5], [0.0, 0.6, 1.0], "tau and beta1 sequences must have equal length"),
+        ([], [], "tabulated model needs at least the (0,0) and (1,1) knots"),
+        ([0.0], [0.0], "tabulated model needs at least the (0,0) and (1,1) knots"),
+        ([0.0, 0.5, 1.0], [0.0, math.nan, 1.0], "table knots must be finite"),
+        ([0.0, 0.5, 0.9], [0.0, 0.6, 1.0], "table must start at (0, 0) and end at (1, 1)"),
+        ([0.0, 0.5, 1.0], [1e-9, 0.6, 1.0], "table must start at (0, 0) and end at (1, 1)"),
+        (
+            [0.0, 0.2, 0.5, 0.5, 0.7, 0.6, 1.0],
+            [0.0, 0.3, 0.6, 0.7, 0.8, 0.9, 1.0],
+            "tau grid must be strictly increasing (knot 3)",
+        ),
+        (
+            [0.0, 0.2, 0.5, 0.6, 0.7, 1.0],
+            [0.0, 0.3, 0.6, 0.55, 0.5, 1.0],
+            "beta1 must be nondecreasing (knot 3)",
+        ),
+        (  # knot 3 breaks both rules; the tau rule is named
+            [0.0, 0.2, 0.5, 0.4, 1.0],
+            [0.0, 0.6, 0.7, 0.65, 1.0],
+            "tau grid must be strictly increasing (knot 3)",
+        ),
+        (  # beta1 falls at knot 2, before tau repeats at knot 3
+            [0.0, 0.2, 0.5, 0.5, 1.0],
+            [0.0, 0.6, 0.55, 0.7, 1.0],
+            "beta1 must be nondecreasing (knot 2)",
+        ),
+        (
+            [0.0, 0.2, 0.5, 0.7, 1.0],
+            [0.0, 0.3, 0.5, 0.7, 1.0],
+            "nontrivial power violated: beta1(0.5) = 0.5 <= 0.5",
+        ),
+        (
+            [0.0, 0.2, 0.5, 0.7, 1.0],
+            [0.0, 0.3, 0.6, 0.65, 1.0],
+            "nontrivial power violated: beta1(0.7) = 0.65 <= 0.7",
+        ),
+    ],
+)
+def test_tabulated_checks_name_the_first_bad_knot(taus, betas, message):
+    for build in (sm.tabulated_model, scalar_tabulated_knots):
+        with pytest.raises(InvalidModelError) as info:
+            build(taus, betas)
+        assert str(info.value) == message
+
+
+@st.composite
+def curve_csvs(draw):
+    """The text of a ``tau,beta1`` CSV: valid knots written with ``repr``, in
+    cells that may be padded with spaces or quoted and followed by extra
+    columns, on lines that may end in LF or CRLF among empty lines, with at
+    most one fault injected."""
+    interior = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    taus = sorted(draw(st.lists(interior, max_size=8, unique=True)))
+    betas = []
+    for tau in taus:
+        betas.append(draw(st.floats(max(betas[-1:] + [math.nextafter(tau, 1.0)]), 1.0)))
+    rows = [[repr(t), repr(b)] for t, b in zip([0.0, *taus, 1.0], [0.0, *betas, 1.0])]
+    header = draw(st.sampled_from(["tau,beta1", "TAU, Beta1 ", '"tau","beta1"']))
+    fault = draw(st.sampled_from([
+        None, "header", "short row", "non-number", "comment line", "repeated tau",
+        "falling tau", "falling beta1", "trivial knot", "no start", "no end", "no rows",
+    ]))
+    i = draw(st.integers(1, len(rows) - 2)) if len(rows) > 2 else 1
+    if fault == "header":
+        header = draw(st.sampled_from(["beta1,tau", "tau", "", "t,b"]))
+    elif fault == "short row":
+        rows[i] = rows[i][:1]
+    elif fault == "non-number":
+        bad = draw(st.sampled_from(["x", "", "1..5", "0x1", "--1", "nan", "inf", "-inf"]))
+        rows[i][draw(st.integers(0, 1))] = bad
+    elif fault == "comment line":
+        rows.insert(i, ["# a comment"])
+    elif fault == "repeated tau":
+        rows[i][0] = rows[i - 1][0]
+    elif fault == "falling tau":
+        rows[i][0] = repr(float(rows[i - 1][0]) - draw(st.floats(1e-9, 0.5)))
+    elif fault == "falling beta1":
+        rows[i][1] = repr(float(rows[i - 1][1]) - draw(st.floats(1e-9, 0.5)))
+    elif fault == "trivial knot":
+        rows[i][1] = rows[i][0]
+    elif fault == "no start":
+        rows = rows[1:]
+    elif fault == "no end":
+        rows = rows[:-1]
+    elif fault == "no rows":
+        rows = []
+    cell = st.sampled_from(["{}", " {}", "{}  ", '"{}"', '" {} "'])
+    extra = st.lists(st.sampled_from(["", "x", "0.5", '"a,b"', " note "]), max_size=2)
+    lines = [",".join([header, *draw(extra)])]
+    for row in rows:
+        lines += [""] * draw(st.integers(0, 1))
+        cells = [c if c.startswith("#") else draw(cell).format(c) for c in row]
+        lines.append(",".join(cells + (draw(extra) if len(row) > 1 else [])))
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines[1:]]
+    ends.append(draw(st.sampled_from(["", "\n", "\r\n"])))  # the last line's
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=curve_csvs())
+def test_csv_loader_matches_the_row_by_row_reader(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "curve.csv"
+    path.write_bytes(text.encode())
+    try:
+        expected = scalar_tabulated_from_csv(path)
+    except InvalidModelError as exc:
+        with pytest.raises(InvalidModelError) as info:
+            sm.tabulated_from_csv(path)
+        if str(exc).startswith(f"{path}: "):  # the file's rows or header are malformed
+            assert str(info.value).startswith(f"{path}: ")
+        else:
+            assert str(info.value) == str(exc)
+        return
+    model = sm.tabulated_from_csv(path)
+    assert model.taus.tobytes() == np.array(expected[0]).tobytes()
+    assert model.betas.tobytes() == np.array(expected[1]).tobytes()
 
 
 def test_tabulated_csv_round_trip(tmp_path):
@@ -263,6 +400,13 @@ def test_tabulated_csv_round_trip(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("x,y\n0,0\n1,1\n")
     with pytest.raises(InvalidModelError):
+        sm.tabulated_from_csv(bad)
+    # a header alone gives no knots, with no numpy warning (warnings are errors here)
+    bad.write_text("tau,beta1\r\n\r\n")
+    with pytest.raises(InvalidModelError, match=r"needs at least the \(0,0\) and \(1,1\) knots"):
+        sm.tabulated_from_csv(bad)
+    bad.write_text("tau,beta1\n0,0\n0.25;0.6\n1,1\n")
+    with pytest.raises(InvalidModelError, match=f"^{re.escape(str(bad))}: malformed row"):
         sm.tabulated_from_csv(bad)
 
 
