@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from ._quad import adaptive_simpson
-from .contracts import _EPS, PARTICIPATION_SLACK, Contract, Menu, _first_violation, _line, utility
+from .contracts import PARTICIPATION_SLACK, Contract, Menu, _first_violation, utility
 from .contracts import verify_separating, zero_utility_cost
 from .errors import InfeasibleMenuError, InvalidPotentialError
 from .objectives import _FLOOR, PrincipalObjective, _bisect, _fdr_odds, optimal_threshold
@@ -56,7 +56,6 @@ __all__ = [
 # integrand's kinks (a tabulated curve's or schedule's knots); the tests hold
 # every segment between support points within this tolerance of a reference.
 INTEGRAL_TOL = 1e-10
-PARTICIPATION_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -276,36 +275,27 @@ def build_from_potential(
 
 
 def build_varying_reward(
-    base: Contract,
+    base_reward: float,
     eps: EpsilonSchedule,
     thresholds: Sequence[Tuple[float, float]],
     model: TestModel,
 ) -> Menu:
-    """Varying-reward family anchored at a zero-utility base contract.
+    """Varying-reward family anchored at the worst type's zero-utility contract.
 
-    ``base`` is the contract intended for the worst type (the largest type
-    in ``thresholds``) and must satisfy the worst-case participation
-    condition: the worst type is indifferent to opting out, up to rounding.
-    The menu comes from ``varying_reward_potential`` through
-    ``build_from_potential``, which raises ``InvalidPotentialError`` if
-    that potential fails the separating-menu conditions on the support.
+    The base contract is derived, not passed in or checked: the worst type's
+    threshold (the last in ``thresholds``), ``base_reward``, and the cost
+    that leaves that type indifferent to opting out. Its utility margin
+    scales ``varying_reward_potential``, which vanishes at the worst type;
+    the menu comes from that potential through ``build_from_potential``,
+    which raises ``InvalidPotentialError`` if it fails the separating-menu
+    conditions on the support. A ``base_reward`` that is not positive and
+    finite raises ``ValueError``.
     """
     ps, taus, _ = _checked_thresholds(thresholds, model)
     q_bar, tau_bar = float(ps[-1]), float(taus[-1])
-    if abs(base.tau - tau_bar) > 1e-12:
-        raise ValueError(
-            f"base threshold {base.tau!r} must match the worst type's threshold {tau_bar!r}"
-        )
-    slope, intercept = _line(base.tau, base.reward, base.cost, model)
-    slack = q_bar * slope + intercept
-    # a zero utility rounds to a few ulps of the cost, the line's terms and its value
-    rounding = 4.0 * _EPS * (abs(slope) + abs(intercept) + abs(base.cost))
-    if abs(slack) > max(PARTICIPATION_TOL, rounding):
-        raise ValueError(
-            f"base contract must give the worst type zero utility, got {slack:.3g}"
-        )
     _validate_schedule(eps, q_bar)
-    return build_from_potential(varying_reward_potential(base, q_bar, eps, model), thresholds, model)
+    G = varying_reward_potential(base_reward, tau_bar, q_bar, eps, model)
+    return build_from_potential(G, thresholds, model)
 
 
 def elicitable_range(objective: PrincipalObjective, model: TestModel) -> Tuple[float, float]:
@@ -392,13 +382,16 @@ def fixed_reward_potential(
 
 
 def varying_reward_potential(
-    base: Contract, q_bar: float, eps: EpsilonSchedule, model: TestModel
+    base_reward: float, tau_bar: float, q_bar: float, eps: EpsilonSchedule, model: TestModel
 ) -> GPotential:
-    """Potential of the varying-reward family: the base utility margin times
-    the integral of 1 + eps up to the worst type."""
-    scale = base.reward * (power(model, base.tau) - base.tau)
+    """Potential of the varying-reward family: the base utility margin
+    ``base_reward * (beta1(tau_bar) - tau_bar)`` times the integral of
+    1 + eps up to the worst type."""
+    if not 0.0 < base_reward < np.inf:
+        raise ValueError(f"base reward must be positive and finite, got {base_reward!r}")
+    scale = base_reward * (power(model, tau_bar) - tau_bar)
     if scale <= 0.0:
-        raise ValueError("base contract must have a positive power margin")
+        raise ValueError(f"no power margin at the worst type's threshold {tau_bar!r}")
     kinks = eps.zs if eps.kind == "tabulated" else ()
     return _integral_potential(scale, lambda z: 1.0 + eps.value(z), q_bar, kinks)
 

@@ -24,7 +24,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .builders import (
     quadratic_schedule,
     tabulated_potential,
 )
-from .contracts import DEFAULT_IC_MARGIN, Contract, Menu, verify_separating, zero_utility_cost
+from .contracts import DEFAULT_IC_MARGIN, Menu, verify_separating
 from .errors import ConfigError, StatMenusError
 from .evaluation import (
     MAX_AGENTS,
@@ -214,8 +214,8 @@ _SCHEMA = {
         "n": _GRID,
         "epsilon": (lambda x: _is_num(x) or _is_nums(x), "must be a number or a list of numbers"),
         "etas": (
-            lambda x: _is_nums(x) and x and all(e > 0 for e in x),
-            "must be a nonempty list of positive numbers",
+            lambda x: _is_nums(x) and x and min(x) > 0 and len(set(map(float, x))) == len(x),
+            "must be a nonempty list of distinct positive numbers",
         ),
         **dict.fromkeys(("points", "values", "subgradients"), _NONEMPTY_NUMBERS),
         **dict.fromkeys(
@@ -392,9 +392,14 @@ def _load_menu(config: RunConfig) -> Menu:
         raise ConfigError([("/menu/path", f"malformed menu document {path}: {exc}")]) from None
 
 
-def _build_menu(config: RunConfig, grid: Optional[int]) -> Menu:
-    """Build the menu that ``config.menu`` names. A builder's plain ValueError is
-    a range check on the menu's values, so it is a config error at /menu."""
+def _build_menu(
+    config: RunConfig, grid: Optional[int], etas: Optional[Sequence[float]] = None
+) -> List[Menu]:
+    """Build the menus that ``config.menu`` names: a varying-reward family
+    gives one per slack level in ``etas`` (default: its ``eta``), all on one
+    solve of the support's thresholds; every other method gives one. A
+    builder's plain ValueError is a range check on the menu's values, so it
+    is a config error at /menu."""
     method = config.menu["method"]
     spec = config.menu
     model = config.model
@@ -406,39 +411,30 @@ def _build_menu(config: RunConfig, grid: Optional[int]) -> Menu:
                 msg = "finite construction needs discrete types"
                 raise ConfigError([("/population/kind", msg)])
             types, taus = zip(*threshold_map(config.population, objective, model))
-            return build_finite_menu(
-                types,
-                taus,
-                (spec.get("terminal_reward", 100.0), spec.get("terminal_cost", 0.0)),
-                spec.get("epsilon", 50.0),
-                lam=spec.get("lambda", 0.5),
-                model=model,
-            )
+            terminal = (spec.get("terminal_reward", 100.0), spec.get("terminal_cost", 0.0))
+            epsilon, lam = spec.get("epsilon", 50.0), spec.get("lambda", 0.5)
+            return [build_finite_menu(types, taus, terminal, epsilon, lam=lam, model=model)]
         n = grid or spec.get("n", 129 if method == "fixed_reward" else 65)
         if n < 2 and method != "potential":  # a fixed- or varying-reward support
             msg = "support needs at least two points"
             raise ConfigError([("--grid" if grid else "/menu/n", msg)])
         if method == "fixed_reward":
-            return build_fixed_reward(
-                spec.get("reward", 100.0), spec["q_lo"], spec["q_bar"], objective, model, n=n
-            )
+            reward = spec.get("reward", 100.0)
+            return [build_fixed_reward(reward, spec["q_lo"], spec["q_bar"], objective, model, n=n)]
         if method == "varying_reward":
-            q_bar = spec["q_bar"]
-            support = np.linspace(spec["q_lo"], q_bar, n)
+            support = np.linspace(spec["q_lo"], spec["q_bar"], n)
             taus = optimal_threshold(support, objective, model)
             thresholds = list(zip(support.tolist(), taus.tolist()))
             reward = spec.get("base_reward", 100.0)
-            tau_bar = thresholds[-1][1]
-            base = Contract(
-                tau=tau_bar, reward=reward, cost=zero_utility_cost(q_bar, tau_bar, reward, model)
-            )
-            schedule = quadratic_schedule(spec.get("eta", 0.1))
-            return build_varying_reward(base, schedule, thresholds, model)
+            return [
+                build_varying_reward(reward, quadratic_schedule(eta), thresholds, model)
+                for eta in etas or [spec.get("eta", 0.1)]
+            ]
         potential = tabulated_potential(spec["points"], spec["values"], spec["subgradients"])
         points = np.asarray(spec["points"], dtype=float)
         taus = optimal_threshold(points, objective, model)
         thresholds = list(zip(points.tolist(), taus.tolist()))
-        return build_from_potential(potential, thresholds, model)
+        return [build_from_potential(potential, thresholds, model)]
     except StatMenusError:
         raise
     except ValueError as exc:
@@ -472,7 +468,7 @@ def run(
         return EXIT_OK
 
     if command == "menu-build":
-        menu = _build_menu(config, grid)
+        [menu] = _build_menu(config, grid)
         out_dir.mkdir(parents=True, exist_ok=True)
         menu.save(out_dir / "menu.json")
         print(
@@ -517,34 +513,26 @@ def run(
         else:
             doc["oracle_tdr"] = oracle_tdr(config.population, config.objective, config.model)
         points = config.population.points()
-        curve = None  # the header and rows of return_curve.csv
-        if config.menu.get("method") == "varying_reward" and config.menu.get("etas"):
-            # one return-curve column per slack level of the family
-            etas = config.menu["etas"]
-            columns = [points.tolist()]
-            doc["family"] = {}
-            for eta in etas:
-                spec = dict(config.menu)
-                spec["eta"] = eta
-                menu = _build_menu(dataclasses.replace(config, menu=spec), grid)
-                base = menu.contract_for(menu.support[-1])
-                doc["family"][_fmt(float(eta))] = {
-                    "screening_cost": screening_cost(menu, base, config.population, config.model),
-                    "information_rent": information_rent(menu, config.population, config.model),
-                }
-                columns.append(principal_return(menu, base, points, config.model).tolist())
-            curve = ["q"] + [f"return_eta_{eta:g}" for eta in etas], columns
-        elif config.menu.get("path"):
-            menu = _load_menu(config)
+        etas = config.menu.get("etas") if config.menu.get("method") == "varying_reward" else None
+        if etas:  # a family: one entry under "family" and one return column per slack level
+            names = [_fmt(float(eta)) for eta in etas]
+            doc["family"] = {name: {} for name in names}
+            sinks = list(doc["family"].values())
+            header = ["q"] + [f"return_eta_{name}" for name in names]
+            menus = _build_menu(config, grid, etas)
+        else:  # a loaded menu, if any: its metrics at the top level
+            sinks, header = [doc], ["q", "return"]
+            menus = [_load_menu(config)] if config.menu.get("path") else []
+        columns = [points.tolist()]
+        for sink, menu in zip(sinks, menus):
             base = menu.contract_for(menu.support[-1])
             with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses what overflows
-                doc["screening_cost"] = screening_cost(menu, base, config.population, config.model)
-                doc["information_rent"] = information_rent(menu, config.population, config.model)
-                returns = principal_return(menu, base, points, config.model)
-            curve = ("q", "return"), (points.tolist(), returns.tolist())
+                sink["screening_cost"] = screening_cost(menu, base, config.population, config.model)
+                sink["information_rent"] = information_rent(menu, config.population, config.model)
+                columns.append(principal_return(menu, base, points, config.model).tolist())
         _write_json(out_dir / "evaluate.json", stamp, _finite(doc))
-        if curve is not None:
-            _write_csv(out_dir / "return_curve.csv", stamp, *curve)
+        if menus:
+            _write_csv(out_dir / "return_curve.csv", stamp, header, columns)
         metrics = ", ".join(
             f"{k}={v:.6g}" for k, v in doc.items() if isinstance(v, (int, float))
         )

@@ -87,10 +87,8 @@ def build_all_menus(theta, alpha, rng):
     support = np.linspace(lo_t, hi_t, m)
     thresholds = [(float(q), sm.fdr_threshold(float(q), objective, model)) for q in support]
     base_reward = float(rng.uniform(50.0, 200.0))
-    tau_bar = thresholds[-1][1]
-    base = Contract(tau_bar, base_reward, sm.zero_utility_cost(hi_t, tau_bar, base_reward, model))
     eta = float(rng.uniform(0.05, 1.0))
-    menus.append(sm.build_varying_reward(base, sm.quadratic_schedule(eta), thresholds, model))
+    menus.append(sm.build_varying_reward(base_reward, sm.quadratic_schedule(eta), thresholds, model))
 
     # constant-reward construction inside the elicitable range
     bound, _ = sm.elicitable_range(objective, model)
@@ -193,7 +191,7 @@ def test_criterion_6_screening_cost_limit():
     population = sm.uniform_population(0.0, q_bar, n=513)
     costs = {}
     for eta in (1.0, 0.5, 0.1, 0.01):
-        menu = sm.build_varying_reward(base, sm.quadratic_schedule(eta), thresholds, model)
+        menu = sm.build_varying_reward(base.reward, sm.quadratic_schedule(eta), thresholds, model)
         costs[eta] = sm.screening_cost(menu, base, population, model)
     assert costs[0.01] < costs[0.1] < costs[0.5] < costs[1.0]
     assert costs[0.01] < 0.02 * costs[1.0]

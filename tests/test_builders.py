@@ -82,11 +82,10 @@ def test_potential_route_matches_fixed_reward_costs(gm1, fdr25):
 def test_potential_route_matches_varying_reward(gm1, fdr25):
     q_bar = 0.8
     tau_bar = sm.fdr_threshold(q_bar, fdr25, gm1)
-    base = Contract(tau_bar, 100.0, sm.zero_utility_cost(q_bar, tau_bar, 100.0, gm1))
     eps = sm.quadratic_schedule(0.3)
     thresholds = fdr_thresholds_on(np.linspace(0.3, q_bar, 21), fdr25, gm1)
-    direct = sm.build_varying_reward(base, eps, thresholds, gm1)
-    G = sm.varying_reward_potential(base, q_bar, eps, gm1)
+    direct = sm.build_varying_reward(100.0, eps, thresholds, gm1)
+    G = sm.varying_reward_potential(100.0, tau_bar, q_bar, eps, gm1)
     alt = sm.build_from_potential(G, thresholds, gm1)
     for a, b in zip(direct.contracts, alt.contracts):
         assert a.cost == pytest.approx(b.cost, abs=1e-8)
@@ -126,7 +125,7 @@ def test_varying_reward_boundary_equals_base(gm1, fdr25):
     tau_bar = sm.fdr_threshold(q_bar, fdr25, gm1)
     base = Contract(tau_bar, 100.0, sm.zero_utility_cost(q_bar, tau_bar, 100.0, gm1))
     thresholds = fdr_thresholds_on(np.linspace(0.3, q_bar, 33), fdr25, gm1)
-    menu = sm.build_varying_reward(base, anchored_schedule(0.5, q_bar), thresholds, gm1)
+    menu = sm.build_varying_reward(base.reward, anchored_schedule(0.5, q_bar), thresholds, gm1)
     top = menu.contracts[-1]
     assert top.reward == pytest.approx(base.reward, abs=1e-8)
     assert top.cost == pytest.approx(base.cost, abs=1e-8)
@@ -138,46 +137,33 @@ def test_varying_reward_family_separates_on_grid(gm1):
     (the construction puts no restriction beyond that)."""
     grid = np.linspace(0.0, 0.8, 64)
     thresholds = [(float(q), 0.97 - 0.95 * float(q)) for q in grid]
-    tau_bar = thresholds[-1][1]
-    base = Contract(tau_bar, 100.0, sm.zero_utility_cost(0.8, tau_bar, 100.0, gm1))
     for eta in (0.01, 0.1, 0.5, 1.0):
-        menu = sm.build_varying_reward(base, sm.quadratic_schedule(eta), thresholds, gm1)
+        menu = sm.build_varying_reward(100.0, sm.quadratic_schedule(eta), thresholds, gm1)
         assert sm.verify_separating(menu, model=gm1).passed
-
-
-def test_varying_reward_rejects_bad_base(gm1, fdr25):
-    q_bar = 0.8
-    tau_bar = sm.fdr_threshold(q_bar, fdr25, gm1)
-    bad_base = Contract(tau_bar, 100.0, 5.0)  # far from zero utility
-    thresholds = fdr_thresholds_on([0.5, q_bar], fdr25, gm1)
-    with pytest.raises(ValueError):
-        sm.build_varying_reward(bad_base, sm.quadratic_schedule(0.1), thresholds, gm1)
 
 
 def test_varying_reward_takes_its_zero_utility_base_at_large_rewards(gm1, fdr25):
     thresholds = fdr_thresholds_on(np.linspace(0.43, 0.86, 9), fdr25, gm1)
-    tau_bar = thresholds[-1][1]
-    base = Contract(tau_bar, 1e12, sm.zero_utility_cost(0.86, tau_bar, 1e12, gm1))
-    # the calibrated cost leaves 1.9e-6 of utility: rounding at this reward
-    assert abs(sm.utility(0.86, base, gm1)) > builders.PARTICIPATION_TOL
-    menu = sm.build_varying_reward(base, sm.quadratic_schedule(0.1), thresholds, gm1)
+    menu = sm.build_varying_reward(1e12, sm.quadratic_schedule(0.1), thresholds, gm1)
     assert sm.verify_separating(menu, model=gm1).passed
-    off = Contract(tau_bar, 100.0, sm.zero_utility_cost(0.86, tau_bar, 100.0, gm1) + 1e-6)
-    with pytest.raises(ValueError, match="zero utility, got -1e-06"):
-        sm.build_varying_reward(off, sm.quadratic_schedule(0.1), thresholds, gm1)
+
+
+@pytest.mark.parametrize("reward", [0.0, -1.0, np.nan, np.inf])
+def test_varying_reward_rejects_bad_reward(gm1, fdr25, reward):
+    thresholds = fdr_thresholds_on([0.5, 0.8], fdr25, gm1)
+    with pytest.raises(ValueError, match="base reward must be positive and finite"):
+        sm.build_varying_reward(reward, sm.quadratic_schedule(0.1), thresholds, gm1)
 
 
 def test_varying_reward_rejects_bad_schedule(gm1, fdr25):
     q_bar = 0.8
-    tau_bar = sm.fdr_threshold(q_bar, fdr25, gm1)
-    base = Contract(tau_bar, 100.0, sm.zero_utility_cost(q_bar, tau_bar, 100.0, gm1))
     thresholds = fdr_thresholds_on([0.5, q_bar], fdr25, gm1)
     increasing = sm.tabulated_schedule([0.0, q_bar], [0.1, 0.2])
     with pytest.raises(ValueError):
-        sm.build_varying_reward(base, increasing, thresholds, gm1)
+        sm.build_varying_reward(100.0, increasing, thresholds, gm1)
     negative = sm.tabulated_schedule([0.0, q_bar], [-0.1, -0.2])
     with pytest.raises(ValueError):
-        sm.build_varying_reward(base, negative, thresholds, gm1)
+        sm.build_varying_reward(100.0, negative, thresholds, gm1)
     with pytest.raises(ValueError):
         sm.quadratic_schedule(0.0)
 
@@ -191,10 +177,9 @@ def test_tabulated_schedule_menu_within_tolerance_per_segment(gm1, fdr25):
     eps = anchored_schedule(0.5, q_bar, knots=76)
     support = np.linspace(0.43, q_bar, 9)
     tau_bar = sm.fdr_threshold(q_bar, fdr25, gm1)
-    base = Contract(tau_bar, 100.0, sm.zero_utility_cost(q_bar, tau_bar, 100.0, gm1))
-    menu = sm.build_varying_reward(base, eps, fdr_thresholds_on(support, fdr25, gm1), gm1)
+    menu = sm.build_varying_reward(100.0, eps, fdr_thresholds_on(support, fdr25, gm1), gm1)
     slopes, intercepts = menu.lines(gm1)
-    scale = base.reward * (sm.power(gm1, tau_bar) - tau_bar)
+    scale = 100.0 * (sm.power(gm1, tau_bar) - tau_bar)
     segments = -np.diff(slopes * support + intercepts) / scale
     zs, values = np.array(eps.zs), np.array(eps.values)
     exact = []
@@ -216,12 +201,10 @@ def test_schedule_validation_checks_the_knots(gm1, fdr25):
     """A rise between knots 0.001 apart falls between the validation grid's
     points; the knots themselves are checked too."""
     q_bar = 0.86
-    tau_bar = sm.fdr_threshold(q_bar, fdr25, gm1)
-    base = Contract(tau_bar, 100.0, sm.zero_utility_cost(q_bar, tau_bar, 100.0, gm1))
     thresholds = fdr_thresholds_on([0.5, q_bar], fdr25, gm1)
     bumpy = sm.tabulated_schedule([0.0, 0.3, 0.301, 0.302, 1.0], [1.0, 0.5, 0.6, 0.4, 0.0])
     with pytest.raises(ValueError, match="strictly decreasing"):
-        sm.build_varying_reward(base, bumpy, thresholds, gm1)
+        sm.build_varying_reward(100.0, bumpy, thresholds, gm1)
 
 
 @pytest.mark.parametrize(
@@ -241,12 +224,9 @@ def test_varying_reward_rejects_non_finite_slack(gm1, fdr25, monkeypatch, schedu
     quadrature: a ValueError before any deep refinement. The depth cap is
     lowered, so that a quadrature that refines instead stops soon."""
     monkeypatch.setattr(_quad, "_MAX_DEPTH", 12)
-    q_bar = 0.8
-    tau_bar = sm.fdr_threshold(q_bar, fdr25, gm1)
-    base = Contract(tau_bar, 100.0, sm.zero_utility_cost(q_bar, tau_bar, 100.0, gm1))
-    thresholds = fdr_thresholds_on([0.3, 0.5, q_bar], fdr25, gm1)
+    thresholds = fdr_thresholds_on([0.3, 0.5, 0.8], fdr25, gm1)
     with pytest.raises(ValueError, match=message):
-        sm.build_varying_reward(base, schedule(), thresholds, gm1)
+        sm.build_varying_reward(100.0, schedule(), thresholds, gm1)
 
 
 def test_varying_reward_rejects_slack_too_large_for_the_quadrature(gm1, fdr25, monkeypatch):
@@ -256,13 +236,10 @@ def test_varying_reward_rejects_slack_too_large_for_the_quadrature(gm1, fdr25, m
     ``eta`` 1e8 still builds. The depth cap is lowered, so that a quadrature
     that refines instead stops soon."""
     monkeypatch.setattr(_quad, "_MAX_DEPTH", 12)
-    q_bar = 0.8
-    tau_bar = sm.fdr_threshold(q_bar, fdr25, gm1)
-    base = Contract(tau_bar, 100.0, sm.zero_utility_cost(q_bar, tau_bar, 100.0, gm1))
-    thresholds = fdr_thresholds_on(np.linspace(0.5, q_bar, 17), fdr25, gm1)
+    thresholds = fdr_thresholds_on(np.linspace(0.5, 0.8, 17), fdr25, gm1)
     with pytest.raises(ValueError, match=r"rounding of the Simpson sums on segment \[0\.5"):
-        sm.build_varying_reward(base, sm.quadratic_schedule(1e10), thresholds, gm1)
-    menu = sm.build_varying_reward(base, sm.quadratic_schedule(1e8), thresholds, gm1)
+        sm.build_varying_reward(100.0, sm.quadratic_schedule(1e10), thresholds, gm1)
+    menu = sm.build_varying_reward(100.0, sm.quadratic_schedule(1e8), thresholds, gm1)
     assert len(menu.taus) == 17
 
 
@@ -501,8 +478,7 @@ def test_every_builder_separates_or_raises(case):
         if method == "fixed_reward":
             menu = sm.build_fixed_reward(reward, support[0], q_bar, objective, model, len(support))
         elif method == "varying_reward":
-            base = Contract(tau_bar, *terminal)
-            menu = sm.build_varying_reward(base, sm.quadratic_schedule(slack), thresholds, model)
+            menu = sm.build_varying_reward(reward, sm.quadratic_schedule(slack), thresholds, model)
         elif method == "from_potential":
             potential = sm.fixed_reward_potential(reward, q_bar, objective, model)
             menu = sm.build_from_potential(potential, thresholds, model)
@@ -523,11 +499,8 @@ def test_recovered_potentials_valid_for_all_builders(gm1, fdr25, five_types, fiv
     menus = [five_type_menu, fixed_menu]
     G = make_discrete_potential(five_types, [-40.0, -25.0, -12.0, -6.0, -2.0])
     menus.append(sm.build_from_potential(G, fdr_thresholds_on(five_types, fdr25, gm1), gm1))
-    q_bar = 0.8
-    tau_bar = sm.fdr_threshold(q_bar, fdr25, gm1)
-    base = Contract(tau_bar, 100.0, sm.zero_utility_cost(q_bar, tau_bar, 100.0, gm1))
-    thresholds = fdr_thresholds_on(np.linspace(0.3, q_bar, 17), fdr25, gm1)
-    menus.append(sm.build_varying_reward(base, sm.quadratic_schedule(0.2), thresholds, gm1))
+    thresholds = fdr_thresholds_on(np.linspace(0.3, 0.8, 17), fdr25, gm1)
+    menus.append(sm.build_varying_reward(100.0, sm.quadratic_schedule(0.2), thresholds, gm1))
     for menu in menus:
         recovered = sm.recover_potential(menu, gm1)
         sm.validate_potential(recovered, menu.support, tol=1e-8)

@@ -318,6 +318,10 @@ def test_non_finite_csv_knot_is_config_error(tmp_path, capsys):
         ("frontier", {}, "/population", "two types", "frontier.csv"),
         ("simulate", {"/population": GRID, "/simulation/stratified": True},
          "/simulation/stratified", "discrete population", "simulation.json"),
+        ("menu-build", {**VARYING, "/menu/base_reward": 0}, "/menu",
+         "base reward must be positive and finite", "menu.json"),
+        ("menu-build", {**VARYING, "/menu/base_reward": -1}, "/menu",
+         "base reward must be positive and finite", "menu.json"),
     ],
 )
 def test_config_value_out_of_range_is_config_error(
@@ -881,6 +885,67 @@ def test_evaluate_varying_reward_family(tmp_path):
     doc = json.loads((tmp_path / "evaluate.json").read_text())
     fam = doc["family"]
     assert fam["0.01"]["screening_cost"] < fam["0.5"]["screening_cost"]
+
+
+FAMILY = {
+    "/population": {"kind": "uniform_grid", "lo": 0.43, "hi": 0.86, "n": 9},
+    "/menu": {"method": "varying_reward", "base_reward": 100, "q_lo": 0.43, "q_bar": 0.86,
+              "n": 9, "etas": [0.05, 0.5, 2], "path": "menu.json"},
+}
+
+
+def test_evaluate_family_scores_each_menu_as_a_loaded_one(tmp_path, monkeypatch):
+    """Each family member's metrics and return column are what ``evaluate``
+    gives for that eta's saved ``menu-build`` output; the family solves the
+    support's thresholds once; and its screening cost is eta times one
+    constant, with the rent affine in eta (the eta-free part of every line
+    is the base contract's)."""
+    calls = []
+    solve = cli.optimal_threshold
+    monkeypatch.setattr(cli, "optimal_threshold", lambda *a: calls.append(a) or solve(*a))
+    path = write_config(tmp_path, FAMILY)
+    assert main(["evaluate", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    family = json.loads((tmp_path / "evaluate.json").read_text())["family"]
+    header, rows = read_csv(tmp_path / "return_curve.csv")
+    names = [cli._fmt(float(eta)) for eta in FAMILY["/menu"]["etas"]]
+    assert sorted(family) == sorted(names)
+    assert header == ["q"] + [f"return_eta_{name}" for name in names]
+    for i, (eta, name) in enumerate(zip(FAMILY["/menu"]["etas"], names), start=1):
+        one = tmp_path / name
+        one.mkdir()
+        spec = {k: v for k, v in FAMILY["/menu"].items() if k != "etas"}
+        path = write_config(one, {**FAMILY, "/menu": {**spec, "eta": eta}})
+        assert main(["menu-build", "--config", str(path), "--out", str(one)]) == 0
+        assert main(["evaluate", "--config", str(path), "--out", str(one)]) == 0
+        doc = json.loads((one / "evaluate.json").read_text())
+        assert family[name] == {k: doc[k] for k in ("screening_cost", "information_rent")}
+        assert [row[i] for row in rows] == [row[1] for row in read_csv(one / "return_curve.csv")[1]]
+    etas = np.array(FAMILY["/menu"]["etas"], dtype=float)
+    costs = np.array([family[name]["screening_cost"] for name in names])
+    rents = np.array([family[name]["information_rent"] for name in names])
+    assert np.ptp(costs / etas) <= 1e-9 * np.abs(costs / etas).max()
+    slope = (rents[1] - rents[0]) / (etas[1] - etas[0])
+    assert rents[2] == pytest.approx(rents[0] + slope * (etas[2] - etas[0]), rel=1e-9)
+
+
+def test_evaluate_family_names_each_eta_once(tmp_path):
+    """Etas equal to six digits get distinct columns, and each column is
+    named as its ``family`` entry is."""
+    path = write_config(tmp_path, {**FAMILY, "/menu/etas": [0.1234561, 0.1234562]})
+    assert main(["evaluate", "--config", str(path), "--out", str(tmp_path)]) == 0
+    family = json.loads((tmp_path / "evaluate.json").read_text())["family"]
+    header, _ = read_csv(tmp_path / "return_curve.csv")
+    assert len(family) == 2
+    assert header == ["q"] + [f"return_eta_{name}" for name in family]
+
+
+@pytest.mark.parametrize("etas", [[0.5, 0.5], [1, 1.0]])
+def test_evaluate_family_refuses_repeated_etas(tmp_path, capsys, etas):
+    path = write_config(tmp_path, {**FAMILY, "/menu/etas": etas})
+    assert main(["evaluate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "config error at /menu/etas: must be a nonempty list of distinct" in capsys.readouterr().err
+    assert not (tmp_path / "evaluate.json").exists()
 
 
 def test_evaluate_bayes_objective(tmp_path):

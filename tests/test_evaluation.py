@@ -28,7 +28,7 @@ def figure_family(gm1, fdr25, etas, n_support=65):
     support = np.linspace(0.27, q_bar, n_support)
     thresholds = [(float(q), sm.fdr_threshold(float(q), fdr25, gm1)) for q in support]
     menus = {
-        eta: sm.build_varying_reward(base, sm.quadratic_schedule(eta), thresholds, gm1)
+        eta: sm.build_varying_reward(base.reward, sm.quadratic_schedule(eta), thresholds, gm1)
         for eta in etas
     }
     return base, menus

@@ -1,6 +1,8 @@
 """The package's public names: every ``__all__`` entry resolves, names
-that only tests used are not exported, and removed parameters stay gone."""
+that only tests used are not exported, removed parameters stay gone, and no
+module imports a name it never uses."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -28,6 +30,8 @@ REMOVED_PARAMETERS = [
     ("contracts.verify_separating", "support"),
     ("evaluation.simulate_population", "jobs"),
     ("cli.run", "jobs"),
+    ("builders.build_varying_reward", "base"),
+    ("builders.varying_reward_potential", "base"),
 ]
 
 
@@ -50,3 +54,21 @@ def test_removed_parameters_stay_removed(function, parameter):
     module, _, name = function.partition(".")
     fn = getattr(importlib.import_module(f"statmenus.{module}"), name)
     assert parameter not in inspect.signature(fn).parameters
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_uses_every_import(module):
+    """Every name a module-level import binds is read somewhere in the module
+    or re-exported through ``__all__``; ``from __future__`` binds nothing."""
+    mod = importlib.import_module(f"statmenus.{module}")
+    tree = ast.parse(inspect.getsource(mod))
+    imported = {
+        (alias.asname or alias.name).partition(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = getattr(mod, "__all__", ())
+    assert sorted(imported - used - set(exported)) == []
