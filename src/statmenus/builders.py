@@ -406,10 +406,11 @@ def build_fixed_reward(
 ) -> Menu:
     """Unique constant-reward separating menu on the type range [q_lo, q_bar].
 
-    Requires the range to sit inside the elicitable range, the power curve
-    to have slope > 1 along the assigned thresholds, and the threshold map
-    to be strictly decreasing there. The worst type pays the zero-utility
-    cost; better types pay a surcharge for looser thresholds.
+    Requires the range to sit inside the elicitable range, every assigned
+    threshold to be positive, the power curve to have slope > 1 along them,
+    and the threshold map to be strictly decreasing there. The worst type
+    pays the zero-utility cost; better types pay a surcharge for looser
+    thresholds.
     """
     if reward <= 0.0:
         raise ValueError(f"reward must be positive, got {reward!r}")
@@ -428,6 +429,9 @@ def build_fixed_reward(
 
     support = np.linspace(q_lo, q_bar, n)
     taus = optimal_threshold(support, objective, model)
+    zero = np.flatnonzero(taus == 0.0)
+    if len(zero):
+        raise InfeasibleMenuError(f"type {support[zero[0]]:.6g} gets threshold 0, approving no one")
     flat = np.flatnonzero(~(taus[1:] < taus[:-1]))
     if len(flat):
         i = flat[0]

@@ -59,7 +59,8 @@ from .objectives import (
     threshold_map,
     uniform_population,
 )
-from .sensitivity import DEFAULT_SWEEP_POINTS, MisspecScenario, _sweep_range, sensitivity_sweep
+from .sensitivity import DEFAULT_SWEEP_POINTS, MisspecScenario, sensitivity_sweep
+from .sensitivity import _constant_reward, _sweep_range
 from .testmodel import (
     MAX_EFFECT_SIZE,
     TestModel,
@@ -505,6 +506,10 @@ def run(
         return EXIT_OK
 
     if command == "evaluate":
+        etas = config.menu.get("etas")
+        if etas and config.menu.get("method") != "varying_reward":
+            msg = "a family of slack levels needs method 'varying_reward'"
+            raise ConfigError([("/menu/etas", msg)])
         doc: Dict[str, Any] = {}
         if config.objective.kind == "bayes":
             doc["oracle_bayes_risk"] = oracle_bayes_risk(
@@ -513,7 +518,6 @@ def run(
         else:
             doc["oracle_tdr"] = oracle_tdr(config.population, config.objective, config.model)
         points = config.population.points()
-        etas = config.menu.get("etas") if config.menu.get("method") == "varying_reward" else None
         if etas:  # a family: one entry under "family" and one return column per slack level
             names = [_fmt(float(eta)) for eta in etas]
             doc["family"] = {name: {} for name in names}
@@ -563,10 +567,8 @@ def run(
 
     # sensitivity
     menu = _load_menu(config)
-    if np.any(menu.rewards != menu.rewards[0]):
-        msg = "sensitivity needs a constant-reward menu; the closed-form gap assumes one reward"
-        raise ConfigError([("/menu/path", msg)])
     try:
+        _constant_reward(menu)
         lo, hi = _sweep_range(menu.support)
     except ValueError as exc:
         raise ConfigError([("/menu/path", str(exc))]) from None

@@ -20,14 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .contracts import (
-    PARTICIPATION_SLACK,
-    Contract,
-    Menu,
-    _envelope,
-    best_response,
-    utility,
-)
+from .contracts import PARTICIPATION_SLACK, Contract, Menu, _envelope, best_response, utility
 from .errors import ParticipationError
 from .objectives import TypePopulation, _fdr_bisection
 from .rates import bayes_risk, fdr, tdr
@@ -73,13 +66,9 @@ class FrontierPoint:
 def _sweep_grid(resolution: int, lo: float = 1e-6) -> np.ndarray:
     # Log-spaced points resolve the steep low-threshold region, linear the rest.
     n_log = resolution // 4
-    grid = np.concatenate(
-        [
-            np.geomspace(lo, 0.05, n_log, endpoint=False),
-            np.linspace(0.05, 1.0, resolution - n_log),
-        ]
+    return np.concatenate(
+        [np.geomspace(lo, 0.05, n_log, endpoint=False), np.linspace(0.05, 1.0, resolution - n_log)]
     )
-    return grid
 
 
 def _mix_fdr(null_mass: np.ndarray, approve_mass: np.ndarray) -> np.ndarray:
@@ -221,35 +210,24 @@ def _slot_table(menu: Menu, population: TypePopulation, model: TestModel):
     """Each slot's menu contract (``len(menu.taus)`` for opting out), its
     population mass and its mean type.
 
-    A discrete population's slot is its type, whose contract is its
-    ``best_response`` (opting out below ``-PARTICIPATION_SLACK``). A uniform
-    population on [lo, hi] has a slot per contract and one last slot for
-    opting out: each line of the exact upper envelope (``_envelope``) serves
-    its segment clipped to [lo, hi], except for the part where the line is
-    below ``-PARTICIPATION_SLACK``, which lies at one end of the segment,
-    past the root of a linear function, and opts out. Each piece adds its
-    length and first moment to its slot."""
+    Opting out is line ``len(menu.taus)``, of slope 0 and intercept
+    ``-PARTICIPATION_SLACK``, after every contract, so a tie goes to the
+    contract. A discrete population's slot is its type, whose contract is
+    its ``best_response``. A uniform population on [lo, hi] has a slot per
+    line: each line of the exact upper envelope (``_envelope``) adds its
+    segment's length and first moment, clipped to [lo, hi], to its slot."""
     slopes, intercepts = menu.lines(model)
     n = len(menu.taus)
+    slopes, intercepts = np.append(slopes, 0.0), np.append(intercepts, -PARTICIPATION_SLACK)
     if population.kind == "discrete":
         types = np.array(population.types, dtype=float)
-        choice, best = best_response(types, slopes, intercepts)
-        contract = np.where(best >= -PARTICIPATION_SLACK, choice, n)
-        return contract, np.array(population.weights, dtype=float), types
+        return best_response(types, slopes, intercepts)[0], np.array(population.weights), types
     lo, hi = population.lo, population.hi
     winners, breaks = _envelope(slopes, intercepts)
     breaks = np.clip(np.maximum.accumulate(breaks), lo, hi)  # rounding cannot reverse a segment
     a, z = np.append(lo, breaks), np.append(breaks, hi)
-    s, b = slopes[winners], intercepts[winners]
-    in_a, in_z = s * a + b >= -PARTICIPATION_SLACK, s * z + b >= -PARTICIPATION_SLACK
-    with np.errstate(all="ignore"):  # read only where the ends differ, so s is not 0
-        root = np.clip((-PARTICIPATION_SLACK - b) / s, a, z)
-    start = np.where(in_a, a, np.where(in_z, root, z))  # the participating piece
-    stop = np.where(in_z, z, np.where(in_a, root, z))
-    slot = np.concatenate([winners, np.full(2 * len(a), n)])
-    left, right = np.concatenate([start, a, stop]), np.concatenate([stop, start, z])
-    length = np.bincount(slot, weights=right - left, minlength=n + 1)
-    moment = np.bincount(slot, weights=(right - left) * (right + left) / 2.0, minlength=n + 1)
+    length = np.bincount(winners, weights=z - a, minlength=n + 1)
+    moment = np.bincount(winners, weights=(z - a) * (z + a) / 2.0, minlength=n + 1)
     mean = np.divide(moment, length, out=np.full(n + 1, lo), where=length > 0.0)
     return np.arange(n + 1), length / (hi - lo), np.clip(mean, lo, hi)
 

@@ -63,6 +63,16 @@ class MisspecScenario:
         return _float_or_array(tau)
 
 
+def _constant_reward(menu: Menu) -> None:
+    """Raise ``ValueError`` unless every contract has the first one's reward,
+    naming the first that differs: the closed forms assume one reward."""
+    differs = np.flatnonzero(menu.rewards != menu.rewards[0])
+    if len(differs):
+        i, first = differs[0], menu.rewards[0]
+        msg = f"reward {menu.rewards[i]:.6g} at type {menu.support[i]:.6g} differs from {first:.6g}"
+        raise ValueError(f"the closed-form gap needs a constant-reward menu: {msg}")
+
+
 def implied_true_type(p, scenario: MisspecScenario):
     """True type whose first-order misreport lands on ``p``, elementwise.
 
@@ -70,6 +80,7 @@ def implied_true_type(p, scenario: MisspecScenario):
     for q in terms of the report; values outside (0, 1) mean no agent makes
     that report.
     """
+    _constant_reward(scenario.menu)
     p = _unit_interval(p, "implied type defined for interior reports only", interior=True)
     return _float_or_array(_implied_true_type(p, scenario.threshold_at(p), scenario))
 
@@ -90,6 +101,7 @@ def fdr_gap_fixed_reward(p, scenario: MisspecScenario):
     Valid when the designed power slope at the assigned threshold exceeds 1
     (inside the elicitable range); the slope-1 boundary is rejected.
     """
+    _constant_reward(scenario.menu)
     p = _unit_interval(p, "gap defined for interior reports only", interior=True)
     return _float_or_array(_fdr_gap_fixed_reward(p, scenario.threshold_at(p), scenario))
 
@@ -134,6 +146,7 @@ def sensitivity_sweep(
     no agent makes those reports, and the closed form passes through a
     pole there.
     """
+    _constant_reward(scenario.menu)
     if p_grid is None:
         p_grid = np.linspace(*_sweep_range(scenario.menu.support), DEFAULT_SWEEP_POINTS)
     p = _unit_interval(p_grid, "implied type defined for interior reports only", interior=True)

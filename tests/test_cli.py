@@ -744,6 +744,26 @@ def test_menu_build_infeasible_exit_code(tmp_path, capsys):
     assert "0.33" in capsys.readouterr().err
 
 
+# The Gaussian power curve (theta1 = 1) tabulated at 258 evenly spaced knots.
+_KNOTS = np.linspace(0.0, 1.0, 258)
+GAUSSIAN_KNOTS = {"kind": "tabulated", "taus": _KNOTS.tolist(),
+                  "betas": sm.power(sm.gaussian_model(1.0), _KNOTS).tolist()}
+
+
+@pytest.mark.parametrize("q_bar, n, worst", [(0.8055, 65, "0.8055"), (0.86, 9, "0.815")])
+def test_fixed_reward_build_refuses_a_zero_threshold(tmp_path, capsys, q_bar, n, worst):
+    """On the tabulated Gaussian curve at an FDR budget of 0.25 the worst
+    types are over budget at every threshold, so their threshold is 0: the
+    build is infeasible (exit 3) at the first such type, not a derivative's
+    domain error or a flat threshold map, and writes no menu."""
+    menu = {"method": "fixed_reward", "q_lo": 0.5, "q_bar": q_bar, "n": n}
+    path = write_config(tmp_path, {"/test": GAUSSIAN_KNOTS, "/menu": menu})
+    assert main(["menu-build", "--config", str(path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"infeasible: type {worst} gets threshold 0, approving no one" in err
+    assert not (tmp_path / "menu.json").exists()
+
+
 def test_fixed_reward_build_command(tmp_path):
     path = write_config(
         tmp_path,
@@ -946,6 +966,20 @@ def test_evaluate_family_refuses_repeated_etas(tmp_path, capsys, etas):
     assert main(["evaluate", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "config error at /menu/etas: must be a nonempty list of distinct" in capsys.readouterr().err
     assert not (tmp_path / "evaluate.json").exists()
+
+
+@pytest.mark.parametrize("method", ["fixed_reward", ...], ids=["fixed_reward", "no_method"])
+def test_evaluate_refuses_etas_without_varying_reward(tmp_path, capsys, method):
+    """Only a varying-reward config names a family: with another method, or
+    none, ``/menu/etas`` is a config error and nothing is written, where the
+    menu at ``/menu/path`` would otherwise be scored alone."""
+    path = write_config(tmp_path, {"/menu": {**FIXED_MENU, "path": "menu.json"}})
+    assert main(["menu-build", "--config", str(path), "--out", str(tmp_path)]) == 0
+    path = write_config(tmp_path, {"/menu/etas": [0.05, 0.5], "/menu/method": method})
+    out = tmp_path / "out"
+    assert main(["evaluate", "--config", str(path), "--out", str(out)]) == 2
+    assert "config error at /menu/etas:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evaluate_bayes_objective(tmp_path):

@@ -539,18 +539,17 @@ def test_type_draw_matches_generator_choice(five_type_menu, gm1, k):
         assert all(a == 0 for a, x in zip(agents, w) if x == 0.0)
 
 
-@pytest.mark.parametrize("lo, hi", [(0.43, 0.86), (0.2, 0.8), (0.0, 1.0)])
-def test_uniform_type_draw_matches_generator_uniform(fixed_menu, gm1, lo, hi):
-    """A uniform population's slot masses and mean types are those of
-    ``Generator.uniform`` types through ``best_response``: 400,000 drawn
-    types' share and mean type per slot (each contract, then opting out
-    above 0.86) are within 5 SE of the slot table's, and an empty slot
-    gets no drawn type."""
-    contract, mass, mean = evaluation._slot_table(fixed_menu, sm.uniform_population(lo, hi), gm1)
-    assert contract.tolist() == list(range(len(fixed_menu.taus) + 1))
+def _drawn_slots(menu, model, lo, hi):
+    """A uniform population's slot masses, after checking them and its mean
+    types against those of ``Generator.uniform`` types through
+    ``best_response``: 400,000 drawn types' share and mean type per slot
+    (each contract, then opting out) are within 5 SE of the slot table's,
+    and an empty slot gets no drawn type."""
+    contract, mass, mean = evaluation._slot_table(menu, sm.uniform_population(lo, hi), model)
+    assert contract.tolist() == list(range(len(menu.taus) + 1))
     q = np.random.default_rng(4).uniform(lo, hi, 400_000)
-    choice, best = best_response(q, *fixed_menu.lines(gm1))
-    slot = np.where(best >= -PARTICIPATION_SLACK, choice, len(fixed_menu.taus))
+    choice, best = best_response(q, *menu.lines(model))
+    slot = np.where(best >= -PARTICIPATION_SLACK, choice, len(menu.taus))
     count = np.bincount(slot, minlength=mass.size)
     assert np.all(np.abs(count / q.size - mass) <= 5.0 * np.sqrt(mass * (1.0 - mass) / q.size))
     drawn = count > 1
@@ -558,7 +557,62 @@ def test_uniform_type_draw_matches_generator_uniform(fixed_menu, gm1, lo, hi):
     seen_mean = sums[0] / count[drawn]
     se = np.sqrt(np.maximum(sums[1] / count[drawn] - seen_mean**2, 0.0) / count[drawn])
     assert np.all(np.abs(seen_mean - mean[drawn]) <= 5.0 * se + 1e-12)
+    return mass
+
+
+def _raised_costs(menu, by):
+    """``menu`` with every contract's cost raised by ``by``."""
+    return Menu(menu.support, tuple(Contract(c.tau, c.reward, c.cost + by) for c in menu.contracts))
+
+
+@pytest.mark.parametrize("lo, hi", [(0.43, 0.86), (0.2, 0.8), (0.0, 1.0)])
+def test_uniform_type_draw_matches_generator_uniform(fixed_menu, gm1, lo, hi):
+    """The slot table is that of drawn types (``_drawn_slots``); on the
+    fixed-reward menu only types above 0.86 opt out."""
+    mass = _drawn_slots(fixed_menu, gm1, lo, hi)
     assert (mass[-1] > 0.0) == (hi > 0.86)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.43, 0.86), (0.2, 0.8), (0.0, 1.0)])
+def test_uniform_type_draw_matches_generator_uniform_in_a_long_opt_out_tail(
+    fixed_menu, gm1, lo, hi
+):
+    """With every cost raised by 1, the upper third of the fixed-reward
+    menu's types opt out, past many contracts' lines: the slot table is still
+    that of drawn types, and its opt-out slot has mass."""
+    menu = _raised_costs(fixed_menu, 1.0)
+    s, b = menu.lines(gm1)
+    assert np.sum(np.array(menu.support) * s + b < -PARTICIPATION_SLACK) > 40
+    assert _drawn_slots(menu, gm1, lo, hi)[-1] > 0.1
+
+
+def test_opting_out_is_one_more_line_and_ties_go_to_the_contract(gm1):
+    """A contract of threshold 0, reward 100 and cost 1e-12 has slope 0 and
+    intercept -1e-12, the outside option's line exactly: every type takes
+    it, as a discrete population and as a uniform one. At cost 2e-12 its
+    line is below the outside option's and every type opts out."""
+    discrete = sm.discrete_population([0.3, 0.7])
+    uniform = sm.uniform_population(0.2, 0.8)
+    for cost, slot in ((1e-12, 0), (2e-12, 1)):
+        menu = Menu((0.5,), (Contract(0.0, 100.0, cost),))
+        assert [x.tolist() for x in menu.lines(gm1)] == [[0.0], [-cost]]
+        assert evaluation._slot_table(menu, discrete, gm1)[0].tolist() == [slot, slot]
+        contract, mass, mean = evaluation._slot_table(menu, uniform, gm1)
+        assert contract.tolist() == [0, 1] and mass[slot] == 1.0 and mass[1 - slot] == 0.0
+        assert mean[slot] == 0.5
+        report = sm.simulate_population(menu, uniform, gm1, n=1_000, seed=3)
+        assert report.participating == (1_000 if slot == 0 else 0)
+
+
+def test_an_opt_out_tail_is_one_segment(fine_fixed_menu, gm1):
+    """With every cost raised by 50, no type of [0.2, 0.95] takes a contract
+    of the 1,025-contract menu: the outside option's line is the whole
+    envelope there, so the opt-out slot holds mass 1 and mean type 0.575
+    exactly, not a sum over the contracts' segments."""
+    menu = _raised_costs(fine_fixed_menu, 50.0)
+    _, mass, mean = evaluation._slot_table(menu, sm.uniform_population(0.2, 0.95), gm1)
+    assert mass[-1] == 1.0 and mean[-1] == 0.575
+    assert not mass[:-1].any()
 
 
 def test_simulation_threads_are_bounded(gm1, five_type_menu, five_types, monkeypatch):

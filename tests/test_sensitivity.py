@@ -272,3 +272,19 @@ def test_designing_at_weakest_alternative_is_robust(fdr25):
 
     assert worst_violation(min(plausible)) <= 0.002
     assert worst_violation(max(plausible)) > 0.01
+
+
+def test_closed_forms_refuse_varying_rewards(gm1, fdr25, five_type_menu):
+    """The closed forms assume one reward: on the five-type finite menu
+    (rewards 345.7 down to 100) each public function raises ``ValueError``
+    naming the first reward that differs from the first, not a gap."""
+    scenario = sm.MisspecScenario(gm1, sm.gaussian_model(1.1), five_type_menu, fdr25)
+    calls = (
+        lambda: sm.sensitivity_sweep(scenario),
+        lambda: sm.sensitivity_sweep(scenario, p_grid=[0.45]),
+        lambda: sm.fdr_gap_fixed_reward(0.45, scenario),
+        lambda: sm.implied_true_type(0.45, scenario),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="reward 165.506 at type 0.4 differs from 345.665"):
+            call()
